@@ -111,12 +111,11 @@ pub mod prelude {
         NoisyEvalReport, RecoveryPolicy, RepairPolicy, RobustnessReport,
     };
     pub use autohet_serve::{
-        alert_timeline, jain_index, publish_shard_report, run_serving, run_serving_parallel,
-        run_sharded, run_sharded_reference, run_sharded_threaded, shard_alert_timeline,
-        shard_window_series, AutoscaleSpec, BurstSpec, Deployment, FailureSpec, HealthEvent,
-        HealthEventKind, HealthSpec, LatencyHistogram, RampSpec, ScaleEvent, SelectMode,
-        ServeAlertConfig, ServeConfig, ServingReport, ShardConfig, ShardServingReport, StealSpec,
-        SwapEvent, SwapSpec, TenantSpec, TenantStats, Workload,
+        alert_timeline, jain_index, publish_report, run_sharded, run_sharded_reference,
+        run_sharded_threaded, window_series, AutoscaleSpec, BurstSpec, Deployment, FailureSpec,
+        HealthEvent, HealthEventKind, HealthSpec, LatencyHistogram, RampSpec, ScaleEvent,
+        SelectMode, ServeAlertConfig, ShardConfig, ShardServingReport, ShardTenantStats, StealSpec,
+        SwapEvent, SwapSpec, TenantSpec, Workload,
     };
     pub use autohet_xbar::fault::{FaultMap, FaultRates};
     pub use autohet_xbar::geometry::{

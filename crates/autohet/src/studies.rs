@@ -56,7 +56,8 @@ use autohet_accel::{
 };
 use autohet_dnn::{LayerKind, Model};
 use autohet_serve::{
-    run_serving, Deployment, FailureSpec, HealthSpec, ServeConfig, TenantSpec, Workload,
+    run_sharded, Deployment, FailureSpec, HealthSpec, ShardConfig, ShardServingReport, TenantSpec,
+    Workload,
 };
 use autohet_xbar::fault::FaultRates;
 use autohet_xbar::geometry::paper_hybrid_candidates;
@@ -218,7 +219,7 @@ pub struct ServingStudyRow {
     /// Jain's fairness index over per-tenant weighted attained service
     /// (1.0 for the single-tenant rows here; kept in the schema so
     /// multi-tenant studies line up with
-    /// [`autohet_serve::ServingReport::fairness_index`]).
+    /// [`autohet_serve::ShardServingReport::fairness_index`]).
     #[serde(default)]
     pub fairness_index: f64,
 }
@@ -265,12 +266,13 @@ pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow
         seed,
         horizon_ns: (2_000.0 / rate * 1e9) as u64,
     };
-    let cfg = ServeConfig {
+    let cfg = ShardConfig {
         queue_depth: 32,
-        // Per-window telemetry feeds the post-hoc alert pass; windows are
-        // pure accounting, so the serving results are unaffected.
-        telemetry_windows: 8,
-        ..ServeConfig::default()
+        // Per-window telemetry feeds the post-hoc alert pass; without
+        // barrier couplings, epochs are pure accounting, so the serving
+        // results are unaffected.
+        epochs: 8,
+        ..ShardConfig::default()
     };
     deployments
         .into_iter()
@@ -278,8 +280,8 @@ pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow
             let _cell = autohet_obs::trace::span("study.serving_cell");
             let label = d.name.clone();
             let tenant = TenantSpec::new(&label, d, rate, slo_ns);
-            let r = run_serving(&[tenant], &wl, &cfg);
-            let alerts = autohet_serve::alert_timeline(&r, &Default::default());
+            let r = run_sharded(&[tenant], &wl, &cfg);
+            let alerts = autohet_serve::alert_timeline(&r, &Default::default(), None);
             let t = &r.tenants[0];
             ServingStudyRow {
                 label,
@@ -395,6 +397,11 @@ impl FaultCampaignReport {
     }
 }
 
+/// A per-replica quantity summed over every shard of a serving run.
+fn replica_total(report: &ShardServingReport, f: fn(&autohet_serve::ShardStats) -> u64) -> u64 {
+    report.shard_stats.iter().map(f).sum()
+}
+
 /// Replica-failure schedule for one campaign cell: instance failures get
 /// more frequent as component faults get denser (MTBF ∝ 1/rate), and a
 /// healthy device never fails.
@@ -474,13 +481,13 @@ pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaign
         let faulted = engines[c].evaluate_faulted(configs[c].1, cfg.seed, rates, &policy);
         let deployment = healthy[c].with_degradation(&faulted);
         let tenant = TenantSpec::new(configs[c].0, deployment, rate, slo_ns);
-        let serve = ServeConfig {
-            replicas: cfg.replicas,
+        let serve = ShardConfig {
+            replicas_per_shard: cfg.replicas,
             queue_depth: 32,
             failures: campaign_failures(cfg.seed, fault_rate),
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
-        let report = run_serving(&[tenant], &wl, &serve);
+        let report = run_sharded(&[tenant], &wl, &serve);
         let t = &report.tenants[0];
         FaultCampaignRow {
             label: configs[c].0.to_string(),
@@ -497,7 +504,7 @@ pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaign
             degraded_completed: t.degraded_completed,
             slo_attainment: t.slo_attainment,
             p99_ns: t.p99_ns,
-            downtime_ns: report.replica_downtime_ns.iter().sum(),
+            downtime_ns: replica_total(&report, |s| s.downtime_ns),
         }
     });
     FaultCampaignReport {
@@ -749,13 +756,13 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
                 let deg = engine.evaluate_degraded(configs[c].1, cfg.epoch_hours, policy);
                 let deployment = healthy[c].with_degraded(&deg);
                 let tenant = TenantSpec::new(configs[c].0, deployment, rate, slo_ns);
-                let serve = ServeConfig {
-                    replicas: cfg.replicas,
+                let serve = ShardConfig {
+                    replicas_per_shard: cfg.replicas,
                     queue_depth: 32,
                     health: campaign_health(cfg.seed, scale, policy),
-                    ..ServeConfig::default()
+                    ..ShardConfig::default()
                 };
-                let report = run_serving(&[tenant], &wl, &serve);
+                let report = run_sharded(&[tenant], &wl, &serve);
                 let t = &report.tenants[0];
                 LifetimeRow {
                     label: configs[c].0.to_string(),
@@ -776,10 +783,10 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
                     slo_attainment: t.slo_attainment,
                     p99_ns: t.p99_ns,
                     clean_fraction: report.clean_fraction(),
-                    trips: report.replica_trips.iter().sum(),
-                    recals: report.replica_recals.iter().sum(),
-                    remaps: report.replica_remaps.iter().sum(),
-                    recovery_ns: report.replica_recovery_ns.iter().sum(),
+                    trips: replica_total(&report, |s| s.trips),
+                    recals: replica_total(&report, |s| s.recals),
+                    remaps: replica_total(&report, |s| s.remaps),
+                    recovery_ns: replica_total(&report, |s| s.recovery_ns),
                     accuracy: deg.accuracy_proxy * report.clean_fraction(),
                 }
             })

@@ -31,7 +31,7 @@
 //! returned guard's `Drop` is a no-op. Nothing in this crate feeds back
 //! into instrumented computations, so **results are bit-identical with
 //! the recorder on or off** — the downstream crates property-test exactly
-//! that for `evaluate`, `rl_search`, and `run_serving`.
+//! that for `evaluate`, `rl_search`, and `run_sharded`.
 //!
 //! ## Determinism
 //!

@@ -1,9 +1,10 @@
 //! Deficit round-robin (DRR) weighted fair queueing across tenants.
 //!
-//! Replaces the global "oldest head request wins" FIFO policy of the
-//! original scheduler inside each shard: backlogged tenants sit on a
-//! ring, each carries a deficit counter, and a tenant may dispatch only
-//! when its deficit covers the batch cost (cost = requests drained).
+//! The serving engine's only tenant-selection policy, run inside each
+//! shard; for a single tenant it picks exactly the batch oldest-head-first
+//! FIFO would. Backlogged tenants sit on a ring, each carries a deficit
+//! counter, and a tenant may dispatch only when its deficit covers the
+//! batch cost (cost = requests drained).
 //! Passing the turn to a ready tenant tops its deficit up by
 //! `quantum × weight`, so over any busy interval the requests served per
 //! tenant are proportional to its [`TenantSpec::weight`] — the classic

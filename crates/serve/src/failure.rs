@@ -4,17 +4,15 @@
 //! [`FailurePlan`]: per replica, an alternating renewal process with
 //! exponential time-to-failure (mean `mtbf_ns`) and exponential repair
 //! (mean `mttr_ns`), drawn from a `SmallRng` stream derived from the spec
-//! seed and the replica id — the same derivation discipline as
+//! seed and the replica key — the same derivation discipline as
 //! [`workload`](crate::workload) tenant streams. Because the plan is a
-//! pure function of `(spec, replicas, horizon)`, both serving drivers
-//! consult identical outage intervals, and failure handling stays inside
-//! the deterministic scheduling recurrence: a replica that is down at a
-//! dispatch instant simply advances its free time to the recovery edge
-//! (failover — the turn passes to surviving replicas), and a batch whose
-//! service window an outage cuts into is killed at the failure edge with
-//! its requests retried or dropped (see [`SimCore::requeue`]).
-//!
-//! [`SimCore::requeue`]: crate::sim::SimCore
+//! pure function of `(spec, replica keys, horizon)`, every scheduler
+//! driver consults identical outage intervals, and failure handling stays
+//! inside the deterministic scheduling recurrence: a replica that is down
+//! at a dispatch instant simply advances its free time to the recovery
+//! edge (failover — the turn passes to surviving replicas), and a batch
+//! whose service window an outage cuts into is killed at the failure edge
+//! with its requests retried or dropped (see [`sim`](crate::sim)).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -57,9 +55,9 @@ pub struct FailurePlan {
 /// Splitmix-style stream derivation, a different tweak constant than the
 /// workload's tenant streams so failure and arrival randomness never
 /// alias even under equal seeds.
-fn replica_seed(master: u64, replica: usize) -> u64 {
+fn replica_seed(master: u64, replica: u64) -> u64 {
     master
-        .wrapping_add((replica as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add((replica + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .rotate_left(29)
         ^ 0xA076_1D64_78BD_642F_u64.rotate_left(3)
 }
@@ -76,32 +74,52 @@ impl FailurePlan {
     /// edges inside `[0, horizon_ns)` (recoveries may extend past the
     /// horizon, draining work started before it).
     pub fn generate(spec: &FailureSpec, replicas: usize, horizon_ns: u64) -> Self {
+        let mut plan = FailurePlan::none(0);
+        for r in 0..replicas {
+            plan.push(Some(spec), r as u64, horizon_ns, 0);
+        }
+        plan
+    }
+
+    /// Append one more replica's schedule: the outages of the replica
+    /// keyed `key` (replica `r` of [`generate`](Self::generate) has key
+    /// `r`) whose failure edge is at or after `from_ns`, the instant the
+    /// replica comes into service. `None` appends a replica that never
+    /// fails.
+    pub(crate) fn push(
+        &mut self,
+        spec: Option<&FailureSpec>,
+        key: u64,
+        horizon_ns: u64,
+        from_ns: u64,
+    ) {
+        let Some(spec) = spec else {
+            self.outages.push(Vec::new());
+            return;
+        };
         spec.validate();
-        let outages = (0..replicas)
-            .map(|r| {
-                let mut rng = SmallRng::seed_from_u64(replica_seed(spec.seed, r));
-                let mut list = Vec::new();
-                let mut t = 0.0f64;
-                loop {
-                    let u: f64 = rng.gen();
-                    t += -(1.0 - u).ln() * spec.mtbf_ns as f64;
-                    if t >= horizon_ns as f64 {
-                        break;
-                    }
-                    let down = t as u64;
-                    let v: f64 = rng.gen();
-                    let repair = (-(1.0 - v).ln() * spec.mttr_ns as f64) as u64;
-                    let up = down + repair.max(1);
-                    list.push(Outage {
-                        down_ns: down,
-                        up_ns: up,
-                    });
-                    t = up as f64;
-                }
-                list
-            })
-            .collect();
-        FailurePlan { outages }
+        let mut rng = SmallRng::seed_from_u64(replica_seed(spec.seed, key));
+        let mut list = Vec::new();
+        let mut t = 0.0f64;
+        loop {
+            let u: f64 = rng.gen();
+            t += -(1.0 - u).ln() * spec.mtbf_ns as f64;
+            if t >= horizon_ns as f64 {
+                break;
+            }
+            let down = t as u64;
+            let v: f64 = rng.gen();
+            let repair = (-(1.0 - v).ln() * spec.mttr_ns as f64) as u64;
+            let up = down + repair.max(1);
+            if down >= from_ns {
+                list.push(Outage {
+                    down_ns: down,
+                    up_ns: up,
+                });
+            }
+            t = up as f64;
+        }
+        self.outages.push(list);
     }
 
     /// True when no replica ever fails.

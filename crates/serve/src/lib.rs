@@ -16,9 +16,10 @@
 //!   depends on wall clocks, so every run is exactly reproducible.
 //! - **Arrivals** are open-loop Poisson processes, one seeded
 //!   [`SmallRng`](rand::rngs::SmallRng) stream per tenant, optionally
-//!   modulated by a periodic [`BurstSpec`].
-//! - **Queues** are per-tenant FIFO. An arrival that finds its tenant's
-//!   queue at the configured depth bound is *shed* (counted as rejected).
+//!   modulated by a periodic [`BurstSpec`] or a [`RampSpec`] drift.
+//! - **Queues** are per-tenant, in arrival order. An arrival that finds
+//!   its tenant's queue at the configured depth bound is *shed* (counted
+//!   as rejected).
 //! - **Batching**: a tenant's queue becomes dispatchable when it holds
 //!   `max_batch` requests or its oldest request has waited
 //!   `batch_window_ns`. A dispatch drains up to `max_batch` requests into
@@ -26,15 +27,14 @@
 //!   `fill + (n − 1) × bottleneck` law.
 //! - **Replicas** are identical accelerator instances. Each batch goes to
 //!   the earliest-free replica (ties: lowest replica id); among
-//!   dispatchable tenants the oldest head request wins (ties: lowest
-//!   tenant id).
-//!
+//!   dispatchable tenants, deficit round-robin over per-tenant weights
+//!   ([`TenantSpec::weight`]) picks the batch ([`DrrRing`]).
 //! - **Failures** (optional): replica instances fail and recover on a
 //!   seeded alternating renewal schedule ([`FailureSpec`] →
 //!   [`FailurePlan`]). A down replica is skipped at dispatch time
 //!   (failover to survivors); a batch interrupted mid-service is killed
-//!   and its requests retried — back at the queue front, keeping FIFO by
-//!   arrival — unless their retry deadline has passed, in which case they
+//!   and its requests retried — back at the queue front, keeping arrival
+//!   order — unless their retry deadline has passed, in which case they
 //!   count as failed. Completed requests that survived a kill are
 //!   reported per tenant as `degraded_completed`.
 //! - **Drift & recovery** (optional): with a [`HealthSpec`] configured,
@@ -46,15 +46,18 @@
 //!   remap escalation while load sheds to the healthy replicas. Errored
 //!   completions are reported per tenant and count as SLO violations.
 //!
-//! ## Determinism
+//! ## One engine, three drivers
 //!
-//! The event loop is a recurrence: "the replica with the minimum free
-//! time takes the next dispatchable batch". [`run_serving`] evaluates the
-//! recurrence sequentially; [`run_serving_parallel`] runs one
-//! `crossbeam` worker per replica against shared state guarded by a
-//! `parking_lot` mutex, where a worker proceeds only while its replica
-//! *is* the minimum — so both modes execute the identical batch sequence
-//! and produce bit-identical [`ServingReport`]s (asserted by tests).
+//! [`run_sharded`] runs the model on shard-local schedulers: tenants
+//! partition across shards with their own queues, clocks, replica pools
+//! and replica health, and all cross-shard coupling — work stealing,
+//! telemetry-driven replica autoscaling, online strategy swap on
+//! workload-mix drift — happens at deterministic epoch barriers, which
+//! also cut the per-window telemetry. One shard with `n` replicas is the
+//! classic single-queue-set deployment. The heap-mode scheduler, the
+//! linear-scan reference ([`run_sharded_reference`]), and the
+//! epoch-parallel driver ([`run_sharded_threaded`]) are bit-identical;
+//! see [`shard`] for the architecture and determinism argument.
 //!
 //! ## Simplifications
 //!
@@ -62,20 +65,6 @@
 //! request's energy is its deployment's single-inference energy; weights
 //! for all tenants are assumed resident (ReRAM weight programming is a
 //! deploy-time cost, §4.5 of the paper).
-//!
-//! ## The sharded runtime
-//!
-//! [`run_sharded`] scales the same simulation model to hundreds of
-//! tenants and millions of requests: tenants partition across
-//! shard-local schedulers with their own queues, clocks, and replica
-//! pools; scheduling within a shard is deficit round-robin over
-//! per-tenant weights ([`TenantSpec::weight`]) instead of global FIFO;
-//! and all cross-shard coupling — work stealing, telemetry-driven
-//! replica autoscaling, online strategy swap on workload-mix drift —
-//! happens at deterministic epoch barriers. The heap-mode scheduler,
-//! the linear-scan reference ([`run_sharded_reference`]), and the
-//! epoch-parallel driver ([`run_sharded_threaded`]) are bit-identical;
-//! see [`shard`] for the architecture and determinism argument.
 
 pub mod deploy;
 pub mod drr;
@@ -91,19 +80,14 @@ pub mod workload;
 pub use deploy::Deployment;
 pub use drr::{DrrAccess, DrrRing};
 pub use failure::{FailurePlan, FailureSpec, Outage};
-pub use parallel::{run_serving_parallel, run_sharded_threaded};
+pub use parallel::run_sharded_threaded;
 pub use ready::{ReplicaPool, StampedHeap};
-pub use report::{jain_index, LatencyHistogram, ServingReport, TenantStats, WindowStats};
+pub use report::{jain_index, LatencyHistogram, WindowStats};
 pub use shard::{
     run_sharded, run_sharded_reference, AutoscaleSpec, EpochSignal, ScaleEvent, SelectMode,
     ShardConfig, ShardServingReport, ShardStats, ShardTenantStats, StealEvent, StealSpec,
     SwapEvent, SwapSpec,
 };
-pub use sim::{run_serving, HealthEvent, HealthEventKind, HealthSpec, ServeConfig};
-pub use telemetry::{
-    alert_timeline, publish_report, publish_shard_report, shard_alert_timeline,
-    shard_window_series, window_series, ServeAlertConfig,
-};
-pub use workload::{
-    merge_arrivals, tenant_arrivals, Arrival, BurstSpec, RampSpec, TenantSpec, Workload,
-};
+pub use sim::{HealthEvent, HealthEventKind, HealthSpec};
+pub use telemetry::{alert_timeline, publish_report, window_series, ServeAlertConfig};
+pub use workload::{tenant_arrivals, BurstSpec, RampSpec, TenantSpec, Workload};

@@ -1,157 +1,20 @@
-//! Multi-worker execution: one `crossbeam` scoped worker per replica,
-//! draining the shared scheduling core under a `parking_lot` mutex.
+//! Epoch-parallel execution of the serving engine.
 //!
-//! Determinism argument: the single-threaded driver evaluates the
-//! recurrence "the replica with minimum free time (ties: lowest id)
-//! takes the next batch". Here each worker owns one replica and is
-//! allowed to call [`SimCore::next_batch`] only while its replica *is*
-//! that minimum — enforced under the lock, with a condvar to park the
-//! others. The worker publishes its new free time before releasing the
-//! lock, so the scheduling decisions (and therefore the core's admission
-//! and queue bookkeeping) happen in exactly the single-threaded order.
-//! Per-batch completion results are computed outside the lock into
-//! worker-local vectors, then merged by the gap-free batch index — which
-//! also fixes the floating-point accumulation order in report assembly.
-//! The result is bit-identical to [`run_serving`](crate::run_serving).
+//! Between epoch barriers each shard touches only its own state — its
+//! queues, replicas, outage schedule and health monitors — so shards
+//! step concurrently on scoped `crossbeam` workers; every barrier
+//! (settle → steal → autoscale → swap) runs single-threaded in a fixed
+//! order. The schedule of decisions is therefore *identical* to
+//! [`run_sharded`](crate::run_sharded), and the report is bit-identical
+//! to both sequential drivers at any thread count.
 
-use crate::report::{assemble_report, ServingReport};
-use crate::shard::{ShardConfig, ShardServingReport, ShardedSim};
-use crate::sim::{finish_batch, BatchResult, ServeConfig, SimCore};
-use crate::workload::{merge_arrivals, TenantSpec, Workload};
-use parking_lot::{Condvar, Mutex};
+use crate::shard::{Shard, ShardConfig, ShardServingReport, ShardedSim};
+use crate::workload::{TenantSpec, Workload};
 
-struct Shared {
-    core: SimCore,
-    /// Per-replica free time; `u64::MAX` once the replica retires.
-    free: Vec<u64>,
-    done: Vec<bool>,
-}
-
-impl Shared {
-    /// The active replica with minimum free time (ties: lowest id).
-    fn turn(&self) -> Option<usize> {
-        (0..self.free.len())
-            .filter(|&r| !self.done[r])
-            .min_by_key(|&r| (self.free[r], r))
-    }
-}
-
-/// Run the serving simulation with one worker thread per replica.
-///
-/// Produces a [`ServingReport`] bit-identical to
-/// [`run_serving`](crate::run_serving) on the same inputs.
-pub fn run_serving_parallel(
-    tenants: &[TenantSpec],
-    wl: &Workload,
-    cfg: &ServeConfig,
-) -> ServingReport {
-    let _span = autohet_obs::trace::span("serve.run_parallel");
-    cfg.validate();
-    let plan = cfg.failure_plan(wl);
-    let shared = Mutex::new(Shared {
-        core: SimCore::new(
-            tenants.len(),
-            merge_arrivals(tenants, wl),
-            cfg,
-            wl.horizon_ns,
-        ),
-        free: vec![0; cfg.replicas],
-        done: vec![false; cfg.replicas],
-    });
-    let parked = Condvar::new();
-    let per_worker: Vec<Vec<BatchResult>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.replicas)
-            .map(|w| {
-                let shared = &shared;
-                let parked = &parked;
-                let plan = &plan;
-                s.spawn(move |_| {
-                    let _span = autohet_obs::trace::span("serve.worker");
-                    let mut mine: Vec<BatchResult> = Vec::new();
-                    let mut guard = shared.lock();
-                    loop {
-                        if guard.turn() != Some(w) {
-                            parked.wait(&mut guard);
-                            continue;
-                        }
-                        let free_w = guard.free[w];
-                        // Down at the free instant: wait out the outage
-                        // (identical to the single-threaded step order —
-                        // the bump happens while this replica is the
-                        // minimum, before any core call).
-                        if let Some(up) = plan.down_until(w, free_w) {
-                            guard.free[w] = up;
-                            parked.notify_all();
-                            continue;
-                        }
-                        let Some(at) = guard.core.peek_dispatch(free_w) else {
-                            guard.done[w] = true;
-                            guard.free[w] = u64::MAX;
-                            parked.notify_all();
-                            return mine;
-                        };
-                        // Down at the dispatch instant: fail over.
-                        if let Some(up) = plan.down_until(w, at) {
-                            guard.free[w] = up;
-                            parked.notify_all();
-                            continue;
-                        }
-                        let job = guard
-                            .core
-                            .next_batch(free_w)
-                            .expect("peeked batch vanished");
-                        let spec = &tenants[job.tenant];
-                        let completion =
-                            job.start_ns + spec.deployment.service_ns(job.requests.len());
-                        match plan.outage_in(w, job.start_ns, completion) {
-                            Some(o) => {
-                                // Killed mid-service: requeue *under the
-                                // lock* — later dispatches depend on it.
-                                guard.free[w] = o.up_ns;
-                                guard.core.requeue(job, o.down_ns, cfg.retry_deadline_ns);
-                                parked.notify_all();
-                            }
-                            None => {
-                                // Health effects mutate shared state and
-                                // the replica's free time, so they run
-                                // under the lock at the same recurrence
-                                // point as the single-threaded driver.
-                                let (errored, next_free) =
-                                    guard.core.apply_health(w, &job, completion);
-                                guard.free[w] = next_free;
-                                parked.notify_all();
-                                drop(guard);
-                                // Out-of-lock work: fold the batch into
-                                // this worker's local results.
-                                mine.push(finish_batch(spec, job, completion, errored));
-                                guard = shared.lock();
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serving worker panicked"))
-            .collect()
-    })
-    .expect("serving worker pool panicked");
-
-    let mut batches: Vec<BatchResult> = per_worker.into_iter().flatten().collect();
-    batches.sort_unstable_by_key(|b| b.index);
-    let core = shared.into_inner().core;
-    assemble_report(tenants, wl, cfg, &core, &batches, &plan)
-}
-
-/// Epoch-parallel driver for the sharded runtime: between barriers each
-/// shard touches only its own state, so shards step concurrently on
-/// `threads` crossbeam workers; every barrier (settle → steal →
-/// autoscale → swap) runs single-threaded. The schedule of decisions is
-/// *identical* to [`run_sharded`](crate::run_sharded) — shard stepping
-/// is independent and barrier order is fixed — so the report is
-/// bit-identical to both sequential drivers (asserted by tests and the
-/// cross-driver proptests).
+/// Epoch-parallel driver for the serving engine: shards step
+/// concurrently on `threads` crossbeam workers between barriers. The
+/// report is bit-identical to [`run_sharded`](crate::run_sharded)
+/// (asserted by tests and the cross-driver proptests).
 pub fn run_sharded_threaded(
     tenants: &[TenantSpec],
     wl: &Workload,
@@ -163,7 +26,7 @@ pub fn run_sharded_threaded(
     let mut sim = ShardedSim::new(tenants, wl, cfg);
     let ends = sim.epoch_ends();
     let chunk = sim.shards.len().div_ceil(threads);
-    let step_all = |shards: &mut [crate::shard::Shard], e_end: u64| {
+    let step_all = |shards: &mut [Shard], e_end: u64| {
         crossbeam::thread::scope(|s| {
             for group in shards.chunks_mut(chunk) {
                 s.spawn(move |_| {
@@ -187,7 +50,9 @@ pub fn run_sharded_threaded(
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
-    use crate::sim::run_serving;
+    use crate::failure::FailureSpec;
+    use crate::shard::run_sharded;
+    use crate::sim::HealthSpec;
     use crate::workload::BurstSpec;
     use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
@@ -215,6 +80,21 @@ mod tests {
         ]
     }
 
+    fn flaky() -> FailureSpec {
+        FailureSpec {
+            mtbf_ns: 3_000_000,
+            mttr_ns: 500_000,
+            seed: 13,
+        }
+    }
+
+    fn drifting() -> HealthSpec {
+        HealthSpec {
+            err_ppm_per_ms: 30_000,
+            ..HealthSpec::default()
+        }
+    }
+
     #[test]
     fn parallel_matches_single_threaded_bit_for_bit() {
         let tenants = mixed_tenants();
@@ -224,13 +104,14 @@ mod tests {
         };
         for replicas in [1usize, 2, 3, 4] {
             for queue_depth in [8usize, 64] {
-                let cfg = ServeConfig {
-                    replicas,
+                let cfg = ShardConfig {
+                    shards: 2,
+                    replicas_per_shard: replicas,
                     queue_depth,
-                    ..ServeConfig::default()
+                    ..ShardConfig::default()
                 };
-                let single = run_serving(&tenants, &wl, &cfg);
-                let multi = run_serving_parallel(&tenants, &wl, &cfg);
+                let single = run_sharded(&tenants, &wl, &cfg);
+                let multi = run_sharded_threaded(&tenants, &wl, &cfg, 2);
                 // The acceptance-criteria trio, spelled out…
                 for (s, m) in single.tenants.iter().zip(&multi.tenants) {
                     assert_eq!(s.submitted, m.submitted);
@@ -252,17 +133,14 @@ mod tests {
             horizon_ns: 40_000_000,
         };
         for replicas in [2usize, 3, 4] {
-            let cfg = ServeConfig {
-                replicas,
-                failures: Some(crate::failure::FailureSpec {
-                    mtbf_ns: 3_000_000,
-                    mttr_ns: 500_000,
-                    seed: 13,
-                }),
-                ..ServeConfig::default()
+            let cfg = ShardConfig {
+                shards: 2,
+                replicas_per_shard: replicas,
+                failures: Some(flaky()),
+                ..ShardConfig::default()
             };
-            let single = run_serving(&tenants, &wl, &cfg);
-            let multi = run_serving_parallel(&tenants, &wl, &cfg);
+            let single = run_sharded(&tenants, &wl, &cfg);
+            let multi = run_sharded_threaded(&tenants, &wl, &cfg, 2);
             assert!(
                 single.total_retried > 0 || single.total_failed > 0,
                 "failure config too tame to exercise the kill path"
@@ -279,38 +157,30 @@ mod tests {
             horizon_ns: 40_000_000,
         };
         for replicas in [1usize, 2, 3, 4] {
-            let cfg = ServeConfig {
-                replicas,
-                health: Some(crate::sim::HealthSpec {
-                    err_ppm_per_ms: 30_000,
-                    ..Default::default()
-                }),
-                ..ServeConfig::default()
+            let cfg = ShardConfig {
+                shards: 2,
+                replicas_per_shard: replicas,
+                health: Some(drifting()),
+                ..ShardConfig::default()
             };
-            let single = run_serving(&tenants, &wl, &cfg);
-            let multi = run_serving_parallel(&tenants, &wl, &cfg);
+            let single = run_sharded(&tenants, &wl, &cfg);
+            let multi = run_sharded_threaded(&tenants, &wl, &cfg, 2);
             assert!(
-                single.total_errored > 0 && single.replica_trips.iter().sum::<u64>() > 0,
+                single.total_errored > 0 && single.shard_stats.iter().any(|s| s.trips > 0),
                 "drift config too tame to exercise the recovery path"
             );
             assert_eq!(single, multi, "replicas={replicas}");
         }
         // Drift, hard failures, and recovery all at once.
-        let cfg = ServeConfig {
-            replicas: 3,
-            health: Some(crate::sim::HealthSpec {
-                err_ppm_per_ms: 30_000,
-                ..Default::default()
-            }),
-            failures: Some(crate::failure::FailureSpec {
-                mtbf_ns: 3_000_000,
-                mttr_ns: 500_000,
-                seed: 13,
-            }),
-            ..ServeConfig::default()
+        let cfg = ShardConfig {
+            shards: 2,
+            replicas_per_shard: 3,
+            health: Some(drifting()),
+            failures: Some(flaky()),
+            ..ShardConfig::default()
         };
-        let single = run_serving(&tenants, &wl, &cfg);
-        let multi = run_serving_parallel(&tenants, &wl, &cfg);
+        let single = run_sharded(&tenants, &wl, &cfg);
+        let multi = run_sharded_threaded(&tenants, &wl, &cfg, 2);
         assert_eq!(single, multi);
     }
 
@@ -321,12 +191,13 @@ mod tests {
             seed: 99,
             horizon_ns: 30_000_000,
         };
-        let cfg = ServeConfig {
-            replicas: 3,
-            ..ServeConfig::default()
+        let cfg = ShardConfig {
+            shards: 2,
+            replicas_per_shard: 3,
+            ..ShardConfig::default()
         };
-        let a = run_serving_parallel(&tenants, &wl, &cfg);
-        let b = run_serving_parallel(&tenants, &wl, &cfg);
+        let a = run_sharded_threaded(&tenants, &wl, &cfg, 2);
+        let b = run_sharded_threaded(&tenants, &wl, &cfg, 2);
         assert_eq!(a, b);
     }
 
@@ -340,11 +211,12 @@ mod tests {
             seed: 0,
             horizon_ns: 1_000_000,
         };
-        let cfg = ServeConfig {
-            replicas: 4,
-            ..ServeConfig::default()
+        let cfg = ShardConfig {
+            shards: 2,
+            replicas_per_shard: 4,
+            ..ShardConfig::default()
         };
-        let r = run_serving_parallel(&tenants, &wl, &cfg);
+        let r = run_sharded_threaded(&tenants, &wl, &cfg, 2);
         assert_eq!(r.total_completed, 0);
         assert_eq!(r.batches, 0);
     }

@@ -1,16 +1,22 @@
-//! Sharded serving runtime: shard-local schedulers, work stealing,
-//! deficit-round-robin tenant fairness, telemetry-driven autoscaling,
-//! and online strategy swap — all deterministic in simulated time.
+//! The serving engine: shard-local schedulers with deficit-round-robin
+//! tenant fairness, replica failures and drift health, work stealing,
+//! telemetry-driven autoscaling, and online strategy swap — all
+//! deterministic in simulated time.
 //!
 //! # Architecture
 //!
 //! Tenants are partitioned across `shards` shard-local schedulers
 //! (`gid % shards`). Each shard owns its tenants' arrival streams,
-//! queues, a [`DrrRing`] of backlogged tenants, and a [`ReplicaPool`] of
-//! local replicas; it advances its own clock with the same
-//! ingest-before-dispatch recurrence the original event loop used, but
-//! tenant selection is deficit round-robin (weighted fair queueing)
-//! instead of global oldest-head-first FIFO.
+//! queues, a [`DrrRing`] of backlogged tenants, a [`ReplicaPool`] of
+//! local replicas, and beside it the replicas' outage schedule and drift
+//! health ([`ReplicaFaults`]). A shard advances its own clock with an
+//! ingest-before-dispatch recurrence: arrivals at or before the next
+//! dispatch instant are admitted (or shed) first; then the earliest-free
+//! replica (ties: lowest id) takes one batch from the tenant deficit
+//! round-robin selects. A replica that is down fails over, a batch an
+//! outage interrupts is killed and its requests retried, and a completed
+//! batch feeds the replica's circuit breaker (see [`crate::sim`]). With
+//! one tenant, DRR picks exactly the batch oldest-head FIFO would.
 //!
 //! The simulated horizon is cut into `epochs` equal windows. *Within* an
 //! epoch shards are fully independent — that is what makes the
@@ -39,9 +45,10 @@
 //!
 //! # Determinism
 //!
-//! Everything is integer arithmetic on pre-generated arrival streams.
-//! Within an epoch a shard touches only its own state; barrier steps
-//! iterate shards and tenants in ascending id order. Consequently the
+//! Everything is integer arithmetic on pre-generated arrival streams,
+//! pre-generated outage schedules and keyed health rolls. Within an
+//! epoch a shard touches only its own state; barrier steps iterate
+//! shards and tenants in ascending id order. Consequently the
 //! epoch-parallel driver is *bit-identical* to the sequential one — the
 //! only nondeterminism a thread schedule could introduce is the order
 //! in which independent shards are stepped, and shard state composes
@@ -52,10 +59,13 @@
 //! scan's tie-breaks, so all three drivers produce identical reports.
 //!
 //! [`alt_deployment`]: crate::workload::TenantSpec::alt_deployment
+//! [`ReplicaFaults`]: crate::sim
 
 use crate::drr::{DrrAccess, DrrRing};
+use crate::failure::FailureSpec;
 use crate::ready::{ReplicaPool, StampedHeap};
-use crate::report::{jain_index, LatencyHistogram, WindowStats};
+use crate::report::{jain_index, percentile, LatencyHistogram, WindowStats};
+use crate::sim::{HealthEvent, HealthSpec, ReplicaFaults};
 use crate::workload::{tenant_arrivals, TenantSpec, Workload};
 use autohet_obs::alert::{AlertEngine, AlertRule, ThresholdRule};
 use serde::{Deserialize, Serialize};
@@ -162,7 +172,7 @@ impl Default for SwapSpec {
     }
 }
 
-/// Configuration of the sharded runtime.
+/// Configuration of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardConfig {
     /// Shard-local schedulers; tenants partition as `gid % shards`.
@@ -187,6 +197,14 @@ pub struct ShardConfig {
     pub autoscale: Option<AutoscaleSpec>,
     /// Online strategy swap on workload-mix drift.
     pub swap: Option<SwapSpec>,
+    /// Replica failure/recovery process; `None` models ideal replicas.
+    pub failures: Option<FailureSpec>,
+    /// A request interrupted by a replica failure is retried while its
+    /// age is within this deadline, and dropped as failed after it [ns].
+    pub retry_deadline_ns: u64,
+    /// Online replica-health monitoring and drift recovery; `None`
+    /// models drift-free replicas (no errors, no breaker).
+    pub health: Option<HealthSpec>,
 }
 
 impl Default for ShardConfig {
@@ -203,18 +221,34 @@ impl Default for ShardConfig {
             steal: None,
             autoscale: None,
             swap: None,
+            failures: None,
+            retry_deadline_ns: 100_000_000,
+            health: None,
         }
     }
 }
 
 impl ShardConfig {
-    fn validate(&self) {
+    /// Panics on a configuration no run over `horizon_ns` can honour,
+    /// before any simulation starts.
+    fn validate(&self, horizon_ns: u64) {
         assert!(self.shards >= 1, "at least one shard");
         assert!(self.replicas_per_shard >= 1, "at least one replica/shard");
         assert!(self.max_batch >= 1, "zero max_batch");
         assert!(self.queue_depth >= 1, "zero queue_depth");
         assert!(self.epochs >= 1, "at least one epoch");
+        assert!(
+            self.epochs as u64 <= horizon_ns,
+            "epochs ({}) exceed horizon_ns ({horizon_ns}): every epoch needs at least 1 ns",
+            self.epochs
+        );
         assert!(self.quantum >= 1, "zero quantum");
+        if let Some(f) = &self.failures {
+            f.validate();
+        }
+        if let Some(h) = &self.health {
+            h.validate();
+        }
     }
 }
 
@@ -283,7 +317,7 @@ pub struct EpochSignal {
     pub backlog: u64,
 }
 
-/// Per-tenant results of a sharded run.
+/// Per-tenant results of a serving run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardTenantStats {
     pub name: String,
@@ -291,17 +325,39 @@ pub struct ShardTenantStats {
     pub weight: u64,
     /// Shard owning the tenant at the end of the run.
     pub shard: usize,
+    /// Arrivals generated for this tenant (admitted + shed).
     pub submitted: u64,
+    /// Requests served to completion.
     pub completed: u64,
+    /// Requests shed by admission control.
     pub rejected: u64,
+    /// Requests dropped because a replica failure interrupted them past
+    /// their retry deadline.
+    pub failed: u64,
+    /// Retry events: requests returned to the queue by killed batches
+    /// (one request can retry more than once).
+    pub retried: u64,
+    /// Completed requests that survived at least one replica failure —
+    /// served, but through the degraded (retry) path.
+    pub degraded_completed: u64,
+    /// Completed requests whose result was corrupted by conductance
+    /// drift (see [`HealthSpec`]); they count as SLO violations.
+    pub errored: u64,
+    /// Batches killed mid-service by a replica failure.
+    pub killed_batches: u64,
+    /// Completed batches.
     pub batches: u64,
-    /// Latency quantiles from the tenant's log₂ histogram [ns].
+    /// Exact nearest-rank latency percentiles over completed requests
+    /// [ns].
     pub p50_ns: u64,
     pub p95_ns: u64,
     pub p99_ns: u64,
     pub max_ns: u64,
     pub mean_ns: f64,
     pub slo_ns: u64,
+    /// Fraction of *submitted* requests completed cleanly within the SLO
+    /// (shed, failed and drift-errored requests count as violations);
+    /// 1.0 for an idle tenant.
     pub slo_attainment: f64,
     pub throughput_rps: f64,
     pub energy_nj: f64,
@@ -312,10 +368,11 @@ pub struct ShardTenantStats {
     pub mean_queue_depth: f64,
     /// Whether the tenant ended the run on its alternative strategy.
     pub swapped: bool,
+    /// Log₂-binned latency distribution.
     pub histogram: LatencyHistogram,
 }
 
-/// Per-shard summary of a sharded run.
+/// Per-shard summary of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     pub shard: usize,
@@ -324,19 +381,32 @@ pub struct ShardStats {
     pub replicas_active: usize,
     /// Replicas ever created on this shard (including retired).
     pub replicas_total: usize,
+    /// Dispatched batches, including batches a failure killed.
     pub dispatched_batches: u64,
     pub steals_in: u64,
     pub steals_out: u64,
     /// Last completion on this shard [ns].
     pub makespan_ns: u64,
+    /// Replica downtime within `[0, makespan)` of the run, summed over
+    /// the shard's replicas [ns].
+    pub downtime_ns: u64,
+    /// Circuit-breaker trips across the shard's replicas.
+    pub trips: u64,
+    /// Successful online recalibrations.
+    pub recals: u64,
+    /// Remap escalations.
+    pub remaps: u64,
+    /// Replica time spent paused in drift recovery [ns].
+    pub recovery_ns: u64,
 }
 
-/// Results of a sharded serving run. The three drivers (linear-scan
-/// reference, heap mode, epoch-parallel) produce bit-identical values.
+/// Results of a serving run. The three drivers (linear-scan reference,
+/// heap mode, epoch-parallel) produce bit-identical values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardServingReport {
     pub seed: u64,
     pub horizon_ns: u64,
+    /// Virtual time at which the last batch completed (≥ horizon).
     pub makespan_ns: u64,
     pub shards: usize,
     pub epochs: usize,
@@ -344,11 +414,15 @@ pub struct ShardServingReport {
     pub replicas_final: usize,
     /// Peak concurrently-active replicas (autoscaling high-water mark).
     pub replicas_peak: usize,
+    /// Completed batches.
     pub batches: u64,
     pub mean_batch_size: f64,
     pub total_submitted: u64,
     pub total_completed: u64,
     pub total_rejected: u64,
+    pub total_failed: u64,
+    pub total_retried: u64,
+    pub total_errored: u64,
     pub total_energy_nj: f64,
     pub aggregate_throughput_rps: f64,
     /// Jain's fairness index over per-tenant attained service per unit
@@ -364,13 +438,38 @@ pub struct ShardServingReport {
     pub scale_events: Vec<ScaleEvent>,
     pub steal_events: Vec<StealEvent>,
     pub swap_events: Vec<SwapEvent>,
+    /// Timestamped replica-health transitions (trips, recals, remaps,
+    /// failed recoveries), each shard's in recurrence order, shards in
+    /// ascending id order. Empty without a [`HealthSpec`].
+    pub health_events: Vec<HealthEvent>,
 }
 
 impl ShardServingReport {
-    /// Requests neither completed nor rejected — 0 after a full drain;
-    /// the zero-lost-requests guarantee the swap tests pin down.
+    /// Requests neither completed, rejected nor failed — 0 after a full
+    /// drain; the zero-lost-requests guarantee the swap tests pin down.
     pub fn lost_requests(&self) -> u64 {
-        self.total_submitted - self.total_completed - self.total_rejected
+        self.total_submitted - self.total_completed - self.total_rejected - self.total_failed
+    }
+
+    /// Fraction of completed requests whose results were clean (not
+    /// drift-errored); 1.0 when nothing completed. The serving factor of
+    /// the lifetime campaign's accuracy axis.
+    pub fn clean_fraction(&self) -> f64 {
+        if self.total_completed == 0 {
+            1.0
+        } else {
+            (self.total_completed - self.total_errored) as f64 / self.total_completed as f64
+        }
+    }
+
+    /// The whole run's latency distribution: every tenant's histogram
+    /// merged into one.
+    pub fn overall_histogram(&self) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for t in &self.tenants {
+            h.merge(&t.histogram);
+        }
+        h
     }
 }
 
@@ -417,21 +516,29 @@ struct TenantState {
     slo_ns: u64,
     arrivals: Vec<u64>,
     cursor: usize,
-    /// Arrival times of queued (admitted, undispatched) requests.
+    /// Arrival times of queued (admitted, undispatched) requests, in
+    /// arrival order.
     queue: VecDeque<u64>,
+    /// Queued requests a killed batch returned; they always form a
+    /// prefix of `queue`.
+    retried_queued: usize,
     deficit: u64,
     stamp: u64,
     swapped: bool,
     submitted: u64,
     rejected: u64,
     completed: u64,
+    failed: u64,
+    retried: u64,
+    degraded: u64,
+    errored: u64,
+    killed_batches: u64,
     met: u64,
     batches: u64,
     attained_ns: u64,
     energy_nj: f64,
-    lat_sum: u128,
-    max_lat: u64,
-    hist: LatencyHistogram,
+    /// Every completed request's latency, in completion order.
+    latencies: Vec<u64>,
     peak_depth: usize,
     depth_area: u128,
     last_event: u64,
@@ -443,26 +550,31 @@ struct TenantState {
 
 impl TenantState {
     fn new(gid: usize, spec: &TenantSpec, wl: &Workload, n_win: usize) -> Self {
+        let arrivals = tenant_arrivals(gid, spec, wl);
         TenantState {
             gid,
             weight: spec.weight.max(1),
             slo_ns: spec.slo_ns,
-            arrivals: tenant_arrivals(gid, spec, wl),
+            latencies: Vec::with_capacity(arrivals.len()),
+            arrivals,
             cursor: 0,
             queue: VecDeque::new(),
+            retried_queued: 0,
             deficit: 0,
             stamp: 0,
             swapped: false,
             submitted: 0,
             rejected: 0,
             completed: 0,
+            failed: 0,
+            retried: 0,
+            degraded: 0,
+            errored: 0,
+            killed_batches: 0,
             met: 0,
             batches: 0,
             attained_ns: 0,
             energy_nj: 0.0,
-            lat_sum: 0,
-            max_lat: 0,
-            hist: LatencyHistogram::new(),
             peak_depth: 0,
             depth_area: 0,
             last_event: 0,
@@ -473,8 +585,7 @@ impl TenantState {
 }
 
 /// Earliest instant the tenant's head batch may dispatch: head arrival
-/// plus the batching window, or as soon as a full batch is queued —
-/// exactly the original `SimCore::candidate` readiness rule.
+/// plus the batching window, or as soon as a full batch is queued.
 fn tenant_ready(queue: &VecDeque<u64>, window_ns: u64, max_batch: usize) -> Option<u64> {
     let head = *queue.front()?;
     let mut ready = head.saturating_add(window_ns);
@@ -533,6 +644,8 @@ pub(crate) struct Shard {
     /// Heap mode: min-heap over (next arrival, gid), cursor-validated.
     arr_heap: BinaryHeap<Reverse<(u64, usize)>>,
     replicas: ReplicaPool,
+    /// Outage schedule and drift health, indexed like `replicas`.
+    faults: ReplicaFaults,
     total_queued: usize,
     last_depth_event: u64,
     makespan: u64,
@@ -550,7 +663,7 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    fn new(id: usize, cfg: &ShardConfig, grid: WinGrid) -> Self {
+    fn new(id: usize, cfg: &ShardConfig, grid: WinGrid, horizon_ns: u64) -> Self {
         Shard {
             id,
             mode: cfg.mode,
@@ -564,6 +677,7 @@ impl Shard {
             ready: StampedHeap::new(),
             arr_heap: BinaryHeap::new(),
             replicas: ReplicaPool::new(cfg.replicas_per_shard),
+            faults: ReplicaFaults::new(cfg, id, horizon_ns),
             total_queued: 0,
             last_depth_event: 0,
             makespan: 0,
@@ -638,16 +752,14 @@ impl Shard {
         }
     }
 
-    /// The next dispatch `(instant, replica)` — `max` of the earliest
-    /// free replica and the earliest ready batch (the per-tenant
-    /// `max(ready, free)` minimized over tenants distributes to this).
-    fn next_dispatch(&mut self) -> Option<(u64, usize)> {
-        let (fmin, rid) = match self.mode {
-            SelectMode::LinearScan => self.replicas.scan_min(),
-            SelectMode::Heap => self.replicas.peek_min(),
-        }?;
+    /// The next dispatch `(instant, free, replica)`: the earliest-free
+    /// replica, free at `free`, dispatches at the later of `free` and the
+    /// earliest ready batch (the per-tenant `max(ready, free)` minimized
+    /// over tenants distributes to this).
+    fn next_dispatch(&mut self) -> Option<(u64, u64, usize)> {
+        let (free, rid) = self.min_free()?;
         let ready = self.ready_min()?;
-        Some((ready.max(fmin), rid))
+        Some((ready.max(free), free, rid))
     }
 
     /// Add a queue-depth span `[last_depth_event, now)` at the current
@@ -725,8 +837,9 @@ impl Shard {
     }
 
     /// Dispatch one batch on replica `rid` at instant `at`: DRR selects
-    /// the tenant, the batch drains, and completion-side accounting
-    /// streams into the tenant and window accumulators.
+    /// the tenant and the batch drains. A batch an outage interrupts is
+    /// killed; otherwise completion-side accounting streams into the
+    /// tenant and window accumulators and the replica's health monitor.
     fn dispatch(&mut self, specs: &[TenantSpec], rid: usize, at: u64) {
         let (window_ns, max_batch, quantum) = (self.window_ns, self.max_batch, self.quantum);
         let gid = {
@@ -738,47 +851,81 @@ impl Shard {
             self.ring.select(&mut view, at, quantum)
         };
         self.settle_depth(at);
-        let (batch, emptied, swapped) = {
-            let t = self.tenants.get_mut(&gid).unwrap();
-            let dt = at.saturating_sub(t.last_event);
-            t.depth_area += t.queue.len() as u128 * dt as u128;
-            t.last_event = at;
-            let n = t.queue.len().min(max_batch);
-            let batch: Vec<u64> = t.queue.drain(..n).collect();
-            (batch, t.queue.is_empty(), t.swapped)
-        };
-        self.total_queued -= batch.len();
+        // Killed batches use up a dispatch index too: health rolls are
+        // keyed on it.
+        let index = self.dispatched;
+        self.dispatched += 1;
+        let t = self.tenants.get_mut(&gid).unwrap();
+        let dt = at.saturating_sub(t.last_event);
+        t.depth_area += t.queue.len() as u128 * dt as u128;
+        t.last_event = at;
+        let n = t.queue.len().min(max_batch);
+        let degraded = n.min(t.retried_queued);
+        t.retried_queued -= degraded;
+        let batch: Vec<u64> = t.queue.drain(..n).collect();
+        let emptied = t.queue.is_empty();
+        self.total_queued -= n;
         let spec = &specs[gid];
-        let dep = if swapped {
+        let dep = if t.swapped {
             spec.alt_deployment.as_ref().expect("swapped without alt")
         } else {
             &spec.deployment
         };
-        let n = batch.len();
         let service = dep.service_ns(n);
         let completion = at + service;
-        let w = self.grid.window_of(completion);
-        {
-            let t = self.tenants.get_mut(&gid).unwrap();
-            t.completed += n as u64;
-            t.batches += 1;
-            t.attained_ns += service;
-            t.win_attained[w] += service;
-            t.energy_nj += n as f64 * dep.energy_per_request_nj();
-            for &arr in &batch {
-                let l = completion - arr;
-                t.hist.record(l);
-                t.lat_sum += l as u128;
-                t.max_lat = t.max_lat.max(l);
-                if l <= t.slo_ns {
-                    t.met += 1;
-                    self.win_met[w] += 1;
+        let outage = self.faults.outage_in(rid, at, completion);
+        let next_free = match outage {
+            Some(o) => {
+                // Killed at the failure edge: requests still within their
+                // retry deadline return to the queue front (keeping
+                // arrival order), the rest fail.
+                t.killed_batches += 1;
+                let mut requeued = 0;
+                for &arr in batch.iter().rev() {
+                    if self.faults.retryable(arr, o.down_ns) {
+                        t.queue.push_front(arr);
+                        requeued += 1;
+                    } else {
+                        t.failed += 1;
+                    }
                 }
-                self.win_hist[w].record(l);
+                t.retried += requeued as u64;
+                t.retried_queued += requeued;
+                t.peak_depth = t.peak_depth.max(t.queue.len());
+                self.total_queued += requeued;
+                let w = self.grid.window_of(at);
+                self.win_peak[w] = self.win_peak[w].max(self.total_queued);
+                o.up_ns
             }
-        }
-        self.win_completed[w] += n as u64;
-        self.win_batches[w] += 1;
+            None => {
+                let w = self.grid.window_of(completion);
+                let p_ppm = self.faults.error_ppm(rid, at);
+                let mut errors = 0u64;
+                t.completed += n as u64;
+                t.degraded += degraded as u64;
+                t.batches += 1;
+                t.attained_ns += service;
+                t.win_attained[w] += service;
+                t.energy_nj += n as f64 * dep.energy_per_request_nj();
+                for (pos, &arr) in batch.iter().enumerate() {
+                    let l = completion - arr;
+                    t.latencies.push(l);
+                    if p_ppm > 0 && self.faults.errored(rid, index, pos, p_ppm) {
+                        errors += 1;
+                    } else if l <= t.slo_ns {
+                        t.met += 1;
+                        self.win_met[w] += 1;
+                    }
+                    self.win_hist[w].record(l);
+                }
+                t.errored += errors;
+                self.win_completed[w] += n as u64;
+                self.win_batches[w] += 1;
+                self.makespan = self.makespan.max(completion);
+                self.faults.complete(rid, errors, n, completion)
+            }
+        };
+        let backlogged = !t.queue.is_empty();
         {
             let mut view = TenantView {
                 tenants: &mut self.tenants,
@@ -787,29 +934,32 @@ impl Shard {
             };
             self.ring.served(&mut view, gid, emptied);
         }
+        if emptied && backlogged {
+            // A killed batch refilled the queue it had emptied.
+            self.ring.push(gid);
+        }
         let t = self.tenants.get_mut(&gid).unwrap();
         t.stamp += 1;
-        if !emptied && self.mode == SelectMode::Heap {
+        if backlogged && self.mode == SelectMode::Heap {
             let rdy = tenant_ready(&t.queue, window_ns, max_batch).unwrap();
             let stamp = t.stamp;
             self.ready.push(rdy, gid, stamp);
         }
-        self.replicas.set_free(rid, completion);
-        self.makespan = self.makespan.max(completion);
-        self.dispatched += 1;
+        self.replicas.set_free(rid, next_free);
     }
 
     /// Run the shard's recurrence up to (exclusive) `e_end`: arrivals at
-    /// or before the pending dispatch instant are ingested first —
-    /// identical to the original loop's "arrivals at the dispatch
-    /// instant join the batch" rule. `u64::MAX` drains everything.
+    /// or before the pending dispatch instant are ingested first (they
+    /// join the batch). A replica that is down at its free instant or at
+    /// the dispatch instant waits out the outage and the turn passes.
+    /// `u64::MAX` drains everything.
     pub(crate) fn step(&mut self, specs: &[TenantSpec], e_end: u64) {
         loop {
             let na = self.next_arrival();
             let disp = self.next_dispatch();
             if let Some((t, gid)) = na {
                 let take = match disp {
-                    Some((at, _)) if at < e_end => t <= at,
+                    Some((at, _, _)) if at < e_end => t <= at,
                     _ => t < e_end,
                 };
                 if take {
@@ -817,9 +967,13 @@ impl Shard {
                     continue;
                 }
             }
-            match disp {
-                Some((at, rid)) if at < e_end => self.dispatch(specs, rid, at),
-                _ => break,
+            let Some((at, free, rid)) = disp.filter(|&(at, _, _)| at < e_end) else {
+                break;
+            };
+            let down = self.faults.down_until(rid, free);
+            match down.or_else(|| self.faults.down_until(rid, at)) {
+                Some(up) => self.replicas.set_free(rid, up),
+                None => self.dispatch(specs, rid, at),
             }
         }
     }
@@ -914,9 +1068,11 @@ pub(crate) fn autoscale_engine(spec: &AutoscaleSpec) -> AlertEngine {
 
 impl<'a> ShardedSim<'a> {
     pub(crate) fn new(specs: &'a [TenantSpec], wl: &Workload, cfg: &ShardConfig) -> Self {
-        cfg.validate();
+        cfg.validate(wl.horizon_ns);
         let grid = WinGrid::new(wl.horizon_ns, cfg.epochs);
-        let mut shards: Vec<Shard> = (0..cfg.shards).map(|s| Shard::new(s, cfg, grid)).collect();
+        let mut shards: Vec<Shard> = (0..cfg.shards)
+            .map(|s| Shard::new(s, cfg, grid, wl.horizon_ns))
+            .collect();
         for (gid, spec) in specs.iter().enumerate() {
             let t = TenantState::new(gid, spec, wl, grid.n);
             shards[gid % cfg.shards].add_tenant(t);
@@ -1068,6 +1224,7 @@ impl<'a> ShardedSim<'a> {
                 .max_by_key(|&s| (self.shards[s].total_queued, Reverse(s)))
                 .unwrap();
             let rid = self.shards[sid].replicas.add(t_end);
+            self.shards[sid].faults.add(t_end);
             self.total_active += 1;
             self.peak_active = self.peak_active.max(self.total_active);
             self.cooldown = spec.cooldown_epochs;
@@ -1162,49 +1319,61 @@ impl<'a> ShardedSim<'a> {
         let mut owners: Vec<usize> = vec![0; n];
         let mut states: Vec<Option<TenantState>> = (0..n).map(|_| None).collect();
         for sh in &mut self.shards {
-            let ids: Vec<usize> = sh.tenants.keys().copied().collect();
-            for gid in ids {
+            for (gid, t) in std::mem::take(&mut sh.tenants) {
                 owners[gid] = sh.id;
-                states[gid] = Some(sh.tenants.remove(&gid).unwrap());
+                states[gid] = Some(t);
             }
         }
-        let states: Vec<TenantState> = states.into_iter().map(|t| t.unwrap()).collect();
+        let mut states: Vec<TenantState> = states.into_iter().map(|t| t.unwrap()).collect();
         let tenants: Vec<ShardTenantStats> = states
-            .iter()
-            .map(|t| ShardTenantStats {
-                name: self.specs[t.gid].name.clone(),
-                weight: t.weight,
-                shard: owners[t.gid],
-                submitted: t.submitted,
-                completed: t.completed,
-                rejected: t.rejected,
-                batches: t.batches,
-                p50_ns: t.hist.quantile(0.50),
-                p95_ns: t.hist.quantile(0.95),
-                p99_ns: t.hist.quantile(0.99),
-                max_ns: t.max_lat,
-                mean_ns: if t.completed == 0 {
-                    0.0
-                } else {
-                    t.lat_sum as f64 / t.completed as f64
-                },
-                slo_ns: t.slo_ns,
-                slo_attainment: if t.submitted == 0 {
-                    1.0
-                } else {
-                    t.met as f64 / t.submitted as f64
-                },
-                throughput_rps: if span_s > 0.0 {
-                    t.completed as f64 / span_s
-                } else {
-                    0.0
-                },
-                energy_nj: t.energy_nj,
-                attained_service_ns: t.attained_ns,
-                peak_queue_depth: t.peak_depth as u64,
-                mean_queue_depth: t.depth_area as f64 / makespan.max(1) as f64,
-                swapped: t.swapped,
-                histogram: t.hist.clone(),
+            .iter_mut()
+            .map(|t| {
+                let lat = &mut t.latencies;
+                let mut histogram = LatencyHistogram::new();
+                for &l in lat.iter() {
+                    histogram.record(l);
+                }
+                let lat_sum: u128 = lat.iter().map(|&l| l as u128).sum();
+                ShardTenantStats {
+                    name: self.specs[t.gid].name.clone(),
+                    weight: t.weight,
+                    shard: owners[t.gid],
+                    submitted: t.submitted,
+                    completed: t.completed,
+                    rejected: t.rejected,
+                    failed: t.failed,
+                    retried: t.retried,
+                    degraded_completed: t.degraded,
+                    errored: t.errored,
+                    killed_batches: t.killed_batches,
+                    batches: t.batches,
+                    p50_ns: percentile(lat, 0.50),
+                    p95_ns: percentile(lat, 0.95),
+                    p99_ns: percentile(lat, 0.99),
+                    max_ns: lat.iter().copied().max().unwrap_or(0),
+                    mean_ns: if t.completed == 0 {
+                        0.0
+                    } else {
+                        lat_sum as f64 / t.completed as f64
+                    },
+                    slo_ns: t.slo_ns,
+                    slo_attainment: if t.submitted == 0 {
+                        1.0
+                    } else {
+                        t.met as f64 / t.submitted as f64
+                    },
+                    throughput_rps: if span_s > 0.0 {
+                        t.completed as f64 / span_s
+                    } else {
+                        0.0
+                    },
+                    energy_nj: t.energy_nj,
+                    attained_service_ns: t.attained_ns,
+                    peak_queue_depth: t.peak_depth as u64,
+                    mean_queue_depth: t.depth_area as f64 / makespan.max(1) as f64,
+                    swapped: t.swapped,
+                    histogram,
+                }
             })
             .collect();
         let fairness = jain_index(
@@ -1262,7 +1431,11 @@ impl<'a> ShardedSim<'a> {
                     // global instantaneous backlog peak (shard clocks
                     // are not aligned within an epoch).
                     peak_queue_depth: self.shards.iter().map(|s| s.win_peak[w] as u64).sum(),
-                    downtime_ns: 0,
+                    downtime_ns: sum(&|s| {
+                        (0..s.replicas.len())
+                            .map(|r| s.faults.plan.downtime_in(r, start_ns, covered_to))
+                            .sum()
+                    }),
                     fairness_index: jain_index(
                         states
                             .iter()
@@ -1273,10 +1446,45 @@ impl<'a> ShardedSim<'a> {
                 }
             })
             .collect();
-        let total_submitted: u64 = tenants.iter().map(|t| t.submitted).sum();
-        let total_completed: u64 = tenants.iter().map(|t| t.completed).sum();
-        let total_rejected: u64 = tenants.iter().map(|t| t.rejected).sum();
-        let batches: u64 = tenants.iter().map(|t| t.batches).sum();
+        let total = |f: fn(&ShardTenantStats) -> u64| -> u64 { tenants.iter().map(f).sum() };
+        let total_submitted = total(|t| t.submitted);
+        let total_completed = total(|t| t.completed);
+        let total_rejected = total(|t| t.rejected);
+        let total_failed = total(|t| t.failed);
+        let total_retried = total(|t| t.retried);
+        let total_errored = total(|t| t.errored);
+        let batches = total(|t| t.batches);
+        let shard_stats = self
+            .shards
+            .iter()
+            .map(|s| {
+                let health = |f: fn(&crate::sim::ReplicaHealth) -> u64| -> u64 {
+                    s.faults.health.iter().map(f).sum()
+                };
+                ShardStats {
+                    shard: s.id,
+                    tenants: owners.iter().filter(|&&o| o == s.id).count(),
+                    replicas_active: s.replicas.active(),
+                    replicas_total: s.replicas.len(),
+                    dispatched_batches: s.dispatched,
+                    steals_in: s.steals_in,
+                    steals_out: s.steals_out,
+                    makespan_ns: s.makespan,
+                    downtime_ns: (0..s.replicas.len())
+                        .map(|r| s.faults.plan.downtime_ns(r, makespan))
+                        .sum(),
+                    trips: health(|h| h.trips),
+                    recals: health(|h| h.recals),
+                    remaps: health(|h| h.remaps),
+                    recovery_ns: health(|h| h.recovery_ns),
+                }
+            })
+            .collect();
+        let health_events = self
+            .shards
+            .iter_mut()
+            .flat_map(|s| std::mem::take(&mut s.faults.events))
+            .collect();
         ShardServingReport {
             seed: self.wl.seed,
             horizon_ns: horizon,
@@ -1295,6 +1503,9 @@ impl<'a> ShardedSim<'a> {
             total_submitted,
             total_completed,
             total_rejected,
+            total_failed,
+            total_retried,
+            total_errored,
             total_energy_nj: tenants.iter().map(|t| t.energy_nj).sum(),
             aggregate_throughput_rps: if span_s > 0.0 {
                 total_completed as f64 / span_s
@@ -1303,30 +1514,13 @@ impl<'a> ShardedSim<'a> {
             },
             fairness_index: fairness,
             tenants,
-            shard_stats: self
-                .shards
-                .iter()
-                .map(|s| ShardStats {
-                    shard: s.id,
-                    tenants: 0, // re-filled below (tenants were drained)
-                    replicas_active: s.replicas.active(),
-                    replicas_total: s.replicas.len(),
-                    dispatched_batches: s.dispatched,
-                    steals_in: s.steals_in,
-                    steals_out: s.steals_out,
-                    makespan_ns: s.makespan,
-                })
-                .enumerate()
-                .map(|(sid, mut st)| {
-                    st.tenants = owners.iter().filter(|&&o| o == sid).count();
-                    st
-                })
-                .collect(),
+            shard_stats,
             windows,
             epoch_signals: self.epoch_signals,
             scale_events: self.scale_events,
             steal_events: self.steal_events,
             swap_events: self.swap_events,
+            health_events,
         }
     }
 }
@@ -1606,6 +1800,27 @@ mod tests {
             "weight-4 tenant attained {heavy} vs weight-1 {light}"
         );
         assert!(r.fairness_index > 0.8, "weighted Jain {}", r.fairness_index);
+    }
+
+    #[test]
+    #[should_panic(expected = "epochs (16) exceed horizon_ns (10)")]
+    fn more_epochs_than_horizon_nanoseconds_is_rejected_up_front() {
+        let wl = Workload {
+            seed: 1,
+            horizon_ns: 10,
+        };
+        run_sharded(&fleet(2), &wl, &ShardConfig::default());
+    }
+
+    #[test]
+    fn one_nanosecond_epochs_keep_every_barrier_inside_the_horizon() {
+        let wl = Workload {
+            seed: 1,
+            horizon_ns: 16,
+        };
+        let r = run_sharded(&fleet(2), &wl, &ShardConfig::default());
+        let barriers: Vec<u64> = r.epoch_signals.iter().map(|s| s.t_ns).collect();
+        assert_eq!(barriers, (1..=16).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -1,22 +1,29 @@
-//! The discrete-event serving core and its single-threaded driver.
+//! Per-replica device simulation: instance outages and conductance-drift
+//! health, run by the shard scheduler inside its recurrence.
 //!
-//! The simulation is expressed as a recurrence rather than an explicit
-//! event heap: [`SimCore::next_batch`] is called with the free time of
-//! the earliest-free replica and returns the next dispatched batch,
-//! internally ingesting every arrival (admission or shedding) that
-//! precedes the dispatch. Because free times are non-decreasing across
-//! calls, candidate dispatch times only improve as arrivals are ingested,
-//! and ingestion is gated by the current best candidate, the resulting
-//! event order is causally consistent — and identical no matter whether
-//! the recurrence is evaluated by one thread ([`run_serving`]) or by one
-//! worker per replica ([`run_serving_parallel`](crate::parallel)).
+//! Each shard keeps a `ReplicaFaults` beside its
+//! [`ReplicaPool`](crate::ready::ReplicaPool), indexed by the same
+//! shard-local replica ids. [`Shard::step`](crate::shard) consults it at
+//! every dispatch, in a fixed order:
+//!
+//! 1. a replica that is down at its free instant, or at the dispatch
+//!    instant, waits out the outage and the turn passes (failover);
+//! 2. a batch whose service window an outage cuts into is killed at the
+//!    failure edge: its requests return to the front of their queue while
+//!    their age is within the retry deadline, and count as failed
+//!    otherwise. The killed batch still uses up a dispatch index;
+//! 3. a completed batch rolls per-request drift errors and folds its
+//!    error fraction into the replica's EWMA circuit breaker, whose
+//!    recovery pauses can extend the replica's next free instant.
+//!
+//! Outages and service times are both known at dispatch, so every
+//! batch's fate is resolved synchronously inside the shard — which is
+//! what keeps the heap scheduler, the linear-scan reference and the
+//! epoch-threaded driver bit-identical.
 
-use crate::failure::FailurePlan;
-use crate::ready::ReplicaPool;
-use crate::report::{assemble_report, ServingReport};
-use crate::workload::{merge_arrivals, Arrival, TenantSpec, Workload};
+use crate::failure::{FailurePlan, FailureSpec, Outage};
+use crate::shard::ShardConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Online replica-health monitoring and drift recovery — the serving half
 /// of the lifetime-resilience layer (DESIGN.md §12).
@@ -25,8 +32,8 @@ use std::collections::VecDeque;
 /// the probability that a served request returns a corrupted result grows
 /// linearly with the time since the replica was last recalibrated
 /// (`err_ppm_per_ms`, capped at `err_cap_ppm`). Per-request error
-/// decisions are keyed, order-free rolls on `(seed, replica, batch index,
-/// position)`, so both execution drivers agree bit for bit.
+/// decisions are keyed, order-free rolls on `(seed, replica, dispatch
+/// index, position)`, so every scheduler driver agrees bit for bit.
 ///
 /// The monitor folds each completed batch's error fraction into a
 /// per-replica EWMA (`ewma_alpha_milli`); when the EWMA reaches
@@ -39,7 +46,7 @@ use std::collections::VecDeque;
 /// failed one (recalibrate-only arm out of retries) only re-arms the
 /// breaker, so drift keeps eroding accuracy.
 ///
-/// All fields are integers so [`ServeConfig`] stays `Copy + Eq`.
+/// All fields are integers so the spec stays `Copy + Eq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthSpec {
     /// Per-request error probability growth: ppm per millisecond since
@@ -101,7 +108,7 @@ impl HealthSpec {
 }
 
 /// Per-replica online health state (all integer, recurrence-ordered, so
-/// both execution drivers evolve it identically).
+/// every scheduler driver evolves it identically).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReplicaHealth {
     /// Instant of the last successful recalibration/remap [ns].
@@ -143,17 +150,18 @@ impl HealthEventKind {
     }
 }
 
-/// One timestamped replica-health transition. Recorded inside
-/// [`SimCore::apply_health`] — which both execution drivers call at the
-/// same point of the scheduling recurrence, under the lock — so the
-/// event sequence is bit-identical across the single-threaded and
-/// parallel drivers. Trips carry the batch completion instant; recovery
-/// outcomes carry the instant the replica came back (or gave up).
+/// One timestamped replica-health transition, recorded by the owning
+/// shard at the point of its recurrence where the batch completes, so
+/// the event sequence is bit-identical across scheduler drivers. Trips
+/// carry the batch completion instant; recovery outcomes carry the
+/// instant the replica came back (or gave up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthEvent {
     /// Simulated instant of the transition [ns].
     pub t_ns: u64,
-    /// Replica the transition happened on.
+    /// Shard owning the replica.
+    pub shard: usize,
+    /// Shard-local replica id.
     pub replica: usize,
     /// Transition kind.
     pub kind: HealthEventKind,
@@ -172,267 +180,157 @@ fn health_roll(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Scheduler knobs for one serving run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServeConfig {
-    /// Number of identical accelerator instances.
-    pub replicas: usize,
-    /// Maximum requests per dispatched batch.
-    pub max_batch: usize,
-    /// Maximum time the oldest queued request waits before its tenant
-    /// becomes dispatchable regardless of batch fill [ns].
-    pub batch_window_ns: u64,
-    /// Per-tenant bound on waiting requests; arrivals beyond it are shed.
-    pub queue_depth: usize,
-    /// Instance failure/recovery process; `None` models ideal replicas.
-    pub failures: Option<crate::failure::FailureSpec>,
-    /// A request interrupted by an instance failure is retried on a
-    /// surviving replica only while its age is within this deadline;
-    /// older interrupted requests are dropped as failed [ns].
-    pub retry_deadline_ns: u64,
-    /// Number of equal time windows over `[0, horizon)` to aggregate
-    /// per-window telemetry into ([`WindowStats`] on the report); 0
-    /// disables window telemetry. The windows are part of the simulated
-    /// accounting (not the tracer), so the rest of the report is
-    /// unaffected by this knob.
-    ///
-    /// [`WindowStats`]: crate::report::WindowStats
-    #[serde(default)]
-    pub telemetry_windows: usize,
-    /// Online replica-health monitoring and drift recovery; `None`
-    /// models drift-free replicas (no errors, no breaker).
-    #[serde(default)]
-    pub health: Option<HealthSpec>,
+/// Outage schedule and drift health of one shard's replicas, indexed by
+/// shard-local replica id like the shard's
+/// [`ReplicaPool`](crate::ready::ReplicaPool).
+///
+/// Outage streams and health rolls are keyed by the replica key
+/// `local id × shards + shard`: unique across shards, and the local id
+/// itself when there is one shard. A replica the autoscaler adds at `t`
+/// starts freshly calibrated at `t` and only fails after `t`.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplicaFaults {
+    shard: usize,
+    shards: usize,
+    horizon_ns: u64,
+    failures: Option<FailureSpec>,
+    retry_deadline_ns: u64,
+    spec: Option<HealthSpec>,
+    pub(crate) plan: FailurePlan,
+    pub(crate) health: Vec<ReplicaHealth>,
+    /// Health transitions in recurrence order.
+    pub(crate) events: Vec<HealthEvent>,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            replicas: 1,
-            max_batch: 8,
-            batch_window_ns: 1_000_000,
-            queue_depth: 64,
-            failures: None,
-            retry_deadline_ns: 100_000_000,
-            telemetry_windows: 0,
-            health: None,
+impl ReplicaFaults {
+    pub(crate) fn new(cfg: &ShardConfig, shard: usize, horizon_ns: u64) -> Self {
+        let mut faults = ReplicaFaults {
+            shard,
+            shards: cfg.shards,
+            horizon_ns,
+            failures: cfg.failures,
+            retry_deadline_ns: cfg.retry_deadline_ns,
+            spec: cfg.health,
+            plan: FailurePlan::none(0),
+            health: Vec::new(),
+            events: Vec::new(),
+        };
+        for _ in 0..cfg.replicas_per_shard {
+            faults.add(0);
         }
-    }
-}
-
-impl ServeConfig {
-    pub(crate) fn validate(&self) {
-        assert!(self.replicas >= 1, "need at least one replica");
-        assert!(self.max_batch >= 1, "need at least one request per batch");
-        assert!(self.queue_depth >= 1, "need queue space for one request");
-        if let Some(f) = &self.failures {
-            f.validate();
-        }
-        if let Some(h) = &self.health {
-            h.validate();
-        }
+        faults
     }
 
-    /// The outage schedule this configuration implies for `wl`.
-    pub(crate) fn failure_plan(&self, wl: &Workload) -> FailurePlan {
-        match &self.failures {
-            Some(spec) => FailurePlan::generate(spec, self.replicas, wl.horizon_ns),
-            None => FailurePlan::none(self.replicas),
-        }
+    fn key(&self, replica: usize) -> u64 {
+        (replica * self.shards + self.shard) as u64
     }
-}
 
-/// One queued (or in-flight) request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Req {
-    /// Original arrival timestamp [ns] — latency and retry deadlines are
-    /// always measured from here, across any number of retries.
-    pub arrival_ns: u64,
-    /// Times this request was returned to its queue by a killed batch.
-    pub retries: u32,
-}
+    /// A replica joined the shard at `t_ns` (its local id is the next
+    /// one in line, as in [`ReplicaPool::add`](crate::ready::ReplicaPool::add)).
+    pub(crate) fn add(&mut self, t_ns: u64) {
+        let key = self.key(self.health.len());
+        self.plan
+            .push(self.failures.as_ref(), key, self.horizon_ns, t_ns);
+        self.health.push(ReplicaHealth {
+            last_recal_ns: t_ns,
+            ..ReplicaHealth::default()
+        });
+    }
 
-/// A batch the scheduler decided to dispatch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct BatchJob {
-    /// Dispatch sequence number (0-based, gap-free).
-    pub index: usize,
-    /// Owning tenant.
-    pub tenant: usize,
-    /// Dispatch timestamp [ns].
-    pub start_ns: u64,
-    /// Requests in the batch, FIFO order by arrival.
-    pub requests: Vec<Req>,
-}
+    /// If `replica` is down at `t_ns`, the instant it recovers. Ideal
+    /// replicas skip the schedule lookup: this runs at every dispatch.
+    pub(crate) fn down_until(&self, replica: usize, t_ns: u64) -> Option<u64> {
+        self.failures?;
+        self.plan.down_until(replica, t_ns)
+    }
 
-/// A completed batch with everything report assembly needs.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BatchResult {
-    pub index: usize,
-    pub tenant: usize,
-    pub completion_ns: u64,
-    pub requests: Vec<Req>,
-    /// Per-request drift-error flags, parallel to `requests`; empty when
-    /// no request in the batch errored (the canonical all-clean encoding,
-    /// so reports are identical whether health modeling is off or merely
-    /// produced no errors).
-    pub errored: Vec<bool>,
-    pub energy_nj: f64,
-    /// Busy replica-time the batch consumed (dispatch → completion) —
-    /// the "attained service" the fairness index aggregates.
-    pub service_ns: u64,
-}
+    /// The outage that kills a batch serving on `replica` over
+    /// `(from_ns, to_ns)`, if any.
+    pub(crate) fn outage_in(&self, replica: usize, from_ns: u64, to_ns: u64) -> Option<Outage> {
+        self.failures?;
+        self.plan.outage_in(replica, from_ns, to_ns)
+    }
 
-/// Queue/admission state shared by both execution modes.
-pub(crate) struct SimCore {
-    arrivals: Vec<Arrival>,
-    cursor: usize,
-    window_ns: u64,
-    max_batch: usize,
-    depth_bound: usize,
-    queues: Vec<VecDeque<Req>>,
-    next_index: usize,
-    pub submitted: Vec<u64>,
-    pub rejected: Vec<u64>,
-    pub retried: Vec<u64>,
-    pub failed: Vec<u64>,
-    pub killed_batches: Vec<u64>,
-    pub peak_depth: Vec<usize>,
-    depth_area: Vec<u128>,
-    last_event: Vec<u64>,
-    // Per-window telemetry (empty when cfg.telemetry_windows == 0). The
-    // accumulators are maintained inside the scheduling recurrence, so
-    // both execution modes produce identical window accounting.
-    win_len: u64,
-    total_queued: usize,
-    pub win_submitted: Vec<u64>,
-    pub win_rejected: Vec<u64>,
-    pub win_depth_area: Vec<u128>,
-    pub win_peak_depth: Vec<usize>,
-    // Online health monitoring (inert when `health_spec` is `None`). The
-    // state is per replica but lives here so both execution modes mutate
-    // it at the same point of the scheduling recurrence, under the lock.
-    health_spec: Option<HealthSpec>,
-    pub health: Vec<ReplicaHealth>,
-    /// Timestamped health transitions in recurrence order (empty without
-    /// a `HealthSpec` or when the breaker never trips).
-    pub health_events: Vec<HealthEvent>,
-}
+    /// Whether a request that arrived at `arrival_ns` and was killed at
+    /// `killed_ns` may still be retried.
+    pub(crate) fn retryable(&self, arrival_ns: u64, killed_ns: u64) -> bool {
+        killed_ns.saturating_sub(arrival_ns) <= self.retry_deadline_ns
+    }
 
-impl SimCore {
-    pub fn new(
-        n_tenants: usize,
-        arrivals: Vec<Arrival>,
-        cfg: &ServeConfig,
-        horizon_ns: u64,
-    ) -> Self {
-        let n_win = cfg.telemetry_windows;
-        SimCore {
-            arrivals,
-            cursor: 0,
-            window_ns: cfg.batch_window_ns,
-            max_batch: cfg.max_batch,
-            depth_bound: cfg.queue_depth,
-            queues: vec![VecDeque::new(); n_tenants],
-            next_index: 0,
-            submitted: vec![0; n_tenants],
-            rejected: vec![0; n_tenants],
-            retried: vec![0; n_tenants],
-            failed: vec![0; n_tenants],
-            killed_batches: vec![0; n_tenants],
-            peak_depth: vec![0; n_tenants],
-            depth_area: vec![0; n_tenants],
-            last_event: vec![0; n_tenants],
-            win_len: if n_win == 0 {
-                0
-            } else {
-                (horizon_ns / n_win as u64).max(1)
-            },
-            total_queued: 0,
-            win_submitted: vec![0; n_win],
-            win_rejected: vec![0; n_win],
-            win_depth_area: vec![0; n_win],
-            win_peak_depth: vec![0; n_win],
-            health_spec: cfg.health,
-            health: vec![ReplicaHealth::default(); cfg.replicas],
-            health_events: Vec::new(),
+    /// Per-request drift-error probability [ppm] of a batch dispatched on
+    /// `replica` at `start_ns`; 0 without health modeling.
+    pub(crate) fn error_ppm(&self, replica: usize, start_ns: u64) -> u64 {
+        let Some(spec) = &self.spec else {
+            return 0;
+        };
+        let elapsed_ns = start_ns.saturating_sub(self.health[replica].last_recal_ns);
+        ((spec.err_ppm_per_ms as u128 * elapsed_ns as u128) / 1_000_000)
+            .min(spec.err_cap_ppm as u128) as u64
+    }
+
+    /// Whether request `position` of dispatch `index` on `replica`
+    /// returns a drift-corrupted result, at error probability `p_ppm`
+    /// from [`error_ppm`](Self::error_ppm).
+    pub(crate) fn errored(&self, replica: usize, index: u64, position: usize, p_ppm: u64) -> bool {
+        match &self.spec {
+            Some(spec) if p_ppm > 0 => {
+                health_roll(spec.seed, self.key(replica), index, position as u64) % 1_000_000
+                    < p_ppm
+            }
+            _ => false,
         }
     }
 
-    /// Health bookkeeping for a batch completing on `replica` at
-    /// `completion_ns`: decide the per-request drift errors, fold the
-    /// batch error fraction into the replica's EWMA, and — if the circuit
+    /// Health bookkeeping for a batch of `n` requests, `errors` of them
+    /// corrupted, completing on `replica` at `completion_ns`: fold the
+    /// batch error fraction into the replica's EWMA and — if the circuit
     /// breaker trips — run the bounded recalibrate → remap recovery.
-    /// Returns the per-request error flags (empty when all clean) and the
-    /// instant the replica is next free (≥ `completion_ns`; recovery
-    /// pauses extend it, shedding load to the healthy replicas).
+    /// Returns the instant the replica is next free (≥ `completion_ns`;
+    /// recovery pauses extend it, shedding load to the healthy replicas).
     ///
     /// Everything here is a pure function of the spec and this replica's
-    /// own completion sequence (error rolls are keyed on batch index and
-    /// position, recovery rolls on the trip count), so both execution
-    /// drivers evolve identical health state.
-    pub fn apply_health(
+    /// own completion sequence (recovery rolls are keyed on the trip
+    /// count), so every driver evolves identical health state.
+    pub(crate) fn complete(
         &mut self,
         replica: usize,
-        job: &BatchJob,
+        errors: u64,
+        n: usize,
         completion_ns: u64,
-    ) -> (Vec<bool>, u64) {
-        let Some(spec) = self.health_spec else {
-            return (Vec::new(), completion_ns);
+    ) -> u64 {
+        let Some(spec) = self.spec else {
+            return completion_ns;
         };
+        let key = self.key(replica);
         let h = &mut self.health[replica];
-        let elapsed_ns = job.start_ns.saturating_sub(h.last_recal_ns);
-        let p_ppm = ((spec.err_ppm_per_ms as u128 * elapsed_ns as u128) / 1_000_000)
-            .min(spec.err_cap_ppm as u128) as u64;
-        let mut errored = vec![false; job.requests.len()];
-        let mut errors = 0u64;
-        if p_ppm > 0 {
-            for (i, e) in errored.iter_mut().enumerate() {
-                if health_roll(spec.seed, replica as u64, job.index as u64, i as u64) % 1_000_000
-                    < p_ppm
-                {
-                    *e = true;
-                    errors += 1;
-                }
-            }
-        }
-        if errors == 0 {
-            errored = Vec::new();
-        }
-        let batch_milli = errors * 1000 / job.requests.len().max(1) as u64;
+        let batch_milli = errors * 1000 / n.max(1) as u64;
         h.ewma_milli = (spec.ewma_alpha_milli * batch_milli
             + (1000 - spec.ewma_alpha_milli) * h.ewma_milli)
             / 1000;
         if h.ewma_milli < spec.trip_milli {
-            return (errored, completion_ns);
+            return completion_ns;
         }
         // Circuit breaker: take the replica out of service and recover.
         h.trips += 1;
-        self.health_events.push(HealthEvent {
-            t_ns: completion_ns,
+        let event = |t_ns, kind| HealthEvent {
+            t_ns,
+            shard: self.shard,
             replica,
-            kind: HealthEventKind::Trip,
-        });
+            kind,
+        };
+        self.events
+            .push(event(completion_ns, HealthEventKind::Trip));
         let mut t = completion_ns;
         for attempt in 0..spec.max_retries {
             t += spec.recalibrate_ns + (spec.backoff_base_ns << attempt.min(20));
-            let roll = health_roll(
-                spec.seed ^ 0x5EA1ED,
-                replica as u64,
-                h.trips,
-                attempt as u64,
-            ) % 1000;
+            let roll = health_roll(spec.seed ^ 0x5EA1ED, key, h.trips, attempt as u64) % 1000;
             if roll < spec.recal_success_milli {
                 h.recals += 1;
                 h.last_recal_ns = t;
                 h.ewma_milli = 0;
                 h.recovery_ns += t - completion_ns;
-                self.health_events.push(HealthEvent {
-                    t_ns: t,
-                    replica,
-                    kind: HealthEventKind::Recal,
-                });
-                return (errored, t);
+                self.events.push(event(t, HealthEventKind::Recal));
+                return t;
             }
         }
         if spec.remap {
@@ -441,301 +339,25 @@ impl SimCore {
             h.last_recal_ns = t;
             h.ewma_milli = 0;
             h.recovery_ns += t - completion_ns;
-            self.health_events.push(HealthEvent {
-                t_ns: t,
-                replica,
-                kind: HealthEventKind::Remap,
-            });
-            return (errored, t);
+            self.events.push(event(t, HealthEventKind::Remap));
+            return t;
         }
         // Out of retries with no remap escalation: the breaker re-arms
         // but the drift clock keeps running — accuracy keeps eroding.
         h.ewma_milli = 0;
         h.recovery_ns += t - completion_ns;
-        self.health_events.push(HealthEvent {
-            t_ns: t,
-            replica,
-            kind: HealthEventKind::RecoveryFailed,
-        });
-        (errored, t)
+        self.events.push(event(t, HealthEventKind::RecoveryFailed));
+        t
     }
-
-    /// Telemetry window containing instant `t` (the last window absorbs
-    /// everything past the nominal horizon — the drain tail).
-    pub fn window_of(&self, t_ns: u64) -> usize {
-        debug_assert!(self.win_len > 0);
-        ((t_ns / self.win_len) as usize).min(self.win_submitted.len() - 1)
-    }
-
-    /// Nominal length of one telemetry window [ns] (0 when disabled).
-    pub fn window_len_ns(&self) -> u64 {
-        self.win_len
-    }
-
-    /// Add `depth × dt` of aggregate queue depth over `[from, to)` to the
-    /// per-window depth integrals, splitting across window boundaries.
-    fn add_depth_span(&mut self, depth: u128, from: u64, to: u64) {
-        if self.win_submitted.is_empty() || to <= from {
-            return;
-        }
-        let last = self.win_submitted.len() - 1;
-        let mut t = from;
-        while t < to {
-            let w = self.window_of(t);
-            let end = if w == last {
-                to
-            } else {
-                ((w as u64 + 1) * self.win_len).min(to)
-            };
-            self.win_depth_area[w] += depth * (end - t) as u128;
-            t = end;
-        }
-    }
-
-    /// Record that the aggregate queued-request count changed at `t`.
-    fn note_total_depth(&mut self, t_ns: u64) {
-        if self.win_submitted.is_empty() {
-            return;
-        }
-        let w = self.window_of(t_ns);
-        if self.total_queued > self.win_peak_depth[w] {
-            self.win_peak_depth[w] = self.total_queued;
-        }
-    }
-
-    /// Earliest dispatch `(at, head_arrival, tenant)` for tenant `t`
-    /// given the earliest replica free time, if `t` has queued work.
-    fn candidate(&self, t: usize, free_ns: u64) -> Option<(u64, u64, usize)> {
-        let q = &self.queues[t];
-        let head = q.front()?.arrival_ns;
-        let mut ready = head.saturating_add(self.window_ns);
-        if q.len() >= self.max_batch {
-            // The batch filled when its max_batch-th request arrived.
-            ready = ready.min(q[self.max_batch - 1].arrival_ns);
-        }
-        Some((ready.max(free_ns), head, t))
-    }
-
-    /// Best dispatch over all tenants: min (time, head age, tenant id).
-    fn best_candidate(&self, free_ns: u64) -> Option<(u64, u64, usize)> {
-        (0..self.queues.len())
-            .filter_map(|t| self.candidate(t, free_ns))
-            .min()
-    }
-
-    /// Advance the time-weighted queue-depth integral for tenant `t` up
-    /// to `now` (per-tenant event times are monotone).
-    fn track_depth(&mut self, t: usize, now: u64) {
-        let dt = now.saturating_sub(self.last_event[t]);
-        let depth = self.queues[t].len() as u128;
-        self.depth_area[t] += depth * dt as u128;
-        let (from, to) = (self.last_event[t], now);
-        self.add_depth_span(depth, from, to);
-        self.last_event[t] = now;
-    }
-
-    /// Admit or shed one arrival.
-    fn ingest(&mut self, a: Arrival) {
-        self.submitted[a.tenant] += 1;
-        if !self.win_submitted.is_empty() {
-            let w = self.window_of(a.time_ns);
-            self.win_submitted[w] += 1;
-            if self.queues[a.tenant].len() >= self.depth_bound {
-                self.win_rejected[w] += 1;
-            }
-        }
-        if self.queues[a.tenant].len() >= self.depth_bound {
-            self.rejected[a.tenant] += 1;
-            return;
-        }
-        self.track_depth(a.tenant, a.time_ns);
-        self.queues[a.tenant].push_back(Req {
-            arrival_ns: a.time_ns,
-            retries: 0,
-        });
-        self.total_queued += 1;
-        self.note_total_depth(a.time_ns);
-        let depth = self.queues[a.tenant].len();
-        if depth > self.peak_depth[a.tenant] {
-            self.peak_depth[a.tenant] = depth;
-        }
-    }
-
-    /// Ingest arrivals up to the next dispatch and return its time without
-    /// draining any queue — the failure-aware drivers use this to check
-    /// replica availability *at the dispatch instant* before committing.
-    /// A subsequent [`next_batch`](Self::next_batch) with the same
-    /// `free_ns` returns exactly the peeked batch. Idempotent at
-    /// exhaustion.
-    pub fn peek_dispatch(&mut self, free_ns: u64) -> Option<u64> {
-        loop {
-            let best = self.best_candidate(free_ns);
-            let next = self.arrivals.get(self.cursor).copied();
-            match (best, next) {
-                (None, None) => return None,
-                (None, Some(a)) => {
-                    self.cursor += 1;
-                    self.ingest(a);
-                }
-                (Some((at, _, _)), next) => {
-                    if let Some(a) = next {
-                        // Arrivals at the dispatch instant join first.
-                        if a.time_ns <= at {
-                            self.cursor += 1;
-                            self.ingest(a);
-                            continue;
-                        }
-                    }
-                    return Some(at);
-                }
-            }
-        }
-    }
-
-    /// The scheduling recurrence: given the minimum replica free time,
-    /// ingest arrivals up to the next dispatch and return that batch, or
-    /// `None` once the workload is drained. Idempotent at exhaustion.
-    pub fn next_batch(&mut self, free_ns: u64) -> Option<BatchJob> {
-        self.peek_dispatch(free_ns)?;
-        let (at, _, t) = self
-            .best_candidate(free_ns)
-            .expect("peeked dispatch vanished");
-        let n = self.queues[t].len().min(self.max_batch);
-        self.track_depth(t, at);
-        let requests: Vec<Req> = self.queues[t].drain(..n).collect();
-        self.total_queued -= n;
-        let index = self.next_index;
-        self.next_index += 1;
-        Some(BatchJob {
-            index,
-            tenant: t,
-            start_ns: at,
-            requests,
-        })
-    }
-
-    /// Return a killed batch's requests to the head of their queue (they
-    /// are the oldest outstanding requests, so FIFO order by arrival is
-    /// preserved): a request is retried while its age at `killed_ns` is
-    /// within `deadline_ns`, and dropped as failed otherwise. Retried
-    /// requests keep their original arrival time, so their eventual
-    /// latency spans the failure.
-    pub fn requeue(&mut self, job: BatchJob, killed_ns: u64, deadline_ns: u64) {
-        let t = job.tenant;
-        self.killed_batches[t] += 1;
-        self.track_depth(t, killed_ns);
-        for req in job.requests.into_iter().rev() {
-            if killed_ns.saturating_sub(req.arrival_ns) <= deadline_ns {
-                self.retried[t] += 1;
-                self.queues[t].push_front(Req {
-                    arrival_ns: req.arrival_ns,
-                    retries: req.retries + 1,
-                });
-                self.total_queued += 1;
-            } else {
-                self.failed[t] += 1;
-            }
-        }
-        self.note_total_depth(killed_ns);
-        let depth = self.queues[t].len();
-        if depth > self.peak_depth[t] {
-            self.peak_depth[t] = depth;
-        }
-    }
-
-    /// Mean waiting-queue depth for tenant `t` over `[0, makespan_ns]`.
-    pub fn mean_depth(&self, t: usize, makespan_ns: u64) -> f64 {
-        if makespan_ns == 0 {
-            return 0.0;
-        }
-        self.depth_area[t] as f64 / makespan_ns as f64
-    }
-}
-
-/// Turn a dispatched batch into its completed result.
-pub(crate) fn finish_batch(
-    spec: &TenantSpec,
-    job: BatchJob,
-    completion_ns: u64,
-    errored: Vec<bool>,
-) -> BatchResult {
-    let n = job.requests.len();
-    BatchResult {
-        index: job.index,
-        tenant: job.tenant,
-        completion_ns,
-        service_ns: completion_ns.saturating_sub(job.start_ns),
-        requests: job.requests,
-        errored,
-        energy_nj: n as f64 * spec.deployment.energy_per_request_nj(),
-    }
-}
-
-/// Run the serving simulation on a single thread.
-///
-/// Same (tenants, workload, config) ⇒ bit-identical [`ServingReport`].
-///
-/// With `cfg.failures` set, the loop additionally consults the replica
-/// outage schedule at every step: a replica that is down at its would-be
-/// dispatch instant fails over (its free time jumps to the recovery edge
-/// and the turn passes to survivors), and a batch whose service window an
-/// outage cuts short is killed at the failure edge, its requests retried
-/// within the deadline or dropped as failed. Outages and service times
-/// are both known at dispatch, so every batch's fate is resolved
-/// synchronously — which is what keeps the multi-worker driver
-/// bit-identical.
-pub fn run_serving(tenants: &[TenantSpec], wl: &Workload, cfg: &ServeConfig) -> ServingReport {
-    let _span = autohet_obs::trace::span("serve.run");
-    cfg.validate();
-    let plan = cfg.failure_plan(wl);
-    let mut core = SimCore::new(
-        tenants.len(),
-        merge_arrivals(tenants, wl),
-        cfg,
-        wl.horizon_ns,
-    );
-    // Heap-backed replica free-list: O(log R) per update instead of the
-    // old `argmin_replica` O(R) scan, with the scan's exact lowest-id
-    // tie-break — decisions are unchanged bit for bit.
-    let mut pool = ReplicaPool::new(cfg.replicas);
-    let mut batches = Vec::new();
-    loop {
-        let (f, r) = pool.peek_min().expect("at least one replica");
-        // Down at the earliest free instant: wait out the outage.
-        if let Some(up) = plan.down_until(r, f) {
-            pool.set_free(r, up);
-            continue;
-        }
-        let Some(at) = core.peek_dispatch(f) else {
-            break;
-        };
-        // Down at the dispatch instant: fail over without touching queues.
-        if let Some(up) = plan.down_until(r, at) {
-            pool.set_free(r, up);
-            continue;
-        }
-        let job = core.next_batch(f).expect("peeked batch vanished");
-        let spec = &tenants[job.tenant];
-        let completion = job.start_ns + spec.deployment.service_ns(job.requests.len());
-        match plan.outage_in(r, job.start_ns, completion) {
-            Some(o) => {
-                pool.set_free(r, o.up_ns);
-                core.requeue(job, o.down_ns, cfg.retry_deadline_ns);
-            }
-            None => {
-                let (errored, next_free) = core.apply_health(r, &job, completion);
-                pool.set_free(r, next_free);
-                batches.push(finish_batch(spec, job, completion, errored));
-            }
-        }
-    }
-    assemble_report(tenants, wl, cfg, &core, &batches, &plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
+    use crate::failure::FailureSpec;
+    use crate::shard::{run_sharded, ShardConfig, ShardServingReport};
+    use crate::workload::{TenantSpec, Workload};
     use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
     use autohet_xbar::XbarShape;
@@ -761,20 +383,32 @@ mod tests {
         }
     }
 
+    /// One shard of `replicas` replicas, everything else default.
+    fn replicas(replicas: usize) -> ShardConfig {
+        ShardConfig {
+            replicas_per_shard: replicas,
+            ..ShardConfig::default()
+        }
+    }
+
+    fn sum(r: &ShardServingReport, f: impl Fn(&crate::shard::ShardStats) -> u64) -> u64 {
+        r.shard_stats.iter().map(f).sum()
+    }
+
     #[test]
     fn identical_runs_are_bit_identical() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(42, 2_000.0, t[0].rate_rps);
-        let cfg = ServeConfig::default();
-        assert_eq!(run_serving(&t, &w, &cfg), run_serving(&t, &w, &cfg));
+        let cfg = ShardConfig::default();
+        assert_eq!(run_sharded(&t, &w, &cfg), run_sharded(&t, &w, &cfg));
     }
 
     #[test]
     fn different_seeds_differ() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let rate = t[0].rate_rps;
-        let a = run_serving(&t, &wl(1, 1_000.0, rate), &ServeConfig::default());
-        let b = run_serving(&t, &wl(2, 1_000.0, rate), &ServeConfig::default());
+        let a = run_sharded(&t, &wl(1, 1_000.0, rate), &ShardConfig::default());
+        let b = run_sharded(&t, &wl(2, 1_000.0, rate), &ShardConfig::default());
         assert_ne!(a, b);
     }
 
@@ -783,11 +417,11 @@ mod tests {
         // Overload so shedding actually happens.
         let t = vec![tenant_at_load(3.0, 10.0)];
         let w = wl(9, 3_000.0, t[0].rate_rps);
-        let cfg = ServeConfig {
+        let cfg = ShardConfig {
             queue_depth: 16,
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
-        let r = run_serving(&t, &w, &cfg);
+        let r = run_sharded(&t, &w, &cfg);
         let s = &r.tenants[0];
         assert!(s.rejected > 0, "overload should shed");
         assert_eq!(s.completed + s.rejected, s.submitted);
@@ -799,11 +433,11 @@ mod tests {
     fn max_batch_one_disables_batching() {
         let t = vec![tenant_at_load(0.5, 10.0)];
         let w = wl(4, 500.0, t[0].rate_rps);
-        let cfg = ServeConfig {
+        let cfg = ShardConfig {
             max_batch: 1,
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
-        let r = run_serving(&t, &w, &cfg);
+        let r = run_sharded(&t, &w, &cfg);
         assert_eq!(r.batches, r.total_completed);
         assert!((r.mean_batch_size - 1.0).abs() < 1e-12);
     }
@@ -813,7 +447,7 @@ mod tests {
         let make = |load: f64| {
             let t = vec![tenant_at_load(load, 10.0)];
             let w = wl(8, 2_000.0, t[0].rate_rps);
-            run_serving(&t, &w, &ServeConfig::default())
+            run_sharded(&t, &w, &ShardConfig::default())
         };
         let light = make(0.05);
         let heavy = make(2.0);
@@ -825,7 +459,7 @@ mod tests {
     fn latency_stats_are_ordered_and_bounded_below_by_service() {
         let t = vec![tenant_at_load(0.7, 10.0)];
         let w = wl(13, 2_000.0, t[0].rate_rps);
-        let r = run_serving(&t, &w, &ServeConfig::default());
+        let r = run_sharded(&t, &w, &ShardConfig::default());
         let s = &r.tenants[0];
         assert!(s.p50_ns <= s.p95_ns);
         assert!(s.p95_ns <= s.p99_ns);
@@ -841,15 +475,8 @@ mod tests {
     fn second_replica_relieves_an_overloaded_tenant() {
         let t = vec![tenant_at_load(1.5, 4.0)];
         let w = wl(21, 3_000.0, t[0].rate_rps);
-        let one = run_serving(&t, &w, &ServeConfig::default());
-        let two = run_serving(
-            &t,
-            &w,
-            &ServeConfig {
-                replicas: 2,
-                ..ServeConfig::default()
-            },
-        );
+        let one = run_sharded(&t, &w, &ShardConfig::default());
+        let two = run_sharded(&t, &w, &replicas(2));
         assert!(two.tenants[0].p99_ns < one.tenants[0].p99_ns);
         assert!(two.tenants[0].slo_attainment > one.tenants[0].slo_attainment);
         assert!(two.makespan_ns <= one.makespan_ns);
@@ -859,7 +486,7 @@ mod tests {
     fn generous_slo_is_met_under_light_load() {
         let t = vec![tenant_at_load(0.1, 1_000.0)];
         let w = wl(2, 300.0, t[0].rate_rps);
-        let r = run_serving(&t, &w, &ServeConfig::default());
+        let r = run_sharded(&t, &w, &ShardConfig::default());
         assert_eq!(r.tenants[0].rejected, 0);
         assert!((r.tenants[0].slo_attainment - 1.0).abs() < 1e-12);
     }
@@ -872,7 +499,7 @@ mod tests {
             seed: 0,
             horizon_ns: 1_000_000,
         };
-        let r = run_serving(&[spec], &w, &ServeConfig::default());
+        let r = run_sharded(&[spec], &w, &ShardConfig::default());
         assert_eq!(r.total_completed, 0);
         assert_eq!(r.batches, 0);
         assert_eq!(r.tenants[0].p99_ns, 0);
@@ -885,16 +512,18 @@ mod tests {
         let a = tenant_at_load(0.4, 10.0);
         let b = tenant_at_load(0.4, 10.0);
         let w = wl(31, 2_000.0, a.rate_rps + b.rate_rps);
-        let r = run_serving(&[a, b], &w, &ServeConfig::default());
+        let r = run_sharded(&[a, b], &w, &ShardConfig::default());
         assert_eq!(r.tenants.len(), 2);
-        // Symmetric tenants under a shared replica: both make progress.
+        // Symmetric tenants under a shared replica: both make progress,
+        // and equal weights earn near-equal attained service.
         assert!(r.tenants[0].completed > 0);
         assert!(r.tenants[1].completed > 0);
+        assert!(r.fairness_index > 0.9, "{}", r.fairness_index);
     }
 
     /// A failure spec aggressive enough to kill batches mid-service.
-    fn flaky(seed: u64) -> crate::failure::FailureSpec {
-        crate::failure::FailureSpec {
+    fn flaky(seed: u64) -> FailureSpec {
+        FailureSpec {
             mtbf_ns: 2_000_000,
             mttr_ns: 400_000,
             seed,
@@ -905,7 +534,7 @@ mod tests {
     fn failure_free_runs_report_zero_failure_accounting() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(42, 1_000.0, t[0].rate_rps);
-        let r = run_serving(&t, &w, &ServeConfig::default());
+        let r = run_sharded(&t, &w, &ShardConfig::default());
         let s = &r.tenants[0];
         assert_eq!(s.failed, 0);
         assert_eq!(s.retried, 0);
@@ -913,23 +542,22 @@ mod tests {
         assert_eq!(s.killed_batches, 0);
         assert_eq!(r.total_failed, 0);
         assert_eq!(r.total_retried, 0);
-        assert!(r.replica_downtime_ns.iter().all(|&d| d == 0));
+        assert!(r.shard_stats.iter().all(|s| s.downtime_ns == 0));
     }
 
     #[test]
     fn failures_cause_kills_retries_and_conserve_requests() {
         let t = vec![tenant_at_load(0.7, 10.0), tenant_at_load(0.3, 10.0)];
         let w = wl(5, 2_000.0, t[0].rate_rps + t[1].rate_rps);
-        let cfg = ServeConfig {
-            replicas: 2,
+        let cfg = ShardConfig {
             failures: Some(flaky(17)),
-            ..ServeConfig::default()
+            ..replicas(2)
         };
-        let r = run_serving(&t, &w, &cfg);
+        let r = run_sharded(&t, &w, &cfg);
         let killed: u64 = r.tenants.iter().map(|s| s.killed_batches).sum();
         assert!(killed > 0, "aggressive failures should kill batches");
         assert!(r.total_retried > 0);
-        assert!(r.replica_downtime_ns.iter().any(|&d| d > 0));
+        assert!(sum(&r, |s| s.downtime_ns) > 0);
         for s in &r.tenants {
             assert_eq!(
                 s.completed + s.rejected + s.failed,
@@ -939,6 +567,7 @@ mod tests {
             );
             assert!(s.degraded_completed <= s.completed);
         }
+        assert_eq!(r.lost_requests(), 0);
         // Retried-but-completed requests surface as degraded service.
         let degraded: u64 = r.tenants.iter().map(|s| s.degraded_completed).sum();
         assert!(degraded > 0);
@@ -948,12 +577,12 @@ mod tests {
     fn zero_retry_deadline_drops_every_killed_request() {
         let t = vec![tenant_at_load(0.7, 10.0)];
         let w = wl(5, 1_500.0, t[0].rate_rps);
-        let cfg = ServeConfig {
+        let cfg = ShardConfig {
             failures: Some(flaky(17)),
             retry_deadline_ns: 0,
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
-        let r = run_serving(&t, &w, &cfg);
+        let r = run_sharded(&t, &w, &cfg);
         let s = &r.tenants[0];
         assert!(s.killed_batches > 0);
         assert!(s.failed > 0, "no deadline headroom: kills become failures");
@@ -966,14 +595,13 @@ mod tests {
     fn failure_runs_are_deterministic_and_seed_sensitive() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(8, 1_000.0, t[0].rate_rps);
-        let mk = |seed| ServeConfig {
-            replicas: 2,
+        let mk = |seed| ShardConfig {
             failures: Some(flaky(seed)),
-            ..ServeConfig::default()
+            ..replicas(2)
         };
-        let a = run_serving(&t, &w, &mk(1));
-        let b = run_serving(&t, &w, &mk(1));
-        let c = run_serving(&t, &w, &mk(2));
+        let a = run_sharded(&t, &w, &mk(1));
+        let b = run_sharded(&t, &w, &mk(1));
+        let c = run_sharded(&t, &w, &mk(2));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -990,21 +618,25 @@ mod tests {
         }
     }
 
+    fn with_health(spec: HealthSpec) -> ShardConfig {
+        ShardConfig {
+            health: Some(spec),
+            ..ShardConfig::default()
+        }
+    }
+
     #[test]
     fn zero_drift_health_is_indistinguishable_from_disabled() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(42, 1_500.0, t[0].rate_rps);
-        let off = run_serving(&t, &w, &ServeConfig::default());
-        let on = run_serving(
+        let off = run_sharded(&t, &w, &ShardConfig::default());
+        let on = run_sharded(
             &t,
             &w,
-            &ServeConfig {
-                health: Some(HealthSpec {
-                    err_ppm_per_ms: 0,
-                    ..HealthSpec::default()
-                }),
-                ..ServeConfig::default()
-            },
+            &with_health(HealthSpec {
+                err_ppm_per_ms: 0,
+                ..HealthSpec::default()
+            }),
         );
         assert_eq!(off, on, "a drift-free monitor must not perturb the run");
     }
@@ -1013,23 +645,16 @@ mod tests {
     fn unchecked_drift_erodes_accuracy_and_slo_attainment() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(7, 2_000.0, t[0].rate_rps);
-        let clean = run_serving(&t, &w, &ServeConfig::default());
-        let r = run_serving(
-            &t,
-            &w,
-            &ServeConfig {
-                // Breaker threshold above 1000 milli: can never trip.
-                health: Some(drifting(1001, false)),
-                ..ServeConfig::default()
-            },
-        );
+        let clean = run_sharded(&t, &w, &ShardConfig::default());
+        // Breaker threshold above 1000 milli: can never trip.
+        let r = run_sharded(&t, &w, &with_health(drifting(1001, false)));
         let s = &r.tenants[0];
         assert!(s.errored > 0, "steep drift must corrupt results");
         assert!(s.errored <= s.completed);
         assert_eq!(s.completed + s.rejected, s.submitted);
         assert!(s.slo_attainment < clean.tenants[0].slo_attainment);
         assert!(r.clean_fraction() < 1.0);
-        assert!(r.replica_trips.iter().all(|&n| n == 0));
+        assert_eq!(sum(&r, |s| s.trips), 0);
         assert_eq!(r.total_errored, s.errored);
     }
 
@@ -1037,20 +662,15 @@ mod tests {
     fn recovery_trips_the_breaker_and_restores_accuracy() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(7, 2_000.0, t[0].rate_rps);
-        let cfg = |spec| ServeConfig {
-            health: Some(spec),
-            ..ServeConfig::default()
-        };
-        let unchecked = run_serving(&t, &w, &cfg(drifting(1001, false)));
-        let recovered = run_serving(&t, &w, &cfg(drifting(60, true)));
+        let unchecked = run_sharded(&t, &w, &with_health(drifting(1001, false)));
+        let recovered = run_sharded(&t, &w, &with_health(drifting(60, true)));
         assert!(
-            recovered.replica_trips.iter().sum::<u64>() > 0,
+            sum(&recovered, |s| s.trips) > 0,
             "the breaker must trip under steep drift"
         );
-        let repairs: u64 = recovered.replica_recals.iter().sum::<u64>()
-            + recovered.replica_remaps.iter().sum::<u64>();
+        let repairs = sum(&recovered, |s| s.recals + s.remaps);
         assert!(repairs > 0, "trips must lead to recoveries");
-        assert!(recovered.replica_recovery_ns.iter().sum::<u64>() > 0);
+        assert!(sum(&recovered, |s| s.recovery_ns) > 0);
         assert!(recovered.total_errored < unchecked.total_errored);
         assert!(recovered.clean_fraction() > unchecked.clean_fraction());
         assert!(
@@ -1063,38 +683,34 @@ mod tests {
     fn hopeless_recalibration_escalates_to_remap() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(7, 1_500.0, t[0].rate_rps);
-        let r = run_serving(
+        let r = run_sharded(
             &t,
             &w,
-            &ServeConfig {
-                health: Some(HealthSpec {
-                    recal_success_milli: 0,
-                    max_retries: 2,
-                    ..drifting(60, true)
-                }),
-                ..ServeConfig::default()
-            },
+            &with_health(HealthSpec {
+                recal_success_milli: 0,
+                max_retries: 2,
+                ..drifting(60, true)
+            }),
         );
-        let trips: u64 = r.replica_trips.iter().sum();
+        let trips = sum(&r, |s| s.trips);
         assert!(trips > 0);
-        assert_eq!(r.replica_recals.iter().sum::<u64>(), 0);
-        assert_eq!(r.replica_remaps.iter().sum::<u64>(), trips);
+        assert_eq!(sum(&r, |s| s.recals), 0);
+        assert_eq!(sum(&r, |s| s.remaps), trips);
     }
 
     #[test]
     fn health_runs_are_deterministic_and_seed_sensitive() {
         let t = vec![tenant_at_load(0.6, 10.0)];
         let w = wl(8, 1_000.0, t[0].rate_rps);
-        let mk = |seed| ServeConfig {
-            health: Some(HealthSpec {
+        let mk = |seed| {
+            with_health(HealthSpec {
                 seed,
                 ..drifting(60, true)
-            }),
-            ..ServeConfig::default()
+            })
         };
-        let a = run_serving(&t, &w, &mk(1));
-        let b = run_serving(&t, &w, &mk(1));
-        let c = run_serving(&t, &w, &mk(2));
+        let a = run_sharded(&t, &w, &mk(1));
+        let b = run_sharded(&t, &w, &mk(1));
+        let c = run_sharded(&t, &w, &mk(2));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
@@ -1103,13 +719,13 @@ mod tests {
     fn failures_never_improve_service() {
         let t = vec![tenant_at_load(0.8, 6.0)];
         let w = wl(3, 2_000.0, t[0].rate_rps);
-        let healthy = run_serving(&t, &w, &ServeConfig::default());
-        let failing = run_serving(
+        let healthy = run_sharded(&t, &w, &ShardConfig::default());
+        let failing = run_sharded(
             &t,
             &w,
-            &ServeConfig {
+            &ShardConfig {
                 failures: Some(flaky(9)),
-                ..ServeConfig::default()
+                ..ShardConfig::default()
             },
         );
         assert!(failing.tenants[0].slo_attainment <= healthy.tenants[0].slo_attainment);

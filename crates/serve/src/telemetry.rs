@@ -1,9 +1,9 @@
 //! Bridges from serving reports to the `autohet-obs` substrate:
-//! per-window telemetry as a [`Series`] table, run totals mirrored into
-//! a metrics [`Registry`], and the report's window stream evaluated
-//! through the deterministic alert engine ([`alert_timeline`]).
+//! per-window telemetry as a [`Series`] table ([`window_series`]), run
+//! totals mirrored into a metrics [`Registry`] ([`publish_report`]), and
+//! the report's window stream evaluated through the deterministic alert
+//! engine ([`alert_timeline`]).
 
-use crate::report::{ServingReport, WindowStats};
 use crate::shard::{autoscale_rules, AutoscaleSpec, ShardServingReport};
 use autohet_obs::alert::{AlertEngine, AlertRule, AlertTimeline, BurnRateRule, ThresholdRule};
 use autohet_obs::{Registry, Series};
@@ -27,10 +27,12 @@ pub const WINDOW_COLUMNS: [(&str, &str); 14] = [
     ("fairness", ""),
 ];
 
-/// One row per [`WindowStats`], columns per [`WINDOW_COLUMNS`].
-fn windows_to_series(name: &str, windows: &[WindowStats]) -> Series {
-    let mut s = Series::new(name, &WINDOW_COLUMNS);
-    for w in windows {
+/// The report's per-window telemetry as a time-series table: one row per
+/// [`WindowStats`](crate::report::WindowStats) (one per epoch), columns
+/// per [`WINDOW_COLUMNS`].
+pub fn window_series(report: &ShardServingReport) -> Series {
+    let mut s = Series::new("serving_windows", &WINDOW_COLUMNS);
+    for w in &report.windows {
         s.push(vec![
             w.index as f64,
             w.start_ns as f64,
@@ -51,42 +53,44 @@ fn windows_to_series(name: &str, windows: &[WindowStats]) -> Series {
     s
 }
 
-/// The report's per-window telemetry as a time-series table (one row per
-/// window, columns per [`WINDOW_COLUMNS`]). Empty when the run was
-/// configured without telemetry windows.
-pub fn window_series(report: &ServingReport) -> Series {
-    windows_to_series("serving_windows", &report.windows)
-}
-
-/// Per-window telemetry of a sharded run (one row per epoch), same
-/// schema as [`window_series`].
-pub fn shard_window_series(report: &ShardServingReport) -> Series {
-    windows_to_series("shard_serving_windows", &report.windows)
-}
-
 /// Mirror a serving run's totals into `registry` under `prefix`:
-/// counters for request accounting and batches, a gauge for replicas,
-/// and the merged latency distribution as a `{prefix}.latency_ns`
+/// request/batch counters, steal/scale/swap event counters, replica
+/// gauges, and the merged latency distribution as a `{prefix}.latency_ns`
 /// histogram (same log₂ binning on both sides).
-pub fn publish_report(report: &ServingReport, registry: &Registry, prefix: &str) {
+pub fn publish_report(report: &ShardServingReport, registry: &Registry, prefix: &str) {
     let c = |name: &str, v: u64| registry.counter(&format!("{prefix}.{name}")).add(v);
+    c("submitted", report.total_submitted);
     c("completed", report.total_completed);
     c("rejected", report.total_rejected);
     c("failed", report.total_failed);
     c("retried", report.total_retried);
     c("batches", report.batches);
+    c("steals", report.steal_events.len() as u64);
+    c("swaps", report.swap_events.len() as u64);
+    c(
+        "scale_ups",
+        report.scale_events.iter().filter(|e| e.up).count() as u64,
+    );
+    c(
+        "scale_downs",
+        report.scale_events.iter().filter(|e| !e.up).count() as u64,
+    );
+    registry
+        .gauge(&format!("{prefix}.shards"))
+        .set(report.shards as i64);
     registry
         .gauge(&format!("{prefix}.replicas"))
-        .set(report.replicas as i64);
+        .set(report.replicas_final as i64);
     registry
         .histogram(&format!("{prefix}.latency_ns"))
         .merge_bins(&report.overall_histogram().bins);
 }
 
 /// Alert rules evaluated over a serving run's per-window telemetry (see
-/// [`alert_timeline`]). The configuration lives outside [`ServeConfig`]
-/// (which stays `Copy + Eq`): alerting is a post-hoc, read-only pass over
-/// the report, so it cannot perturb the simulation by construction.
+/// [`alert_timeline`]). The configuration lives outside
+/// [`ShardConfig`](crate::shard::ShardConfig): alerting is a post-hoc,
+/// read-only pass over the report, so it cannot perturb the simulation
+/// by construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeAlertConfig {
     /// SLO attainment target per window; the burn-rate rule watches the
@@ -127,16 +131,27 @@ pub const DOWNTIME_RULE: &str = "serve.downtime";
 /// Evaluate a serving report's telemetry windows through the
 /// deterministic alert engine and return the resulting timeline.
 ///
-/// Each [`WindowStats`](crate::report::WindowStats) is observed at its
-/// `end_ns` with three signals — the window's SLO error fraction, its
-/// time-weighted mean aggregate queue depth, and its replica downtime —
-/// and every recorded [`HealthEvent`](crate::sim::HealthEvent) is placed
-/// on the same timeline as an annotation (`health.trip`, `health.recal`,
-/// …, carrying the replica id as the value). Because the evaluation runs
-/// over the finished report on simulated time only, the timeline is
-/// bit-identical across runs and across the single-threaded and parallel
-/// drivers, and producing it cannot change the report.
-pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTimeline {
+/// Each [`WindowStats`](crate::report::WindowStats) is observed at its `end_ns` with the window's
+/// SLO error fraction, its time-weighted mean aggregate queue depth, its
+/// replica downtime and the epoch's [`EpochSignal`]. With `autoscale`
+/// set, the *exact* autoscaler rules are replayed over the recorded
+/// signals (the runtime recorded its own inputs, so the replay's
+/// pending → firing → resolved transitions match what the autoscaler
+/// acted on, barrier for barrier). Every [`HealthEvent`] lands on the
+/// same timeline as an annotation (`health.trip`, `health.recal`, …,
+/// carrying the replica id as the value), and so do scaling, stealing
+/// and swap events (`scale.up`, `scale.down`, `steal`, `swap`). Because
+/// the evaluation runs over the finished report on simulated time only,
+/// the timeline is bit-identical across runs and drivers, and producing
+/// it cannot change the report.
+///
+/// [`EpochSignal`]: crate::shard::EpochSignal
+/// [`HealthEvent`]: crate::sim::HealthEvent
+pub fn alert_timeline(
+    report: &ShardServingReport,
+    cfg: &ServeAlertConfig,
+    autoscale: Option<&AutoscaleSpec>,
+) -> AlertTimeline {
     let mut engine = AlertEngine::new()
         .with_rule(AlertRule::BurnRate(
             BurnRateRule::new(SLO_BURN_RULE, "err_frac", cfg.slo_target, cfg.burn_factor)
@@ -155,55 +170,6 @@ pub fn alert_timeline(report: &ServingReport, cfg: &ServeAlertConfig) -> AlertTi
             ThresholdRule::above(DOWNTIME_RULE, "downtime_ns", 0.0)
                 .clear_samples(cfg.clear_windows),
         ));
-    for w in &report.windows {
-        engine.observe(
-            w.end_ns,
-            &[
-                ("err_frac", 1.0 - w.slo_attainment),
-                ("mean_queue_depth", w.mean_queue_depth),
-                ("downtime_ns", w.downtime_ns as f64),
-            ],
-        );
-    }
-    for e in &report.health_events {
-        engine.annotate(
-            e.t_ns,
-            &format!("health.{}", e.kind.label()),
-            e.replica as f64,
-        );
-    }
-    engine.finish()
-}
-
-/// Alert timeline of a sharded run: the [`alert_timeline`] SLO-burn and
-/// queue-saturation rules over the epoch windows, plus — when the run
-/// was autoscaled — the *exact* autoscaler rules replayed over the
-/// recorded [`EpochSignal`]s (the runtime recorded its own inputs, so
-/// the replay's pending → firing → resolved transitions match what the
-/// autoscaler acted on, barrier for barrier). Scaling, stealing, and
-/// swap events land on the same timeline as annotations (`scale.up`,
-/// `scale.down`, `steal`, `swap`).
-///
-/// [`EpochSignal`]: crate::shard::EpochSignal
-pub fn shard_alert_timeline(
-    report: &ShardServingReport,
-    cfg: &ServeAlertConfig,
-    autoscale: Option<&AutoscaleSpec>,
-) -> AlertTimeline {
-    let mut engine = AlertEngine::new()
-        .with_rule(AlertRule::BurnRate(
-            BurnRateRule::new(SLO_BURN_RULE, "err_frac", cfg.slo_target, cfg.burn_factor)
-                .windows(cfg.short_windows, cfg.long_windows)
-                .clear_samples(cfg.clear_windows),
-        ))
-        .with_rule(AlertRule::Threshold(
-            ThresholdRule::above(
-                QUEUE_SATURATION_RULE,
-                "mean_queue_depth",
-                cfg.queue_depth_limit,
-            )
-            .clear_samples(cfg.clear_windows),
-        ));
     if let Some(spec) = autoscale {
         for rule in autoscale_rules(spec) {
             engine.add_rule(rule);
@@ -215,9 +181,17 @@ pub fn shard_alert_timeline(
             &[
                 ("err_frac", 1.0 - w.slo_attainment),
                 ("mean_queue_depth", w.mean_queue_depth),
+                ("downtime_ns", w.downtime_ns as f64),
                 ("epoch_queue_depth", sig.mean_queue_depth),
                 ("epoch_slo", sig.slo_attainment),
             ],
+        );
+    }
+    for e in &report.health_events {
+        engine.annotate(
+            e.t_ns,
+            &format!("health.{}", e.kind.label()),
+            e.replica as f64,
         );
     }
     for e in &report.scale_events {
@@ -233,66 +207,38 @@ pub fn shard_alert_timeline(
     engine.finish()
 }
 
-/// Mirror a sharded run's totals into `registry` under `prefix`:
-/// request/batch counters, steal/scale/swap event counters, replica
-/// gauges, and the merged latency histogram.
-pub fn publish_shard_report(report: &ShardServingReport, registry: &Registry, prefix: &str) {
-    let c = |name: &str, v: u64| registry.counter(&format!("{prefix}.{name}")).add(v);
-    c("submitted", report.total_submitted);
-    c("completed", report.total_completed);
-    c("rejected", report.total_rejected);
-    c("batches", report.batches);
-    c("steals", report.steal_events.len() as u64);
-    c("swaps", report.swap_events.len() as u64);
-    c(
-        "scale_ups",
-        report.scale_events.iter().filter(|e| e.up).count() as u64,
-    );
-    c(
-        "scale_downs",
-        report.scale_events.iter().filter(|e| !e.up).count() as u64,
-    );
-    registry
-        .gauge(&format!("{prefix}.shards"))
-        .set(report.shards as i64);
-    registry
-        .gauge(&format!("{prefix}.replicas"))
-        .set(report.replicas_final as i64);
-    let mut hist = crate::report::LatencyHistogram::new();
-    for t in &report.tenants {
-        hist.merge(&t.histogram);
-    }
-    registry
-        .histogram(&format!("{prefix}.latency_ns"))
-        .merge_bins(&hist.bins);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
-    use crate::sim::{run_serving, ServeConfig};
+    use crate::report::{LatencyHistogram, WindowStats};
+    use crate::shard::{run_sharded, EpochSignal, ShardConfig};
+    use crate::sim::{HealthEvent, HealthEventKind, HealthSpec};
     use crate::workload::{TenantSpec, Workload};
     use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
     use autohet_xbar::XbarShape;
 
-    fn report(windows: usize) -> ServingReport {
+    fn lenet_tenant(load: f64) -> TenantSpec {
         let m = zoo::lenet5();
         let strategy = vec![XbarShape::square(128); m.layers.len()];
         let d = Deployment::compile("lenet", &m, &strategy, &AccelConfig::default());
-        let rate = 0.7 * d.max_rate_rps();
+        let rate = load * d.max_rate_rps();
         let slo = (8.0 * d.pipeline.fill_ns) as u64;
-        let tenants = vec![TenantSpec::new("lenet", d, rate, slo)];
+        TenantSpec::new("lenet", d, rate, slo)
+    }
+
+    fn report(epochs: usize) -> ShardServingReport {
+        let tenants = vec![lenet_tenant(0.7)];
         let wl = Workload {
             seed: 7,
-            horizon_ns: (1_000.0 / rate * 1e9) as u64,
+            horizon_ns: (1_000.0 / tenants[0].rate_rps * 1e9) as u64,
         };
-        let cfg = ServeConfig {
-            telemetry_windows: windows,
-            ..ServeConfig::default()
+        let cfg = ShardConfig {
+            epochs,
+            ..ShardConfig::default()
         };
-        run_serving(&tenants, &wl, &cfg)
+        run_sharded(&tenants, &wl, &cfg)
     }
 
     #[test]
@@ -309,7 +255,7 @@ mod tests {
         assert_eq!(completed, r.total_completed);
         assert_eq!(batches, r.batches);
         // Window histograms merge to the overall distribution.
-        let mut merged = crate::report::LatencyHistogram::new();
+        let mut merged = LatencyHistogram::new();
         for w in &r.windows {
             merged.merge(&w.histogram);
         }
@@ -329,13 +275,14 @@ mod tests {
 
     #[test]
     fn window_telemetry_does_not_perturb_the_rest_of_the_report() {
-        let off = report(0);
-        let on = report(8);
-        assert!(off.windows.is_empty());
-        assert_eq!(off.tenants, on.tenants);
-        assert_eq!(off.batches, on.batches);
-        assert_eq!(off.makespan_ns, on.makespan_ns);
-        assert_eq!(off.total_energy_nj, on.total_energy_nj);
+        // Without coupling mechanisms, epochs only cut the accounting.
+        let one = report(1);
+        let eight = report(8);
+        assert_eq!(one.windows.len(), 1);
+        assert_eq!(one.tenants, eight.tenants);
+        assert_eq!(one.batches, eight.batches);
+        assert_eq!(one.makespan_ns, eight.makespan_ns);
+        assert_eq!(one.total_energy_nj, eight.total_energy_nj);
     }
 
     #[test]
@@ -357,7 +304,7 @@ mod tests {
         publish_report(&r, &reg, "serve");
         assert_eq!(reg.counter("serve.completed").get(), r.total_completed);
         assert_eq!(reg.counter("serve.batches").get(), r.batches);
-        assert_eq!(reg.gauge("serve.replicas").get(), r.replicas as i64);
+        assert_eq!(reg.gauge("serve.replicas").get(), r.replicas_final as i64);
         let h = reg.histogram("serve.latency_ns");
         assert_eq!(h.count(), r.total_completed);
         assert_eq!(h.bins(), r.overall_histogram().bins);
@@ -365,35 +312,24 @@ mod tests {
 
     /// A report skeleton with hand-written windows, for driving the alert
     /// rules through exact signal sequences.
-    fn synthetic_report(windows: Vec<crate::report::WindowStats>) -> ServingReport {
-        ServingReport {
-            seed: 0,
-            horizon_ns: windows.len() as u64 * 1_000,
-            makespan_ns: windows.len() as u64 * 1_000,
-            replicas: 1,
-            batches: 0,
-            mean_batch_size: 0.0,
-            total_completed: 0,
-            total_rejected: 0,
-            total_failed: 0,
-            total_retried: 0,
-            total_errored: 0,
-            replica_downtime_ns: vec![0],
-            replica_trips: vec![0],
-            replica_recals: vec![0],
-            replica_remaps: vec![0],
-            replica_recovery_ns: vec![0],
-            total_energy_nj: 0.0,
-            aggregate_throughput_rps: 0.0,
-            fairness_index: 1.0,
-            tenants: Vec::new(),
-            windows,
-            health_events: Vec::new(),
-        }
+    fn synthetic_report(windows: Vec<WindowStats>) -> ShardServingReport {
+        let mut r = report(1);
+        r.epoch_signals = windows
+            .iter()
+            .map(|w| EpochSignal {
+                t_ns: w.end_ns,
+                mean_queue_depth: w.mean_queue_depth,
+                slo_attainment: w.slo_attainment,
+                backlog: 0,
+            })
+            .collect();
+        r.windows = windows;
+        r.health_events.clear();
+        r
     }
 
-    fn win(index: usize, slo_attainment: f64, depth: f64) -> crate::report::WindowStats {
-        crate::report::WindowStats {
+    fn win(index: usize, slo_attainment: f64, depth: f64) -> WindowStats {
+        WindowStats {
             index,
             start_ns: index as u64 * 1_000,
             end_ns: (index as u64 + 1) * 1_000,
@@ -408,8 +344,16 @@ mod tests {
             peak_queue_depth: depth.ceil() as u64,
             downtime_ns: 0,
             fairness_index: 1.0,
-            histogram: crate::report::LatencyHistogram::new(),
+            histogram: LatencyHistogram::new(),
         }
+    }
+
+    fn timeline(windows: Vec<WindowStats>) -> AlertTimeline {
+        alert_timeline(
+            &synthetic_report(windows),
+            &ServeAlertConfig::default(),
+            None,
+        )
     }
 
     #[test]
@@ -423,7 +367,7 @@ mod tests {
         for i in 6..10 {
             windows.push(win(i, 1.0, 1.0));
         }
-        let t = alert_timeline(&synthetic_report(windows), &ServeAlertConfig::default());
+        let t = timeline(windows);
         let slo = t.for_rule(SLO_BURN_RULE);
         let kinds: Vec<&str> = slo.iter().map(|e| e.kind.label()).collect();
         assert_eq!(kinds, ["firing", "resolved"]);
@@ -444,7 +388,7 @@ mod tests {
             win(3, 1.0, 1.0),
             win(4, 1.0, 1.0),
         ];
-        let t = alert_timeline(&synthetic_report(windows), &ServeAlertConfig::default());
+        let t = timeline(windows);
         let sat = t.for_rule(QUEUE_SATURATION_RULE);
         let kinds: Vec<&str> = sat.iter().map(|e| e.kind.label()).collect();
         assert_eq!(kinds, ["firing", "resolved"]);
@@ -455,21 +399,22 @@ mod tests {
 
     #[test]
     fn health_events_become_annotations_on_the_timeline() {
-        use crate::sim::{HealthEvent, HealthEventKind};
         let mut r = synthetic_report(vec![win(0, 1.0, 1.0)]);
         r.health_events = vec![
             HealthEvent {
                 t_ns: 400,
+                shard: 0,
                 replica: 2,
                 kind: HealthEventKind::Trip,
             },
             HealthEvent {
                 t_ns: 700,
+                shard: 0,
                 replica: 2,
                 kind: HealthEventKind::Recal,
             },
         ];
-        let t = alert_timeline(&r, &ServeAlertConfig::default());
+        let t = alert_timeline(&r, &ServeAlertConfig::default(), None);
         let trips = t.for_rule("health.trip");
         assert_eq!(trips.len(), 1);
         assert_eq!(trips[0].t_ns, 400);
@@ -481,38 +426,33 @@ mod tests {
 
     #[test]
     fn real_run_alert_timeline_is_deterministic_and_records_recovery() {
-        use crate::sim::HealthSpec;
-        let m = zoo::lenet5();
-        let strategy = vec![XbarShape::square(128); m.layers.len()];
-        let d = Deployment::compile("lenet", &m, &strategy, &AccelConfig::default());
-        let rate = 0.7 * d.max_rate_rps();
-        let slo = (8.0 * d.pipeline.fill_ns) as u64;
-        let tenants = vec![TenantSpec::new("lenet", d, rate, slo)];
+        let tenants = vec![lenet_tenant(0.7)];
         let wl = Workload {
             seed: 7,
-            horizon_ns: (2_000.0 / rate * 1e9) as u64,
+            horizon_ns: (2_000.0 / tenants[0].rate_rps * 1e9) as u64,
         };
-        let cfg = ServeConfig {
-            replicas: 2,
-            telemetry_windows: 8,
+        let cfg = ShardConfig {
+            replicas_per_shard: 2,
+            epochs: 8,
             health: Some(HealthSpec {
                 err_ppm_per_ms: 30_000,
                 ..HealthSpec::default()
             }),
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
         let acfg = ServeAlertConfig::default();
-        let single = run_serving(&tenants, &wl, &cfg);
+        let single = run_sharded(&tenants, &wl, &cfg);
         assert!(
             !single.health_events.is_empty(),
             "drift config too tame to produce health events"
         );
-        let t1 = alert_timeline(&single, &acfg);
-        let t2 = alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg);
+        let t1 = alert_timeline(&single, &acfg, None);
+        let t2 = alert_timeline(&run_sharded(&tenants, &wl, &cfg), &acfg, None);
         assert_eq!(t1, t2, "identical runs must yield identical timelines");
         let tp = alert_timeline(
-            &crate::parallel::run_serving_parallel(&tenants, &wl, &cfg),
+            &crate::parallel::run_sharded_threaded(&tenants, &wl, &cfg, 2),
             &acfg,
+            None,
         );
         assert_eq!(t1, tp, "drivers must agree on the alert timeline");
         assert!(!t1.for_rule("health.trip").is_empty());

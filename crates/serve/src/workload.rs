@@ -28,7 +28,7 @@ pub struct BurstSpec {
 /// A one-way linear rate drift: the tenant's rate factor ramps from 1.0
 /// at `start_ns` to `to_factor` at `end_ns` and stays there. Composed
 /// multiplicatively with any [`BurstSpec`]. This is the workload-mix
-/// drift that triggers online strategy swap in the sharded runtime.
+/// drift that triggers online strategy swap in the serving engine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RampSpec {
     /// Drift onset [ns].
@@ -70,11 +70,11 @@ pub struct TenantSpec {
     pub burst: Option<BurstSpec>,
     /// Fair-share weight for deficit-round-robin scheduling (≥ 1). Under
     /// contention a tenant's attained service is proportional to its
-    /// weight; the FIFO runtime ignores it.
+    /// weight.
     pub weight: u64,
     /// Optional linear rate drift (workload-mix change over the run).
     pub ramp: Option<RampSpec>,
-    /// Optional alternative compiled strategy the sharded runtime may
+    /// Optional alternative compiled strategy the serving engine may
     /// swap this tenant onto mid-run when its traffic share drifts past
     /// the configured threshold (ARAS-style online remapping).
     pub alt_deployment: Option<Deployment>,
@@ -136,15 +136,6 @@ pub struct Workload {
     pub horizon_ns: u64,
 }
 
-/// One request arrival in the merged stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Arrival {
-    /// Arrival timestamp [ns].
-    pub time_ns: u64,
-    /// Index into the tenant slice.
-    pub tenant: usize,
-}
-
 /// Splitmix-style stream derivation so tenant streams are independent
 /// even for adjacent seeds/indices.
 fn tenant_seed(master: u64, tenant: usize) -> u64 {
@@ -183,22 +174,6 @@ pub fn tenant_arrivals(tenant: usize, spec: &TenantSpec, wl: &Workload) -> Vec<u
         }
         out.push(t as u64);
     }
-}
-
-/// Merge every tenant's arrivals into one stream ordered by
-/// (time, tenant index).
-pub fn merge_arrivals(tenants: &[TenantSpec], wl: &Workload) -> Vec<Arrival> {
-    let mut all: Vec<Arrival> = tenants
-        .iter()
-        .enumerate()
-        .flat_map(|(i, spec)| {
-            tenant_arrivals(i, spec, wl)
-                .into_iter()
-                .map(move |time_ns| Arrival { time_ns, tenant: i })
-        })
-        .collect();
-    all.sort_unstable();
-    all
 }
 
 #[cfg(test)]
@@ -267,23 +242,5 @@ mod tests {
             horizon_ns: 1_000_000_000,
         };
         assert!(tenant_arrivals(0, &tenant(0.0), &wl).is_empty());
-    }
-
-    #[test]
-    fn merged_stream_is_ordered_and_complete() {
-        let wl = Workload {
-            seed: 5,
-            horizon_ns: 500_000_000,
-        };
-        let tenants = [tenant(4_000.0), tenant(1_000.0)];
-        let merged = merge_arrivals(&tenants, &wl);
-        let per: usize = (0..2)
-            .map(|i| tenant_arrivals(i, &tenants[i], &wl).len())
-            .sum();
-        assert_eq!(merged.len(), per);
-        assert!(merged.windows(2).all(|w| w[0] <= w[1]));
-        // Independent streams: both tenants contribute.
-        assert!(merged.iter().any(|a| a.tenant == 0));
-        assert!(merged.iter().any(|a| a.tenant == 1));
     }
 }

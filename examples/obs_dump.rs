@@ -36,7 +36,6 @@ use autohet::prelude::*;
 use autohet::telemetry::{publish_episode_history, EPISODE_COLUMNS};
 use autohet_obs::Series;
 use autohet_rl::{DdpgConfig, DqnConfig};
-use autohet_serve::telemetry::{publish_report, window_series};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -202,11 +201,11 @@ fn main() {
         seed: 7,
         horizon_ns: (requests / rate * 1e9) as u64,
     };
-    let serve_cfg = ServeConfig {
-        telemetry_windows: 8,
-        ..ServeConfig::default()
+    let serve_cfg = ShardConfig {
+        epochs: 8,
+        ..ShardConfig::default()
     };
-    let report = run_serving(&tenants, &wl, &serve_cfg);
+    let report = run_sharded(&tenants, &wl, &serve_cfg);
     println!(
         "serving   {} completed / {} rejected over {} windows",
         report.total_completed,
@@ -242,17 +241,17 @@ fn main() {
             seed: 7,
             horizon_ns,
         };
-        let alert_cfg = ServeConfig {
-            replicas,
-            telemetry_windows: 24,
+        let alert_cfg = ShardConfig {
+            replicas_per_shard: replicas,
+            epochs: 24,
             health: Some(HealthSpec {
                 err_ppm_per_ms: 30_000,
                 ..HealthSpec::default()
             }),
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
-        let overload = run_serving(&tenants, &wl, &alert_cfg);
-        let timeline = alert_timeline(&overload, &ServeAlertConfig::default());
+        let overload = run_sharded(&tenants, &wl, &alert_cfg);
+        let timeline = alert_timeline(&overload, &ServeAlertConfig::default(), None);
         println!(
             "alerts    {} events ({} firing, {} resolved) over {} windows, {} health events",
             timeline.events.len(),

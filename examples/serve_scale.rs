@@ -146,7 +146,7 @@ fn main() {
         "  {} submitted, {} completed, {} rejected, fairness {:.3}",
         day.total_submitted, day.total_completed, day.total_rejected, day.fairness_index
     );
-    publish_shard_report(&day, registry, "serve_scale.day");
+    publish_report(&day, registry, "serve_scale.day");
     writeln!(summary, "requests: {}", day.total_submitted).unwrap();
     writeln!(summary, "tenants: {n_tenants}").unwrap();
     writeln!(summary, "scan1_wall_s: {scan1_s:.3}").unwrap();
@@ -207,7 +207,7 @@ fn main() {
         ups, downs, burst.replicas_initial, burst.replicas_peak, burst.replicas_final
     );
     assert!(ups >= 1 && downs >= 1, "autoscaler failed to react");
-    publish_shard_report(&burst, registry, "serve_scale.burst");
+    publish_report(&burst, registry, "serve_scale.burst");
     writeln!(summary, "scale_up_events: {ups}").unwrap();
     writeln!(summary, "scale_down_events: {downs}").unwrap();
     writeln!(summary, "replicas_peak: {}", burst.replicas_peak).unwrap();
@@ -288,8 +288,8 @@ fn main() {
         fs::write(&path, data).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         println!("wrote {}", path.display());
     };
-    let windows = shard_window_series(&burst);
-    let timeline = shard_alert_timeline(&burst, &ServeAlertConfig::default(), Some(&autoscale));
+    let windows = window_series(&burst);
+    let timeline = alert_timeline(&burst, &ServeAlertConfig::default(), Some(&autoscale));
     println!(
         "  timeline: {} events ({} firing, {} resolved)",
         timeline.events.len(),

@@ -1,5 +1,6 @@
 //! Multi-tenant serving simulation: AlexNet and LeNet-5 sharing two
-//! accelerator replicas behind per-tenant request queues.
+//! accelerator replicas behind per-tenant request queues, scheduled by
+//! deficit round-robin.
 //!
 //! Compiles each tenant's model twice — best homogeneous strategy vs.
 //! greedy AutoHet strategy — and serves both fleets under the *same*
@@ -37,15 +38,12 @@ fn main() {
     // Shared scheduler and load for both fleets: rates are pinned to the
     // homogeneous deployments' capacity so the request streams are
     // identical and only the strategies differ.
-    let serve = ServeConfig {
-        replicas: 2,
+    let serve = ShardConfig {
+        replicas_per_shard: 2,
         max_batch: 8,
         batch_window_ns: 500_000,
         queue_depth: 48,
-        failures: None,
-        health: None,
-        retry_deadline_ns: 100_000_000,
-        telemetry_windows: 0,
+        ..ShardConfig::default()
     };
     let homo = [deploy(&alexnet, false, &cfg), deploy(&lenet, false, &cfg)];
     let rates = [0.9 * homo[0].max_rate_rps(), 0.6 * homo[1].max_rate_rps()];
@@ -62,7 +60,7 @@ fn main() {
         "serving {} + {} on {} replicas (seed {}, horizon {} ms)\n",
         alexnet.name,
         lenet.name,
-        serve.replicas,
+        serve.replicas_per_shard,
         wl.seed,
         wl.horizon_ns / 1_000_000
     );
@@ -77,7 +75,7 @@ fn main() {
             .zip(rates.iter().zip(&slos))
             .map(|(m, (&rate, &slo))| TenantSpec::new(&m.name, deploy(m, hetero, &cfg), rate, slo))
             .collect();
-        let report = run_serving_parallel(&fleet, &wl, &serve);
+        let report = run_sharded(&fleet, &wl, &serve);
         println!(
             "--- {} strategies ---",
             if hetero { "autohet" } else { "homogeneous" }

@@ -55,15 +55,18 @@ fn serving_report_is_reproducible_through_the_public_prelude() {
         seed: 77,
         horizon_ns: (1_000.0 / rate * 1e9) as u64,
     };
-    let serve = ServeConfig {
-        replicas: 2,
-        ..ServeConfig::default()
+    let serve = ShardConfig {
+        replicas_per_shard: 2,
+        ..ShardConfig::default()
     };
-    let a = run_serving(&tenants, &wl, &serve);
-    let b = run_serving(&tenants, &wl, &serve);
-    let c = run_serving_parallel(&tenants, &wl, &serve);
-    assert_eq!(a, b, "single-threaded runs must be bit-identical");
-    assert_eq!(a, c, "multi-worker mode must reproduce the event loop");
+    let a = run_sharded(&tenants, &wl, &serve);
+    let b = run_sharded(&tenants, &wl, &serve);
+    let c = run_sharded_threaded(&tenants, &wl, &serve, 2);
+    assert_eq!(a, b, "sequential runs must be bit-identical");
+    assert_eq!(
+        a, c,
+        "the threaded driver must reproduce the sequential one"
+    );
     assert!(a.total_completed > 0);
     assert_eq!(a.total_completed + a.total_rejected, a.tenants[0].submitted);
 }
@@ -104,7 +107,8 @@ fn sharded_runtime_serves_searched_strategies_end_to_end() {
 #[test]
 fn serving_study_rows_carry_the_fairness_schema() {
     // Single-tenant study rows sit at the Jain-index fixed point 1.0 —
-    // the schema matches ServingReport::fairness_index by construction.
+    // the schema matches ShardServingReport::fairness_index by
+    // construction.
     let rows = serving_study(&autohet_dnn::zoo::micro_cnn(), 0.8, 3);
     assert!(rows.iter().all(|r| r.fairness_index == 1.0), "{rows:?}");
 }
@@ -129,7 +133,7 @@ fn bursty_tenant_degrades_its_own_slo_not_its_neighbor_throughput() {
         seed: 5,
         horizon_ns: (2_000.0 / rate * 1e9) as u64,
     };
-    let r = run_serving(&[steady, bursty], &wl, &ServeConfig::default());
+    let r = run_sharded(&[steady, bursty], &wl, &ShardConfig::default());
     let steady_stats = &r.tenants[0];
     let bursty_stats = &r.tenants[1];
     assert!(bursty_stats.submitted > steady_stats.submitted);

@@ -8,7 +8,6 @@ use autohet_accel::alloc::allocate_tile_based;
 use autohet_accel::repair::repair_allocation;
 use autohet_accel::tile_shared::apply_tile_sharing;
 use autohet_dnn::{Dataset, ModelBuilder};
-use autohet_serve::{run_serving, run_serving_parallel};
 use autohet_xbar::fault::FaultMap;
 use proptest::prelude::*;
 
@@ -118,15 +117,16 @@ proptest! {
     // Serving runs are costlier: fewer, bigger cases.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    // Under instance failures, the multi-worker serving driver stays
-    // bit-identical to the single-threaded event loop for arbitrary
-    // seeds and failure intensities.
+    // Under instance failures, the epoch-threaded serving driver stays
+    // bit-identical to the sequential one for arbitrary seeds, failure
+    // intensities and shard layouts.
     #[test]
     fn parallel_serving_matches_single_threaded_under_failures(
         wl_seed in 0u64..10_000,
         fail_seed in 0u64..10_000,
         mtbf_ms in 1u64..10,
         replicas in 1usize..4,
+        shards in 1usize..3,
     ) {
         let model = small_model();
         let strategy = vec![XbarShape::square(64); model.layers.len()];
@@ -138,17 +138,18 @@ proptest! {
             seed: wl_seed,
             horizon_ns: (300.0 / rate * 1e9) as u64,
         };
-        let cfg = ServeConfig {
-            replicas,
+        let cfg = ShardConfig {
+            shards,
+            replicas_per_shard: replicas,
             failures: Some(FailureSpec {
                 mtbf_ns: mtbf_ms * 1_000_000,
                 mttr_ns: 500_000,
                 seed: fail_seed,
             }),
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
-        let single = run_serving(&tenants, &wl, &cfg);
-        let multi = run_serving_parallel(&tenants, &wl, &cfg);
+        let single = run_sharded(&tenants, &wl, &cfg);
+        let multi = run_sharded_threaded(&tenants, &wl, &cfg, 2);
         prop_assert_eq!(&single, &multi);
         // Request conservation holds even when failures drop requests.
         let t = &single.tenants[0];

@@ -106,11 +106,11 @@ proptest! {
 
     // A serving run — including the per-window telemetry, which lives in
     // the simulated accounting, not the recorder — is unchanged by the
-    // tracer, in both the sequential and the parallel driver.
+    // tracer, in both the sequential and the threaded driver.
     #[test]
     fn serving_is_bit_identical_with_the_recorder_on(
         seed in 0u64..1_000_000,
-        windows in 0usize..6,
+        epochs in 1usize..6,
         parallel in any::<bool>(),
     ) {
         let _g = TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -124,15 +124,15 @@ proptest! {
             seed,
             horizon_ns: (200.0 / rate * 1e9) as u64,
         };
-        let cfg = ServeConfig {
-            telemetry_windows: windows,
-            ..ServeConfig::default()
+        let cfg = ShardConfig {
+            epochs,
+            ..ShardConfig::default()
         };
         let (off, on) = with_and_without_tracer(|| {
             if parallel {
-                run_serving_parallel(&tenants, &wl, &cfg)
+                run_sharded_threaded(&tenants, &wl, &cfg, 2)
             } else {
-                run_serving(&tenants, &wl, &cfg)
+                run_sharded(&tenants, &wl, &cfg)
             }
         });
         prop_assert_eq!(off, on);
@@ -145,7 +145,7 @@ proptest! {
     // The alert engine is a post-hoc pass over the report: evaluating it
     // must not perturb the serving results, and the timeline itself must
     // be deterministic — across repeated runs and across the sequential
-    // vs. parallel drivers — even with drift + recovery emitting health
+    // vs. threaded drivers — even with drift + recovery emitting health
     // annotations onto it.
     #[test]
     fn alert_timeline_is_deterministic_and_driver_agnostic(
@@ -162,28 +162,28 @@ proptest! {
             seed,
             horizon_ns: (200.0 / rate * 1e9) as u64,
         };
-        let cfg = ServeConfig {
-            replicas: 2,
-            telemetry_windows: 6,
+        let cfg = ShardConfig {
+            replicas_per_shard: 2,
+            epochs: 6,
             health: drift.then(|| HealthSpec {
                 err_ppm_per_ms: 30_000,
                 ..HealthSpec::default()
             }),
-            ..ServeConfig::default()
+            ..ShardConfig::default()
         };
         let acfg = ServeAlertConfig::default();
-        let plain = run_serving(&tenants, &wl, &cfg);
+        let plain = run_sharded(&tenants, &wl, &cfg);
         // Evaluating the timeline reads the report; the report must be
         // exactly the one an alert-free consumer would see.
-        let t1 = alert_timeline(&plain, &acfg);
-        prop_assert_eq!(&plain, &run_serving(&tenants, &wl, &cfg));
-        // Identical runs yield identical timelines, and the parallel
+        let t1 = alert_timeline(&plain, &acfg, None);
+        prop_assert_eq!(&plain, &run_sharded(&tenants, &wl, &cfg));
+        // Identical runs yield identical timelines, and the threaded
         // driver lands every alert and health annotation on the same
         // simulated-time instants as the sequential recurrence.
-        prop_assert_eq!(&t1, &alert_timeline(&run_serving(&tenants, &wl, &cfg), &acfg));
+        prop_assert_eq!(&t1, &alert_timeline(&run_sharded(&tenants, &wl, &cfg), &acfg, None));
         prop_assert_eq!(
             &t1,
-            &alert_timeline(&run_serving_parallel(&tenants, &wl, &cfg), &acfg)
+            &alert_timeline(&run_sharded_threaded(&tenants, &wl, &cfg, 2), &acfg, None)
         );
         // Timeline events are emitted in simulated-time order.
         prop_assert!(t1.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns));

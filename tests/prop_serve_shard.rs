@@ -11,10 +11,16 @@
 //!   sustained overload;
 //! - a drifting-mix swap never loses a request: every admitted request
 //!   completes or is rejected at admission, under any seed;
+//! - with replica failures and drift health on, heap ≡ scan ≡ threaded
+//!   still holds at 1–4 shards, every tenant conserves its requests
+//!   (`submitted == completed + rejected + failed`), and the window
+//!   totals add up to the run totals;
+//! - a drift-free health monitor leaves any run bit-identical;
 //! - a golden seeded run pins the exact totals, so any cross-platform
 //!   or refactoring drift in the recurrence fails loudly.
 
 use autohet::prelude::*;
+use autohet_serve::WindowStats;
 use proptest::prelude::*;
 
 fn micro() -> Deployment {
@@ -208,6 +214,95 @@ proptest! {
         prop_assert_eq!(r.lost_requests(), 0);
         let scan = run_sharded_reference(&tenants, &wl, &cfg);
         prop_assert_eq!(r, scan);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // Failures and drift health run inside each shard's recurrence, so
+    // the three drivers must still agree bit for bit — with stealing and
+    // autoscaling moving tenants and adding replicas around them.
+    #[test]
+    fn drivers_agree_with_failures_and_health_on(
+        seed in any::<u64>(),
+        fail_seed in any::<u64>(),
+        health_seed in any::<u64>(),
+        threads in 1usize..=4,
+        mtbf_ms in 1u64..=8,
+    ) {
+        let tenants = mixed_fleet(7, 1.2);
+        let wl = Workload { seed, horizon_ns: 40_000_000 };
+        for shards in 1usize..=4 {
+            let cfg = ShardConfig {
+                shards,
+                replicas_per_shard: 2,
+                epochs: 10,
+                queue_depth: 32,
+                retry_deadline_ns: 4_000_000,
+                steal: Some(StealSpec { min_victim_backlog: 4, max_thief_backlog: 1 }),
+                autoscale: Some(AutoscaleSpec {
+                    high_depth: 6.0,
+                    low_depth: 1.0,
+                    cooldown_epochs: 0,
+                    ..AutoscaleSpec::default()
+                }),
+                failures: Some(FailureSpec {
+                    mtbf_ns: mtbf_ms * 1_000_000,
+                    mttr_ns: 400_000,
+                    seed: fail_seed,
+                }),
+                health: Some(HealthSpec {
+                    err_ppm_per_ms: 30_000,
+                    seed: health_seed,
+                    ..HealthSpec::default()
+                }),
+                ..ShardConfig::default()
+            };
+            let heap = run_sharded(&tenants, &wl, &cfg);
+            prop_assert_eq!(&heap, &run_sharded_reference(&tenants, &wl, &cfg));
+            prop_assert_eq!(&heap, &run_sharded_threaded(&tenants, &wl, &cfg, threads));
+            for t in &heap.tenants {
+                prop_assert_eq!(t.submitted, t.completed + t.rejected + t.failed, "{}", &t.name);
+                prop_assert!(t.degraded_completed <= t.completed);
+                prop_assert!(t.errored <= t.completed);
+            }
+            prop_assert_eq!(heap.lost_requests(), 0);
+            let windows = |f: fn(&WindowStats) -> u64| heap.windows.iter().map(f).sum::<u64>();
+            prop_assert_eq!(windows(|w| w.submitted), heap.total_submitted);
+            prop_assert_eq!(windows(|w| w.rejected), heap.total_rejected);
+            prop_assert_eq!(windows(|w| w.completed), heap.total_completed);
+            prop_assert_eq!(windows(|w| w.batches), heap.batches);
+            let downtime: u64 = heap.shard_stats.iter().map(|s| s.downtime_ns).sum();
+            prop_assert_eq!(windows(|w| w.downtime_ns), downtime);
+        }
+    }
+
+    // A monitor that sees no drift never errs and never trips, so it
+    // must not perturb a single bit of any run.
+    #[test]
+    fn drift_free_health_is_indistinguishable_from_health_off(
+        seed in any::<u64>(),
+    ) {
+        let tenants = mixed_fleet(6, 1.1);
+        let wl = Workload { seed, horizon_ns: 30_000_000 };
+        for shards in 1usize..=4 {
+            let off = ShardConfig {
+                shards,
+                replicas_per_shard: 2,
+                epochs: 8,
+                steal: Some(StealSpec::default()),
+                ..ShardConfig::default()
+            };
+            let on = ShardConfig {
+                health: Some(HealthSpec {
+                    err_ppm_per_ms: 0,
+                    ..HealthSpec::default()
+                }),
+                ..off
+            };
+            prop_assert_eq!(run_sharded(&tenants, &wl, &off), run_sharded(&tenants, &wl, &on));
+        }
     }
 }
 
