@@ -29,4 +29,4 @@ pub use dqn::{DiscreteExperience, Dqn, DqnConfig};
 pub use matrix::Matrix;
 pub use nn::{Activation, Adam, Mlp};
 pub use noise::OuNoise;
-pub use replay::{Experience, PrioritizedReplay, ReplayBuffer};
+pub use replay::{Experience, ReplayBuffer};

@@ -68,111 +68,6 @@ impl ReplayBuffer {
     }
 }
 
-/// Proportional prioritized experience replay (Schaul et al.) over a
-/// sum-tree: transitions are sampled with probability proportional to
-/// their priority (typically the TD error), so surprising experiences are
-/// revisited more often. Extension beyond the paper's uniform pool
-/// (DESIGN.md §6).
-#[derive(Debug, Clone)]
-pub struct PrioritizedReplay {
-    capacity: usize,
-    /// Binary sum-tree over priorities; leaves start at `capacity - 1`.
-    tree: Vec<f64>,
-    items: Vec<Option<Experience>>,
-    next: usize,
-    len: usize,
-}
-
-impl PrioritizedReplay {
-    /// Pool with the given capacity (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1);
-        PrioritizedReplay {
-            capacity,
-            tree: vec![0.0; 2 * capacity - 1],
-            items: vec![None; capacity],
-            next: 0,
-            len: 0,
-        }
-    }
-
-    /// Stored experience count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total priority mass.
-    pub fn total_priority(&self) -> f64 {
-        self.tree[0]
-    }
-
-    fn leaf(&self, slot: usize) -> usize {
-        slot + self.capacity - 1
-    }
-
-    /// Set a slot's priority and propagate the change to the root.
-    fn set_priority(&mut self, slot: usize, priority: f64) {
-        assert!(priority >= 0.0 && priority.is_finite());
-        let mut idx = self.leaf(slot);
-        let delta = priority - self.tree[idx];
-        self.tree[idx] = priority;
-        while idx > 0 {
-            idx = (idx - 1) / 2;
-            self.tree[idx] += delta;
-        }
-    }
-
-    /// Insert with the given priority, evicting the oldest slot when full.
-    pub fn push(&mut self, e: Experience, priority: f64) {
-        let slot = self.next;
-        self.items[slot] = Some(e);
-        self.set_priority(slot, priority.max(f64::MIN_POSITIVE));
-        self.next = (self.next + 1) % self.capacity;
-        self.len = (self.len + 1).min(self.capacity);
-    }
-
-    /// Update a previously sampled slot's priority (e.g. with a fresh TD
-    /// error).
-    pub fn update_priority(&mut self, slot: usize, priority: f64) {
-        assert!(self.items[slot].is_some(), "updating an empty slot");
-        self.set_priority(slot, priority.max(f64::MIN_POSITIVE));
-    }
-
-    /// Sample one transition proportionally to priority; returns the slot
-    /// (for later priority updates) and the experience.
-    pub fn sample_one<R: Rng>(&self, rng: &mut R) -> (usize, &Experience) {
-        assert!(self.len > 0, "sampling an empty pool");
-        let mut mass = rng.gen::<f64>() * self.total_priority();
-        let mut idx = 0;
-        while idx < self.capacity - 1 {
-            let left = 2 * idx + 1;
-            if mass <= self.tree[left] {
-                idx = left;
-            } else {
-                mass -= self.tree[left];
-                idx = left + 1;
-            }
-        }
-        let slot = idx - (self.capacity - 1);
-        (
-            slot,
-            self.items[slot]
-                .as_ref()
-                .expect("priority mass on empty slot"),
-        )
-    }
-
-    /// Sample `n` transitions (with replacement).
-    pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<(usize, &Experience)> {
-        (0..n).map(|_| self.sample_one(rng)).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,77 +126,5 @@ mod tests {
         let b = ReplayBuffer::new(4);
         let mut rng = SmallRng::seed_from_u64(2);
         let _ = b.sample(1, &mut rng);
-    }
-
-    #[test]
-    fn sum_tree_tracks_total_priority() {
-        let mut p = PrioritizedReplay::new(4);
-        p.push(exp(0.0), 1.0);
-        p.push(exp(1.0), 2.0);
-        p.push(exp(2.0), 3.0);
-        assert!((p.total_priority() - 6.0).abs() < 1e-12);
-        p.update_priority(1, 5.0);
-        assert!((p.total_priority() - 9.0).abs() < 1e-12);
-        // Eviction replaces both item and priority.
-        p.push(exp(3.0), 1.0);
-        p.push(exp(4.0), 1.0); // overwrites slot 0 (priority 1.0 → 1.0)
-        assert_eq!(p.len(), 4);
-        assert!((p.total_priority() - (1.0 + 5.0 + 3.0 + 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sampling_is_proportional_to_priority() {
-        let mut p = PrioritizedReplay::new(4);
-        p.push(exp(0.0), 1.0);
-        p.push(exp(1.0), 9.0);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = 20_000;
-        let hits_hi = p
-            .sample(n, &mut rng)
-            .iter()
-            .filter(|(slot, _)| *slot == 1)
-            .count();
-        let frac = hits_hi as f64 / n as f64;
-        assert!((frac - 0.9).abs() < 0.02, "high-priority fraction {frac}");
-    }
-
-    #[test]
-    fn zero_priority_items_are_never_sampled() {
-        let mut p = PrioritizedReplay::new(4);
-        p.push(exp(0.0), 1.0);
-        p.push(exp(1.0), 0.0); // clamped to MIN_POSITIVE: effectively never
-        let mut rng = SmallRng::seed_from_u64(4);
-        for _ in 0..500 {
-            let (slot, _) = p.sample_one(&mut rng);
-            assert_eq!(slot, 0);
-        }
-    }
-
-    #[test]
-    fn sampled_slots_round_trip_priority_updates() {
-        let mut p = PrioritizedReplay::new(8);
-        for i in 0..8 {
-            p.push(exp(i as f64), 1.0);
-        }
-        let mut rng = SmallRng::seed_from_u64(5);
-        let (slot, e) = p.sample_one(&mut rng);
-        let tag = e.action;
-        p.update_priority(slot, 100.0);
-        // The boosted slot now dominates sampling.
-        let hits = p
-            .sample(1000, &mut rng)
-            .iter()
-            .filter(|(s, _)| *s == slot)
-            .count();
-        assert!(hits > 850, "boosted slot sampled {hits}/1000");
-        assert_eq!(p.items[slot].as_ref().unwrap().action, tag);
-    }
-
-    #[test]
-    #[should_panic]
-    fn prioritized_sampling_empty_panics() {
-        let p = PrioritizedReplay::new(4);
-        let mut rng = SmallRng::seed_from_u64(6);
-        let _ = p.sample_one(&mut rng);
     }
 }
