@@ -104,3 +104,13 @@ grep -q '^lost_requests: 0$' target/serve_smoke/summary.txt \
   || { echo "serve smoke: the runtime lost requests" >&2; exit 1; }
 grep -q '"rule":"serve.scale_up"' target/serve_smoke/shard_alerts.jsonl \
   || { echo "serve smoke: autoscaler rules missing from the alert timeline" >&2; exit 1; }
+
+# Benchmark smoke: build perfbench (its own workspace, building the crates
+# above by path) and run each workload for about a second. Every run ends
+# with one JSON result line; all of its correctness checks must pass.
+for w in search_vgg16 serve_fleet lifetime_lenet5; do
+  result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+             --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  grep -q '"failed": 0,' <<<"$result" \
+    || { echo "perfbench smoke: $w failed a correctness check: $result" >&2; exit 1; }
+done
