@@ -26,7 +26,7 @@ use crate::hierarchy::AccelConfig;
 use crate::metrics::{compose_report, layer_cost, EvalReport, LayerCost};
 use crate::repair::{repair_allocation, RepairPolicy, RepairReport};
 use crate::robustness::{
-    layer_noise, layer_noise_with_reference, LayerNoise, NoiseEvalConfig, RobustnessReport,
+    layer_noise_per_reference, LayerNoise, NoiseEvalConfig, RobustnessReport, SampleWork,
 };
 use crate::tile_shared::apply_tile_sharing;
 use autohet_dnn::Model;
@@ -73,7 +73,13 @@ impl StrategyCache {
     }
 }
 
-/// Cache hit/miss counters, snapshot via [`EvalEngine::stats`].
+/// Cache hit/miss counters and Monte-Carlo work, snapshot via
+/// [`EvalEngine::stats`].
+///
+/// The Monte-Carlo counters cover the static-noise and drift memos
+/// together and are counted where a computation fills a memo key, so
+/// they are a function of the distinct keys requested, never of thread
+/// timing: a slice two workers race to compute counts once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Whole-strategy cache hits (O(1) repeated evaluations).
@@ -85,6 +91,14 @@ pub struct EngineStats {
     /// Per-(layer, shape) memo misses (full layer-slice computations —
     /// bounded by `L × C` distinct pairs, not by episodes × layers).
     pub layer_misses: u64,
+    /// Noise-memo keys filled: static `(layer, shape)` slices plus drift
+    /// `(layer, shape, epoch, arm)` slices.
+    pub noise_slices: u64,
+    /// Seeded device populations drawn to fill them.
+    pub device_draws: u64,
+    /// Readout tables built over those draws (one per draw and distinct
+    /// reference read).
+    pub readout_tables: u64,
 }
 
 impl EngineStats {
@@ -119,6 +133,9 @@ impl EngineStats {
             strategy_misses: self.strategy_misses.saturating_sub(earlier.strategy_misses),
             layer_hits: self.layer_hits.saturating_sub(earlier.layer_hits),
             layer_misses: self.layer_misses.saturating_sub(earlier.layer_misses),
+            noise_slices: self.noise_slices.saturating_sub(earlier.noise_slices),
+            device_draws: self.device_draws.saturating_sub(earlier.device_draws),
+            readout_tables: self.readout_tables.saturating_sub(earlier.readout_tables),
         }
     }
 
@@ -145,12 +162,17 @@ impl EngineStats {
         set("strategy_misses", self.strategy_misses);
         set("layer_hits", self.layer_hits);
         set("layer_misses", self.layer_misses);
+        set("noise_slices", self.noise_slices);
+        set("device_draws", self.device_draws);
+        set("readout_tables", self.readout_tables);
     }
 }
 
 impl fmt::Display for EngineStats {
     /// One-line cache summary, e.g.
-    /// `strategy 12/300 hits (4.0%), layer 4560/4800 hits (95.0%)`.
+    /// `strategy 12/300 hits (4.0%), layer 4560/4800 hits (95.0%)`,
+    /// followed by `, noise 10 slices, 15 draws, 30 tables` once any
+    /// Monte-Carlo work was done.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -161,7 +183,15 @@ impl fmt::Display for EngineStats {
             self.layer_hits,
             self.layer_hits + self.layer_misses,
             100.0 * self.layer_hit_rate(),
-        )
+        )?;
+        if self.noise_slices + self.device_draws + self.readout_tables > 0 {
+            write!(
+                f,
+                ", noise {} slices, {} draws, {} tables",
+                self.noise_slices, self.device_draws, self.readout_tables
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -208,7 +238,8 @@ struct NoiseState {
 /// its own per-epoch memo. Keys carry the epoch (`f64` bits — epochs are
 /// compared exactly, not approximately) and whether the slice was read
 /// through recalibrated references, so stale and recalibrated
-/// trajectories memoize side by side next to the static noise cache.
+/// trajectories memoize side by side next to the static noise cache. A
+/// miss on either arm fills both keys from one set of device draws.
 #[derive(Debug)]
 struct DriftState {
     cfg: DriftEvalConfig,
@@ -242,6 +273,9 @@ pub struct EvalEngine {
     strategy_misses: AtomicU64,
     layer_hits: AtomicU64,
     layer_misses: AtomicU64,
+    noise_slices: AtomicU64,
+    device_draws: AtomicU64,
+    readout_tables: AtomicU64,
     noise: Option<NoiseState>,
     drift: Option<DriftState>,
 }
@@ -272,6 +306,9 @@ impl EvalEngine {
             strategy_misses: AtomicU64::new(0),
             layer_hits: AtomicU64::new(0),
             layer_misses: AtomicU64::new(0),
+            noise_slices: AtomicU64::new(0),
+            device_draws: AtomicU64::new(0),
+            readout_tables: AtomicU64::new(0),
             noise: None,
             drift: None,
         }
@@ -352,6 +389,9 @@ impl EvalEngine {
             strategy_misses: self.strategy_misses.load(Ordering::Relaxed),
             layer_hits: self.layer_hits.load(Ordering::Relaxed),
             layer_misses: self.layer_misses.load(Ordering::Relaxed),
+            noise_slices: self.noise_slices.load(Ordering::Relaxed),
+            device_draws: self.device_draws.load(Ordering::Relaxed),
+            readout_tables: self.readout_tables.load(Ordering::Relaxed),
         }
     }
 
@@ -419,14 +459,31 @@ impl EvalEngine {
         if let Some(n) = state.memo.lock().get(&key) {
             return *n;
         }
-        let n = layer_noise(
+        let variation = state.cfg.variation;
+        let (scores, work) = layer_noise_per_reference(
             &self.model.layers[position],
             shape,
             &self.cfg.cost,
             &state.cfg,
+            &variation,
+            &[variation],
         );
-        state.memo.lock().insert(key, n);
-        n
+        let filled = state.memo.lock().insert(key, scores[0]).is_none();
+        self.count_filled(filled as u64, work);
+        scores[0]
+    }
+
+    /// Account the Monte-Carlo work behind `slices` newly filled memo
+    /// keys (none when a racing worker filled them first).
+    fn count_filled(&self, slices: u64, work: SampleWork) {
+        if slices == 0 {
+            return;
+        }
+        self.noise_slices.fetch_add(slices, Ordering::Relaxed);
+        self.device_draws
+            .fetch_add(work.device_draws, Ordering::Relaxed);
+        self.readout_tables
+            .fetch_add(work.readout_tables, Ordering::Relaxed);
     }
 
     /// Evaluate `strategy` on *faulted* hardware: build the allocation
@@ -526,26 +583,46 @@ impl EvalEngine {
         position: usize,
         shape: XbarShape,
     ) -> LayerNoise {
-        let key = (position, shape, state.t_hours.to_bits(), state.recalibrated);
-        if let Some(n) = ds.memo.lock().get(&key) {
+        let key = |recalibrated| (position, shape, state.t_hours.to_bits(), recalibrated);
+        if let Some(n) = ds.memo.lock().get(&key(state.recalibrated)) {
             return *n;
         }
+        // Both arms read the same seeded device population; they differ
+        // only in the readout reference (DegradationState::at), so one
+        // set of draws scores both — a single read when they coincide,
+        // as at drift scale 0.
         let ncfg = NoiseEvalConfig {
             variation: state.device,
             draws: ds.cfg.draws,
             probes: ds.cfg.probes,
             seed: ds.cfg.noise_seed,
         };
-        let n = layer_noise_with_reference(
+        let (stale, recalibrated) = (ds.cfg.drift.base, state.device);
+        debug_assert_eq!(
+            state.reference,
+            [stale, recalibrated][state.recalibrated as usize]
+        );
+        let references = if stale == recalibrated {
+            &[stale][..]
+        } else {
+            &[stale, recalibrated][..]
+        };
+        let (scores, work) = layer_noise_per_reference(
             &self.model.layers[position],
             shape,
             &self.cfg.cost,
             &ncfg,
             &state.device,
-            &state.reference,
+            references,
         );
-        ds.memo.lock().insert(key, n);
-        n
+        let arms = [scores[0], scores[scores.len() - 1]];
+        let filled = {
+            let mut memo = ds.memo.lock();
+            (memo.insert(key(false), arms[0]).is_none() as u64)
+                + (memo.insert(key(true), arms[1]).is_none() as u64)
+        };
+        self.count_filled(filled, work);
+        arms[state.recalibrated as usize]
     }
 
     /// Shared hard-fault composition: slice the strategy, allocate (with
@@ -631,6 +708,9 @@ impl Clone for EvalEngine {
             strategy_misses: AtomicU64::new(self.strategy_misses.load(Ordering::Relaxed)),
             layer_hits: AtomicU64::new(self.layer_hits.load(Ordering::Relaxed)),
             layer_misses: AtomicU64::new(self.layer_misses.load(Ordering::Relaxed)),
+            noise_slices: AtomicU64::new(self.noise_slices.load(Ordering::Relaxed)),
+            device_draws: AtomicU64::new(self.device_draws.load(Ordering::Relaxed)),
+            readout_tables: AtomicU64::new(self.readout_tables.load(Ordering::Relaxed)),
             noise: self.noise.as_ref().map(|n| NoiseState {
                 cfg: n.cfg,
                 memo: Mutex::new(n.memo.lock().clone()),
@@ -999,6 +1079,55 @@ mod tests {
     }
 
     #[test]
+    fn drift_memo_counts_one_draw_per_slice_for_both_arms() {
+        // One LeNet-5 campaign cell: 3,000 h, 3 draws x 4 probes, the
+        // three arms in campaign order. The stale arm's miss fills both
+        // arms' keys from one set of draws; the other two arms hit.
+        let m = zoo::lenet5();
+        let s = vec![XbarShape::square(64); m.layers.len()];
+        let counts = |scale: f64| {
+            let engine =
+                EvalEngine::new(m.clone(), AccelConfig::default()).with_drift(DriftEvalConfig {
+                    drift: autohet_xbar::DriftModel::nominal().with_rate_scale(scale),
+                    ..DriftEvalConfig::default()
+                });
+            for arm in RecoveryPolicy::ALL {
+                engine.evaluate_degraded(&s, 3_000.0, arm);
+            }
+            let st = engine.stats();
+            (st.noise_slices, st.device_draws, st.readout_tables)
+        };
+        assert_eq!(counts(1.0), (10, 15, 30));
+        // At scale 0 both arms read the same reference: one table a draw.
+        assert_eq!(counts(0.0), (10, 15, 15));
+    }
+
+    #[test]
+    fn noise_memo_counts_fill_once_per_key() {
+        let m = zoo::micro_cnn();
+        let cfg = NoiseEvalConfig::default();
+        let engine = EvalEngine::new(m.clone(), AccelConfig::default()).with_noise(cfg);
+        let s = rotating_strategy(&m, 0);
+        engine.evaluate_noisy(&s);
+        let before = engine.stats();
+        engine.evaluate_noisy(&s);
+        let layers = m.layers.len() as u64;
+        let draws = layers * cfg.draws as u64;
+        assert_eq!(
+            (
+                before.noise_slices,
+                before.device_draws,
+                before.readout_tables
+            ),
+            (layers, draws, draws)
+        );
+        assert_eq!(engine.stats().since(&before).noise_slices, 0);
+        assert!(before.to_string().ends_with(&format!(
+            ", noise {layers} slices, {draws} draws, {draws} tables"
+        )));
+    }
+
+    #[test]
     #[should_panic]
     fn degraded_evaluation_requires_with_drift() {
         let m = zoo::micro_cnn();
@@ -1014,6 +1143,7 @@ mod tests {
             strategy_misses: 3,
             layer_hits: 9,
             layer_misses: 1,
+            ..EngineStats::default()
         };
         assert_eq!(
             stats.to_string(),
@@ -1027,6 +1157,7 @@ mod tests {
         assert_eq!(reg.counter("engine.strategy_hits").get(), 1);
         assert_eq!(reg.counter("engine.layer_hits").get(), 9);
         assert_eq!(reg.counter("engine.layer_misses").get(), 1);
+        assert_eq!(reg.counter("engine.readout_tables").get(), 0);
     }
 
     #[test]

@@ -143,34 +143,57 @@ pub fn layer_noise(
     cost: &CostParams,
     cfg: &NoiseEvalConfig,
 ) -> LayerNoise {
-    layer_noise_with_reference(layer, shape, cost, cfg, &cfg.variation, &cfg.variation)
+    let variation = cfg.variation;
+    layer_noise_per_reference(layer, shape, cost, cfg, &variation, &[variation]).0[0]
+}
+
+/// Monte-Carlo work spent on one `(layer, shape)` pair: device
+/// populations drawn, and readout tables built over them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SampleWork {
+    /// Seeded device draws (one lognormal current per used cell each).
+    pub device_draws: u64,
+    /// Readout tables resolved: one per (draw, reference read).
+    pub readout_tables: u64,
 }
 
 /// [`layer_noise`] with the device population and readout reference
-/// decoupled: currents are drawn from `device`, per-unit counts resolve
-/// against `reference`'s thresholds
-/// ([`VariedCrossbar::sample_with_reference`]).
+/// decoupled, for several references at once: currents are drawn from
+/// `device`, and per-unit counts resolve against each of `references`'
+/// thresholds in turn ([`VariedCrossbar::sample_with_reference`], then
+/// [`VariedCrossbar::rereference`] on the same draw and table buffer).
 ///
 /// This is the soft half of lifetime degradation (DESIGN.md §12): under
 /// conductance drift the population follows
 /// [`DriftModel::variation_at`](autohet_xbar::drift::DriftModel::variation_at)
 /// while a *stale* readout still references the factory model — high
 /// deviation — whereas a *recalibrated* readout references the drifted
-/// model itself and recovers. `cfg.variation` is ignored here; draws,
+/// model itself and recovers. Both arms read the same seeded draws, so
+/// block programming, probes, ideal MVMs and the draws themselves are
+/// shared; each reference accumulates its own statistics in the same
+/// order, so entry `i` of the scores is bit-identical to a call with
+/// `&references[i]` alone. `cfg.variation` is ignored here; draws,
 /// probes, and seeding come from `cfg` so drift slices stay comparable
-/// to static noise slices. With `device == reference` this is exactly
+/// to static noise slices. With `references == [device]` this is exactly
 /// [`layer_noise`], bit for bit.
-pub fn layer_noise_with_reference(
+///
+/// An exact reference on an exact device scores [`LayerNoise::exact`]
+/// without a table; the returned [`SampleWork`] counts what was actually
+/// sampled and built.
+pub fn layer_noise_per_reference(
     layer: &Layer,
     shape: XbarShape,
     cost: &CostParams,
     cfg: &NoiseEvalConfig,
     device: &VariationModel,
-    reference: &VariationModel,
-) -> LayerNoise {
-    let exact = device == reference && device.is_exact();
-    if exact || cfg.draws == 0 || cfg.probes == 0 {
-        return LayerNoise::exact();
+    references: &[VariationModel],
+) -> (Vec<LayerNoise>, SampleWork) {
+    let mut scores = vec![LayerNoise::exact(); references.len()];
+    let read: Vec<usize> = (0..references.len())
+        .filter(|&i| !(references[i] == *device && device.is_exact()))
+        .collect();
+    if read.is_empty() || cfg.draws == 0 || cfg.probes == 0 {
+        return (scores, SampleWork::default());
     }
     // Representative block: the first grid block of the mapping — the
     // only block whose row range is always full-height, so it sees the
@@ -203,40 +226,61 @@ pub fn layer_noise_with_reference(
         .flat_map(|o| o.iter().map(|&v| v.abs() as f64))
         .fold(1.0, f64::max);
 
-    let outputs = cols.len();
-    let mut abs_sum = 0.0f64;
-    let mut worst = 0_i64;
-    let mut exact = 0_u64;
-    let mut argmax_hits = 0_u64;
+    let mut tallies = vec![Tally::default(); read.len()];
     for d in 0..cfg.draws {
-        let vc = VariedCrossbar::sample_with_reference(
-            &xb,
-            device,
-            reference,
-            splitmix(base ^ ((d as u64) << 8)),
-        );
-        for (probe, ideal) in probes.iter().zip(&ideal) {
-            let noisy = vc.mvm(probe, &adc);
-            for (&a, &b) in ideal.iter().zip(&noisy) {
-                let dev = (a - b).abs();
-                abs_sum += dev as f64;
-                if dev == 0 {
-                    exact += 1;
-                }
+        let seed = splitmix(base ^ ((d as u64) << 8));
+        let mut vc = VariedCrossbar::sample_with_reference(&xb, device, &references[read[0]], seed);
+        for (n, (tally, &i)) in tallies.iter_mut().zip(&read).enumerate() {
+            if n > 0 {
+                vc.rereference(&references[i]);
             }
-            worst = worst.max(max_abs_dev_i64(ideal, &noisy));
-            if argmax_i64(ideal) == argmax_i64(&noisy) {
-                argmax_hits += 1;
-            }
+            tally.score(&vc, &probes, &ideal, &adc);
         }
     }
-    let samples = (cfg.draws as u64 * cfg.probes as u64 * outputs as u64).max(1);
+    let samples = (cfg.draws as u64 * cfg.probes as u64 * cols.len() as u64).max(1);
     let trials = (cfg.draws as u64 * cfg.probes as u64).max(1);
-    LayerNoise {
-        mean_dev: abs_sum / samples as f64 / scale,
-        worst_dev: worst as f64 / scale,
-        exact_rate: exact as f64 / samples as f64,
-        argmax_rate: argmax_hits as f64 / trials as f64,
+    for (tally, &i) in tallies.iter().zip(&read) {
+        scores[i] = LayerNoise {
+            mean_dev: tally.abs_sum / samples as f64 / scale,
+            worst_dev: tally.worst as f64 / scale,
+            exact_rate: tally.exact as f64 / samples as f64,
+            argmax_rate: tally.argmax_hits as f64 / trials as f64,
+        };
+    }
+    let work = SampleWork {
+        device_draws: cfg.draws as u64,
+        readout_tables: cfg.draws as u64 * read.len() as u64,
+    };
+    (scores, work)
+}
+
+/// One reference's running deviation statistics over its draws.
+#[derive(Debug, Clone, Default)]
+struct Tally {
+    abs_sum: f64,
+    worst: i64,
+    exact: u64,
+    argmax_hits: u64,
+}
+
+impl Tally {
+    /// Push every probe through `vc` and fold its deviations from the
+    /// ideal outputs into the running statistics.
+    fn score(&mut self, vc: &VariedCrossbar, probes: &[Vec<u8>], ideal: &[Vec<i64>], adc: &Adc) {
+        for (probe, ideal) in probes.iter().zip(ideal) {
+            let noisy = vc.mvm(probe, adc);
+            for (&a, &b) in ideal.iter().zip(&noisy) {
+                let dev = (a - b).abs();
+                self.abs_sum += dev as f64;
+                if dev == 0 {
+                    self.exact += 1;
+                }
+            }
+            self.worst = self.worst.max(max_abs_dev_i64(ideal, &noisy));
+            if argmax_i64(ideal) == argmax_i64(&noisy) {
+                self.argmax_hits += 1;
+            }
+        }
     }
 }
 
@@ -282,20 +326,31 @@ mod tests {
         assert_ne!(small, large);
     }
 
+    /// One reference read alone: its own fresh draws, nothing shared.
+    fn alone(
+        l: &Layer,
+        shape: XbarShape,
+        cfg: &NoiseEvalConfig,
+        device: &VariationModel,
+        reference: &VariationModel,
+    ) -> LayerNoise {
+        layer_noise_per_reference(l, shape, &cost(), cfg, device, &[*reference]).0[0]
+    }
+
     #[test]
     fn reference_equal_to_device_matches_layer_noise() {
+        // Even when a second reference re-reads the same draws after it.
         let l = Layer::conv(3, 12, 64, 3, 1, 1, 8);
         let cfg = NoiseEvalConfig::default();
         let a = layer_noise(&l, XbarShape::square(64), &cost(), &cfg);
-        let b = layer_noise_with_reference(
-            &l,
-            XbarShape::square(64),
-            &cost(),
-            &cfg,
-            &cfg.variation,
-            &cfg.variation,
-        );
-        assert_eq!(a, b);
+        let v = cfg.variation;
+        let shifted = VariationModel {
+            r_on: v.r_on * 1.5,
+            ..v
+        };
+        let (b, _) =
+            layer_noise_per_reference(&l, XbarShape::square(64), &cost(), &cfg, &v, &[v, shifted]);
+        assert_eq!(a, b[0]);
     }
 
     #[test]
@@ -309,8 +364,8 @@ mod tests {
             ..factory
         };
         let shape = XbarShape::square(64);
-        let stale = layer_noise_with_reference(&l, shape, &cost(), &cfg, &drifted, &factory);
-        let recal = layer_noise_with_reference(&l, shape, &cost(), &cfg, &drifted, &drifted);
+        let stale = alone(&l, shape, &cfg, &drifted, &factory);
+        let recal = alone(&l, shape, &cfg, &drifted, &drifted);
         assert!(
             stale.mean_dev > 2.0 * recal.mean_dev,
             "stale {} vs recalibrated {}",
@@ -318,6 +373,63 @@ mod tests {
             recal.mean_dev
         );
         assert!(stale.argmax_rate <= recal.argmax_rate);
+    }
+
+    fn bits(n: &LayerNoise) -> [u64; 4] {
+        [
+            n.mean_dev.to_bits(),
+            n.worst_dev.to_bits(),
+            n.exact_rate.to_bits(),
+            n.argmax_rate.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn one_draw_scores_every_reference_like_separate_calls() {
+        let l = Layer::conv(1, 12, 64, 3, 1, 1, 8);
+        let cfg = NoiseEvalConfig::default();
+        let drift = autohet_xbar::DriftModel::nominal();
+        let (stale, drifted) = (drift.base, drift.variation_at(3_000.0));
+        for shape in [XbarShape::square(64), XbarShape::new(72, 32)] {
+            let (scores, work) =
+                layer_noise_per_reference(&l, shape, &cost(), &cfg, &drifted, &[stale, drifted]);
+            for (score, reference) in scores.iter().zip([stale, drifted]) {
+                let one = alone(&l, shape, &cfg, &drifted, &reference);
+                assert_eq!(bits(score), bits(&one), "{shape:?}");
+            }
+            assert_ne!(scores[0], scores[1], "the arms must differ at hour 3000");
+            assert_eq!(
+                work,
+                SampleWork {
+                    device_draws: 3,
+                    readout_tables: 6,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn exact_reference_on_exact_device_stays_exact_beside_a_read_one() {
+        let l = Layer::conv(0, 12, 64, 3, 1, 1, 8);
+        let cfg = NoiseEvalConfig::default();
+        let exact = VariationModel::ideal();
+        let shifted = VariationModel {
+            r_on: exact.r_on * 1.5,
+            r_off: exact.r_off * 1.5,
+            ..exact
+        };
+        let shape = XbarShape::square(64);
+        let (scores, work) =
+            layer_noise_per_reference(&l, shape, &cost(), &cfg, &exact, &[exact, shifted]);
+        assert_eq!(scores[0], LayerNoise::exact());
+        assert_eq!(
+            bits(&scores[1]),
+            bits(&alone(&l, shape, &cfg, &exact, &shifted))
+        );
+        assert_ne!(scores[1], LayerNoise::exact());
+        assert_eq!(work.readout_tables, 3);
+        let (_, none) = layer_noise_per_reference(&l, shape, &cost(), &cfg, &exact, &[exact]);
+        assert_eq!(none, SampleWork::default());
     }
 
     #[test]

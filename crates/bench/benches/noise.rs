@@ -68,7 +68,9 @@ fn bench_variation_mvm(c: &mut Criterion) {
 }
 
 /// Sampling cost: one lognormal draw over every cell plus the per-unit
-/// readout LUT build — the once-per-draw setup the MC evaluator pays.
+/// readout LUT build — the once-per-draw setup the MC evaluator pays —
+/// and the LUT build alone, which is all a second readout reference
+/// of the same draw costs.
 fn bench_sampling(c: &mut Criterion) {
     let xb = programmed_108x64();
     let model = VariationModel::hypermetric();
@@ -79,6 +81,16 @@ fn bench_sampling(c: &mut Criterion) {
         b.iter(|| {
             seed = seed.wrapping_add(1);
             black_box(VariedCrossbar::sample(&xb, &model, seed))
+        })
+    });
+    let drifted = autohet_xbar::DriftModel::nominal().variation_at(3_000.0);
+    let mut varied = VariedCrossbar::sample_with_reference(&xb, &drifted, &model, 7);
+    let references = [model, drifted];
+    let mut turn = 0;
+    g.bench_function("rereference_108x64", |b| {
+        b.iter(|| {
+            turn ^= 1;
+            varied.rereference(black_box(&references[turn]));
         })
     });
     g.finish();

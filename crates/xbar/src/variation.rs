@@ -19,9 +19,9 @@
 //!   analog sum.
 //! - [`VariedCrossbar::mvm`] / [`VariedCrossbar::mvm_packed`]: the fast
 //!   path — per (plane, column, unit) the count for *every* `2^S_ou`
-//!   activation pattern is precomputed once at sampling time with the
-//!   same `f64` arithmetic (same ascending-row summation order), so the
-//!   hot loop is a pure integer table walk over the packed input's
+//!   activation pattern is precomputed once per readout reference with
+//!   the same `f64` arithmetic (same ascending-row summation order), so
+//!   the hot loop is a pure integer table walk over the packed input's
 //!   wordline bits. Bit-identical to the reference by construction;
 //!   property-tested in `tests/prop_variation.rs`.
 
@@ -142,9 +142,11 @@ impl VariationModel {
 /// pattern tables are precomputed so MVMs under variation run on the
 /// integer fast path instead of the dense `f64` fallback.
 ///
-/// The sampled state is immutable — re-rolling the devices means taking
-/// a fresh [`VariedCrossbar::sample`] with a different seed, which is
-/// exactly what Monte-Carlo robustness evaluation wants.
+/// The sampled devices are fixed for the draw's lifetime — re-rolling
+/// them means taking a fresh [`VariedCrossbar::sample`] with a different
+/// seed, which is exactly what Monte-Carlo robustness evaluation wants.
+/// Only the readout can change: [`VariedCrossbar::rereference`] re-reads
+/// the same devices against another reference model.
 #[derive(Debug, Clone)]
 pub struct VariedCrossbar {
     model: VariationModel,
@@ -153,9 +155,12 @@ pub struct VariedCrossbar {
     rows_used: usize,
     cols_used: usize,
     units: usize,
-    /// `currents[b][r * cols_used + c]` = sampled cell current (A) of
-    /// slice `b`, compact over the used region only.
-    currents: Vec<Vec<f64>>,
+    planes: usize,
+    /// `cells[r * cols_used + c][b]` = sampled cell current (A) of slice
+    /// `b`, compact over the used region only; lanes past the last plane
+    /// hold `0.0`, which no reference current reaches, so they resolve
+    /// to a zero count.
+    cells: Vec<[f64; 8]>,
     /// Quantized readout tables:
     /// `table[(j·units + u) << s_ou | pattern]` holds, in byte lane `b`,
     /// the digital LRS count unit `u` of column `j`, slice `b` resolves
@@ -209,82 +214,147 @@ impl VariedCrossbar {
             xb.is_bit_packed(),
             "variation must be sampled from exact programmed levels"
         );
+        let planes = xb.planes().len();
+        assert!(
+            planes <= 8,
+            "packed variation supports at most 8 bit planes"
+        );
         let shape = xb.shape();
         let (rows_used, cols_used) = xb.used();
         let stride = shape.cols as usize;
         let mut rng = SmallRng::seed_from_u64(seed);
         let lrs = LogNormal::new(model.r_on.ln(), model.dev_on);
         let hrs = LogNormal::new(model.r_off.ln(), model.dev_off);
-        let currents: Vec<Vec<f64>> = xb
-            .planes()
-            .iter()
-            .map(|plane| {
-                let mut cur = Vec::with_capacity(rows_used * cols_used);
-                for row in plane.chunks(stride).take(rows_used) {
-                    for &level in &row[..cols_used] {
-                        let r = if level >= 0.5 {
-                            lrs.sample(&mut rng)
-                        } else {
-                            hrs.sample(&mut rng)
-                        };
-                        cur.push(model.v_read / r);
-                    }
-                }
-                cur
-            })
-            .collect();
-
-        let s_ou = model.s_ou as usize;
-        let units = rows_used.div_ceil(s_ou).max(1);
-        let patterns = 1usize << s_ou;
-        // One u64 per (column, unit, pattern): plane b's readout count
-        // lives in byte lane b, so the hot loop adds all planes with a
-        // single integer add (counts are ≤ s_ou ≤ 8, lanes cannot collide
-        // within one add).
-        assert!(
-            currents.len() <= 8,
-            "packed variation supports at most 8 bit planes"
-        );
-        let mut table = vec![0u64; cols_used * units * patterns];
-        for (b, cur) in currents.iter().enumerate() {
-            let mut idx = 0;
-            for j in 0..cols_used {
-                for u in 0..units {
-                    let base = u * s_ou;
-                    for p in 0..patterns {
-                        // Ascending-bit summation: identical order (and
-                        // therefore identical f64 rounding) to the scalar
-                        // reference's ascending-row walk.
-                        let mut current = 0.0;
-                        let mut activated = 0usize;
-                        for bit in 0..s_ou {
-                            let r = base + bit;
-                            if p & (1 << bit) != 0 && r < rows_used {
-                                current += cur[r * cols_used + j];
-                                activated += 1;
-                            }
-                        }
-                        table[idx] |= (reference.count(current, activated) as u64) << (8 * b);
-                        idx += 1;
-                    }
+        let mut cells = vec![[0.0; 8]; rows_used * cols_used];
+        for (b, plane) in xb.planes().iter().enumerate() {
+            for (r, row) in plane.chunks(stride).take(rows_used).enumerate() {
+                for (cell, &level) in cells[r * cols_used..][..cols_used]
+                    .iter_mut()
+                    .zip(&row[..cols_used])
+                {
+                    let r = if level >= 0.5 {
+                        lrs.sample(&mut rng)
+                    } else {
+                        hrs.sample(&mut rng)
+                    };
+                    cell[b] = model.v_read / r;
                 }
             }
         }
-        VariedCrossbar {
+        let mut varied = VariedCrossbar {
             model: *reference,
             shape,
             weight_bits: xb.weight_bits(),
             rows_used,
             cols_used,
-            units,
-            currents,
-            table,
+            units: rows_used.div_ceil(model.s_ou as usize).max(1),
+            planes,
+            cells,
+            table: Vec::new(),
+        };
+        varied.build_table();
+        varied
+    }
+
+    /// Re-read this draw against `reference`: the sampled cell currents
+    /// stay, and the readout tables are rebuilt in place. The result is
+    /// bit-identical to a fresh [`VariedCrossbar::sample_with_reference`]
+    /// with the same crossbar, device model and seed — one device draw
+    /// can serve a stale and a recalibrated readout in turn.
+    pub fn rereference(&mut self, reference: &VariationModel) {
+        reference.validate();
+        assert_eq!(
+            self.model.s_ou, reference.s_ou,
+            "device and reference models must share the operation-unit size"
+        );
+        self.model = *reference;
+        self.build_table();
+    }
+
+    /// (Re)build the readout tables against `self.model`, dispatching the
+    /// operation-unit size to a compile-time constant.
+    fn build_table(&mut self) {
+        match self.model.s_ou {
+            1 => self.build_table_for::<1>(),
+            2 => self.build_table_for::<2>(),
+            4 => self.build_table_for::<4>(),
+            8 => self.build_table_for::<8>(),
+            s => unreachable!("validated s_ou {s}"),
+        }
+    }
+
+    /// One `u64` per (column, unit, pattern): plane `b`'s readout count
+    /// lives in byte lane `b`, so the hot loop adds all planes with a
+    /// single integer add (counts are ≤ s_ou ≤ 8, lanes cannot collide
+    /// within one add).
+    ///
+    /// All ≤ 8 planes of one (column, unit) resolve together, and the
+    /// result stays bit-identical to [`VariationModel::count`] over the
+    /// scalar reference's ascending-row sums:
+    /// - a pattern's bitline sum is the sum of the same pattern without
+    ///   its highest set bit, plus that bit's cell — the same
+    ///   ascending-bit `f64` additions in the same order (bits past
+    ///   `rows_used` add nothing, as in the reference);
+    /// - the threshold ladder is computed once per table with
+    ///   [`VariationModel::threshold`] itself, as a running maximum
+    ///   padded with `+∞` past `activated`. A sum meets the running
+    ///   maximum of steps `1..=k` exactly when it meets every one of
+    ///   them, so counting the steps met is the `while` loop's leading
+    ///   run of met thresholds, even where rounding leaves the raw
+    ///   ladder non-monotone.
+    fn build_table_for<const S: usize>(&mut self) {
+        let patterns = 1usize << S;
+        let mut ladder = [[f64::INFINITY; S]; 9];
+        for (activated, steps) in ladder.iter_mut().enumerate().take(S + 1) {
+            let mut max = f64::NEG_INFINITY;
+            for (k, step) in steps.iter_mut().enumerate().take(activated) {
+                max = max.max(self.model.threshold(k + 1, activated));
+                *step = max;
+            }
+        }
+        let (rows_used, cols_used) = (self.rows_used, self.cols_used);
+        self.table.clear();
+        self.table.resize(cols_used * self.units * patterns, 0);
+        let mut sums = [[0.0f64; 8]; 256];
+        let mut activated = [0usize; 256];
+        let mut words = self.table.chunks_exact_mut(patterns);
+        for j in 0..cols_used {
+            for u in 0..self.units {
+                let base = u * S;
+                let live = (rows_used - base).min(S);
+                for p in 1..patterns {
+                    let high = (usize::BITS - 1 - p.leading_zeros()) as usize;
+                    let rest = p ^ (1 << high);
+                    if high < live {
+                        let cell = &self.cells[(base + high) * cols_used + j];
+                        let prev = sums[rest];
+                        for (s, (&a, &c)) in sums[p].iter_mut().zip(prev.iter().zip(cell)) {
+                            *s = a + c;
+                        }
+                        activated[p] = activated[rest] + 1;
+                    } else {
+                        sums[p] = sums[rest];
+                        activated[p] = activated[rest];
+                    }
+                }
+                let unit = words.next().expect("table sized per (column, unit)");
+                for ((word, sum), &a) in unit.iter_mut().zip(&sums).zip(&activated) {
+                    let mut counts = [0u8; 8];
+                    for &t in &ladder[a] {
+                        for (n, &s) in counts.iter_mut().zip(sum) {
+                            *n += (s >= t) as u8;
+                        }
+                    }
+                    *word = u64::from_le_bytes(counts);
+                }
+            }
         }
     }
 
     /// The *reference* model this draw resolves its readout against
     /// (equal to the device model unless the draw was taken with
-    /// [`VariedCrossbar::sample_with_reference`]).
+    /// [`VariedCrossbar::sample_with_reference`] or re-read with
+    /// [`VariedCrossbar::rereference`]).
     pub fn model(&self) -> &VariationModel {
         &self.model
     }
@@ -328,7 +398,7 @@ impl VariedCrossbar {
         let pattern_mask = (1u64 << s_ou) - 1;
         let units = self.units;
         let per_col = units << s_ou;
-        let planes = self.currents.len();
+        let planes = self.planes;
         // A byte lane overflows once accumulated counts exceed 255; each
         // unit contributes at most s_ou, so spill every ⌊255/s_ou⌋ units.
         let chunk = (255 / s_ou).max(1);
@@ -387,7 +457,7 @@ impl VariedCrossbar {
             if plane_t.iter().all(|&v| v == 0) {
                 continue;
             }
-            for (b, cur) in self.currents.iter().enumerate() {
+            for b in 0..self.planes {
                 let shift = t + b as u32;
                 for (j, a) in acc.iter_mut().enumerate() {
                     let mut sum = 0_i64;
@@ -395,9 +465,10 @@ impl VariedCrossbar {
                         let base = u * s_ou;
                         let mut current = 0.0;
                         let mut activated = 0usize;
-                        for r in base..(base + s_ou).min(self.rows_used) {
-                            if plane_t[r] != 0 {
-                                current += cur[r * self.cols_used + j];
+                        let end = (base + s_ou).min(self.rows_used);
+                        for (r, &bit) in plane_t.iter().enumerate().take(end).skip(base) {
+                            if bit != 0 {
+                                current += self.cells[r * self.cols_used + j][b];
                                 activated += 1;
                             }
                         }

@@ -10,71 +10,139 @@ use autohet::prelude::*;
 use autohet::robust::NsgaConfig;
 use autohet_accel::robustness::layer_noise;
 use autohet_dnn::Layer;
-use autohet_xbar::{Adc, CostParams, Crossbar, VariedCrossbar, XbarShape};
+use autohet_xbar::{Adc, CostParams, Crossbar, DriftModel, VariedCrossbar, XbarShape};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A programmed 1-bit-cell crossbar of arbitrary geometry with one
-/// sampled variation draw, an input vector, and an ADC resolution.
-/// Shapes run up to the paper's 108×64 bit-serial configuration and unit
-/// sizes over every supported S_ou.
-fn arb_varied() -> impl Strategy<Value = (Crossbar, VariedCrossbar, Vec<u8>, u32)> {
+/// A programmed 1-bit-cell crossbar of arbitrary geometry and weight
+/// precision with one sampled variation draw, an input vector, and an
+/// ADC resolution. Shapes run up to the paper's 108×64 bit-serial
+/// configuration, unit sizes over every supported S_ou, and weights over
+/// 2..=8 bits, so some of the table's byte lanes go unused.
+#[derive(Debug)]
+struct Varied {
+    xb: Crossbar,
+    /// The model the draw's cell currents follow.
+    device: VariationModel,
+    /// The readout reference the draw was sampled with.
+    reference: VariationModel,
+    /// The other reference of the (factory, drifted) pair.
+    other: VariationModel,
+    seed: u64,
+    varied: VariedCrossbar,
+    input: Vec<u8>,
+    adc_bits: u32,
+}
+
+/// The (device, reference) pair is one of: both factory; a drifted
+/// device read with the factory reference (stale); or drifted both
+/// (recalibrated).
+fn arb_varied() -> impl Strategy<Value = Varied> {
     (
-        1usize..=108,
-        1usize..=64,
-        prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
-        2u32..=12,
-        any::<u64>(),
-        any::<u64>(),
+        (
+            1usize..=108,
+            1usize..=64,
+            prop_oneof![Just(1u32), Just(2), Just(4), Just(8)],
+            2u32..=12,
+        ),
+        (2u32..=8, 0u8..3, 100.0f64..20_000.0),
+        (any::<u64>(), any::<u64>()),
     )
-        .prop_map(|(rows, cols, s_ou, adc_bits, weight_seed, draw_seed)| {
-            let mut rng = SmallRng::seed_from_u64(weight_seed);
-            let weights: Vec<Vec<i32>> = (0..rows)
-                .map(|_| (0..cols).map(|_| rng.gen_range(-127..=127)).collect())
-                .collect();
-            let shape = XbarShape::new(rows.next_power_of_two().max(4) as u32, cols as u32);
-            let xb = Crossbar::program(shape, &weights, 8);
-            let model = VariationModel {
-                s_ou,
-                ..VariationModel::hypermetric()
-            };
-            let varied = VariedCrossbar::sample(&xb, &model, draw_seed);
-            let input: Vec<u8> = (0..rows).map(|_| rng.gen()).collect();
-            (xb, varied, input, adc_bits)
-        })
+        .prop_map(
+            |((rows, cols, s_ou, adc_bits), (weight_bits, pair, t_hours), (weight_seed, seed))| {
+                let mut rng = SmallRng::seed_from_u64(weight_seed);
+                let offset = 1i32 << (weight_bits - 1);
+                let weights: Vec<Vec<i32>> = (0..rows)
+                    .map(|_| (0..cols).map(|_| rng.gen_range(-offset..offset)).collect())
+                    .collect();
+                let shape = XbarShape::new(rows.next_power_of_two().max(4) as u32, cols as u32);
+                let xb = Crossbar::program(shape, &weights, weight_bits);
+                let factory = VariationModel {
+                    s_ou,
+                    ..VariationModel::hypermetric()
+                };
+                let drifted = DriftModel {
+                    base: factory,
+                    ..DriftModel::nominal()
+                }
+                .variation_at(t_hours);
+                let (device, reference, other) = match pair {
+                    0 => (factory, factory, drifted),
+                    1 => (drifted, factory, drifted),
+                    _ => (drifted, drifted, factory),
+                };
+                let varied = VariedCrossbar::sample_with_reference(&xb, &device, &reference, seed);
+                let input: Vec<u8> = (0..rows).map(|_| rng.gen()).collect();
+                Varied {
+                    xb,
+                    device,
+                    reference,
+                    other,
+                    seed,
+                    varied,
+                    input,
+                    adc_bits,
+                }
+            },
+        )
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Packed LUT fast path == scalar per-threshold reference, bit for
-    // bit, across shapes, seeds, unit sizes and saturating ADCs.
+    // bit, across shapes, seeds, unit sizes, weight precisions, stale
+    // and recalibrated readouts and saturating ADCs.
     #[test]
-    fn packed_variation_mvm_matches_scalar_reference(
-        (_xb, varied, input, adc_bits) in arb_varied(),
-    ) {
-        let adc = Adc::new(adc_bits);
-        prop_assert_eq!(varied.mvm(&input, &adc), varied.mvm_scalar(&input, &adc));
+    fn packed_variation_mvm_matches_scalar_reference(case in arb_varied()) {
+        let adc = Adc::new(case.adc_bits);
+        prop_assert_eq!(
+            case.varied.mvm(&case.input, &adc),
+            case.varied.mvm_scalar(&case.input, &adc)
+        );
+    }
+
+    // One device draw re-read against the pair's other reference is the
+    // fresh draw with that reference, bit for bit, and both match the
+    // scalar reference; reading back the first reference restores the
+    // original draw.
+    #[test]
+    fn rereferenced_draw_matches_a_fresh_draw(case in arb_varied()) {
+        let adc = Adc::new(case.adc_bits);
+        let mut reread = case.varied.clone();
+        reread.rereference(&case.other);
+        let fresh =
+            VariedCrossbar::sample_with_reference(&case.xb, &case.device, &case.other, case.seed);
+        let out = fresh.mvm(&case.input, &adc);
+        prop_assert_eq!(reread.mvm(&case.input, &adc), out.clone());
+        prop_assert_eq!(reread.mvm_scalar(&case.input, &adc), out.clone());
+        prop_assert_eq!(fresh.mvm_scalar(&case.input, &adc), out);
+        reread.rereference(&case.reference);
+        prop_assert_eq!(
+            reread.mvm(&case.input, &adc),
+            case.varied.mvm(&case.input, &adc)
+        );
     }
 
     // Sampling is a pure function of (crossbar, model, seed).
     #[test]
     fn variation_sampling_is_seed_deterministic(
-        (xb, varied, input, adc_bits) in arb_varied(),
+        case in arb_varied(),
         other_seed in any::<u64>(),
     ) {
-        let again = VariedCrossbar::sample(&xb, varied.model(), 0xD5AA_11CE);
-        let twice = VariedCrossbar::sample(&xb, varied.model(), 0xD5AA_11CE);
-        let adc = Adc::new(adc_bits);
-        prop_assert_eq!(again.mvm(&input, &adc), twice.mvm(&input, &adc));
+        let (xb, input) = (&case.xb, &case.input);
+        let again = VariedCrossbar::sample(xb, case.varied.model(), 0xD5AA_11CE);
+        let twice = VariedCrossbar::sample(xb, case.varied.model(), 0xD5AA_11CE);
+        let adc = Adc::new(case.adc_bits);
+        prop_assert_eq!(again.mvm(input, &adc), twice.mvm(input, &adc));
         // And an ideal draw reproduces the noise-free crossbar exactly,
         // whatever the seed.
-        let exact = VariedCrossbar::sample(&xb, &VariationModel {
-            s_ou: varied.model().s_ou,
+        let exact = VariedCrossbar::sample(xb, &VariationModel {
+            s_ou: case.varied.model().s_ou,
             ..VariationModel::ideal()
         }, other_seed);
-        prop_assert_eq!(exact.mvm(&input, &adc), xb.mvm(&input, &adc));
+        prop_assert_eq!(exact.mvm(input, &adc), xb.mvm(input, &adc));
     }
 
     // The Monte-Carlo noise oracle is deterministic in its config and
