@@ -701,10 +701,30 @@ fn campaign_health(seed: u64, scale: f64, policy: RecoveryPolicy) -> Option<Heal
 ///
 /// Cells are evaluated with [`par_map`]; the report is bit-identical to
 /// a sequential sweep because every cell is independent and seeded.
+///
+/// Panics before any work on a bad configuration: a non-positive load,
+/// request count or replica count, an empty sweep, or a negative or
+/// non-finite drift scale or epoch.
 pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> LifetimeCampaignReport {
     let _span = autohet_obs::trace::span("study.lifetime_campaign");
     assert!(cfg.load > 0.0, "load must be positive");
     assert!(!cfg.drift_scales.is_empty(), "empty drift-scale sweep");
+    assert!(
+        cfg.drift_scales.iter().all(|s| s.is_finite() && *s >= 0.0),
+        "drift_scales must be finite and non-negative, got {:?}",
+        cfg.drift_scales
+    );
+    assert!(
+        cfg.epoch_hours.is_finite() && cfg.epoch_hours >= 0.0,
+        "epoch_hours must be finite and non-negative, got {}",
+        cfg.epoch_hours
+    );
+    // A non-positive request count leaves a zero serving horizon.
+    assert!(
+        cfg.requests.is_finite() && cfg.requests > 0.0,
+        "requests must be finite and positive, got {}",
+        cfg.requests
+    );
     assert!(cfg.replicas >= 1, "need at least one replica");
     let base = AccelConfig::default();
     let shared = base.with_tile_sharing();
@@ -1245,6 +1265,36 @@ mod tests {
                 assert!(n.noise_dev >= f.noise_dev);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "drift_scales must be finite and non-negative")]
+    fn lifetime_campaign_rejects_a_negative_drift_scale() {
+        let cfg = LifetimeCampaignConfig {
+            drift_scales: vec![0.0, -1.0],
+            ..small_lifetime()
+        };
+        lifetime_campaign(&zoo::micro_cnn(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch_hours must be finite and non-negative")]
+    fn lifetime_campaign_rejects_a_non_finite_epoch() {
+        let cfg = LifetimeCampaignConfig {
+            epoch_hours: f64::NAN,
+            ..small_lifetime()
+        };
+        lifetime_campaign(&zoo::micro_cnn(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests must be finite and positive")]
+    fn lifetime_campaign_rejects_zero_requests() {
+        let cfg = LifetimeCampaignConfig {
+            requests: 0.0,
+            ..small_lifetime()
+        };
+        lifetime_campaign(&zoo::micro_cnn(), &cfg);
     }
 
     #[test]
