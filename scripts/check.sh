@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The benchmark measures the release build with target-cpu=native, where
+# the optimizer vectorizes the plane-parallel readout-table sums: check
+# the bit-identity contracts in that build too, not only in debug.
+cargo test --release -q -p autohet-xbar -p autohet-accel --lib
+cargo test --release -q -p autohet --test prop_variation --test prop_repair_degradation \
+  --test golden_study_rows
 # Smoke-run the kernel and end-to-end search benches (with real criterion,
 # --test runs each closure once; the offline stub just times a short run)
 # so bench-only breakage fails the gate too.
