@@ -110,8 +110,10 @@ fn bench_crossbar_shapes(c: &mut Criterion) {
     g.finish();
 }
 
-/// The GEMM kernel the batched MLP training runs on: one 64×64 weight
-/// matrix against a 64-sample stacked batch, versus per-sample matvecs.
+/// The three GEMM kernels the batched MLP training runs on, each one
+/// 64×64 weight matrix against a 64-sample batch: the forward product
+/// (`gemm`), the input-gradient product (`gemm_t`) and the weight-gradient
+/// outer product (`outer`), versus per-sample matvecs.
 fn bench_matmul(c: &mut Criterion) {
     let mut rng_vals = (0..64usize * 64).map(|i| ((i * 37) as f64 * 0.01).sin());
     let mut m = Matrix::zeros(64, 64);
@@ -125,10 +127,23 @@ fn bench_matmul(c: &mut Criterion) {
     g.throughput(Throughput::Elements((64 * 64 * 64) as u64));
     g.bench_function("gemm_64x64_b64", |b| {
         let mut out = Vec::new();
-        let mut stage = Vec::new();
         b.iter(|| {
-            m.matmul_xt(black_box(&xs), 64, &mut out, &mut stage);
+            m.matmul_fm(black_box(&xs), 64, &mut out);
             black_box(out.last().copied())
+        })
+    });
+    g.bench_function("gemm_t_64x64_b64", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            m.matmul_t_fm(black_box(&xs), 64, &mut out);
+            black_box(out.last().copied())
+        })
+    });
+    g.bench_function("outer_64x64_b64", |b| {
+        let mut a = Matrix::zeros(64, 64);
+        b.iter(|| {
+            a.add_outer_batch_fm(black_box(&xs), black_box(&xs), 64);
+            black_box(a.data()[0])
         })
     });
     g.bench_function("matvec_64x64_b64", |b| {

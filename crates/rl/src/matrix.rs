@@ -83,18 +83,18 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `y = A·x` (length `rows`).
+    /// `y = A·x` (length `rows`): the per-sample oracle of
+    /// [`Matrix::matmul_fm`]. Each dot folds from `+0.0` in ascending `k`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);
-        let mut y = vec![0.0; self.rows];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            *yr = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        y
+        self.data
+            .chunks_exact(self.cols)
+            .map(|row| row.iter().zip(x).fold(0.0, |acc, (a, b)| acc + a * b))
+            .collect()
     }
 
-    /// `y = Aᵀ·g` (length `cols`) — input-gradient propagation.
+    /// `y = Aᵀ·g` (length `cols`) — input-gradient propagation; the
+    /// per-sample oracle of [`Matrix::matmul_t_fm`].
     pub fn matvec_t(&self, g: &[f64]) -> Vec<f64> {
         assert_eq!(g.len(), self.rows);
         let mut y = vec![0.0; self.cols];
@@ -107,7 +107,8 @@ impl Matrix {
         y
     }
 
-    /// `A += g ⊗ x` (outer product) — weight-gradient accumulation.
+    /// `A += g ⊗ x` (outer product) — weight-gradient accumulation; the
+    /// per-sample oracle of [`Matrix::add_outer_batch_fm`].
     pub fn add_outer(&mut self, g: &[f64], x: &[f64]) {
         assert_eq!(g.len(), self.rows);
         assert_eq!(x.len(), self.cols);
@@ -126,165 +127,239 @@ impl Matrix {
 
     // ---- Batched (GEMM) kernels ----------------------------------------
     //
-    // All three walk the weight matrix row-by-row in the outer loop so one
-    // row stays hot across the whole minibatch, but every *element* of the
-    // result is produced by the exact floating-point accumulation order of
-    // the per-sample kernel above (k-ascending dots, r-ascending transpose
-    // sums, s-ascending gradient accumulation) — so batched training is
-    // bit-identical to a per-sample loop (DESIGN.md §9).
-
-    /// `out[s] = A·x_s` for `batch` inputs stacked batch-major in `xs`
-    /// (`batch × cols`); writes `batch × rows` into `out` (reusing its
-    /// allocation, with `scratch` as the staging buffer).
-    ///
-    /// Internally the batch is staged feature-major so the hot loop is a
-    /// broadcast-multiply over a contiguous sample vector — `batch`
-    /// independent accumulator chains the compiler can vectorize, where
-    /// `matvec`'s single serial dot cannot be. The staging transposes are
-    /// pure data movement: every output element still accumulates its
-    /// products from 0.0 in ascending-k order, exactly like `matvec`'s
-    /// dot, so results are bit-identical to the per-sample call.
-    pub fn matmul_xt(&self, xs: &[f64], batch: usize, out: &mut Vec<f64>, scratch: &mut Vec<f64>) {
-        assert_eq!(xs.len(), batch * self.cols);
-        out.clear();
-        out.resize(batch * self.rows, 0.0);
-        if batch == 1 {
-            // Single sample: skip the staging round-trip.
-            for (o, row) in out.iter_mut().zip(self.data.chunks(self.cols)) {
-                *o = row.iter().zip(xs).map(|(a, b)| a * b).sum();
-            }
-            return;
-        }
-        scratch.clear();
-        scratch.resize((self.cols + self.rows) * batch, 0.0);
-        let (xt, yt) = scratch.split_at_mut(self.cols * batch);
-        transpose_into(xs, batch, self.cols, xt);
-        self.matmul_fm_core(xt, batch, yt);
-        transpose_into(yt, self.rows, batch, out);
-    }
+    // All three are the register-tiled microkernel `gemm` over different
+    // operand strides. Every *element* of a result keeps the exact fold of
+    // its per-sample oracle above — k-ascending dots, r-ascending
+    // transpose sums, s-ascending gradient accumulation, each step one
+    // rounded multiply then one rounded add — so batched training is
+    // bit-identical to a per-sample loop at any batch size (DESIGN.md §9).
 
     /// Feature-major GEMM: `yt = A·xt` where `xt` is `cols × batch` and
     /// `yt` comes out `rows × batch` (reusing its allocation). This is the
-    /// layout the MLP keeps activations in between layers — no staging
-    /// transposes. Each output element accumulates its products from 0.0
-    /// in ascending-k order, exactly like `matvec`'s dot.
+    /// layout the MLP keeps activations in between layers. Each output
+    /// element folds its products from `+0.0` in ascending `k`, exactly
+    /// like [`Matrix::matvec`].
     pub fn matmul_fm(&self, xt: &[f64], batch: usize, yt: &mut Vec<f64>) {
+        self.matmul_fm_epilogue(xt, batch, yt, None, |_| |v| v);
+    }
+
+    /// [`Matrix::matmul_fm`] with a fused epilogue: output element `(r, s)`
+    /// is `row_map(r)(dot)`, applied as its tile leaves the registers, and
+    /// is also written batch-major into `mirror` (`batch × rows`) when
+    /// given. The dense layer's bias, activation and mirror write happen
+    /// here.
+    pub(crate) fn matmul_fm_epilogue<G: Fn(f64) -> f64>(
+        &self,
+        xt: &[f64],
+        batch: usize,
+        yt: &mut Vec<f64>,
+        mirror: Option<&mut [f64]>,
+        row_map: impl Fn(usize) -> G,
+    ) {
         assert_eq!(xt.len(), batch * self.cols);
         yt.clear();
         yt.resize(batch * self.rows, 0.0);
-        if batch == 1 {
-            // Single sample (both layouts coincide): plain dots.
-            for (o, row) in yt.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-                *o = row.iter().zip(xt).map(|(a, b)| a * b).sum();
-            }
-            return;
-        }
-        self.matmul_fm_core(xt, batch, yt);
-    }
-
-    /// `matmul_fm` on a pre-zeroed output slice.
-    ///
-    /// `chunks_exact` (sizes divide exactly by construction) lets the
-    /// compiler vectorize the broadcast inner loop across the batch.
-    fn matmul_fm_core(&self, xt: &[f64], batch: usize, yt: &mut [f64]) {
-        for (row, y) in self
-            .data
-            .chunks_exact(self.cols)
-            .zip(yt.chunks_exact_mut(batch))
-        {
-            for (&a, xk) in row.iter().zip(xt.chunks_exact(batch)) {
-                for (yv, &xv) in y.iter_mut().zip(xk) {
-                    *yv += a * xv;
-                }
-            }
-        }
+        let ops = Operands {
+            p: &self.data,
+            pi: self.cols,
+            pt: 1,
+            q: xt,
+            qt: batch,
+            k: self.cols,
+        };
+        gemm(ops, Out::new(yt, mirror, self.rows, batch, false), row_map);
     }
 
     /// Feature-major transpose product: `din = Aᵀ·g` where `g` is
     /// `rows × batch` and `din` comes out `cols × batch`. Every element
-    /// accumulates over `r` in ascending order, like `matvec_t`.
+    /// folds over `r` from `+0.0` in ascending order, like
+    /// [`Matrix::matvec_t`].
     pub fn matmul_t_fm(&self, g_fm: &[f64], batch: usize, din: &mut Vec<f64>) {
         assert_eq!(g_fm.len(), batch * self.rows);
         din.clear();
         din.resize(batch * self.cols, 0.0);
-        if batch == 1 {
-            for (row, &gr) in self.data.chunks_exact(self.cols).zip(g_fm) {
-                for (dv, &a) in din.iter_mut().zip(row) {
-                    *dv += a * gr;
-                }
-            }
-            return;
-        }
-        for (row, g_r) in self
-            .data
-            .chunks_exact(self.cols)
-            .zip(g_fm.chunks_exact(batch))
-        {
-            for (&a, d_c) in row.iter().zip(din.chunks_exact_mut(batch)) {
-                for (dv, &gv) in d_c.iter_mut().zip(g_r) {
-                    *dv += a * gv;
-                }
-            }
-        }
+        let ops = Operands {
+            p: &self.data,
+            pi: 1,
+            pt: self.cols,
+            q: g_fm,
+            qt: batch,
+            k: self.rows,
+        };
+        gemm(ops, Out::new(din, None, self.cols, batch, false), |_| |v| v);
     }
 
     /// `A += Σ_s g_s ⊗ x_s` with feature-major gradients (`rows × batch`)
     /// and batch-major inputs (`batch × cols`) — every element accumulates
-    /// the samples in ascending batch order, identical to per-sample
-    /// `add_outer` calls.
+    /// the samples onto its current value in ascending batch order,
+    /// identical to per-sample [`Matrix::add_outer`] calls.
     pub fn add_outer_batch_fm(&mut self, g_fm: &[f64], xs: &[f64], batch: usize) {
         assert_eq!(g_fm.len(), batch * self.rows);
         assert_eq!(xs.len(), batch * self.cols);
-        if batch == 1 {
-            self.add_outer(g_fm, xs);
-            return;
+        let ops = Operands {
+            p: g_fm,
+            pi: batch,
+            pt: 1,
+            q: xs,
+            qt: self.cols,
+            k: batch,
+        };
+        let out = Out::new(&mut self.data, None, self.rows, self.cols, true);
+        gemm(ops, out, |_| |v| v);
+    }
+}
+
+/// Output rows per register tile.
+const ROWS: usize = 4;
+/// Output columns (batch lanes, or weight columns for the outer product)
+/// per register tile.
+const LANES: usize = 16;
+
+/// One GEMM's operands: output element `(i, j)` folds the products
+/// `p[i·pi + t·pt] · q[t·qt + j]` over `t` in `0..k`. `p` is broadcast one
+/// scalar per tile row; `q` supplies a contiguous run of tile lanes.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    p: &'a [f64],
+    pi: usize,
+    pt: usize,
+    q: &'a [f64],
+    qt: usize,
+    k: usize,
+}
+
+/// Where a GEMM's `m × n` result goes.
+struct Out<'a> {
+    /// Row-major `m × n` result.
+    c: &'a mut [f64],
+    /// Optional transposed copy (`n × m`), written from the same tiles.
+    ct: Option<&'a mut [f64]>,
+    m: usize,
+    n: usize,
+    /// Fold onto `c`'s current values instead of from `+0.0`.
+    accumulate: bool,
+}
+
+impl<'a> Out<'a> {
+    fn new(
+        c: &'a mut [f64],
+        ct: Option<&'a mut [f64]>,
+        m: usize,
+        n: usize,
+        accumulate: bool,
+    ) -> Self {
+        assert_eq!(c.len(), m * n);
+        assert!(ct.as_ref().map_or(true, |t| t.len() == m * n));
+        Out {
+            c,
+            ct,
+            m,
+            n,
+            accumulate,
         }
-        for (row, g_r) in self
-            .data
-            .chunks_exact_mut(self.cols)
-            .zip(g_fm.chunks_exact(batch))
-        {
-            for (&gr, x_s) in g_r.iter().zip(xs.chunks_exact(self.cols)) {
-                for (a, &xv) in row.iter_mut().zip(x_s) {
-                    *a += gr * xv;
-                }
+    }
+}
+
+/// The register-tiled microkernel behind every batched product. Element
+/// `(i, j)` of the result is `row_map(i)(fold)`, where `fold` starts from
+/// `+0.0` (from the element's current value when accumulating) and adds
+/// `p(i, t) · q(t, j)` for `t` ascending: one rounded multiply, then one
+/// rounded add, never a fused multiply-add.
+///
+/// The result is walked in [`ROWS`] × `L` tiles held in a local array
+/// while `t` ascends, so each element is loaded and stored once per call
+/// instead of once per `t`. Lanes are the outer loop: full [`LANES`]-lane
+/// blocks, then one each of 8, 4, 2 and 1 lanes as they fit; within a
+/// block, full row tiles, then 1-row tiles. So any shape is covered, and a
+/// block's transposed writes fill whole cache lines before moving on.
+/// Tiling only decides which elements fold side by side; no element's
+/// fold changes.
+fn gemm<E, G>(ops: Operands, mut out: Out, row_map: E)
+where
+    E: Fn(usize) -> G,
+    G: Fn(f64) -> f64,
+{
+    let n = out.n;
+    let mut j0 = 0;
+    while j0 + LANES <= n {
+        lane_block::<LANES, _, _>(ops, &mut out, j0, &row_map);
+        j0 += LANES;
+    }
+    if j0 + 8 <= n {
+        lane_block::<8, _, _>(ops, &mut out, j0, &row_map);
+        j0 += 8;
+    }
+    if j0 + 4 <= n {
+        lane_block::<4, _, _>(ops, &mut out, j0, &row_map);
+        j0 += 4;
+    }
+    if j0 + 2 <= n {
+        lane_block::<2, _, _>(ops, &mut out, j0, &row_map);
+        j0 += 2;
+    }
+    if j0 < n {
+        lane_block::<1, _, _>(ops, &mut out, j0, &row_map);
+    }
+}
+
+/// `L` lanes from `j0` down every row: full [`ROWS`]-row tiles, then
+/// 1-row tiles.
+#[inline(always)]
+fn lane_block<const L: usize, E, G>(ops: Operands, out: &mut Out, j0: usize, row_map: &E)
+where
+    E: Fn(usize) -> G,
+    G: Fn(f64) -> f64,
+{
+    let mut i0 = 0;
+    while i0 + ROWS <= out.m {
+        tile::<ROWS, L, _, _>(ops, out, i0, j0, row_map);
+        i0 += ROWS;
+    }
+    for i in i0..out.m {
+        tile::<1, L, _, _>(ops, out, i, j0, row_map);
+    }
+}
+
+/// One `R × L` tile at `(i0, j0)`: the accumulators stay in `acc` for the
+/// whole `t` loop, then pass through the epilogue into the result.
+#[inline(always)]
+fn tile<const R: usize, const L: usize, E, G>(
+    ops: Operands,
+    out: &mut Out,
+    i0: usize,
+    j0: usize,
+    row_map: &E,
+) where
+    E: Fn(usize) -> G,
+    G: Fn(f64) -> f64,
+{
+    let (m, n) = (out.m, out.n);
+    let mut acc = [[0.0f64; L]; R];
+    if out.accumulate {
+        for (i, a) in acc.iter_mut().enumerate() {
+            a.copy_from_slice(&out.c[(i0 + i) * n + j0..][..L]);
+        }
+    }
+    for t in 0..ops.k {
+        let q: &[f64; L] = ops.q[t * ops.qt + j0..][..L].try_into().unwrap();
+        for (i, a) in acc.iter_mut().enumerate() {
+            let p = ops.p[(i0 + i) * ops.pi + t * ops.pt];
+            for (a, &qv) in a.iter_mut().zip(q) {
+                *a += p * qv;
             }
         }
     }
-
-    /// `out[s] = Aᵀ·g_s` for `batch` gradients stacked batch-major in `gs`
-    /// (`batch × rows`); writes `batch × cols` into `out`. Every element
-    /// accumulates over `r` in ascending order, like `matvec_t`.
-    pub fn matmul_t(&self, gs: &[f64], batch: usize, out: &mut Vec<f64>) {
-        assert_eq!(gs.len(), batch * self.rows);
-        out.clear();
-        out.resize(batch * self.cols, 0.0);
-        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
-            for (g_s, y_s) in gs
-                .chunks_exact(self.rows)
-                .zip(out.chunks_exact_mut(self.cols))
-            {
-                let gr = g_s[r];
-                for (yc, &a) in y_s.iter_mut().zip(row) {
-                    *yc += a * gr;
-                }
-            }
+    for (i, a) in acc.iter().enumerate() {
+        let map = row_map(i0 + i);
+        let row = &mut out.c[(i0 + i) * n + j0..][..L];
+        for (o, &v) in row.iter_mut().zip(a) {
+            *o = map(v);
         }
     }
-
-    /// `A += Σ_s g_s ⊗ x_s` over the stacked batch — every element
-    /// accumulates the samples in ascending batch order, identical to
-    /// calling `add_outer` once per sample.
-    pub fn add_outer_batch(&mut self, gs: &[f64], xs: &[f64], batch: usize) {
-        assert_eq!(gs.len(), batch * self.rows);
-        assert_eq!(xs.len(), batch * self.cols);
-        for (r, row) in self.data.chunks_exact_mut(self.cols).enumerate() {
-            for (g_s, x_s) in gs.chunks_exact(self.rows).zip(xs.chunks_exact(self.cols)) {
-                let gr = g_s[r];
-                for (a, &xv) in row.iter_mut().zip(x_s) {
-                    *a += gr * xv;
-                }
-            }
+    if let Some(ct) = out.ct.as_deref_mut() {
+        for j in 0..L {
+            let col: [f64; R] = std::array::from_fn(|i| out.c[(i0 + i) * n + j0 + j]);
+            ct[(j0 + j) * m + i0..][..R].copy_from_slice(&col);
         }
     }
 }
@@ -336,62 +411,26 @@ mod tests {
     }
 
     #[test]
-    fn matmul_xt_is_batched_matvec_bit_for_bit() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let m = Matrix::random(5, 7, 1.0, &mut rng);
-        let xs: Vec<f64> = (0..3 * 7).map(|i| ((i * 13) as f64).sin()).collect();
-        let mut out = Vec::new();
-        let mut stage = Vec::new();
-        m.matmul_xt(&xs, 3, &mut out, &mut stage);
-        for s in 0..3 {
-            let y = m.matvec(&xs[s * 7..(s + 1) * 7]);
-            assert_eq!(&out[s * 5..(s + 1) * 5], &y[..], "sample {s}");
-        }
-    }
-
-    #[test]
-    fn matmul_t_is_batched_matvec_t_bit_for_bit() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let m = Matrix::random(6, 4, 1.0, &mut rng);
-        let gs: Vec<f64> = (0..3 * 6).map(|i| ((i * 7) as f64).cos()).collect();
-        let mut out = Vec::new();
-        m.matmul_t(&gs, 3, &mut out);
-        for s in 0..3 {
-            let y = m.matvec_t(&gs[s * 6..(s + 1) * 6]);
-            assert_eq!(&out[s * 4..(s + 1) * 4], &y[..], "sample {s}");
-        }
-    }
-
-    #[test]
-    fn add_outer_batch_matches_sequential_add_outer() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        let mut a = Matrix::random(4, 5, 1.0, &mut rng);
-        let mut b = a.clone();
-        let gs: Vec<f64> = (0..3 * 4).map(|i| (i as f64 * 0.37).sin()).collect();
-        let xs: Vec<f64> = (0..3 * 5).map(|i| (i as f64 * 0.53).cos()).collect();
-        a.add_outer_batch(&gs, &xs, 3);
-        for s in 0..3 {
-            b.add_outer(&gs[s * 4..(s + 1) * 4], &xs[s * 5..(s + 1) * 5]);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn fm_kernels_match_batch_major_bit_for_bit() {
         let mut rng = SmallRng::seed_from_u64(21);
         let m = Matrix::random(5, 7, 1.0, &mut rng);
         let batch = 4;
         let xs: Vec<f64> = (0..batch * 7).map(|i| ((i * 13) as f64).sin()).collect();
-        // matmul_fm on the transposed input == matmul_xt transposed back.
+        // matmul_fm == per-sample matvec.
         let mut xt = vec![0.0; xs.len()];
         transpose_into(&xs, batch, 7, &mut xt);
         let mut yt = Vec::new();
         m.matmul_fm(&xt, batch, &mut yt);
-        let (mut out, mut stage) = (Vec::new(), Vec::new());
-        m.matmul_xt(&xs, batch, &mut out, &mut stage);
-        let mut y_bm = vec![0.0; yt.len()];
-        transpose_into(&yt, 5, batch, &mut y_bm);
-        assert_eq!(y_bm, out);
+        for s in 0..batch {
+            let y = m.matvec(&xs[s * 7..(s + 1) * 7]);
+            for (r, &yv) in y.iter().enumerate() {
+                assert_eq!(
+                    yt[r * batch + s].to_bits(),
+                    yv.to_bits(),
+                    "sample {s} row {r}"
+                );
+            }
+        }
         // matmul_t_fm == per-sample matvec_t.
         let gs: Vec<f64> = (0..batch * 5).map(|i| ((i * 7) as f64).cos()).collect();
         let mut g_fm = vec![0.0; gs.len()];
@@ -401,7 +440,11 @@ mod tests {
         for s in 0..batch {
             let d = m.matvec_t(&gs[s * 5..(s + 1) * 5]);
             for (c, &dv) in d.iter().enumerate() {
-                assert_eq!(din_fm[c * batch + s], dv, "sample {s} col {c}");
+                assert_eq!(
+                    din_fm[c * batch + s].to_bits(),
+                    dv.to_bits(),
+                    "sample {s} col {c}"
+                );
             }
         }
         // add_outer_batch_fm == sequential add_outer.
@@ -412,6 +455,26 @@ mod tests {
             b.add_outer(&gs[s * 5..(s + 1) * 5], &xs[s * 7..(s + 1) * 7]);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_fold_starts_from_positive_zero() {
+        // All products are -0.0, so the folds land on their start value.
+        let mut m = Matrix::zeros(1, 2);
+        m.data_mut().copy_from_slice(&[-1.0, -2.0]);
+        assert_eq!(m.matvec(&[0.0, 0.0])[0].to_bits(), 0.0f64.to_bits());
+        for batch in [1, 2] {
+            let mut yt = Vec::new();
+            m.matmul_fm(&vec![0.0; 2 * batch], batch, &mut yt);
+            assert!(
+                yt.iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
+                "batch {batch}"
+            );
+        }
+        let mut din = Vec::new();
+        m.matmul_t_fm(&[0.0], 1, &mut din);
+        assert_eq!(m.matvec_t(&[0.0]), din);
+        assert!(din.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]

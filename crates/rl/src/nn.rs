@@ -22,7 +22,36 @@ pub enum Activation {
     Linear,
 }
 
+/// Evaluate `$body` with the constant `$act` bound to the activation
+/// `$which`, one copy per variant. The match runs once per call instead
+/// of once per element, and each copy's element loop (and any closure
+/// handed to a GEMM) sees one literal activation, so `apply` and
+/// `derivative_from_output` fold to a single arm.
+macro_rules! monomorphize {
+    ($which:expr, $act:ident => $body:expr) => {
+        match $which {
+            Activation::Relu => {
+                const $act: Activation = Activation::Relu;
+                $body
+            }
+            Activation::Tanh => {
+                const $act: Activation = Activation::Tanh;
+                $body
+            }
+            Activation::Sigmoid => {
+                const $act: Activation = Activation::Sigmoid;
+                $body
+            }
+            Activation::Linear => {
+                const $act: Activation = Activation::Linear;
+                $body
+            }
+        }
+    };
+}
+
 impl Activation {
+    #[inline(always)]
     fn apply(self, x: f64) -> f64 {
         match self {
             Activation::Relu => x.max(0.0),
@@ -33,6 +62,7 @@ impl Activation {
     }
 
     /// Derivative expressed in terms of the *output* y = f(x).
+    #[inline(always)]
     fn derivative_from_output(self, y: f64) -> f64 {
         match self {
             Activation::Relu => {
@@ -107,37 +137,37 @@ impl Dense {
 
     /// Forward `batch` feature-major stacked inputs into the feature-major
     /// output cache; the batch-major mirror is produced only if `mirror`
-    /// (the backward pass reads it as the next layer's GEMM input).
+    /// (the backward pass reads it as the next layer's GEMM input). Bias and
+    /// activation are applied as each GEMM tile leaves the registers, and
+    /// the mirror is written from the same tile, so the output is written
+    /// in one pass instead of three.
     fn forward_fm(&mut self, x_fm: &[f64], batch: usize, mirror: bool) {
         let (n_out, _) = self.w.dims();
-        self.w.matmul_fm(x_fm, batch, &mut self.out_fm);
-        // Bias + activation on contiguous per-feature runs; value-for-
-        // value the same scalar ops as the batch-major formulation.
-        for (y_r, &b) in self.out_fm.chunks_exact_mut(batch).zip(&self.b) {
-            for v in y_r {
-                *v = self.act.apply(*v + b);
-            }
-        }
         self.output.clear();
-        if mirror {
+        let mirror = if mirror {
             self.output.resize(n_out * batch, 0.0);
-            if batch == 1 {
-                self.output.copy_from_slice(&self.out_fm);
-            } else {
-                transpose_into(&self.out_fm, n_out, batch, &mut self.output);
-            }
-        }
+            Some(&mut self.output[..])
+        } else {
+            None
+        };
+        let b = &self.b;
+        monomorphize!(self.act, ACT => {
+            self.w.matmul_fm_epilogue(x_fm, batch, &mut self.out_fm, mirror, |r| {
+                let b = b[r];
+                move |v| ACT.apply(v + b)
+            })
+        });
     }
 
     /// `δ = grad ⊙ act′(out)` into the feature-major delta scratch.
     fn compute_delta(&mut self, g_fm: &[f64]) {
         assert_eq!(g_fm.len(), self.out_fm.len(), "backward before forward?");
         self.delta.clear();
-        self.delta.extend(
-            g_fm.iter()
-                .zip(&self.out_fm)
-                .map(|(&g, &y)| g * self.act.derivative_from_output(y)),
-        );
+        let pairs = g_fm.iter().zip(&self.out_fm);
+        monomorphize!(self.act, ACT => {
+            self.delta
+                .extend(pairs.map(|(&g, &y)| g * ACT.derivative_from_output(y)))
+        });
     }
 
     /// Accumulate gradients for the cached forward batch (whose
@@ -275,12 +305,8 @@ impl Mlp {
         if train {
             self.x0.extend_from_slice(xs);
         }
-        if batch == 1 {
-            self.x0_fm.extend_from_slice(xs);
-        } else {
-            self.x0_fm.resize(xs.len(), 0.0);
-            transpose_into(xs, batch, in_dim, &mut self.x0_fm);
-        }
+        self.x0_fm.resize(xs.len(), 0.0);
+        transpose_into(xs, batch, in_dim, &mut self.x0_fm);
         self.batch = batch;
         let n = self.layers.len();
         self.layers[0].forward_fm(&self.x0_fm, batch, train || n == 1);
