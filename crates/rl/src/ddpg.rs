@@ -24,21 +24,21 @@ use serde::{Deserialize, Serialize};
 /// Agent hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DdpgConfig {
-    /// State vector dimension (the paper's Eq. 1 state is 10-dim).
+    /// State vector dimension (the paper's Eq. 1 state is 10-dim; ≥ 1).
     pub state_dim: usize,
-    /// Hidden width of both MLPs.
+    /// Hidden width of both MLPs (≥ 1).
     pub hidden: usize,
-    /// Actor learning rate.
+    /// Actor learning rate (finite, > 0).
     pub actor_lr: f64,
-    /// Critic learning rate.
+    /// Critic learning rate (finite, > 0).
     pub critic_lr: f64,
-    /// Discount factor.
+    /// Discount factor, in `[0, 1]`.
     pub gamma: f64,
-    /// Soft-update coefficient.
+    /// Soft-update coefficient, in `(0, 1]`.
     pub tau: f64,
-    /// Minibatch size.
+    /// Minibatch size (≥ 1).
     pub batch: usize,
-    /// Experience-pool capacity.
+    /// Experience-pool capacity (≥ `batch`).
     pub pool: usize,
     /// RNG seed (weights, sampling, exploration).
     pub seed: u64,
@@ -119,9 +119,47 @@ struct TrainScratch {
     dq_da: Vec<f64>,
 }
 
+impl DdpgConfig {
+    /// Panic, naming the field, unless the configuration can train: a
+    /// batch of at least one transition that the pool can hold, non-empty
+    /// layers, a discount in `[0, 1]`, a soft-update rate in `(0, 1]` and
+    /// finite positive learning rates. A pool smaller than its batch would
+    /// never train, and a zero batch would panic mid-run.
+    fn validate(&self) {
+        assert!(self.batch >= 1, "batch must be at least 1, got 0");
+        assert!(
+            self.pool >= self.batch,
+            "pool must hold at least one batch, got pool {} < batch {}",
+            self.pool,
+            self.batch
+        );
+        assert!(self.hidden >= 1, "hidden must be at least 1, got 0");
+        assert!(self.state_dim >= 1, "state_dim must be at least 1, got 0");
+        assert!(
+            (0.0..=1.0).contains(&self.gamma),
+            "gamma must lie in [0, 1], got {}",
+            self.gamma
+        );
+        assert!(
+            self.tau > 0.0 && self.tau <= 1.0,
+            "tau must lie in (0, 1], got {}",
+            self.tau
+        );
+        for (name, lr) in [("actor_lr", self.actor_lr), ("critic_lr", self.critic_lr)] {
+            assert!(
+                lr.is_finite() && lr > 0.0,
+                "{name} must be finite and positive, got {lr}"
+            );
+        }
+    }
+}
+
 impl Ddpg {
-    /// Build an agent; target networks start as exact copies.
+    /// Build an agent; target networks start as exact copies. Panics on a
+    /// configuration that cannot train (see the field rules on
+    /// [`DdpgConfig`]): before any work, with a message naming the field.
     pub fn new(cfg: DdpgConfig) -> Self {
+        cfg.validate();
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xDD9C);
         let actor = Mlp::new(
             &[cfg.state_dim, cfg.hidden, cfg.hidden, 1],
@@ -466,6 +504,100 @@ mod tests {
             let exp = (mu + b.noise_sample(&mut nb[l])).clamp(0.0, 1.0);
             assert_eq!(out[l].to_bits(), exp.to_bits());
         }
+    }
+
+    fn build(cfg: DdpgConfig) {
+        Ddpg::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch must be at least 1")]
+    fn rejects_an_empty_batch() {
+        build(DdpgConfig {
+            batch: 0,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "pool must hold at least one batch")]
+    fn rejects_a_pool_smaller_than_its_batch() {
+        build(DdpgConfig {
+            pool: 63,
+            batch: 64,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "hidden must be at least 1")]
+    fn rejects_empty_hidden_layers() {
+        build(DdpgConfig {
+            hidden: 0,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "state_dim must be at least 1")]
+    fn rejects_an_empty_state() {
+        build(DdpgConfig {
+            state_dim: 0,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "gamma must lie in [0, 1]")]
+    fn rejects_a_discount_above_one() {
+        build(DdpgConfig {
+            gamma: 1.5,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "tau must lie in (0, 1]")]
+    fn rejects_a_zero_soft_update_rate() {
+        build(DdpgConfig {
+            tau: 0.0,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "actor_lr must be finite and positive")]
+    fn rejects_a_non_finite_actor_learning_rate() {
+        build(DdpgConfig {
+            actor_lr: f64::NAN,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "critic_lr must be finite and positive")]
+    fn rejects_a_negative_critic_learning_rate() {
+        build(DdpgConfig {
+            critic_lr: -1e-3,
+            ..DdpgConfig::default()
+        });
+    }
+
+    #[test]
+    fn accepts_the_boundary_values() {
+        build(DdpgConfig {
+            batch: 1,
+            pool: 1,
+            hidden: 1,
+            state_dim: 1,
+            gamma: 0.0,
+            tau: 1.0,
+            ..DdpgConfig::default()
+        });
+        build(DdpgConfig {
+            gamma: 1.0,
+            ..DdpgConfig::default()
+        });
     }
 
     #[test]
