@@ -16,7 +16,7 @@ use crate::env::AutoHetEnv;
 use crate::vec_env::VecEnv;
 use autohet_accel::{AccelConfig, EngineStats, EvalEngine, EvalReport, NoiseEvalConfig};
 use autohet_dnn::Model;
-use autohet_rl::{Ddpg, DdpgConfig, Experience, OuNoise};
+use autohet_rl::{Ddpg, DdpgConfig, Experience, OuNoise, TrainProfile};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -139,6 +139,10 @@ pub struct SearchTiming {
     pub simulator: Duration,
     /// Time inside the agent (forward passes and training).
     pub agent: Duration,
+    /// The DDPG agent's training phases, within `agent`: a deterministic
+    /// update count and wall-clock per phase (default for searchers
+    /// without a DDPG agent).
+    pub train: TrainProfile,
     /// Evaluation-cache counters accumulated over this search (when the
     /// engine is shared across concurrent searches, counts include every
     /// user active during this search's window).
@@ -338,6 +342,7 @@ pub fn rl_search_with_engine(
 
     timing.total = t0.elapsed();
     timing.cache = env.engine().stats().since(&stats0);
+    timing.train = agent.train_profile();
     let (best_strategy, best_report) = best.expect("episodes >= 1");
     SearchOutcome {
         best_strategy,
@@ -662,6 +667,7 @@ pub fn rl_search_vec_tapped(
 
     timing.total = t0.elapsed();
     timing.cache = env.engine().stats().since(&stats0);
+    timing.train = agent.train_profile();
     let groups = group_occupancy.len();
     let mean_occupancy = group_occupancy.iter().sum::<f64>() / groups.max(1) as f64;
     let secs = timing.total.as_secs_f64();
@@ -736,6 +742,45 @@ mod tests {
         let ra: Vec<f64> = a.history.iter().map(|h| h.rue).collect();
         let rb: Vec<f64> = b.history.iter().map(|h| h.rue).collect();
         assert_eq!(ra, rb);
+    }
+
+    /// Updates a search runs: `train_steps` after every group (of `lanes`
+    /// episodes, the last possibly short) that leaves at least one batch
+    /// of transitions in the pool.
+    fn expected_train_steps(scfg: &RlSearchConfig, layers: usize, lanes: usize) -> u64 {
+        let groups = scfg.episodes.div_ceil(lanes);
+        let trained = (1..=groups)
+            .filter(|&g| {
+                let pooled = (layers * (g * lanes).min(scfg.episodes)).min(scfg.ddpg.pool);
+                pooled >= scfg.ddpg.batch
+            })
+            .count();
+        (trained * scfg.train_steps) as u64
+    }
+
+    #[test]
+    fn train_profile_counts_the_updates_that_ran() {
+        let m = zoo::micro_cnn();
+        let cfg = AccelConfig::default();
+        let cands = paper_hybrid_candidates();
+        // Batch 32 over 4 layers: the first 7 episodes leave the pool short.
+        let scfg = quick_cfg(3, 21);
+        for lanes in [1, 3] {
+            let a = rl_search_vec(&m, &cands, &cfg, &scfg, lanes).timing;
+            let b = rl_search_vec(&m, &cands, &cfg, &scfg, lanes).timing;
+            let expected = expected_train_steps(&scfg, m.layers.len(), lanes);
+            let groups = scfg.episodes.div_ceil(lanes);
+            assert!(expected > 0 && expected < (groups * scfg.train_steps) as u64);
+            assert_eq!(a.train.steps, expected, "lanes {lanes}");
+            assert_eq!(a.train.steps, b.train.steps);
+            let phases = a.train.forward + a.train.backward + a.train.optimizer;
+            assert!(phases <= a.agent, "{phases:?} > {:?}", a.agent);
+        }
+        let seq = rl_search(&m, &cands, &cfg, &scfg).timing;
+        assert_eq!(
+            seq.train.steps,
+            expected_train_steps(&scfg, m.layers.len(), 1)
+        );
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub fn episode_series(name: &str, history: &[EpisodeRecord]) -> Series {
 
 /// Mirror a search's trajectory and timing into `registry` under
 /// `prefix`: an episode counter, gauges for the best/final RUE seen
-/// (scaled ×1e6 — gauges are integers, RUE values are small), and the
-/// cache counters from the search's [`SearchTiming`] delta.
+/// (scaled ×1e6 — gauges are integers, RUE values are small), the
+/// cache counters from the search's [`SearchTiming`] delta, and the
+/// DDPG updates that ran (`train.steps`, 0 for searchers without a DDPG
+/// agent).
 pub fn publish_episode_history(
     history: &[EpisodeRecord],
     timing: &SearchTiming,
@@ -73,6 +75,7 @@ pub fn publish_episode_history(
     c("cache.strategy_misses", timing.cache.strategy_misses);
     c("cache.layer_hits", timing.cache.layer_hits);
     c("cache.layer_misses", timing.cache.layer_misses);
+    c("train.steps", timing.train.steps);
 }
 
 /// Streaming twin of [`episode_series`]: writes each [`EpisodeRecord`]
@@ -309,6 +312,7 @@ mod tests {
         let mut timing = SearchTiming::default();
         timing.cache.strategy_hits = 3;
         timing.cache.layer_misses = 7;
+        timing.train.steps = 24;
         publish_episode_history(&history(), &timing, &reg, "search.ddpg");
         assert_eq!(reg.counter("search.ddpg.episodes").get(), 4);
         // Best RUE is 0.4 → 400_000 in the ×1e6 gauge.
@@ -316,6 +320,7 @@ mod tests {
         assert_eq!(reg.gauge("search.ddpg.last_rue_x1e6").get(), 400_000);
         assert_eq!(reg.counter("search.ddpg.cache.strategy_hits").get(), 3);
         assert_eq!(reg.counter("search.ddpg.cache.layer_misses").get(), 7);
+        assert_eq!(reg.counter("search.ddpg.train.steps").get(), 24);
     }
 
     fn vec_stats() -> VecSearchStats {

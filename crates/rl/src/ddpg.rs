@@ -20,6 +20,7 @@ use crate::replay::{Experience, ReplayBuffer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::time::{Duration, Instant};
 
 /// Agent hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,6 +70,35 @@ pub struct TrainStats {
     pub actor_q: f64,
 }
 
+/// Where [`Ddpg::train_step`] spent its time, accumulated over the
+/// updates that ran. `steps` is a deterministic count; the durations are
+/// wall-clock timings, so they differ from run to run and must never be
+/// compared for equality.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct TrainProfile {
+    /// Updates that ran (`train_step` calls that returned `Some`).
+    pub steps: u64,
+    /// Wall-clock in the five forward passes per update, with minibatch
+    /// sampling, staging and the TD targets.
+    pub forward: Duration,
+    /// Wall-clock in the two full and one input-only backward passes per
+    /// update, with the loss gradients.
+    pub backward: Duration,
+    /// Wall-clock in the two Adam steps and the soft target updates.
+    pub optimizer: Duration,
+}
+
+/// Charges the wall-clock since its previous lap to one phase.
+struct Lap(Instant);
+
+impl Lap {
+    fn to(&mut self, phase: &mut Duration) {
+        let now = Instant::now();
+        *phase += now - self.0;
+        self.0 = now;
+    }
+}
+
 /// The DDPG agent.
 ///
 /// ```
@@ -101,6 +131,7 @@ pub struct Ddpg {
     pub replay: ReplayBuffer,
     rng: SmallRng,
     scratch: TrainScratch,
+    profile: TrainProfile,
 }
 
 /// Reusable flat batch buffers for [`Ddpg::train_step`] — the minibatch
@@ -184,12 +215,18 @@ impl Ddpg {
             rng,
             cfg,
             scratch: TrainScratch::default(),
+            profile: TrainProfile::default(),
         }
     }
 
     /// Agent configuration.
     pub fn config(&self) -> &DdpgConfig {
         &self.cfg
+    }
+
+    /// The phase profile of every update so far.
+    pub fn train_profile(&self) -> TrainProfile {
+        self.profile
     }
 
     /// Deterministic action `μ(s) ∈ (0,1)`.
@@ -259,6 +296,7 @@ impl Ddpg {
         if self.replay.len() < self.cfg.batch {
             return None;
         }
+        let mut lap = Lap(Instant::now());
         // Borrow the sampled transitions in place — the networks and the
         // pool are disjoint fields, so nothing needs cloning.
         let batch = self.replay.sample(self.cfg.batch, &mut self.rng);
@@ -300,8 +338,11 @@ impl Ddpg {
             sc.grads.push(2.0 * err);
         }
         critic_loss /= n;
+        lap.to(&mut self.profile.forward);
         self.critic.backward_batch(&sc.grads);
+        lap.to(&mut self.profile.backward);
         self.critic.adam_step(&mut self.critic_opt, n);
+        lap.to(&mut self.profile.optimizer);
 
         // ---- Actor: ascend Q(s, μ(s)).
         self.actor.zero_grad();
@@ -317,6 +358,7 @@ impl Ddpg {
         }
         let q = self.critic.forward_batch_infer(&sc.critic_in, b);
         let actor_q = q.iter().sum::<f64>() / n;
+        lap.to(&mut self.profile.forward);
         // dQ/d(input); gradient ascent on Q ⇒ loss = -Q. The critic's
         // parameter gradients would be discarded, so propagate the input
         // gradient only.
@@ -326,6 +368,7 @@ impl Ddpg {
         sc.dq_da.clear();
         sc.dq_da.extend(din.chunks(sd + 1).map(|d| d[sd]));
         self.actor.backward_batch(&sc.dq_da);
+        lap.to(&mut self.profile.backward);
         self.actor.adam_step(&mut self.actor_opt, n);
 
         // ---- Soft target updates.
@@ -333,6 +376,8 @@ impl Ddpg {
             .soft_update_from(&self.actor, self.cfg.tau);
         self.critic_target
             .soft_update_from(&self.critic, self.cfg.tau);
+        lap.to(&mut self.profile.optimizer);
+        self.profile.steps += 1;
 
         self.scratch = sc;
         Some(TrainStats {
@@ -380,6 +425,30 @@ mod tests {
             });
         }
         assert!(agent.train_step().is_some());
+    }
+
+    #[test]
+    fn train_profile_counts_only_updates_that_ran() {
+        let mut agent = Ddpg::new(DdpgConfig {
+            state_dim: 2,
+            batch: 8,
+            ..DdpgConfig::default()
+        });
+        assert!(agent.train_step().is_none());
+        assert_eq!(agent.train_profile(), TrainProfile::default());
+        for i in 0..8 {
+            agent.remember(Experience {
+                state: vec![i as f64, 0.0],
+                next_state: vec![i as f64 + 1.0, 0.0],
+                action: 0.5,
+                reward: 0.1,
+                done: i == 7,
+            });
+        }
+        for _ in 0..3 {
+            assert!(agent.train_step().is_some());
+        }
+        assert_eq!(agent.train_profile().steps, 3);
     }
 
     #[test]

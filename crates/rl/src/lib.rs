@@ -24,7 +24,7 @@ pub mod nn;
 pub mod noise;
 pub mod replay;
 
-pub use ddpg::{Ddpg, DdpgConfig};
+pub use ddpg::{Ddpg, DdpgConfig, TrainProfile};
 pub use dqn::{DiscreteExperience, Dqn, DqnConfig};
 pub use matrix::Matrix;
 pub use nn::{Activation, Adam, Mlp};
