@@ -270,8 +270,9 @@ impl<'a> Out<'a> {
 /// while `t` ascends, so each element is loaded and stored once per call
 /// instead of once per `t`. Lanes are the outer loop: full [`LANES`]-lane
 /// blocks, then one each of 8, 4, 2 and 1 lanes as they fit; within a
-/// block, full row tiles, then 1-row tiles. So any shape is covered, and a
-/// block's transposed writes fill whole cache lines before moving on.
+/// block, full row tiles, then one 2-row and one 1-row tile as they fit.
+/// So any shape is covered, and a block's transposed writes fill whole
+/// cache lines before moving on.
 /// Tiling only decides which elements fold side by side; no element's
 /// fold changes.
 fn gemm<E, G>(ops: Operands, mut out: Out, row_map: E)
@@ -302,9 +303,10 @@ where
     }
 }
 
-/// `L` lanes from `j0` down every row: full [`ROWS`]-row tiles, then
-/// 1-row tiles.
-#[inline(always)]
+/// `L` lanes from `j0` down every row: full [`ROWS`]-row tiles, then one
+/// 2-row and one 1-row tile as they fit. Kept out of line so the register
+/// allocator sees one lane width's loops at a time.
+#[inline(never)]
 fn lane_block<const L: usize, E, G>(ops: Operands, out: &mut Out, j0: usize, row_map: &E)
 where
     E: Fn(usize) -> G,
@@ -315,8 +317,12 @@ where
         tile::<ROWS, L, _, _>(ops, out, i0, j0, row_map);
         i0 += ROWS;
     }
-    for i in i0..out.m {
-        tile::<1, L, _, _>(ops, out, i, j0, row_map);
+    if i0 + 2 <= out.m {
+        tile::<2, L, _, _>(ops, out, i0, j0, row_map);
+        i0 += 2;
+    }
+    if i0 < out.m {
+        tile::<1, L, _, _>(ops, out, i0, j0, row_map);
     }
 }
 
