@@ -7,11 +7,12 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 # The benchmark measures the release build with target-cpu=native, where
-# the optimizer vectorizes the plane-parallel readout-table sums: check
-# the bit-identity contracts in that build too, not only in debug.
-cargo test --release -q -p autohet-xbar -p autohet-accel --lib
+# the optimizer vectorizes the plane-parallel readout-table sums and the
+# register-tiled DDPG GEMMs: check the bit-identity contracts in that
+# build too, not only in debug.
+cargo test --release -q -p autohet-xbar -p autohet-accel -p autohet-rl --lib
 cargo test --release -q -p autohet --test prop_variation --test prop_repair_degradation \
-  --test golden_study_rows
+  --test golden_study_rows --test prop_kernels --test golden_ddpg
 # Smoke-run the kernel and end-to-end search benches (with real criterion,
 # --test runs each closure once; the offline stub just times a short run)
 # so bench-only breakage fails the gate too.
