@@ -347,7 +347,9 @@ fn tile<const R: usize, const L: usize, E, G>(
         }
     }
     for t in 0..ops.k {
-        let q: &[f64; L] = ops.q[t * ops.qt + j0..][..L].try_into().unwrap();
+        let q: &[f64; L] = ops.q[t * ops.qt + j0..][..L]
+            .try_into()
+            .expect("a lane run is L long");
         for (i, a) in acc.iter_mut().enumerate() {
             let p = ops.p[(i0 + i) * ops.pi + t * ops.pt];
             for (a, &qv) in a.iter_mut().zip(q) {
