@@ -1,7 +1,9 @@
 //! Minimal dense matrix for the NN substrate.
 //!
-//! Row-major `f64`; just the operations the MLP needs (matrix-vector
-//! products in both orientations and outer-product accumulation).
+//! Row-major `f64`; just the operations the MLP needs: matrix-vector
+//! products in both orientations and outer-product accumulation, per
+//! sample (the reference oracles) and batched through one register-tiled
+//! GEMM microkernel.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
