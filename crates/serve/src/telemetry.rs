@@ -4,7 +4,7 @@
 //! the report's window stream evaluated through the deterministic alert
 //! engine ([`alert_timeline`]).
 
-use crate::shard::{autoscale_rules, AutoscaleSpec, ShardServingReport};
+use crate::shard::{autoscale_rules, AutoscaleSpec, ShardServingReport, ShardStats};
 use autohet_obs::alert::{AlertEngine, AlertRule, AlertTimeline, BurnRateRule, ThresholdRule};
 use autohet_obs::{Registry, Series};
 
@@ -75,6 +75,10 @@ pub fn publish_report(report: &ShardServingReport, registry: &Registry, prefix: 
         "scale_downs",
         report.scale_events.iter().filter(|e| !e.up).count() as u64,
     );
+    let shards = |f: fn(&ShardStats) -> u64| report.shard_stats.iter().map(f).sum();
+    c("ingested", shards(|s| s.ingested));
+    c("drr_rotations", shards(|s| s.drr_rotations));
+    c("failovers", shards(|s| s.failovers));
     registry
         .gauge(&format!("{prefix}.shards"))
         .set(report.shards as i64);
@@ -304,6 +308,10 @@ mod tests {
         publish_report(&r, &reg, "serve");
         assert_eq!(reg.counter("serve.completed").get(), r.total_completed);
         assert_eq!(reg.counter("serve.batches").get(), r.batches);
+        assert_eq!(reg.counter("serve.ingested").get(), r.total_submitted);
+        let rotations = r.shard_stats.iter().map(|s| s.drr_rotations).sum::<u64>();
+        assert_eq!(reg.counter("serve.drr_rotations").get(), rotations);
+        assert_eq!(reg.counter("serve.failovers").get(), 0);
         assert_eq!(reg.gauge("serve.replicas").get(), r.replicas_final as i64);
         let h = reg.histogram("serve.latency_ns");
         assert_eq!(h.count(), r.total_completed);

@@ -152,6 +152,8 @@ fn main() {
     writeln!(summary, "scan1_wall_s: {scan1_s:.3}").unwrap();
     writeln!(summary, "heap8_wall_s: {heap8_s:.3}").unwrap();
     writeln!(summary, "speedup_heap8_vs_scan1: {speedup:.2}").unwrap();
+    let ns_per_event = heap8_s * 1e9 / day.scheduler_events() as f64;
+    writeln!(summary, "heap8_ns_per_event: {ns_per_event:.0}").unwrap();
     writeln!(summary, "day_fairness_index: {:.4}", day.fairness_index).unwrap();
 
     // --- Burst → autoscaler reacts → drain ------------------------------

@@ -13,8 +13,9 @@
 //!   completes or is rejected at admission, under any seed;
 //! - with replica failures and drift health on, heap ≡ scan ≡ threaded
 //!   still holds at 1–4 shards, every tenant conserves its requests
-//!   (`submitted == completed + rejected + failed`), and the window
-//!   totals add up to the run totals;
+//!   (`submitted == completed + rejected + failed`), the window totals
+//!   add up to the run totals, and the shards' ingest counters add up to
+//!   the submissions;
 //! - a drift-free health monitor leaves any run bit-identical;
 //! - a golden seeded run pins the exact totals, so any cross-platform
 //!   or refactoring drift in the recurrence fails loudly.
@@ -275,6 +276,8 @@ proptest! {
             prop_assert_eq!(windows(|w| w.batches), heap.batches);
             let downtime: u64 = heap.shard_stats.iter().map(|s| s.downtime_ns).sum();
             prop_assert_eq!(windows(|w| w.downtime_ns), downtime);
+            let ingested: u64 = heap.shard_stats.iter().map(|s| s.ingested).sum();
+            prop_assert_eq!(ingested, heap.total_submitted);
         }
     }
 
