@@ -8,11 +8,12 @@ cargo build --release
 cargo test -q
 # The benchmark measures the release build with target-cpu=native, where
 # the optimizer vectorizes the plane-parallel readout-table sums and the
-# register-tiled DDPG GEMMs: check the bit-identity contracts in that
-# build too, not only in debug.
-cargo test --release -q -p autohet-xbar -p autohet-accel -p autohet-rl --lib
+# register-tiled DDPG GEMMs and inlines the shard scheduler's hot loop:
+# check the bit-identity contracts in that build too, not only in debug.
+cargo test --release -q -p autohet-xbar -p autohet-accel -p autohet-rl -p autohet-serve --lib
 cargo test --release -q -p autohet --test prop_variation --test prop_repair_degradation \
-  --test golden_study_rows --test prop_kernels --test golden_ddpg
+  --test golden_study_rows --test prop_kernels --test golden_ddpg \
+  --test prop_serve_shard --test integration_serving --test golden_serve_shard
 # Smoke-run the kernel and end-to-end search benches (with real criterion,
 # --test runs each closure once; the offline stub just times a short run)
 # so bench-only breakage fails the gate too.
