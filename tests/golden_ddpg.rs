@@ -11,7 +11,14 @@
 //! - `rl_search` (one lane) and `rl_search_vec` (8 lanes) on MicroCNN at
 //!   the default agent config: every episode's `rue` and `reward`, and the
 //!   best strategy. `cache_hit_rate` is left out: it depends on thread
-//!   timing when lanes share the engine memo.
+//!   timing when lanes share the engine memo;
+//! - five small one-lane searches that span the axes of the one-lane
+//!   contract (a single episode, no warm-up, a warm-up split, a noise
+//!   penalty, skewed reward weights): every `EpisodeRecord` field,
+//!   `cache_hit_rate` included (one lane never races on the memo), the
+//!   best strategy, a fingerprint of the best report, the engine counters
+//!   and the train-step count. Both `rl_search` and the lockstep driver
+//!   at one lane must reproduce these rows.
 //!
 //! To inspect the current rows, run
 //! `cargo test --test golden_ddpg -- --nocapture`: each test prints the
@@ -91,6 +98,73 @@ fn search_rows(o: &SearchOutcome) -> Vec<String> {
     rows
 }
 
+/// FNV-1a over a string: a compact pin for a long `{:?}` dump (whose
+/// `f64`s print in shortest round-trip form, so every bit counts).
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every deterministic field of a one-lane search.
+fn one_lane_rows(o: &SearchOutcome) -> Vec<String> {
+    let mut rows: Vec<String> = o
+        .history
+        .iter()
+        .map(|h| {
+            format!(
+                "ep {}: rue {} reward {} util {} energy {} hit {}",
+                h.episode,
+                hex(h.rue),
+                hex(h.reward),
+                hex(h.utilization),
+                hex(h.energy_nj),
+                hex(h.cache_hit_rate)
+            )
+        })
+        .collect();
+    rows.push(format!("best {:?}", o.best_strategy));
+    rows.push(format!(
+        "best report: rue {} tiles {} fnv {:016x}",
+        hex(o.best_rue()),
+        o.best_report.tiles,
+        fnv1a(&format!("{:?}", o.best_report))
+    ));
+    rows.push(format!("cache {:?}", o.timing.cache));
+    rows.push(format!("train steps {}", o.timing.train.steps));
+    rows
+}
+
+/// A small agent over MicroCNN, as the one-lane property test draws it.
+fn small_cfg(seed: u64, episodes: usize, warmup_episodes: usize) -> RlSearchConfig {
+    RlSearchConfig {
+        episodes,
+        ddpg: DdpgConfig {
+            seed,
+            hidden: 16,
+            batch: 8,
+            ..DdpgConfig::default()
+        },
+        train_steps: 2,
+        warmup_episodes,
+        ..RlSearchConfig::default()
+    }
+}
+
+/// Pin one one-lane search: `rl_search` and the lockstep driver at one
+/// lane must both reproduce `golden`.
+fn check_one_lane(name: &str, cfg: &AccelConfig, scfg: &RlSearchConfig, golden: &[&str]) {
+    let m = zoo::micro_cnn();
+    let cands = paper_hybrid_candidates();
+    check(
+        name,
+        one_lane_rows(&rl_search(&m, &cands, cfg, scfg)),
+        golden,
+    );
+    let vec1 = rl_search_vec(&m, &cands, cfg, scfg, 1);
+    check(&format!("{name} (lockstep)"), one_lane_rows(&vec1), golden);
+}
+
 fn search_cfg() -> RlSearchConfig {
     RlSearchConfig {
         episodes: 60,
@@ -142,6 +216,56 @@ fn eight_lane_search_is_pinned() {
         8,
     );
     check("rl_search_vec", search_rows(&o), &RL_SEARCH_VEC);
+}
+
+#[test]
+fn one_episode_search_is_pinned() {
+    // A single episode: no warm-up (`1 / 3 == 0`) and a pool too short
+    // to train on.
+    let scfg = small_cfg(21, 1, 60);
+    check_one_lane("one_episode", &AccelConfig::default(), &scfg, &ONE_EPISODE);
+}
+
+#[test]
+fn no_warmup_search_is_pinned() {
+    let scfg = small_cfg(22, 10, 0);
+    check_one_lane("no_warmup", &AccelConfig::default(), &scfg, &NO_WARMUP);
+}
+
+#[test]
+fn warmup_split_search_is_pinned() {
+    // Warm-up stops at episode 4 of 14: uniform actions, then the actor.
+    let scfg = small_cfg(23, 14, 4);
+    check_one_lane(
+        "warmup_split",
+        &AccelConfig::default(),
+        &scfg,
+        &WARMUP_SPLIT,
+    );
+}
+
+#[test]
+fn noise_penalized_search_is_pinned() {
+    let scfg = RlSearchConfig {
+        noise_penalty: 2.0,
+        ..small_cfg(24, 9, 3)
+    };
+    let cfg = AccelConfig::default().with_tile_sharing();
+    check_one_lane("noise_penalty", &cfg, &scfg, &NOISE_PENALTY);
+}
+
+#[test]
+fn weighted_reward_search_is_pinned() {
+    let scfg = RlSearchConfig {
+        reward_weights: (2.0, 1.0),
+        ..small_cfg(25, 10, 3)
+    };
+    check_one_lane(
+        "reward_weights",
+        &AccelConfig::default(),
+        &scfg,
+        &REWARD_WEIGHTS,
+    );
 }
 
 const DEFAULT_AGENT: [&str; 53] = [
@@ -382,4 +506,83 @@ const RL_SEARCH_VEC: [&str; 61] = [
     "ep 58: rue 3f02949c0a8424c2 reward 3f97da71a2e76ca9",
     "ep 59: rue 3f7053f662ddf726 reward 4004f627cb17f708",
     "best [XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }]",
+];
+
+const ONE_EPISODE: [&str; 5] = [
+    "ep 0: rue 3ee5d06c1803f74e reward 3f9591b4ef94fa19 util 3f7a4a66937b0c1b energy 40ee2157d129d210 hit 3fc999999999999a",
+    "best [XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 72, cols: 64 }, XbarShape { rows: 576, cols: 512 }, XbarShape { rows: 576, cols: 512 }]",
+    "best report: rue 3ee5d06c1803f74e tiles 4 fnv 44e7c34d2e6e715d",
+    "cache EngineStats { strategy_hits: 0, strategy_misses: 2, layer_hits: 1, layer_misses: 7, noise_slices: 0, device_draws: 0, readout_tables: 0 }",
+    "train steps 0",
+];
+
+const NO_WARMUP: [&str; 14] = [
+    "ep 0: rue 3f63f79e4d5cc8e1 reward 4013be36735db2dd util 3fdd666666666666 energy 40d267b697a379e6 hit 0000000000000000",
+    "ep 1: rue 3f0283252684e283 reward 3fb24dec27e0af94 util 3f98cc4d3c6b2242 energy 40f0be8be0e2fb94 hit 3fc999999999999a",
+    "ep 2: rue 3ec7827be44059ae reward 3f773ee4cf837244 util 3f70555555555555 energy 41015e641d8e5908 hit 3fc999999999999a",
+    "ep 3: rue 3efeadf6ef4cceb1 reward 3fae55c2dd866857 util 3f89a3e786ec5b74 energy 40e4e4c319630e3f hit 3fe999999999999a",
+    "ep 4: rue 3f527962afca1e03 reward 40024445c034da0e util 3fcc4fa4fa4fa4fa energy 40d327e7f40506b0 hit 3fd999999999999a",
+    "ep 5: rue 3ef5ee7e286489b3 reward 3fa5af708c1a39fb util 3f84e81b4e81b4e8 energy 40e7d4e778efe716 hit 3fe3333333333333",
+    "ep 6: rue 3ed1184e8bbef83f reward 3f80e728b52949b0 util 3f719a4eb3826e89 energy 40f9be1d93439d91 hit 3fe999999999999a",
+    "ep 7: rue 3ed1184e8bbef83f reward 3f80e728b52949b0 util 3f719a4eb3826e89 energy 40f9be1d93439d91 hit 3ff0000000000000",
+    "ep 8: rue 3ebc105dcc5c38d1 reward 3f6bbfaed12237a2 util 3f6a8aaaaaaaaaab energy 4107a4d8b1092a32 hit 3fe3333333333333",
+    "ep 9: rue 3ebc105dcc5c38d1 reward 3f6bbfaed12237a2 util 3f6a8aaaaaaaaaab energy 4107a4d8b1092a32 hit 3ff0000000000000",
+    "best [XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 36, cols: 32 }]",
+    "best report: rue 3f63f79e4d5cc8e1 tiles 8 fnv bfa79580490157b1",
+    "cache EngineStats { strategy_hits: 2, strategy_misses: 9, layer_hits: 18, layer_misses: 18, noise_slices: 0, device_draws: 0, readout_tables: 0 }",
+    "train steps 18",
+];
+
+const WARMUP_SPLIT: [&str; 18] = [
+    "ep 0: rue 3efd4f3c06f8358f reward 3facfaf84da742e7 util 3f892a59c20de7fb energy 40e5771a499dccf2 hit 3fc999999999999a",
+    "ep 1: rue 3ef7e0f4dc7446e6 reward 3fa79c4e2c2be071 util 3f89d5d1ed2e65e2 energy 40eb0c61e33ce808 hit 3fc999999999999a",
+    "ep 2: rue 3f47bae83dd66cfe reward 3ff776aef1bd0ade util 3fc7bd37a6f4de9c energy 40d9026f0f343650 hit 3fe3333333333333",
+    "ep 3: rue 3ef3a808bdf32aaf reward 3fa36f85b1bc16ea util 3f90a751fca751fd energy 40f52e4f63d7f36c hit 3fc999999999999a",
+    "ep 4: rue 3f6447c5b1d5df99 reward 40140d7766ca9ab3 util 3fdddc0000000000 energy 40d267746a7306e6 hit 3fc999999999999a",
+    "ep 5: rue 3f52a1e2458be1d2 reward 40026c50e742ae51 util 3fcc85bb39503d22 energy 40d3228e2d34aa8e hit 3fe999999999999a",
+    "ep 6: rue 3f63f2b6ab0001c4 reward 4013b95ceaf07d4a util 3fdd666666666666 energy 40d26c3d1aaf959a hit 3fe999999999999a",
+    "ep 7: rue 3eec477515557cef reward 3f9bf627b74de3b8 util 3f84e81b4e81b4e8 energy 40f27b7fa7218d88 hit 3fe3333333333333",
+    "ep 8: rue 3efeadf6ef4cceb1 reward 3fae55c2dd866857 util 3f89a3e786ec5b74 energy 40e4e4c319630e3f hit 3fe999999999999a",
+    "ep 9: rue 3f1da3031a76d0bc reward 3fcd4dce8504e101 util 3fa4f8a021b64151 energy 40e1b0afe04d5ef8 hit 3fe999999999999a",
+    "ep 10: rue 3f2181df5ddb2828 reward 3fd14f8a072ec924 util 3fa5cf106f04bf5c energy 40df2479446fe9f8 hit 3fe999999999999a",
+    "ep 11: rue 3edcbdf4263fca32 reward 3f8c6b521b356f6c util 3f776e0cf276e0cf energy 40f461258c117f99 hit 3fe999999999999a",
+    "ep 12: rue 3f63f2b6ab0001c4 reward 4013b95ceaf07d4a util 3fdd666666666666 energy 40d26c3d1aaf959a hit 3ff0000000000000",
+    "ep 13: rue 3f6447c5b1d5df99 reward 40140d7766ca9ab3 util 3fdddc0000000000 energy 40d267746a7306e6 hit 3ff0000000000000",
+    "best [XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }]",
+    "best report: rue 3f6447c5b1d5df99 tiles 8 fnv 8c35be4a95952eed",
+    "cache EngineStats { strategy_hits: 2, strategy_misses: 13, layer_hits: 34, layer_misses: 18, noise_slices: 0, device_draws: 0, readout_tables: 0 }",
+    "train steps 26",
+];
+
+const NOISE_PENALTY: [&str; 13] = [
+    "ep 0: rue 3f598ab261106b48 reward 3febd3f790c1e66c util 3fd0555555555555 energy 40cff947c7e65553 hit 3fe0000000000000",
+    "ep 1: rue 3ee93a03a279a2e8 reward 3f7aa1d3525e149a util 3f84f1456f848f14 energy 40f4c11c0121c3a7 hit 3fc5555555555555",
+    "ep 2: rue 3f70e8afcc14db0a reward 4002b63abd0fa503 util 3fe3800000000000 energy 40ccd4b6de1d865b hit 3fe0000000000000",
+    "ep 3: rue 3efa5d0839f0db01 reward 3f895656fa763f0a util 3f8a222222222222 energy 40e8c825af108636 hit 3fe0000000000000",
+    "ep 4: rue 3f032351e4f38b93 reward 3f929f089ce26dbc util 3f8a58e64cfccd27 energy 40e13571a0a7d695 hit 3fe5555555555555",
+    "ep 5: rue 3ee7252836858743 reward 3f78ffeb82e31178 util 3f8944f8ce7e188b energy 40fb4b656e5224b9 hit 3fe5555555555555",
+    "ep 6: rue 3ee9fb146c88379d reward 3f78bf4752c9a9e9 util 3f853bbbbbbbbbbc energy 40f46e887d0fd9eb hit 3feaaaaaaaaaaaab",
+    "ep 7: rue 3ee37c43ea526778 reward 3f7299ad31c3b8dc util 3f84f8a021b64151 energy 40fae801a3b3d41a hit 3feaaaaaaaaaaaab",
+    "ep 8: rue 3f54bd2aec38e576 reward 3fe687aef0e498c8 util 3fce9374bc6a7efa energy 40d26dd9b8bc85be hit 3feaaaaaaaaaaaab",
+    "best [XbarShape { rows: 36, cols: 32 }, XbarShape { rows: 36, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }]",
+    "best report: rue 3f70e8afcc14db0a tiles 6 fnv 64b94c0a2367f11e",
+    "cache EngineStats { strategy_hits: 9, strategy_misses: 10, layer_hits: 24, layer_misses: 16, noise_slices: 16, device_draws: 48, readout_tables: 48 }",
+    "train steps 16",
+];
+
+const REWARD_WEIGHTS: [&str; 14] = [
+    "ep 0: rue 3edddaa34baf57d6 reward 3f4577dc35b1c8da util 3f79bcc48676f312 energy 40f58d7b4408aecc hit 3fd999999999999a",
+    "ep 1: rue 3f19cab238dbc93b reward 3fae3988eeb86380 util 3fa4f8a021b64151 energy 40e453d066fe5a1b hit 3fd999999999999a",
+    "ep 2: rue 3f2383703a4a69c6 reward 3fb96978076f7386 util 3fa74e0c7ce0c7ce energy 40dddb840aa602a7 hit 3fd999999999999a",
+    "ep 3: rue 3eea93eebe64e1fc reward 3f63337ff6af3b00 util 3f89db69c16f2af9 energy 40f8526f5ac930bc hit 3fc999999999999a",
+    "ep 4: rue 3eea0315591289a7 reward 3f629093a524a5c6 util 3f898b3a62ce98b4 energy 40f88cced01419ac hit 3fe999999999999a",
+    "ep 5: rue 3ed2325bc8a96e92 reward 3f31f80db2d7b2f8 util 3f71abe3260fc1dc energy 40f84740df1eccc7 hit 3fd999999999999a",
+    "ep 6: rue 3ee996064a4ab231 reward 3f5909b28254de2a util 3f8183143bd2411a energy 40f11c658c6341e8 hit 3fe999999999999a",
+    "ep 7: rue 3f6325d869b984f7 reward 402ccc9723ca3e37 util 3fdaea5dbf193d4c energy 40d192231037aa70 hit 3fe3333333333333",
+    "ep 8: rue 3f6447c5b1d5df99 reward 4030eb5cbebaf288 util 3fdddc0000000000 energy 40d267746a7306e6 hit 3fd999999999999a",
+    "ep 9: rue 3f5567961460dfc7 reward 4017169914b0d913 util 3fd34d9364d9364e energy 40d68b9e7fb115ca hit 3fe999999999999a",
+    "best [XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }]",
+    "best report: rue 3f6447c5b1d5df99 tiles 8 fnv 8c35be4a95952eed",
+    "cache EngineStats { strategy_hits: 0, strategy_misses: 11, layer_hits: 26, layer_misses: 18, noise_slices: 0, device_draws: 0, readout_tables: 0 }",
+    "train steps 18",
 ];
