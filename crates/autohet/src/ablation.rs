@@ -13,7 +13,7 @@
 //! improve on it, mirroring the paper's monotone Fig. 10.
 
 use crate::homogeneous::best_homogeneous_with_engine;
-use crate::search::rl::{rl_search_with_engine, RlSearchConfig, SearchOutcome};
+use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig, SearchOutcome};
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::geometry::{paper_hybrid_candidates, SQUARE_CANDIDATES};
@@ -132,7 +132,7 @@ fn search_with_floor(
     engine: &Arc<EvalEngine>,
 ) -> (Vec<XbarShape>, EvalReport) {
     let outcome: SearchOutcome =
-        rl_search_with_engine(model, candidates, cfg, scfg, Arc::clone(engine));
+        rl_search_vec_with_stats(model, candidates, cfg, scfg, 1, Arc::clone(engine)).0;
     // The incumbent may use shapes outside this stage's candidate list
     // only when moving from He → Hy; it is still a valid configuration of
     // the stage's accelerator, so comparing is fair.

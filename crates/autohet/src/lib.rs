@@ -25,10 +25,13 @@
 //! - [`env`]: the RL environment — the paper's Eq. 1 state vector and
 //!   Eq. 2 reward over hardware feedback.
 //! - [`search`]: strategy search drivers — [`search::rl`] (the paper),
-//!   plus greedy / random / exhaustive comparators.
-//! - [`vec_env`]: lockstep vectorized environments behind
-//!   [`search::rl::rl_search_vec`] — N episodes share one batched actor
-//!   pass and fan evaluations out over the worker pool.
+//!   plus greedy / random / exhaustive comparators. One DDPG driver,
+//!   [`search::rl::rl_search_vec_with_stats`], runs any lane count;
+//!   [`search::rl::rl_search`] is that driver at one lane on a fresh
+//!   engine.
+//! - [`vec_env`]: lockstep vectorized environments behind the DDPG
+//!   driver — N episodes share one batched actor pass and fan
+//!   evaluations out over the worker pool.
 //! - [`homogeneous`]: the five fixed-size baselines and Fig. 3's manual
 //!   heterogeneous configuration.
 //! - [`ablation`]: the §4.3 Base / +He / +Hy / All study.
@@ -88,16 +91,13 @@ pub mod prelude {
     };
     pub use crate::search::random::{random_search, random_search_with_engine};
     pub use crate::search::rl::{
-        rl_search, rl_search_multi_seed, rl_search_vec, rl_search_vec_multi_seed,
-        rl_search_vec_tapped, rl_search_vec_with_engine, rl_search_vec_with_stats,
-        rl_search_with_engine, EpisodeRecord, RlSearchConfig, SearchOutcome, SearchTap,
-        SearchTiming, VecSearchStats,
+        rl_search, rl_search_vec_tapped, rl_search_vec_with_stats, EpisodeRecord, RlSearchConfig,
+        SearchOutcome, SearchTap, SearchTiming, VecSearchStats,
     };
     pub use crate::studies::{
-        fault_campaign, lifetime_campaign, robustness_study, search_throughput_study,
-        serving_study, FaultCampaignConfig, FaultCampaignReport, FaultCampaignRow,
-        LifetimeCampaignConfig, LifetimeCampaignReport, LifetimeRow, RobustnessStudyConfig,
-        RobustnessStudyReport, RobustnessStudyRow, ThroughputRow,
+        fault_campaign, lifetime_campaign, robustness_study, serving_study, FaultCampaignConfig,
+        FaultCampaignReport, FaultCampaignRow, LifetimeCampaignConfig, LifetimeCampaignReport,
+        LifetimeRow, RobustnessStudyConfig, RobustnessStudyReport, RobustnessStudyRow,
     };
     pub use crate::telemetry::{
         episode_series, front_series, publish_episode_history, publish_robust_search,

@@ -10,7 +10,7 @@
 //! shared hardware, so leakage is charged over the combined runtime.
 
 use crate::homogeneous::best_homogeneous;
-use crate::search::rl::{rl_search_with_engine, RlSearchConfig};
+use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig};
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::{Dataset, Model};
 use autohet_xbar::XbarShape;
@@ -85,8 +85,14 @@ pub fn co_search(
     let (joint_model, offsets) = concat_models(models);
     let engine = Arc::new(EvalEngine::new(joint_model.clone(), shared));
 
-    let outcome =
-        rl_search_with_engine(&joint_model, candidates, &shared, scfg, Arc::clone(&engine));
+    let (outcome, _) = rl_search_vec_with_stats(
+        &joint_model,
+        candidates,
+        &shared,
+        scfg,
+        1,
+        Arc::clone(&engine),
+    );
 
     // Floor: each model on its own best homogeneous shape, co-located.
     let mut stitched = Vec::with_capacity(joint_model.layers.len());

@@ -11,6 +11,9 @@
 //!
 //! Timing of the two stages is instrumented because the paper reports that
 //! ~97% of search time is simulator feedback (§4.5).
+//!
+//! One driver, [`rl_search_vec_tapped`], runs this loop over `lanes`
+//! lockstep episodes at a time; [`rl_search`] is that driver at one lane.
 
 use crate::env::AutoHetEnv;
 use crate::vec_env::VecEnv;
@@ -220,176 +223,21 @@ impl SearchOutcome {
 }
 
 /// Run the RL search for `model` over `candidates` on an accelerator
-/// configured by `cfg`. Deterministic for a fixed `scfg.ddpg.seed`.
+/// configured by `cfg`: [`rl_search_vec_with_stats`] at one lane on a
+/// fresh engine, which is the paper's per-episode loop with a training
+/// round after every episode. Deterministic for a fixed `scfg.ddpg.seed`;
+/// `tests/golden_ddpg.rs` pins its trajectory to the bit.
 pub fn rl_search(
     model: &Model,
     candidates: &[XbarShape],
     cfg: &AccelConfig,
     scfg: &RlSearchConfig,
 ) -> SearchOutcome {
-    rl_search_with_engine(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        Arc::new(EvalEngine::new(model.clone(), *cfg)),
-    )
-}
-
-/// [`rl_search`] on an existing (possibly shared) evaluation engine —
-/// multi-seed runs, Pareto sweeps, and ablation stages with a common
-/// config share one memo table this way. Cached feedback is bit-identical
-/// to direct evaluation, so the outcome for a fixed seed is independent of
-/// the engine's prior contents.
-pub fn rl_search_with_engine(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    engine: Arc<EvalEngine>,
-) -> SearchOutcome {
-    let _span = autohet_obs::trace::span("search.rl");
-    let t0 = Instant::now();
-    let engine = noise_ready_engine(scfg, engine);
-    let stats0 = engine.stats();
-    let env = AutoHetEnv::with_shared_engine(model, candidates, *cfg, scfg.reward_weights, engine);
-    let n = env.num_layers();
-    let mut agent = Ddpg::new(DdpgConfig {
-        state_dim: 10,
-        ..scfg.ddpg
-    });
-    let mut noise = OuNoise::new(scfg.noise_sigma, scfg.noise_decay, scfg.noise_min);
-    let warmup = scfg.warmup_episodes.min(scfg.episodes / 3);
-    let mut warmup_rng = SmallRng::seed_from_u64(scfg.ddpg.seed ^ 0x3A90);
-
-    let mut best: Option<(Vec<XbarShape>, EvalReport)> = None;
-    let mut best_reward = f64::NEG_INFINITY;
-    let mut history = Vec::with_capacity(scfg.episodes);
-    let mut timing = SearchTiming::default();
-
-    for episode in 0..scfg.episodes {
-        let _ep_span = autohet_obs::trace::span("search.episode");
-        let ep_stats = env.engine().stats();
-        // ---- Decision stage (① – ⑤): assign every layer.
-        let ta = Instant::now();
-        let mut actions = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n + 1);
-        let (mut prev_a, mut prev_u) = (0.0, 0.0);
-        for k in 0..n {
-            let s = env.state(k, prev_a, prev_u);
-            let a = if episode < warmup {
-                warmup_rng.gen::<f64>()
-            } else {
-                agent.act_noisy(&s, &mut noise)
-            };
-            prev_a = a;
-            prev_u = env.layer_utilization(k, a);
-            states.push(s);
-            actions.push(a);
-        }
-        // Terminal state (the "next state" of the final layer).
-        states.push(env.state(n - 1, prev_a, prev_u));
-        timing.agent += ta.elapsed();
-
-        // ---- Hardware feedback (⑥ – ⑦).
-        let ts = Instant::now();
-        let strategy = env.decode(&actions);
-        let report = env.evaluate_strategy(&strategy);
-        let reward = penalized_reward(scfg, &env, &strategy, env.reward(&report));
-        timing.simulator += ts.elapsed();
-
-        history.push(EpisodeRecord {
-            episode,
-            rue: report.rue(),
-            reward,
-            utilization: report.utilization,
-            energy_nj: report.energy_nj(),
-            cache_hit_rate: env.engine().stats().since(&ep_stats).combined_hit_rate(),
-        });
-        // Track the best configuration by the (possibly weighted) search
-        // objective; at the default weights this is exactly best-RUE. The
-        // episode reward is computed once and the incumbent's is kept as a
-        // scalar, so no episode re-scores stored reports.
-        if reward > best_reward {
-            best_reward = reward;
-            best = Some((strategy, report));
-        }
-
-        // ---- Learning stage (⑧ – ⑫).
-        let ta = Instant::now();
-        for k in 0..n {
-            // `states[k]` is consumed here (its other use — as the next
-            // state of tuple k−1 — already happened), so each state vector
-            // is cloned once, not twice: the episode buffer is moved into
-            // the pool and only the forward-looking `next_state` copies.
-            agent.remember(Experience {
-                state: std::mem::take(&mut states[k]),
-                next_state: states[k + 1].clone(),
-                action: actions[k],
-                reward,
-                done: k + 1 == n,
-            });
-        }
-        noise.end_episode();
-        // Each train step runs the minibatch GEMM kernels (feature-major
-        // forward/backward in `autohet-rl`), whose fixed accumulation
-        // order keeps seeded searches bit-reproducible; see DESIGN.md §9.
-        for _ in 0..scfg.train_steps {
-            agent.train_step();
-        }
-        timing.agent += ta.elapsed();
-    }
-
-    timing.total = t0.elapsed();
-    timing.cache = env.engine().stats().since(&stats0);
-    timing.train = agent.train_profile();
-    let (best_strategy, best_report) = best.expect("episodes >= 1");
-    SearchOutcome {
-        best_strategy,
-        best_report,
-        history,
-        timing,
-    }
-}
-
-/// Run one search per seed on parallel workers sharing a single memoized
-/// engine; outcomes come back in seed order. Each worker runs the batched
-/// act path ([`rl_search_vec_with_engine`] at one lane), which is proven
-/// bit-identical to the sequential driver — so every result matches a
-/// standalone `rl_search` with that seed (the shared cache only changes
-/// speed, never values).
-pub fn rl_search_multi_seed(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    seeds: &[u64],
-) -> Vec<SearchOutcome> {
-    rl_search_vec_multi_seed(model, candidates, cfg, scfg, seeds, 1)
-}
-
-/// [`rl_search_multi_seed`] with `lanes` lockstep exploration environments
-/// per seed: each worker drives its own vectorized search, all workers
-/// share one memo table. At `lanes == 1` every outcome is bit-identical to
-/// a standalone [`rl_search`].
-pub fn rl_search_vec_multi_seed(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    seeds: &[u64],
-    lanes: usize,
-) -> Vec<SearchOutcome> {
-    assert!(!seeds.is_empty());
     let engine = Arc::new(EvalEngine::new(model.clone(), *cfg));
-    crate::par::par_map(seeds, |&seed| {
-        let mut s = *scfg;
-        s.ddpg.seed = seed;
-        rl_search_vec_with_engine(model, candidates, cfg, &s, lanes, Arc::clone(&engine))
-    })
+    rl_search_vec_with_stats(model, candidates, cfg, scfg, 1, engine).0
 }
 
-/// Throughput counters from a vectorized search (see [`VecSearchStats`]).
+/// Throughput counters from a search (see [`rl_search_vec_with_stats`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VecSearchStats {
     /// Lockstep lane count the driver was configured with.
@@ -405,39 +253,6 @@ pub struct VecSearchStats {
     pub group_occupancy: Vec<f64>,
     /// Mean of `group_occupancy`.
     pub mean_occupancy: f64,
-}
-
-/// Vectorized RL search: `lanes` lockstep exploration environments over
-/// one shared agent and engine. Deterministic for a fixed
-/// `(scfg.ddpg.seed, lanes)`; at `lanes == 1` bit-identical to
-/// [`rl_search`].
-pub fn rl_search_vec(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    lanes: usize,
-) -> SearchOutcome {
-    rl_search_vec_with_engine(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        lanes,
-        Arc::new(EvalEngine::new(model.clone(), *cfg)),
-    )
-}
-
-/// [`rl_search_vec`] on an existing (possibly shared) evaluation engine.
-pub fn rl_search_vec_with_engine(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    lanes: usize,
-    engine: Arc<EvalEngine>,
-) -> SearchOutcome {
-    rl_search_vec_with_stats(model, candidates, cfg, scfg, lanes, engine).0
 }
 
 /// Observation taps the vectorized driver feeds as it runs: a streaming
@@ -471,7 +286,13 @@ impl SearchTap<'_> {
     }
 }
 
-/// The full vectorized driver, also returning throughput counters.
+/// The DDPG search with `lanes` lockstep exploration environments over
+/// one agent and an existing (possibly shared) evaluation engine, also
+/// returning throughput counters. Pareto sweeps and ablation stages with
+/// a common config share one memo table this way; cached feedback is
+/// bit-identical to direct evaluation, so only `cache_hit_rate` and
+/// `timing.cache` depend on the engine's prior contents. Deterministic
+/// for a fixed `(scfg.ddpg.seed, lanes)`.
 ///
 /// Batching model (DESIGN.md §10): episodes advance in lockstep groups of
 /// up to `lanes`. Within a group, layer step `k` stacks all active lanes'
@@ -483,21 +304,22 @@ impl SearchTap<'_> {
 /// transitions in lane order and performs `scfg.train_steps` minibatch
 /// updates **per group** — the standard vectorized-DDPG schedule
 /// (gradient steps per rollout round, not per episode), which is where
-/// the episodes/sec win comes from and which makes `lanes == 1` reduce
-/// exactly to the sequential driver.
+/// the episodes/sec win comes from.
 ///
-/// N=1 bit-identity argument, piece by piece:
+/// At one lane the schedule is the paper's per-episode loop (Fig. 6):
 /// - actions: `act_noisy_batch` over one lane performs the same forward
-///   and the same two RNG draws as `act_noisy`; warm-up groups draw from
-///   the same dedicated warm-up RNG in the same order;
+///   and the same two RNG draws as `act_noisy`; warm-up episodes draw from
+///   a dedicated warm-up RNG;
 /// - noise schedule: each lane's OU process is re-seeded at group start
-///   from a master sigma schedule that replays the sequential
-///   `end_episode` decay exactly;
+///   from a master sigma schedule that decays once per episode, as
+///   `OuNoise::end_episode` does;
 /// - replay and training: transitions are pushed in (group, lane, step)
-///   order and the per-group `train_steps` equals the sequential
-///   per-episode count at one lane;
+///   order, and one group is one episode, so `train_steps` updates follow
+///   every episode;
 /// - history/best: lanes are folded in ascending order, which is episode
 ///   order at one lane.
+///
+/// `tests/golden_ddpg.rs` pins that one-lane trajectory to the bit.
 pub fn rl_search_vec_with_stats(
     model: &Model,
     candidates: &[XbarShape],
@@ -702,6 +524,18 @@ mod tests {
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
+    /// The driver at `lanes` on a fresh engine.
+    fn vec_search(
+        m: &Model,
+        cands: &[XbarShape],
+        cfg: &AccelConfig,
+        scfg: &RlSearchConfig,
+        lanes: usize,
+    ) -> SearchOutcome {
+        let engine = Arc::new(EvalEngine::new(m.clone(), *cfg));
+        rl_search_vec_with_stats(m, cands, cfg, scfg, lanes, engine).0
+    }
+
     fn quick_cfg(seed: u64, episodes: usize) -> RlSearchConfig {
         RlSearchConfig {
             episodes,
@@ -766,8 +600,8 @@ mod tests {
         // Batch 32 over 4 layers: the first 7 episodes leave the pool short.
         let scfg = quick_cfg(3, 21);
         for lanes in [1, 3] {
-            let a = rl_search_vec(&m, &cands, &cfg, &scfg, lanes).timing;
-            let b = rl_search_vec(&m, &cands, &cfg, &scfg, lanes).timing;
+            let a = vec_search(&m, &cands, &cfg, &scfg, lanes).timing;
+            let b = vec_search(&m, &cands, &cfg, &scfg, lanes).timing;
             let expected = expected_train_steps(&scfg, m.layers.len(), lanes);
             let groups = scfg.episodes.div_ceil(lanes);
             assert!(expected > 0 && expected < (groups * scfg.train_steps) as u64);
@@ -880,7 +714,7 @@ mod tests {
             s[i % m.layers.len()] = c;
             engine.evaluate(&s);
         }
-        let warm = rl_search_with_engine(&m, &cands, &cfg, &quick_cfg(5, 12), engine);
+        let warm = rl_search_vec_with_stats(&m, &cands, &cfg, &quick_cfg(5, 12), 1, engine).0;
         assert_eq!(cold.best_strategy, warm.best_strategy);
         assert_eq!(cold.best_report, warm.best_report);
         let ra: Vec<f64> = cold.history.iter().map(|h| h.rue).collect();
@@ -905,28 +739,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_search_single_lane_is_bit_identical_to_sequential() {
-        // The tentpole's N=1 identity, across the warm-up boundary
-        // (warmup = min(60, 24/3) = 8 < 24 episodes).
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        for seed in [0, 7, 42] {
-            let seq = rl_search(&m, &cands, &cfg, &quick_cfg(seed, 24));
-            let vec1 = rl_search_vec(&m, &cands, &cfg, &quick_cfg(seed, 24), 1);
-            assert_eq!(outcome_bits(&seq), outcome_bits(&vec1), "seed {seed}");
-            assert_eq!(seq.best_strategy, vec1.best_strategy);
-            assert_eq!(seq.best_report, vec1.best_report);
-        }
-    }
-
-    #[test]
     fn vec_search_multi_lane_is_seed_reproducible() {
         let m = zoo::micro_cnn();
         let cands = paper_hybrid_candidates();
         let cfg = AccelConfig::default();
-        let a = rl_search_vec(&m, &cands, &cfg, &quick_cfg(11, 25), 4);
-        let b = rl_search_vec(&m, &cands, &cfg, &quick_cfg(11, 25), 4);
+        let a = vec_search(&m, &cands, &cfg, &quick_cfg(11, 25), 4);
+        let b = vec_search(&m, &cands, &cfg, &quick_cfg(11, 25), 4);
         assert_eq!(outcome_bits(&a), outcome_bits(&b));
         assert_eq!(a.best_strategy, b.best_strategy);
         assert_eq!(a.best_report, b.best_report);
@@ -961,7 +779,7 @@ mod tests {
         // headline claim on the micro model.
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default().with_tile_sharing();
-        let outcome = rl_search_vec(&m, &paper_hybrid_candidates(), &cfg, &quick_cfg(1, 60), 8);
+        let outcome = vec_search(&m, &paper_hybrid_candidates(), &cfg, &quick_cfg(1, 60), 8);
         let (_, homo) = best_homogeneous(&m, &AccelConfig::default());
         assert!(
             outcome.best_rue() >= homo.rue(),
@@ -1001,6 +819,9 @@ mod tests {
 
     #[test]
     fn noise_penalized_vec_search_single_lane_is_bit_identical() {
+        // A bare engine gets the default noise oracle attached on a clone;
+        // an engine that already carries it is used as is. Both give the
+        // same search, counters and hit rates included.
         let m = zoo::micro_cnn();
         let cands = paper_hybrid_candidates();
         let cfg = AccelConfig::default();
@@ -1008,11 +829,13 @@ mod tests {
             noise_penalty: 2.0,
             ..quick_cfg(7, 18)
         };
-        let seq = rl_search(&m, &cands, &cfg, &scfg);
-        let vec1 = rl_search_vec(&m, &cands, &cfg, &scfg, 1);
-        assert_eq!(outcome_bits(&seq), outcome_bits(&vec1));
-        assert_eq!(seq.best_strategy, vec1.best_strategy);
-        assert_eq!(seq.best_report, vec1.best_report);
+        let attached = rl_search(&m, &cands, &cfg, &scfg);
+        let ready = EvalEngine::new(m.clone(), cfg).with_noise(NoiseEvalConfig::default());
+        let own = rl_search_vec_with_stats(&m, &cands, &cfg, &scfg, 1, Arc::new(ready)).0;
+        assert_eq!(outcome_bits(&attached), outcome_bits(&own));
+        assert_eq!(attached.best_strategy, own.best_strategy);
+        assert_eq!(attached.best_report, own.best_report);
+        assert_eq!(attached.timing.cache, own.timing.cache);
     }
 
     #[test]
@@ -1050,20 +873,5 @@ mod tests {
             .map(|h| h.reward)
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(stall.best_reward(), best);
-    }
-
-    #[test]
-    fn multi_seed_matches_individual_searches() {
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        let outcomes = rl_search_multi_seed(&m, &cands, &cfg, &quick_cfg(0, 10), &[5, 9]);
-        assert_eq!(outcomes.len(), 2);
-        let a = rl_search(&m, &cands, &cfg, &quick_cfg(5, 10));
-        let b = rl_search(&m, &cands, &cfg, &quick_cfg(9, 10));
-        assert_eq!(outcomes[0].best_strategy, a.best_strategy);
-        assert_eq!(outcomes[1].best_strategy, b.best_strategy);
-        assert_eq!(outcomes[0].best_report, a.best_report);
-        assert_eq!(outcomes[1].best_report, b.best_report);
     }
 }

@@ -32,11 +32,6 @@
 //!   with the matching online drift process, and reports whether the full
 //!   cascade retains strictly better SLO attainment and accuracy than
 //!   running unprotected.
-//! - [`search_throughput_study`]: the paper quotes 49.2 min for a
-//!   300-round search (§4.5) but never varies the search driver itself;
-//!   this study scales the vectorized driver's lane count and reports
-//!   episodes/sec, speed-up over the sequential driver, and the best RUE
-//!   each batching level reaches (DESIGN.md §10).
 //! - [`robustness_study`]: the paper scores mappings on ideal devices;
 //!   this study prices lognormal device variation into the objective,
 //!   compares every homogeneous baseline and the noise-blind greedy
@@ -819,58 +814,6 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
     }
 }
 
-/// One lane-count point of [`search_throughput_study`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputRow {
-    /// Lockstep lane count (`0` marks the sequential reference driver).
-    pub lanes: usize,
-    /// Completed episodes per wall-clock second.
-    pub episodes_per_sec: f64,
-    /// Speed-up over the sequential reference row.
-    pub speedup: f64,
-    /// Best RUE the run found — search quality at this batching level.
-    pub best_rue: f64,
-    /// Mean lane occupancy across lockstep groups (1.0 for sequential).
-    pub mean_occupancy: f64,
-}
-
-/// Throughput scaling of the vectorized search: run the sequential driver
-/// once as the reference row (`lanes == 0`), then
-/// [`rl_search_vec`](crate::search::rl::rl_search_vec) at each lane count.
-/// Every run gets a **fresh** engine so all rows pay the same cold-cache
-/// cost and the comparison isolates the driver, not memo warm-up.
-pub fn search_throughput_study(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &crate::search::rl::RlSearchConfig,
-    lane_counts: &[usize],
-) -> Vec<ThroughputRow> {
-    let seq = crate::search::rl::rl_search(model, candidates, cfg, scfg);
-    let seq_eps = scfg.episodes as f64 / seq.timing.total.as_secs_f64().max(f64::MIN_POSITIVE);
-    let mut rows = vec![ThroughputRow {
-        lanes: 0,
-        episodes_per_sec: seq_eps,
-        speedup: 1.0,
-        best_rue: seq.best_rue(),
-        mean_occupancy: 1.0,
-    }];
-    for &lanes in lane_counts {
-        let engine = Arc::new(EvalEngine::new(model.clone(), *cfg));
-        let (o, s) = crate::search::rl::rl_search_vec_with_stats(
-            model, candidates, cfg, scfg, lanes, engine,
-        );
-        rows.push(ThroughputRow {
-            lanes,
-            episodes_per_sec: s.episodes_per_sec,
-            speedup: s.episodes_per_sec / seq_eps,
-            best_rue: o.best_rue(),
-            mean_occupancy: s.mean_occupancy,
-        });
-    }
-    rows
-}
-
 /// Parameters of a [`robustness_study`] run. Everything — baseline
 /// scoring, the NSGA-II trajectory, the Monte-Carlo noise draws —
 /// derives from the seeds inside, so a study is a pure function of this
@@ -1295,40 +1238,6 @@ mod tests {
             ..small_lifetime()
         };
         lifetime_campaign(&zoo::micro_cnn(), &cfg);
-    }
-
-    #[test]
-    fn throughput_study_reports_every_lane_count() {
-        let m = zoo::micro_cnn();
-        let scfg = crate::search::rl::RlSearchConfig {
-            episodes: 12,
-            ddpg: autohet_rl::DdpgConfig {
-                hidden: 16,
-                batch: 8,
-                ..autohet_rl::DdpgConfig::default()
-            },
-            train_steps: 2,
-            ..crate::search::rl::RlSearchConfig::default()
-        };
-        let rows = search_throughput_study(
-            &m,
-            &paper_hybrid_candidates(),
-            &AccelConfig::default(),
-            &scfg,
-            &[1, 4],
-        );
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].lanes, 0);
-        assert_eq!(rows[0].speedup, 1.0);
-        assert_eq!(rows[1].lanes, 1);
-        assert_eq!(rows[2].lanes, 4);
-        for r in &rows {
-            assert!(r.episodes_per_sec > 0.0);
-            assert!(r.best_rue > 0.0);
-            assert!((0.0..=1.0).contains(&r.mean_occupancy));
-        }
-        // Lanes == 1 is bit-identical search-wise, so quality matches.
-        assert_eq!(rows[1].best_rue.to_bits(), rows[0].best_rue.to_bits());
     }
 
     fn small_robustness() -> RobustnessStudyConfig {

@@ -1,6 +1,6 @@
 //! End-to-end search benchmarks: the paper's 300-round DDPG search (§4.5
-//! quotes 49.2 min for VGG16) through the sequential driver and the
-//! vectorized lockstep driver at several lane counts. Snapshot results
+//! quotes 49.2 min for VGG16) through the lockstep driver at one lane
+//! (`rl_search`, the `seq` rows) and at several lane counts. Snapshot results
 //! land in `BENCH_search.json` (episodes/sec and speed-up derived by
 //! `scripts/bench_snapshot.sh`).
 //!
@@ -11,6 +11,7 @@ use autohet::prelude::*;
 use autohet_rl::DdpgConfig;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const EPISODES: usize = 300;
 
@@ -36,7 +37,12 @@ fn bench_model(c: &mut Criterion, group: &str, model: &autohet_dnn::Model, lanes
     });
     for &n in lanes {
         g.bench_function(format!("vec{n}"), |b| {
-            b.iter(|| black_box(rl_search_vec(model, &cands, &cfg, &scfg, n)))
+            b.iter(|| {
+                let engine = Arc::new(EvalEngine::new(model.clone(), cfg));
+                black_box(rl_search_vec_with_stats(
+                    model, &cands, &cfg, &scfg, n, engine,
+                ))
+            })
         });
     }
     g.finish();

@@ -108,7 +108,7 @@ fn main() {
         train_steps: 4,
         ..RlSearchConfig::default()
     };
-    let ddpg = rl_search_with_engine(&model, &cands, &cfg, &scfg, engine.clone());
+    let (ddpg, _) = rl_search_vec_with_stats(&model, &cands, &cfg, &scfg, 1, engine.clone());
     println!(
         "ddpg      best RUE {:.4}  cache: {}",
         ddpg.best_rue(),

@@ -8,7 +8,7 @@
 //!   (every `TrainStats`), then `act` and `q_value` on three probe states;
 //! - the same at state_dim 7, hidden 37, batch 23, whose odd sizes reach
 //!   every remainder of the GEMM tiles;
-//! - `rl_search` (one lane) and `rl_search_vec` (8 lanes) on MicroCNN at
+//! - `rl_search` (one lane) and the lockstep driver at 8 lanes on MicroCNN at
 //!   the default agent config: every episode's `rue` and `reward`, and the
 //!   best strategy. `cache_hit_rate` is left out: it depends on thread
 //!   timing when lanes share the engine memo;
@@ -18,7 +18,8 @@
 //!   `cache_hit_rate` included (one lane never races on the memo), the
 //!   best strategy, a fingerprint of the best report, the engine counters
 //!   and the train-step count. Both `rl_search` and the lockstep driver
-//!   at one lane must reproduce these rows.
+//!   at one lane must reproduce these rows; they stand in for the
+//!   per-episode driver the lockstep driver replaced.
 //!
 //! To inspect the current rows, run
 //! `cargo test --test golden_ddpg -- --nocapture`: each test prints the
@@ -27,6 +28,7 @@
 use autohet::prelude::*;
 use autohet_dnn::zoo;
 use autohet_rl::{Ddpg, DdpgConfig, Experience};
+use std::sync::Arc;
 
 fn check(name: &str, actual: Vec<String>, golden: &[&str]) {
     for row in &actual {
@@ -161,7 +163,8 @@ fn check_one_lane(name: &str, cfg: &AccelConfig, scfg: &RlSearchConfig, golden: 
         one_lane_rows(&rl_search(&m, &cands, cfg, scfg)),
         golden,
     );
-    let vec1 = rl_search_vec(&m, &cands, cfg, scfg, 1);
+    let engine = Arc::new(EvalEngine::new(m.clone(), *cfg));
+    let vec1 = rl_search_vec_with_stats(&m, &cands, cfg, scfg, 1, engine).0;
     check(&format!("{name} (lockstep)"), one_lane_rows(&vec1), golden);
 }
 
@@ -207,15 +210,18 @@ fn sequential_search_is_pinned() {
 
 #[test]
 fn eight_lane_search_is_pinned() {
+    let m = zoo::micro_cnn();
     let cfg = AccelConfig::default().with_tile_sharing();
-    let o = rl_search_vec(
-        &zoo::micro_cnn(),
+    let engine = Arc::new(EvalEngine::new(m.clone(), cfg));
+    let (o, _) = rl_search_vec_with_stats(
+        &m,
         &paper_hybrid_candidates(),
         &cfg,
         &search_cfg(),
         8,
+        engine,
     );
-    check("rl_search_vec", search_rows(&o), &RL_SEARCH_VEC);
+    check("eight_lanes", search_rows(&o), &RL_SEARCH_VEC);
 }
 
 #[test]
