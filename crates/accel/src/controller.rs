@@ -338,12 +338,6 @@ impl MappedModel {
     /// linear-chain model (`model.stages` non-empty); returns the final
     /// layer's activations (logits — no ReLU on the last stage).
     pub fn infer(&self, image: &Tensor) -> Tensor {
-        // Top-level single-image call: parallelize the conv-column batch
-        // over crossbar workers.
-        self.infer_inner(image, true)
-    }
-
-    fn infer_inner(&self, image: &Tensor, par: bool) -> Tensor {
         assert!(
             !self.model.stages.is_empty(),
             "model {} has no inference pipeline (mapping-only model)",
@@ -356,7 +350,7 @@ impl MappedModel {
                 Stage::Pool(w) => act = ops::max_pool(&act, w),
                 Stage::Layer(i) => {
                     let ml = &self.layers[i];
-                    act = self.run_layer(ml, &act, par);
+                    act = self.run_layer(ml, &act);
                     if i != last_layer {
                         ops::relu(&mut act);
                     }
@@ -366,42 +360,9 @@ impl MappedModel {
         act
     }
 
-    /// Run a batch of images; returns one logit tensor per image. Images
-    /// are independent, so this parallelizes across worker threads with
-    /// `crossbeam::scope` when the batch is large enough to pay for it.
-    pub fn infer_batch(&self, images: &[Tensor]) -> Vec<Tensor> {
-        const PAR_THRESHOLD: usize = 4;
-        if images.len() < PAR_THRESHOLD {
-            return images.iter().map(|img| self.infer(img)).collect();
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(images.len());
-        let chunk = images.len().div_ceil(workers);
-        let mut out: Vec<Option<Tensor>> = vec![None; images.len()];
-        crossbeam::thread::scope(|s| {
-            for (slot_chunk, img_chunk) in out.chunks_mut(chunk).zip(images.chunks(chunk)) {
-                s.spawn(move |_| {
-                    for (slot, img) in slot_chunk.iter_mut().zip(img_chunk) {
-                        // Workers run serially inside — the batch already
-                        // saturates the cores; nesting par_map would
-                        // oversubscribe them.
-                        *slot = Some(self.infer_inner(img, false));
-                    }
-                });
-            }
-        })
-        .expect("inference worker panicked");
-        out.into_iter()
-            .map(|t| t.expect("all slots filled"))
-            .collect()
-    }
-
-    /// Execute one mapped layer on an activation tensor. `par` fans the
-    /// conv-column batch out over worker threads (top-level calls only —
-    /// batch inference workers keep it off to avoid oversubscription).
-    fn run_layer(&self, ml: &MappedLayer, act: &Tensor, par: bool) -> Tensor {
+    /// Execute one mapped layer on an activation tensor, fanning a large
+    /// conv-column batch out over worker threads.
+    fn run_layer(&self, ml: &MappedLayer, act: &Tensor) -> Tensor {
         // Below this many MVMs the fork-join overhead beats the win.
         const PAR_COLS: usize = 8;
         let layer = &ml.layer;
@@ -428,7 +389,7 @@ impl MappedModel {
                             .collect()
                     })
                     .collect();
-                let ys = if par && xqs.len() >= PAR_COLS {
+                let ys = if xqs.len() >= PAR_COLS {
                     ml.mvm_batch_par(&xqs, &self.adc)
                 } else {
                     ml.mvm_batch(&xqs, &self.adc)
@@ -661,22 +622,6 @@ mod tests {
         for (a, f) in analog.data().iter().zip(act.data()) {
             assert!((a - f).abs() / scale < 0.1, "{a} vs {f}");
         }
-    }
-
-    #[test]
-    fn infer_batch_matches_sequential_inference() {
-        let m = zoo::micro_cnn();
-        let strategy = vec![XbarShape::square(64); m.layers.len()];
-        let mm = MappedModel::program_synthetic(&m, &strategy, 6, params());
-        let images: Vec<Tensor> = (0..6).map(|i| Dataset::Mnist.synthetic_image(i)).collect();
-        let batched = mm.infer_batch(&images);
-        assert_eq!(batched.len(), 6);
-        for (img, b) in images.iter().zip(&batched) {
-            assert_eq!(mm.infer(img).data(), b.data());
-        }
-        // Small batches take the sequential path; results identical.
-        let two = mm.infer_batch(&images[..2]);
-        assert_eq!(two[1].data(), batched[1].data());
     }
 
     #[test]
