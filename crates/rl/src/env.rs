@@ -1,9 +1,9 @@
-//! Environment abstraction and toy environments.
+//! A toy environment that validates the RL stack in isolation (compiled
+//! for tests only).
 //!
 //! The AutoHet search environment (layers as steps, crossbar choice as
 //! action, RUE-style reward at episode end) lives in the `autohet` crate;
-//! this trait keeps the agent reusable and the toy environments below let
-//! the RL stack be validated in isolation.
+//! the chain below is its simplest delayed-reward analogue.
 
 use serde::{Deserialize, Serialize};
 

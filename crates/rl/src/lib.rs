@@ -13,12 +13,14 @@
 //! - [`ddpg`]: the agent — actor `μ(s)`, critic `Q(s,a)`, target copies,
 //!   soft updates, TD-target critic regression and deterministic policy
 //!   gradient actor updates.
-//! - [`env`]: a tiny environment trait plus toy environments used to
-//!   verify the agent end-to-end.
+//!
+//! The unit tests also drive the agent end to end through a toy
+//! delayed-reward chain environment, which is compiled for tests only.
 
 pub mod ddpg;
 pub mod dqn;
-pub mod env;
+#[cfg(test)]
+mod env;
 pub mod matrix;
 pub mod nn;
 pub mod noise;
