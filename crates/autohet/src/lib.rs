@@ -22,7 +22,7 @@
 //!
 //! ## Layout
 //!
-//! - [`env`]: the RL environment — the paper's Eq. 1 state vector and
+//! - [`env`](mod@env): the RL environment — the paper's Eq. 1 state vector and
 //!   Eq. 2 reward over hardware feedback.
 //! - [`search`]: strategy search drivers — [`search::rl`] (the paper),
 //!   plus greedy / random / exhaustive comparators. One DDPG driver,
@@ -39,7 +39,7 @@
 //!   PEs per tile).
 //! - [`par`]: the scoped-thread fan-out behind the parallel sweep
 //!   drivers; every search reuses one memoized
-//!   [`EvalEngine`](autohet_accel::EvalEngine).
+//!   [`EvalEngine`].
 //! - [`robust`]: NSGA-II multi-objective search producing energy ×
 //!   latency × noise-robustness Pareto fronts over the device-variation
 //!   oracle (DESIGN.md §11).

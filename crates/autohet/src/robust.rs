@@ -57,9 +57,9 @@ impl Default for NsgaConfig {
 pub struct RobustPoint {
     /// Per-layer crossbar shapes.
     pub strategy: Vec<XbarShape>,
-    /// Ideal-device inference energy [nJ] (minimized).
+    /// Ideal-device inference energy \[nJ\] (minimized).
     pub energy_nj: f64,
-    /// Ideal-device inference latency [ns] (minimized).
+    /// Ideal-device inference latency \[ns\] (minimized).
     pub latency_ns: f64,
     /// Mean normalized output deviation under variation (minimized).
     pub noise_dev: f64,
@@ -96,9 +96,9 @@ pub struct GenerationStat {
     pub generation: usize,
     /// Size of the population's rank-0 front.
     pub front_size: usize,
-    /// Best (lowest) energy in the population [nJ].
+    /// Best (lowest) energy in the population \[nJ\].
     pub best_energy_nj: f64,
-    /// Best (lowest) latency in the population [ns].
+    /// Best (lowest) latency in the population \[ns\].
     pub best_latency_ns: f64,
     /// Best (lowest) noise deviation in the population.
     pub best_noise_dev: f64,

@@ -1,6 +1,6 @@
 //! Greedy layer-wise comparators.
 //!
-//! Zhu et al. (the paper's related work [29]) assign mixed crossbar sizes
+//! Zhu et al. (the paper's related work \[29\]) assign mixed crossbar sizes
 //! per layer with a greedy utilization objective; the paper contrasts this
 //! with AutoHet's joint utilization/energy target. Two greedy drivers:
 //!

@@ -123,7 +123,7 @@ pub struct EpisodeRecord {
     pub reward: f64,
     /// Allocation-level utilization (fraction).
     pub utilization: f64,
-    /// Total energy [nJ].
+    /// Total energy \[nJ\].
     pub energy_nj: f64,
     /// Combined evaluation-cache hit rate over this episode's engine
     /// lookups (strategy + layer; 0.0 when no lookups happened). On an

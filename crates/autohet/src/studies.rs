@@ -67,9 +67,9 @@ use std::sync::Arc;
 pub struct AdcPoint {
     /// ADC resolution in bits.
     pub bits: u32,
-    /// Total energy for the evaluated strategy [nJ].
+    /// Total energy for the evaluated strategy \[nJ\].
     pub energy_nj: f64,
-    /// Total area [µm²].
+    /// Total area \[µm²\].
     pub area_um2: f64,
     /// RUE at this resolution.
     pub rue: f64,
@@ -197,11 +197,11 @@ pub struct ServingStudyRow {
     pub submitted: u64,
     /// Requests shed by admission control.
     pub rejected: u64,
-    /// 99th-percentile request latency [ns].
+    /// 99th-percentile request latency \[ns\].
     pub p99_ns: u64,
     /// Fraction of offered requests completed within the SLO.
     pub slo_attainment: f64,
-    /// Total inference energy [nJ].
+    /// Total inference energy \[nJ\].
     pub energy_nj: f64,
     /// Completed requests per second of virtual time.
     pub throughput_rps: f64,
@@ -342,9 +342,9 @@ pub struct FaultCampaignRow {
     pub remapped: u64,
     /// Dead occupied slots the repair could only degrade around.
     pub degraded: u64,
-    /// Whole-model inference energy on the repaired hardware [nJ].
+    /// Whole-model inference energy on the repaired hardware \[nJ\].
     pub energy_nj: f64,
-    /// Single-sample latency on the repaired hardware [ns].
+    /// Single-sample latency on the repaired hardware \[ns\].
     pub latency_ns: f64,
     /// Requests offered (identical across rows by construction).
     pub submitted: u64,
@@ -356,9 +356,9 @@ pub struct FaultCampaignRow {
     pub degraded_completed: u64,
     /// Fraction of offered requests completed within the SLO.
     pub slo_attainment: f64,
-    /// 99th-percentile request latency [ns].
+    /// 99th-percentile request latency \[ns\].
     pub p99_ns: u64,
-    /// Total replica downtime during the run [ns].
+    /// Total replica downtime during the run \[ns\].
     pub downtime_ns: u64,
 }
 
@@ -564,7 +564,7 @@ pub struct LifetimeRow {
     /// Recovery-policy label (`"no-recovery"`, `"recalibrate-only"`,
     /// `"full-cascade"`).
     pub policy: String,
-    /// Lifetime epoch the hardware was evaluated at [hours].
+    /// Lifetime epoch the hardware was evaluated at \[hours\].
     pub t_hours: f64,
     /// Crossbar-weighted hard-fault fidelity after the cascade.
     pub fidelity: f64,
@@ -578,9 +578,9 @@ pub struct LifetimeRow {
     pub remapped: u64,
     /// Dead occupied slots the cascade could only degrade around.
     pub degraded: u64,
-    /// Whole-model inference energy on the epoch hardware [nJ].
+    /// Whole-model inference energy on the epoch hardware \[nJ\].
     pub energy_nj: f64,
-    /// Single-sample latency on the epoch hardware [ns].
+    /// Single-sample latency on the epoch hardware \[ns\].
     pub latency_ns: f64,
     /// Requests offered (identical across rows by construction).
     pub submitted: u64,
@@ -590,7 +590,7 @@ pub struct LifetimeRow {
     pub errored: u64,
     /// Fraction of offered requests completed cleanly within the SLO.
     pub slo_attainment: f64,
-    /// 99th-percentile request latency [ns].
+    /// 99th-percentile request latency \[ns\].
     pub p99_ns: u64,
     /// Fraction of completed requests with clean results.
     pub clean_fraction: f64,
@@ -600,7 +600,7 @@ pub struct LifetimeRow {
     pub recals: u64,
     /// Remap escalations.
     pub remaps: u64,
-    /// Fleet time spent paused in recovery [ns].
+    /// Fleet time spent paused in recovery \[ns\].
     pub recovery_ns: u64,
     /// End-to-end accuracy: the hardware proxy × the serving clean
     /// fraction — the campaign's headline accuracy axis.
@@ -836,9 +836,9 @@ pub struct RobustnessStudyRow {
     pub label: String,
     /// Per-layer crossbar shapes.
     pub strategy: Vec<XbarShape>,
-    /// Ideal-device inference energy [nJ].
+    /// Ideal-device inference energy \[nJ\].
     pub energy_nj: f64,
-    /// Ideal-device inference latency [ns].
+    /// Ideal-device inference latency \[ns\].
     pub latency_ns: f64,
     /// Mean normalized output deviation under device variation.
     pub noise_dev: f64,

@@ -25,8 +25,9 @@ cargo bench -p autohet-bench --bench serve_scale -- --test >/dev/null
 cargo fmt --check
 # --all-targets lints tests, examples, and benches too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings
-# The observability crate's docs are part of its API contract.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs
+# The observability, RL and search crates' docs are part of their API
+# contract: a doc link to a renamed or deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs -p autohet-rl -p autohet
 
 # Observability smoke: the full dump pipeline must run end to end and
 # emit every artifact (CI uploads target/obs_smoke for inspection).
