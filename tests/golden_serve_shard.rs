@@ -8,6 +8,10 @@
 //!   up to 16 replicas and strategy swap, queue depth 16, 2 s horizon.
 //! - `faulty_runs_are_pinned` turns replica failures and drift health on
 //!   at 2 shards × 3 replicas and 4 shards × 2 replicas.
+//! - `stolen_deficit_run_is_pinned` steals a tenant back and forth
+//!   between 2 shards while it carries leftover DRR deficit, which must
+//!   travel with it: a migration that dropped the deficit would reorder
+//!   the thief's dispatches.
 //!
 //! Each run pins the totals, every steal, scale, swap and health event
 //! (f64 fields as bits), each shard's stats, each window's counts and an
@@ -99,6 +103,29 @@ fn small_fleet() -> Vec<TenantSpec> {
                 });
             }
             t
+        })
+        .collect()
+}
+
+/// One weight-5 tenant at twice one replica's capacity beside five
+/// weight-1 tenants at a fifth of it each. On 2 shards × 1 replica the
+/// heavy tenant's shard is the only victim, and the heavy tenant is the
+/// one stolen; its weight-5 top-ups against 8-request batches leave it
+/// mid-turn deficit at most barriers.
+fn lopsided_fleet() -> Vec<TenantSpec> {
+    let micro = compile(
+        "micro",
+        &autohet_dnn::zoo::micro_cnn(),
+        XbarShape::square(128),
+    );
+    let lenet = compile("lenet", &autohet_dnn::zoo::lenet5(), XbarShape::square(128));
+    (0..6)
+        .map(|i| {
+            let d = if i % 2 == 0 { &micro } else { &lenet };
+            let (load, weight) = if i == 0 { (2.0, 5) } else { (0.2, 1) };
+            let slo = (8.0 * d.pipeline.fill_ns) as u64;
+            TenantSpec::new(&format!("t{i:02}"), d.clone(), load * d.max_rate_rps(), slo)
+                .with_weight(weight)
         })
         .collect()
 }
@@ -299,6 +326,30 @@ fn faulty_runs_are_pinned() {
     }
 }
 
+#[test]
+fn stolen_deficit_run_is_pinned() {
+    let wl = Workload {
+        seed: 31,
+        horizon_ns: 40_000_000,
+    };
+    let cfg = ShardConfig {
+        shards: 2,
+        queue_depth: 32,
+        steal: Some(StealSpec {
+            min_victim_backlog: 8,
+            max_thief_backlog: 2,
+        }),
+        ..ShardConfig::default()
+    };
+    let r = run_all_drivers(&lopsided_fleet(), &wl, &cfg);
+    assert!(
+        r.steal_events.len() >= 2,
+        "the heavy tenant never moved back"
+    );
+    assert!(r.steal_events.iter().all(|e| e.tenant == 0));
+    check("stolen_deficit", &rows(&r), &STOLEN_DEFICIT);
+}
+
 const FLEET: [&str; 49] = [
     "totals: submitted 19106 completed 18745 rejected 361 failed 0 retried 0 errored 0 batches 13674 makespan_ns 2002759692 replicas 8/11/10 energy 0x41c760f72ccb2232 fairness 0x3fe043c16cc1ad92",
     "StealEvent { t_ns: 875000000, epoch: 6, tenant: 92, from_shard: 4, to_shard: 7, moved_requests: 16 }",
@@ -488,4 +539,30 @@ const FAULTY_4X2: [&str; 79] = [
     "window 6: submitted 45 rejected 0 completed 22 batches 10 peak 52 downtime_ns 7094672 slo 0x3fe5d1745d1745d1 depth 0x4040f230f7ef9046",
     "window 7: submitted 51 rejected 0 completed 73 batches 26 peak 38 downtime_ns 3937140 slo 0x3fe0a8542a150a85 depth 0x40279020bce31e53",
     "tenants fnv1a 0x9243d63167279c2a",
+];
+
+const STOLEN_DEFICIT: [&str; 23] = [
+    "totals: submitted 183 completed 155 rejected 28 failed 0 retried 0 errored 0 batches 41 makespan_ns 63159006 replicas 2/2/2 energy 0x415d3fc7c07a4a4b fairness 0x3fed4ad0d72e9b46",
+    "StealEvent { t_ns: 5000000, epoch: 1, tenant: 0, from_shard: 0, to_shard: 1, moved_requests: 9 }",
+    "StealEvent { t_ns: 12500000, epoch: 4, tenant: 0, from_shard: 1, to_shard: 0, moved_requests: 20 }",
+    "StealEvent { t_ns: 25000000, epoch: 9, tenant: 0, from_shard: 0, to_shard: 1, moved_requests: 32 }",
+    "shard 0: tenants 2 replicas 1/1 dispatched 15 steals 1/2 makespan_ns 47639825 downtime_ns 0 trips 0 recals 0 remaps 0 recovery_ns 0",
+    "shard 1: tenants 4 replicas 1/1 dispatched 26 steals 2/1 makespan_ns 63159006 downtime_ns 0 trips 0 recals 0 remaps 0 recovery_ns 0",
+    "window 0: submitted 10 rejected 0 completed 2 batches 2 peak 8 downtime_ns 0 slo 0x3ff0000000000000 depth 0x400d2668eaa524e8",
+    "window 1: submitted 12 rejected 0 completed 3 batches 2 peak 11 downtime_ns 0 slo 0x3ff0000000000000 depth 0x401668bbc6144be7",
+    "window 2: submitted 10 rejected 0 completed 7 batches 2 peak 12 downtime_ns 0 slo 0x3ff0000000000000 depth 0x4019d42719497d22",
+    "window 3: submitted 14 rejected 0 completed 11 batches 3 peak 23 downtime_ns 0 slo 0x3fe45d1745d1745d depth 0x4032ad272939b52d",
+    "window 4: submitted 8 rejected 0 completed 4 batches 3 peak 25 downtime_ns 0 slo 0x3fe0000000000000 depth 0x4035b3cc730ab997",
+    "window 5: submitted 12 rejected 0 completed 4 batches 3 peak 27 downtime_ns 0 slo 0x3fe8000000000000 depth 0x40362e97a827d1d6",
+    "window 6: submitted 11 rejected 0 completed 12 batches 3 peak 32 downtime_ns 0 slo 0x3fd5555555555555 depth 0x4039e262aa19439e",
+    "window 7: submitted 15 rejected 0 completed 2 batches 2 peak 38 downtime_ns 0 slo 0x3ff0000000000000 depth 0x403fc38d74c828f9",
+    "window 8: submitted 14 rejected 2 completed 9 batches 2 peak 47 downtime_ns 0 slo 0x3fbc71c71c71c71c depth 0x404450c9a0c86204",
+    "window 9: submitted 10 rejected 1 completed 6 batches 2 peak 47 downtime_ns 0 slo 0x3ff0000000000000 depth 0x4044e423dfd9190b",
+    "window 10: submitted 10 rejected 0 completed 8 batches 1 peak 47 downtime_ns 0 slo 0x0 depth 0x4044cb1e47e9a39d",
+    "window 11: submitted 8 rejected 3 completed 0 batches 0 peak 46 downtime_ns 0 slo 0x3ff0000000000000 depth 0x4045a1112acaaee5",
+    "window 12: submitted 8 rejected 2 completed 15 batches 3 peak 35 downtime_ns 0 slo 0x3fc1111111111111 depth 0x40436b7ee4e26d48",
+    "window 13: submitted 11 rejected 4 completed 0 batches 0 peak 42 downtime_ns 0 slo 0x3ff0000000000000 depth 0x4043814e31bc3aae",
+    "window 14: submitted 18 rejected 7 completed 16 batches 2 peak 49 downtime_ns 0 slo 0x0 depth 0x4046af93b5540a43",
+    "window 15: submitted 12 rejected 9 completed 56 batches 11 peak 50 downtime_ns 0 slo 0x3fc9249249249249 depth 0x40314cb3ec67408e",
+    "tenants fnv1a 0xad870869756f7edc",
 ];
