@@ -371,8 +371,8 @@ pub fn rl_search_vec_tapped(
         .map(|_| OuNoise::new(scfg.noise_sigma, scfg.noise_decay, scfg.noise_min))
         .collect();
     // Master sigma schedule: lane `l` of the group starting at `episode`
-    // runs episode index `episode + l`, whose sigma under the sequential
-    // driver is `cur_sigma` after that many decays.
+    // runs episode index `episode + l`, whose sigma is `cur_sigma` after
+    // that many per-episode decays.
     let mut cur_sigma = scfg.noise_sigma;
 
     let mut best: Option<(Vec<XbarShape>, EvalReport)> = None;
@@ -410,7 +410,7 @@ pub fn rl_search_vec_tapped(
                 // Mixed group: actor lanes still share one batched pass,
                 // warm-up lanes draw uniform actions; RNG order (warm-up
                 // stream, then agent stream per actor lane ascending) is
-                // the sequential order at one lane.
+                // the per-episode order at one lane.
                 acts.clear();
                 if warm_lanes < active {
                     mus.clear();
@@ -436,10 +436,9 @@ pub fn rl_search_vec_tapped(
         let episodes_done = venv.finish();
         // The noise oracle's memoized slices are pure functions of
         // (layer, shape), so folding the penalty here — instead of inside
-        // the evaluation fan-out — preserves the lanes == 1 bit-identity;
-        // it happens before the cache window closes because the oracle's
-        // internal `evaluate` call lands in the episode's counters under
-        // the sequential driver too.
+        // the evaluation fan-out — changes no value; it happens before the
+        // cache window closes so that the oracle's internal `evaluate`
+        // call lands in the episode's counters.
         let rewards: Vec<f64> = episodes_done
             .iter()
             .map(|ep| penalized_reward(scfg, &env, &ep.strategy, ep.reward))
@@ -447,7 +446,7 @@ pub fn rl_search_vec_tapped(
         timing.simulator += ts.elapsed();
 
         // One cache window per group: the decision stage never touches the
-        // engine, so at one lane this is the sequential per-episode window.
+        // engine, so at one lane this is the per-episode window.
         let hit = env.engine().stats().since(&group_stats).combined_hit_rate();
 
         // ---- Learning stage: ingest lanes in order, then train per group.

@@ -23,7 +23,7 @@ use std::time::Instant;
 /// A finished span, as recorded in the ring buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Full `;`-joined scope path, e.g. `search.rl;engine.evaluate`.
+    /// Full `;`-joined scope path, e.g. `search.rl_vec;engine.evaluate`.
     pub path: String,
     /// Leaf name of the span (last path segment).
     pub name: &'static str,

@@ -19,8 +19,6 @@
 
 pub mod ddpg;
 pub mod dqn;
-#[cfg(test)]
-mod env;
 pub mod matrix;
 pub mod nn;
 pub mod noise;
@@ -32,3 +30,6 @@ pub use matrix::Matrix;
 pub use nn::{Activation, Adam, Mlp};
 pub use noise::OuNoise;
 pub use replay::{Experience, ReplayBuffer};
+
+#[cfg(test)]
+mod env;
