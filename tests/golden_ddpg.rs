@@ -10,16 +10,18 @@
 //!   every remainder of the GEMM tiles;
 //! - `rl_search` (one lane) and the lockstep driver at 8 lanes on MicroCNN at
 //!   the default agent config: every episode's `rue` and `reward`, and the
-//!   best strategy. `cache_hit_rate` is left out: it depends on thread
-//!   timing when lanes share the engine memo;
+//!   best strategy;
+//! - the same 8-lane search field by field: every `EpisodeRecord` field,
+//!   `cache_hit_rate` included, the best strategy, a fingerprint of the
+//!   best report, the engine counters and the train-step count. These
+//!   rows were generated on one CPU, where the group's evaluations run in
+//!   lane order;
 //! - five small one-lane searches that span the axes of the one-lane
 //!   contract (a single episode, no warm-up, a warm-up split, a noise
-//!   penalty, skewed reward weights): every `EpisodeRecord` field,
-//!   `cache_hit_rate` included (one lane never races on the memo), the
-//!   best strategy, a fingerprint of the best report, the engine counters
-//!   and the train-step count. Both `rl_search` and the lockstep driver
-//!   at one lane must reproduce these rows; they stand in for the
-//!   per-episode driver the lockstep driver replaced.
+//!   penalty, skewed reward weights), field by field as above. Both
+//!   `rl_search` and the lockstep driver at one lane must reproduce these
+//!   rows; they stand in for the per-episode driver the lockstep driver
+//!   replaced.
 //!
 //! To inspect the current rows, run
 //! `cargo test --test golden_ddpg -- --nocapture`: each test prints the
@@ -108,8 +110,8 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-/// Every deterministic field of a one-lane search.
-fn one_lane_rows(o: &SearchOutcome) -> Vec<String> {
+/// Every deterministic field of a search.
+fn all_field_rows(o: &SearchOutcome) -> Vec<String> {
     let mut rows: Vec<String> = o
         .history
         .iter()
@@ -160,12 +162,12 @@ fn check_one_lane(name: &str, cfg: &AccelConfig, scfg: &RlSearchConfig, golden: 
     let cands = paper_hybrid_candidates();
     check(
         name,
-        one_lane_rows(&rl_search(&m, &cands, cfg, scfg)),
+        all_field_rows(&rl_search(&m, &cands, cfg, scfg)),
         golden,
     );
     let engine = Arc::new(EvalEngine::new(m.clone(), *cfg));
     let vec1 = rl_search_vec_with_stats(&m, &cands, cfg, scfg, 1, engine).0;
-    check(&format!("{name} (lockstep)"), one_lane_rows(&vec1), golden);
+    check(&format!("{name} (lockstep)"), all_field_rows(&vec1), golden);
 }
 
 fn search_cfg() -> RlSearchConfig {
@@ -222,6 +224,7 @@ fn eight_lane_search_is_pinned() {
         engine,
     );
     check("eight_lanes", search_rows(&o), &RL_SEARCH_VEC);
+    check("eight_lanes (all fields)", all_field_rows(&o), &EIGHT_LANES);
 }
 
 #[test]
@@ -591,4 +594,71 @@ const REWARD_WEIGHTS: [&str; 14] = [
     "best report: rue 3f6447c5b1d5df99 tiles 8 fnv 8c35be4a95952eed",
     "cache EngineStats { strategy_hits: 0, strategy_misses: 11, layer_hits: 26, layer_misses: 18, noise_slices: 0, device_draws: 0, readout_tables: 0 }",
     "train steps 18",
+];
+
+const EIGHT_LANES: [&str; 64] = [
+    "ep 0: rue 3f13b2c6bf609d12 reward 3fa949d1c16dff63 util 3fa659d31674c59d energy 40ec5dcf06875f63 hit 3fdb333333333333",
+    "ep 1: rue 3f551a307bcf11d7 reward 3feb173a160edf05 util 3fd0555555555555 energy 40d359a559e140e0 hit 3fdb333333333333",
+    "ep 2: rue 3f22b51ec66e6d8c reward 3fb8042e33cc135d util 3fa617ad2208e0ed energy 40dd86086e84cc6e hit 3fdb333333333333",
+    "ep 3: rue 3ee422e60148459f reward 3f79d9c2721da628 util 3f84e9efe3fbcc2b energy 40f9f71d29876600 hit 3fdb333333333333",
+    "ep 4: rue 3ef036ab9d4f6dab reward 3f84d08d03acdcf1 util 3f84e81b4e81b4e8 energy 40f01e42539d55fb hit 3fdb333333333333",
+    "ep 5: rue 3eee04028265c8d5 reward 3f83444ac34cd937 util 3f852accb1941214 energy 40f1a14f54274208 hit 3fdb333333333333",
+    "ep 6: rue 3f62725be57ae57e reward 3ff7ae7942c09712 util 3fd797b425ed097b energy 40cff9567e7b8f65 hit 3fdb333333333333",
+    "ep 7: rue 3ee37c43ea526778 reward 3f7903d6cf67e1b8 util 3f84f8a021b64151 energy 40fae801a3b3d41a hit 3fdb333333333333",
+    "ep 8: rue 3f1bf97cda462dca reward 3fb1f4e3df991db3 util 3fa8fafafafafafb energy 40e652ff024255d1 hit 3fe8e38e38e38e39",
+    "ep 9: rue 3ee8f49a04159360 reward 3f8004c830103d96 util 3f8469456217ecdc energy 40f47298048b2289 hit 3fe8e38e38e38e39",
+    "ep 10: rue 3eeda0de10c28223 reward 3f8304a74cc4ed79 util 3f852cad07ccf11c energy 40f1dde30b3ad092 hit 3fe8e38e38e38e39",
+    "ep 11: rue 3eebdaa7a833ab9f reward 3f81e1194e9a0564 util 3f852cad07ccf11c energy 40f3013ca8e3553c hit 3fe8e38e38e38e39",
+    "ep 12: rue 3ef3a06e63afb776 reward 3f893244a94708f3 util 3f84e81b4e81b4e8 energy 40eaa16298a48300 hit 3fe8e38e38e38e39",
+    "ep 13: rue 3f1bf97cda462dca reward 3fb1f4e3df991db3 util 3fa8fafafafafafb energy 40e652ff024255d1 hit 3fe8e38e38e38e39",
+    "ep 14: rue 3f55f3581fbb9a37 reward 3fec2e0190c1ca09 util 3fd48c6318c6318c energy 40d7672cec9a90e0 hit 3fe8e38e38e38e39",
+    "ep 15: rue 3f1a8ce1f852172b reward 3fb10ada8aaee0be util 3fa89e4cad23dd5f energy 40e72e4be4b5924c hit 3fe8e38e38e38e39",
+    "ep 16: rue 3ef697b6456bdb19 reward 3f8d0104ae9aca8e util 3f895a6d884752c9 energy 40ec0e05418b4663 hit 3fe999999999999a",
+    "ep 17: rue 3f15db1c629015e1 reward 3fac0ee5531bed06 util 3fa744f7d13df44f energy 40ea9de99378d95a hit 3fe999999999999a",
+    "ep 18: rue 3eea9e6dc10fc8ce reward 3f81161dc65987e7 util 3f89a3e786ec5b74 energy 40f814b62ed3cd01 hit 3fe999999999999a",
+    "ep 19: rue 3f6f4657e69c8964 reward 40041331e2274264 util 3fe2073ecade304d energy 40ccd28ab724494f hit 3fe999999999999a",
+    "ep 20: rue 3ee317354cc796d9 reward 3f78821a9c84f5e7 util 3f853bbbbbbbbbbc energy 40fbce50f29fa13c hit 3fe999999999999a",
+    "ep 21: rue 3ee52149f8798e60 reward 3f7b2057574c69d8 util 3f852accb1941214 energy 40f90b40a47a4bf2 hit 3fe999999999999a",
+    "ep 22: rue 3ef6f0f9a924bb8a reward 3f8d739cdb50b471 util 3f898df5f1aa33fe energy 40ebd904b6a915b0 hit 3fe999999999999a",
+    "ep 23: rue 3ef4512dc621effd reward 3f8a152c62410c8f util 3f84e81b4e81b4e8 energy 40e9b9b71bd4c9d2 hit 3fe999999999999a",
+    "ep 24: rue 3f7053f662ddf726 reward 4004f627cb17f708 util 3fe3e80000000000 energy 40ce7a8ee220a330 hit 3fe9c71c71c71c72",
+    "ep 25: rue 3f31077c69e93f76 reward 3fc5dc9fd35f43d2 util 3faa222222222222 energy 40d32ec4bf346366 hit 3fe9c71c71c71c72",
+    "ep 26: rue 3f12dcef7bfa840d reward 3fa8374b680cad08 util 3fa60f83e0f83e10 energy 40ed3ce647ebbadc hit 3fe9c71c71c71c72",
+    "ep 27: rue 3f01a113fbaf3800 reward 3f96a1cd887a6610 util 3f8a222222222222 energy 40e287a45aa284aa hit 3fe9c71c71c71c72",
+    "ep 28: rue 3efe9dd32b0c889d reward 3f93a7064300c092 util 3f8944f8ce7e188b energy 40e4a24246ee44c6 hit 3fe9c71c71c71c72",
+    "ep 29: rue 3f58ed26db1858f0 reward 3ff0000000000000 util 3fd1b1c71c71c71c energy 40d1bf28540bbaea hit 3fe9c71c71c71c72",
+    "ep 30: rue 3efd36b82551d3da reward 3f92c0849f3b1433 util 3f895a6d884752c9 energy 40e5b2421b2c520b hit 3fe9c71c71c71c72",
+    "ep 31: rue 3f59a476ece1c00d reward 3ff075aaad419dab util 3fd578cf19e33c68 energy 40d4ef17ddcf0c02 hit 3fe9c71c71c71c72",
+    "ep 32: rue 3f6f4dbc4113bb98 reward 400417f0911dbc17 util 3fe2073ecade304d energy 40cccbbc5b1681da hit 3fe9c71c71c71c72",
+    "ep 33: rue 3ed4ecd4b63cb223 reward 3f6adcff1de49ebe util 3f7a8aaaaaaaaaab energy 40ffb5d5a0ee29fb hit 3fe9c71c71c71c72",
+    "ep 34: rue 3f27e0933ca652e9 reward 3fbea734dba6d2eb util 3fa89e4cad23dd5f energy 40d9c6a54433754c hit 3fe9c71c71c71c72",
+    "ep 35: rue 3f11c03fb40838e7 reward 3fa6c9d1be919d57 util 3f9a5bce90c5bce9 energy 40e28fb76ab26a82 hit 3fe9c71c71c71c72",
+    "ep 36: rue 3f25ba13f9cd1c90 reward 3fbbe47d2626aa08 util 3fa84e24a12b8c6a energy 40dbf780d5094f60 hit 3fe9c71c71c71c72",
+    "ep 37: rue 3ef50c8e873a2456 reward 3f8b05b9bf9e3356 util 3f84f8a021b64151 energy 40e8e853df81853c hit 3fe9c71c71c71c72",
+    "ep 38: rue 3ed4ecd4b63cb223 reward 3f6adcff1de49ebe util 3f7a8aaaaaaaaaab energy 40ffb5d5a0ee29fb hit 3fe9c71c71c71c72",
+    "ep 39: rue 3ee9fe259e135337 reward 3f80af3ba4005873 util 3f853bbbbbbbbbbc energy 40f46c1f4845f0e0 hit 3fe9c71c71c71c72",
+    "ep 40: rue 3ef5ee985d636a9d reward 3f8c27e8cc16856d util 3f84e81b4e81b4e8 energy 40e7d4cafed74058 hit 3fe9c71c71c71c72",
+    "ep 41: rue 3f68e953f2c4b9a3 reward 3ffffb174c1e1a36 util 3fe0c35e50d79436 energy 40d0d29febbbe444 hit 3fe9c71c71c71c72",
+    "ep 42: rue 3f0603b626eb9efe reward 3f9c4304a4993083 util 3f9a8aaaaaaaaaab energy 40ee24208bda96da hit 3fe9c71c71c71c72",
+    "ep 43: rue 3ee9fb146c88379d reward 3f80ad43a1e84580 util 3f853bbbbbbbbbbc energy 40f46e887d0fd9eb hit 3fe9c71c71c71c72",
+    "ep 44: rue 3eed076b244916f3 reward 3f82a227f7fb6066 util 3f84f8a021b64151 energy 40f20f815e945460 hit 3fe9c71c71c71c72",
+    "ep 45: rue 3f205049bd274cf1 reward 3fb4f1703558e554 util 3fa617ad2208e0ed energy 40e0ed8d7b39a1aa hit 3fe9c71c71c71c72",
+    "ep 46: rue 3f25ba13f9cd1c90 reward 3fbbe47d2626aa08 util 3fa84e24a12b8c6a energy 40dbf780d5094f60 hit 3fe9c71c71c71c72",
+    "ep 47: rue 3ee470d0ce488fca reward 3f7a3dc9c3e469d6 util 3f853bbbbbbbbbbc energy 40f9f82dbcd31e30 hit 3fe9c71c71c71c72",
+    "ep 48: rue 3ee2b728ef86997b reward 3f7806cc8abf1282 util 3f852accb1941214 energy 40fc46659fdf6951 hit 3fe9c71c71c71c72",
+    "ep 49: rue 3f1761f1a2dfee9d reward 3fae04a3c3ef9f68 util 3fa8800000000000 energy 40ea31d7cf77dd29 hit 3fe9c71c71c71c72",
+    "ep 50: rue 3ee40a836ad03c53 reward 3f79ba7454e2646b util 3f81b1c71c71c71c energy 40f6129e8ad83fa4 hit 3fe9c71c71c71c72",
+    "ep 51: rue 3f22d41161de711d reward 3fb82be917d83068 util 3fa84e24a12b8c6a energy 40e022d33f46d701 hit 3fe9c71c71c71c72",
+    "ep 52: rue 3efdea6364e640c9 reward 3f9333d887a541ab util 3f8944f8ce7e188b energy 40e51e05ca7de938 hit 3fe9c71c71c71c72",
+    "ep 53: rue 3eed74487e2b2a3e reward 3f82e809098cfc3f util 3f847742d3ca89c4 energy 40f15ef37c5ad0f7 hit 3fe9c71c71c71c72",
+    "ep 54: rue 3f59851d4aee0cc2 reward 3ff0618b19af726d util 3fd0555555555555 energy 40d00023229e349c hit 3fe9c71c71c71c72",
+    "ep 55: rue 3eed74487e2b2a3e reward 3f82e809098cfc3f util 3f847742d3ca89c4 energy 40f15ef37c5ad0f7 hit 3fe9c71c71c71c72",
+    "ep 56: rue 3f60041b7c699d90 reward 3ff48fa3974ae3bc util 3fd67b7b7b7b7b7b energy 40d18bf7560106e8 hit 3feaaaaaaaaaaaab",
+    "ep 57: rue 3f7053f662ddf726 reward 4004f627cb17f708 util 3fe3e80000000000 energy 40ce7a8ee220a330 hit 3feaaaaaaaaaaaab",
+    "ep 58: rue 3f02949c0a8424c2 reward 3f97da71a2e76ca9 util 3f8a088029d96b91 energy 40e18387b4def1e4 hit 3feaaaaaaaaaaaab",
+    "ep 59: rue 3f7053f662ddf726 reward 4004f627cb17f708 util 3fe3e80000000000 energy 40ce7a8ee220a330 hit 3feaaaaaaaaaaaab",
+    "best [XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }, XbarShape { rows: 32, cols: 32 }]",
+    "best report: rue 3f7053f662ddf726 tiles 6 fnv 3d949d8c05df7e89",
+    "cache EngineStats { strategy_hits: 7, strategy_misses: 54, layer_hits: 196, layer_misses: 20, noise_slices: 0, device_draws: 0, readout_tables: 0 }",
+    "train steps 56",
 ];
