@@ -10,25 +10,30 @@
 //!    pairs (VGG16 × 5 candidates = 80), while a 300-episode search asks
 //!    for `300 × L` of them. [`EvalEngine`] caches these slices and
 //!    composes full [`EvalReport`]s from them, leaving only tile-sharing
-//!    packing and global aggregation per call.
+//!    packing and global aggregation per call. Without the NoC model that
+//!    packing works on per-shape tile counts and each layer's one partial
+//!    tile, not on materialized tiles (`tile_shared::tile_counts`).
 //! 2. Converged searches revisit identical whole strategies; a bounded
 //!    strategy → report cache makes those repeats O(1).
 //!
 //! Results are bit-identical to [`evaluate`](crate::evaluate): both paths
 //! build placements via [`crate::alloc::placement_for`] and aggregate via
-//! `metrics::compose_report`, so the floats are accumulated in exactly the
-//! same order. A shared engine is `Sync`; parallel sweep workers evaluate
-//! concurrently against one memo table.
+//! `metrics::compose_report` over tile counts in ascending shape order, so
+//! the floats are accumulated in exactly the same order. A shared engine
+//! is `Sync`; parallel sweep workers evaluate concurrently against one
+//! memo table.
 
 use crate::alloc::{allocation_from_placements, placement_for, LayerPlacement};
 use crate::degradation::{DegradationState, DegradedEvalReport, DriftEvalConfig, RecoveryPolicy};
 use crate::hierarchy::AccelConfig;
-use crate::metrics::{compose_report, layer_cost, EvalReport, LayerCost};
+use crate::metrics::{
+    compose_allocation_report, compose_report, layer_cost, EvalReport, LayerCost,
+};
 use crate::repair::{repair_allocation, RepairPolicy, RepairReport};
 use crate::robustness::{
     layer_noise_per_reference, LayerNoise, NoiseEvalConfig, RobustnessReport, SampleWork,
 };
-use crate::tile_shared::apply_tile_sharing;
+use crate::tile_shared::{apply_tile_sharing, tile_counts};
 use autohet_dnn::Model;
 use autohet_xbar::energy::static_power;
 use autohet_xbar::fault::{FaultMap, FaultRates};
@@ -118,11 +123,6 @@ impl EngineStats {
             return 0.0;
         }
         self.layer_hits as f64 / total as f64
-    }
-
-    /// Full (uncached) strategy compositions performed.
-    pub fn full_evaluations(&self) -> u64 {
-        self.strategy_misses
     }
 
     /// Counter deltas since an earlier snapshot (saturating, so a snapshot
@@ -638,18 +638,7 @@ impl EvalEngine {
     where
         F: FnOnce(&[u32]) -> FaultMap,
     {
-        assert_eq!(
-            strategy.len(),
-            self.model.layers.len(),
-            "strategy length must match layer count"
-        );
-        let mut per_layer = Vec::with_capacity(strategy.len());
-        let mut costs = Vec::with_capacity(strategy.len());
-        for (position, &shape) in strategy.iter().enumerate() {
-            let s = self.slice(position, shape);
-            per_layer.push(s.placement);
-            costs.push(s.cost);
-        }
+        let (per_layer, mut costs) = self.slices(strategy);
         let mut alloc = allocation_from_placements(per_layer, self.cfg.pes_per_tile);
         let sharing = self.cfg.tile_shared.then(|| apply_tile_sharing(&mut alloc));
         let capacities: Vec<u32> = alloc.tiles.iter().map(|t| t.capacity).collect();
@@ -658,7 +647,7 @@ impl EvalEngine {
         for (pl, c) in alloc.per_layer.iter().zip(costs.iter_mut()) {
             c.latency_ns *= repair.latency_factor(pl.layer_index);
         }
-        let mut eval = compose_report(&self.model, &alloc, sharing, &self.cfg, &costs);
+        let mut eval = compose_allocation_report(&self.model, &alloc, &costs, sharing, &self.cfg);
         let p = &self.cfg.cost;
         for &(shape, n) in &repair.spares_by_shape {
             eval.area_um2 += area::crossbar_area(n, shape, p);
@@ -675,23 +664,46 @@ impl EvalEngine {
         (eval, repair, fidelity)
     }
 
-    fn compose(&self, strategy: &[XbarShape]) -> EvalReport {
-        let _span = autohet_obs::trace::span("engine.compose");
+    /// Per-layer placements and cost slices of `strategy`, through the
+    /// layer memo.
+    fn slices(&self, strategy: &[XbarShape]) -> (Vec<LayerPlacement>, Vec<LayerCost>) {
         assert_eq!(
             strategy.len(),
             self.model.layers.len(),
             "strategy length must match layer count"
         );
-        let mut per_layer = Vec::with_capacity(strategy.len());
-        let mut costs = Vec::with_capacity(strategy.len());
-        for (position, &shape) in strategy.iter().enumerate() {
-            let s = self.slice(position, shape);
-            per_layer.push(s.placement);
-            costs.push(s.cost);
+        strategy
+            .iter()
+            .enumerate()
+            .map(|(position, &shape)| {
+                let s = self.slice(position, shape);
+                (s.placement, s.cost)
+            })
+            .unzip()
+    }
+
+    /// Compose a report from the memoized slices. Without the NoC model
+    /// the tile population is counted, not built (see
+    /// [`tile_counts`]); the NoC needs real tiles to place.
+    fn compose(&self, strategy: &[XbarShape]) -> EvalReport {
+        let _span = autohet_obs::trace::span("engine.compose");
+        let (per_layer, costs) = self.slices(strategy);
+        let capacity = self.cfg.pes_per_tile;
+        if self.cfg.model_noc {
+            let mut alloc = allocation_from_placements(per_layer, capacity);
+            let sharing = self.cfg.tile_shared.then(|| apply_tile_sharing(&mut alloc));
+            return compose_allocation_report(&self.model, &alloc, &costs, sharing, &self.cfg);
         }
-        let mut alloc = allocation_from_placements(per_layer, self.cfg.pes_per_tile);
-        let sharing = self.cfg.tile_shared.then(|| apply_tile_sharing(&mut alloc));
-        compose_report(&self.model, &alloc, sharing, &self.cfg, &costs)
+        let (tiles_by_shape, sharing) = tile_counts(&per_layer, capacity, self.cfg.tile_shared);
+        compose_report(
+            &self.model,
+            &per_layer,
+            &costs,
+            &tiles_by_shape,
+            None,
+            sharing,
+            &self.cfg,
+        )
     }
 }
 
@@ -791,7 +803,6 @@ mod tests {
         assert_eq!(stats.strategy_misses, 1);
         assert_eq!(stats.strategy_hits, 2);
         assert!((stats.strategy_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(stats.full_evaluations(), 1);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod repair;
 pub mod robustness;
 pub mod tile_shared;
 
-pub use alloc::{allocate_tile_based, allocation_from_placements, Allocation, LayerPlacement};
+pub use alloc::{allocate_tile_based, Allocation, LayerPlacement};
 pub use controller::{MappedLayer, MappedModel};
 pub use degradation::{DegradationState, DegradedEvalReport, DriftEvalConfig, RecoveryPolicy};
 pub use engine::{EngineStats, EvalEngine, FaultedEvalReport, NoisyEvalReport};
