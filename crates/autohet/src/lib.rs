@@ -30,8 +30,8 @@
 //!   [`search::rl::rl_search`] is that driver at one lane on a fresh
 //!   engine.
 //! - [`vec_env`]: lockstep vectorized environments behind the DDPG
-//!   driver — N episodes share one batched actor pass and fan
-//!   evaluations out over the worker pool.
+//!   driver — N episodes share one batched actor pass, then are
+//!   evaluated in lane order.
 //! - [`homogeneous`]: the five fixed-size baselines and Fig. 3's manual
 //!   heterogeneous configuration.
 //! - [`ablation`]: the §4.3 Base / +He / +Hy / All study.

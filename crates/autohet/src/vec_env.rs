@@ -4,15 +4,15 @@
 //! layer step `k` it stacks every active lane's 10-dim state into one
 //! feature-major buffer (so the agent can run a single batched actor GEMM
 //! across the group), applies the returned per-lane actions, and at the
-//! end of a group fans the completed strategies out over the shared
-//! [`par_map`](crate::par::par_map) pool against one memoized
-//! `Arc<EvalEngine>`.
+//! end of a group evaluates the completed strategies in lane order
+//! against one memoized `Arc<EvalEngine>`.
 //!
-//! Determinism contract: lanes are always visited in ascending order and
-//! evaluation results come back in lane order, so a seeded driver that
-//! consumes RNG per lane in the same ascending order is bit-reproducible
-//! — and at one lane the whole apparatus reduces exactly to the
-//! sequential per-episode loop (see DESIGN.md §10).
+//! Determinism contract: lanes are always visited in ascending order,
+//! evaluations included, so a seeded driver that consumes RNG per lane in
+//! the same ascending order is bit-reproducible, engine counters and
+//! strategy-cache evictions included — and at one lane the whole
+//! apparatus reduces exactly to the sequential per-episode loop (see
+//! DESIGN.md §10).
 
 use crate::env::AutoHetEnv;
 use autohet_accel::{EvalEngine, EvalReport};
@@ -49,8 +49,8 @@ pub struct VecEnv {
 
 impl VecEnv {
     /// Clone `env` into `lanes` lockstep copies. Clones share the
-    /// `Arc<EvalEngine>` memo table, so concurrent end-of-group
-    /// evaluations deduplicate work across lanes.
+    /// `Arc<EvalEngine>` memo table, so a lane reuses what earlier lanes
+    /// evaluated.
     pub fn new(env: &AutoHetEnv, lanes: usize) -> Self {
         assert!(lanes >= 1, "need at least one lane");
         VecEnv {
@@ -123,39 +123,28 @@ impl VecEnv {
         }
     }
 
-    /// Close the group: record terminal states, decode every lane's
-    /// strategy, fan the evaluations out over [`par_map`]
-    /// (bit-identical to serial evaluation — the engine memoizes, the
-    /// pool preserves order), and hand back the completed episodes in
+    /// Close the group: record terminal states, decode and evaluate every
+    /// lane's strategy in lane order on the calling thread (a memo miss
+    /// costs less than a thread spawn, and the order fixes the engine's
+    /// counters and evictions), and hand back the completed episodes in
     /// lane order with their state/action buffers moved out.
-    ///
-    /// [`par_map`]: crate::par::par_map
     pub fn finish(&mut self) -> Vec<VecEpisode> {
         let n = self.num_layers();
-        for l in 0..self.active {
-            assert_eq!(self.actions[l].len(), n, "finish before all steps");
-            let s = self.envs[l].state(n - 1, self.prev_a[l], self.prev_u[l]);
-            self.states[l].push(s);
-        }
-        let strategies: Vec<Vec<XbarShape>> = (0..self.active)
-            .map(|l| self.envs[l].decode(&self.actions[l]))
-            .collect();
         let env = &self.envs[0];
-        let reports = if self.active == 1 {
-            vec![env.evaluate_strategy(&strategies[0])]
-        } else {
-            crate::par::par_map(&strategies, |s| env.evaluate_strategy(s))
-        };
-        strategies
-            .into_iter()
-            .zip(reports)
-            .enumerate()
-            .map(|(l, (strategy, report))| VecEpisode {
-                reward: env.reward(&report),
-                strategy,
-                report,
-                states: std::mem::take(&mut self.states[l]),
-                actions: std::mem::take(&mut self.actions[l]),
+        (0..self.active)
+            .map(|l| {
+                assert_eq!(self.actions[l].len(), n, "finish before all steps");
+                let mut states = std::mem::take(&mut self.states[l]);
+                states.push(self.envs[l].state(n - 1, self.prev_a[l], self.prev_u[l]));
+                let strategy = self.envs[l].decode(&self.actions[l]);
+                let report = env.evaluate_strategy(&strategy);
+                VecEpisode {
+                    reward: env.reward(&report),
+                    strategy,
+                    report,
+                    states,
+                    actions: std::mem::take(&mut self.actions[l]),
+                }
             })
             .collect()
     }

@@ -6,8 +6,8 @@
 //!   for any seed, episode count, and warm-up horizon (the trajectory
 //!   itself is pinned by the one-lane rows of `tests/golden_ddpg.rs`);
 //! - multi-lane runs are exactly reproducible for a fixed
-//!   `(seed, lanes)` pair (fixed ascending-lane RNG interleave, ordered
-//!   evaluation fan-out);
+//!   `(seed, lanes)` pair, engine counters included (fixed ascending-lane
+//!   RNG interleave, evaluations in lane order);
 //! - throughput counters are internally consistent.
 
 use autohet::prelude::*;
@@ -97,6 +97,7 @@ proptest! {
         let (a, sa) = run();
         let (b, sb) = run();
         prop_assert_eq!(fingerprint(&a), fingerprint(&b));
+        prop_assert_eq!(a.timing.cache, b.timing.cache);
         prop_assert_eq!(sa.lanes, lanes);
         prop_assert_eq!(sa.episodes, episodes);
         prop_assert_eq!(sa.groups, episodes.div_ceil(lanes));
