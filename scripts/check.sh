@@ -13,7 +13,8 @@ cargo test -q
 cargo test --release -q -p autohet-xbar -p autohet-accel -p autohet-rl -p autohet-serve --lib
 cargo test --release -q -p autohet --test prop_variation --test prop_repair_degradation \
   --test golden_study_rows --test prop_kernels --test golden_ddpg \
-  --test prop_serve_shard --test integration_serving --test golden_serve_shard
+  --test prop_serve_shard --test integration_serving --test golden_serve_shard \
+  --test prop_invariants --test prop_vec_search --test prop_obs
 # Smoke-run the kernel and end-to-end search benches (with real criterion,
 # --test runs each closure once; the offline stub just times a short run)
 # so bench-only breakage fails the gate too.
