@@ -506,6 +506,20 @@ pub fn search_time(rc: &ReproConfig, model: &Model) -> Table {
         "simulator fraction %".into(),
         format!("{:.1}", outcome.timing.simulator_fraction() * 100.0),
     ]);
+    // The agent's training split: a deterministic update count, then the
+    // wall-clock of each phase summed over those updates.
+    let train = outcome.timing.train;
+    t.push(vec!["train steps".into(), train.steps.to_string()]);
+    for (phase, d) in [
+        ("forward", train.forward),
+        ("backward", train.backward),
+        ("optimizer", train.optimizer),
+    ] {
+        t.push(vec![
+            format!("train {phase} s (wall-clock)"),
+            format!("{:.4}", d.as_secs_f64()),
+        ]);
+    }
     t.push(vec!["best RUE".into(), sci(outcome.best_rue())]);
     t.push(vec![
         "evaluation cache".into(),
@@ -846,6 +860,27 @@ mod tests {
         for r in &rows[..5] {
             let homo: f64 = r[1].parse().unwrap();
             assert!(auto >= homo * 0.99, "AutoHet {auto} vs {}", r[0]);
+        }
+    }
+
+    #[test]
+    fn search_time_reports_the_train_phases() {
+        // 20 episodes of MicroCNN's 4 layers fill the default batch of 64.
+        let rc = ReproConfig {
+            episodes: 20,
+            seed: 1,
+        };
+        let t = search_time(&rc, &zoo::micro_cnn());
+        let row = |label: &str| {
+            let r = t.rows.iter().find(|r| r[0] == label);
+            r.unwrap_or_else(|| panic!("no {label:?} row"))[1].clone()
+        };
+        assert!(row("train steps").parse::<u64>().unwrap() > 0);
+        for phase in ["forward", "backward", "optimizer"] {
+            let s: f64 = row(&format!("train {phase} s (wall-clock)"))
+                .parse()
+                .unwrap();
+            assert!(s >= 0.0, "{phase}: {s}");
         }
     }
 

@@ -8,6 +8,9 @@
 //!   (every `TrainStats`), then `act` and `q_value` on three probe states;
 //! - the same at state_dim 7, hidden 37, batch 23, whose odd sizes reach
 //!   every remainder of the GEMM tiles;
+//! - 50 `Dqn` train steps (every loss, then every Q-value on three probe
+//!   states) at the default config, whose batch of 64 is a power of two,
+//!   and at state_dim 7, hidden 37, 3 actions, batch 23;
 //! - `rl_search` (one lane) and the lockstep driver at 8 lanes on MicroCNN at
 //!   the default agent config: every episode's `rue` and `reward`, and the
 //!   best strategy;
@@ -29,7 +32,7 @@
 
 use autohet::prelude::*;
 use autohet_dnn::zoo;
-use autohet_rl::{Ddpg, DdpgConfig, Experience};
+use autohet_rl::{Ddpg, DdpgConfig, DiscreteExperience, Dqn, DqnConfig, Experience};
 use std::sync::Arc;
 
 fn check(name: &str, actual: Vec<String>, golden: &[&str]) {
@@ -81,6 +84,34 @@ fn trained_rows(cfg: DdpgConfig) -> Vec<String> {
         let a = agent.act(&probe);
         let q = agent.q_value(&probe, 0.25 * p as f64);
         rows.push(format!("probe {p}: act {} q {}", hex(a), hex(q)));
+    }
+    rows
+}
+
+/// The DQN counterpart of [`trained_rows`]: 50 steps on a fixed pool of
+/// 128 transitions, every loss, then every Q-value on three probes.
+fn dqn_rows(cfg: DqnConfig) -> Vec<String> {
+    let (dim, actions) = (cfg.state_dim, cfg.actions);
+    let mut agent = Dqn::new(cfg);
+    for i in 0..128 {
+        agent.remember(DiscreteExperience {
+            state: state(i, dim),
+            next_state: state(i + 1, dim),
+            action: (i * 7) % actions,
+            reward: ((i * 5) as f64 * 0.11).cos(),
+            done: i % 6 == 5,
+        });
+    }
+    let mut rows: Vec<String> = (0..50)
+        .map(|step| {
+            let loss = agent.train_step().expect("pool holds a batch");
+            format!("step {step}: loss {}", hex(loss))
+        })
+        .collect();
+    for p in 0..3 {
+        let q = agent.q_values(&state(1000 + p, dim));
+        let q: Vec<String> = q.into_iter().map(hex).collect();
+        rows.push(format!("probe {p}: q {}", q.join(" ")));
     }
     rows
 }
@@ -196,6 +227,20 @@ fn odd_shaped_agent_trajectory_is_pinned() {
         ..DdpgConfig::default()
     };
     check("odd_agent", trained_rows(cfg), &ODD_AGENT);
+}
+
+#[test]
+fn dqn_trajectory_is_pinned() {
+    check("dqn_default", dqn_rows(DqnConfig::default()), &DQN_DEFAULT);
+    let odd = DqnConfig {
+        state_dim: 7,
+        hidden: 37,
+        actions: 3,
+        batch: 23,
+        seed: 5,
+        ..DqnConfig::default()
+    };
+    check("dqn_odd", dqn_rows(odd), &DQN_ODD);
 }
 
 #[test]
@@ -387,6 +432,118 @@ const ODD_AGENT: [&str; 53] = [
     "probe 0: act 3feb66bab5b1c891 q 3fcaf55aeee32d93",
     "probe 1: act 3fe100c0d1c07edf q 3fd4d64961cfdb71",
     "probe 2: act 3fe6dafc4464a2d6 q 3f95aff4202e8442",
+];
+
+const DQN_DEFAULT: [&str; 53] = [
+    "step 0: loss 3fe1d061aeeb1a1b",
+    "step 1: loss 3febdf74d8367144",
+    "step 2: loss 3fe7d7d2d415e2ac",
+    "step 3: loss 3fe4cfbcb352fdfc",
+    "step 4: loss 3fe6b765dd1a503d",
+    "step 5: loss 3fe355f76b20b7b9",
+    "step 6: loss 3fe3ec66473ad0c9",
+    "step 7: loss 3fe3d7f24341014f",
+    "step 8: loss 3fe515e3180eb787",
+    "step 9: loss 3fe31da79fd2d914",
+    "step 10: loss 3fe4689d166479b8",
+    "step 11: loss 3fe20ed37dd99a15",
+    "step 12: loss 3fe07f5070c7869a",
+    "step 13: loss 3fe5a503629f70d3",
+    "step 14: loss 3fe362795621cfd1",
+    "step 15: loss 3fe3de6dbfac560a",
+    "step 16: loss 3fe161d5c6f42e10",
+    "step 17: loss 3fe4b4e8736cc648",
+    "step 18: loss 3fe14b6820995a56",
+    "step 19: loss 3fe30ece123c2056",
+    "step 20: loss 3fe47013789865bc",
+    "step 21: loss 3fdce69cb3d3d94e",
+    "step 22: loss 3fe358238f86d4e6",
+    "step 23: loss 3fe19d9ecfa5981b",
+    "step 24: loss 3fdaa279497f6b9a",
+    "step 25: loss 3fddacc257cf5c0c",
+    "step 26: loss 3fe1fa19e793a01f",
+    "step 27: loss 3fe74fb107031211",
+    "step 28: loss 3fe6f4beccd182e3",
+    "step 29: loss 3fe188264e9a86e8",
+    "step 30: loss 3fe0ba46d7f146fd",
+    "step 31: loss 3fe4e043bb7326db",
+    "step 32: loss 3fe12d5a0e4d4411",
+    "step 33: loss 3fe101ebf8725bb5",
+    "step 34: loss 3fe23b793259cb0a",
+    "step 35: loss 3fe0d720a0aa45f1",
+    "step 36: loss 3fe30c5f23d90028",
+    "step 37: loss 3fe01680b383d8d6",
+    "step 38: loss 3fddbed380de0297",
+    "step 39: loss 3fde6b34069052ae",
+    "step 40: loss 3fe1c9b0c26468ab",
+    "step 41: loss 3fe0a492cfa62ec3",
+    "step 42: loss 3fe35762534e44ed",
+    "step 43: loss 3fe0eae746a48bf7",
+    "step 44: loss 3fde8568d4e1939e",
+    "step 45: loss 3fe52b414824c482",
+    "step 46: loss 3fe01a5d0eec57f7",
+    "step 47: loss 3fe29cd8967035df",
+    "step 48: loss 3fe1a14037378b2b",
+    "step 49: loss 3fdb2bd7619feac3",
+    "probe 0: q 3fd668394d454306 3fd811627cf04e0e 3fd17a1fc2dba0ff 3fdb47418bf8fd5a 3fcfc3bbdd52f907",
+    "probe 1: q 3fdfd770d55f5861 3fdfeb6e761d65ba 3fd7b2d7ec90d6f6 3fd2b723d90f1867 3fd6d1e2431774a1",
+    "probe 2: q 3fd6b14a310592be 3fd651c87c5468c6 3fdb769dceef77c5 3fd8c814e8455389 3fd810b2fb8d9070",
+];
+
+const DQN_ODD: [&str; 53] = [
+    "step 0: loss 3fe6780d488f91f2",
+    "step 1: loss 3fd88f6ded1c7126",
+    "step 2: loss 3fe170a47e30fc22",
+    "step 3: loss 3fe6f9e8af0bf155",
+    "step 4: loss 3fe9cc0477377fe7",
+    "step 5: loss 3fdf9088083aa9b8",
+    "step 6: loss 3fdd20512d67eec3",
+    "step 7: loss 3fe265134fac939c",
+    "step 8: loss 3fdbef27f385876d",
+    "step 9: loss 3fdf855135a4c75a",
+    "step 10: loss 3fdee3286c84c900",
+    "step 11: loss 3fe3a4f5cce7c2cb",
+    "step 12: loss 3fe372383c2bd10d",
+    "step 13: loss 3fe3178c34a7eb56",
+    "step 14: loss 3fe12ae823fbd219",
+    "step 15: loss 3fd5d14646ef655d",
+    "step 16: loss 3fe2693b17695b08",
+    "step 17: loss 3fe0c2a0e0b44182",
+    "step 18: loss 3fe18fb22169dfb8",
+    "step 19: loss 3fe2517fc71a706a",
+    "step 20: loss 3fe1836f397ae7d5",
+    "step 21: loss 3fe0f0e4b1c25841",
+    "step 22: loss 3fd81635aafe88a1",
+    "step 23: loss 3fde9c00a7131aee",
+    "step 24: loss 3fe2e5f3904312e3",
+    "step 25: loss 3fe01b2eceb3af4d",
+    "step 26: loss 3fe022fdd2a7fe03",
+    "step 27: loss 3fe0c23e84bb5469",
+    "step 28: loss 3fdfad03f5d727d1",
+    "step 29: loss 3fd918098091746e",
+    "step 30: loss 3fdae65efc4fa89a",
+    "step 31: loss 3fdf1f5f299530cd",
+    "step 32: loss 3fe12dd0ccfae7f6",
+    "step 33: loss 3fde7f0e5b472e51",
+    "step 34: loss 3fe3bbd3e027f134",
+    "step 35: loss 3fe2f9ce63903d7e",
+    "step 36: loss 3fd904c33dc44ed3",
+    "step 37: loss 3fe0d3149d3d4063",
+    "step 38: loss 3fe239d0d649fc9a",
+    "step 39: loss 3fe13ffcc0fbc9b2",
+    "step 40: loss 3fdce9a2f656d78f",
+    "step 41: loss 3fdd1f300dd804f9",
+    "step 42: loss 3fdea1ead9d60e9d",
+    "step 43: loss 3fdb2e29639e1c36",
+    "step 44: loss 3fe451097900a9e1",
+    "step 45: loss 3fe15469ae632464",
+    "step 46: loss 3fe658f15786c780",
+    "step 47: loss 3fdddce77558560f",
+    "step 48: loss 3fdcba50095af9cf",
+    "step 49: loss 3fe50d38cd56232d",
+    "probe 0: q 3fc2bd01ba5d3fb3 3faf0d76bcfa50df bf8d1afeb218ca3e",
+    "probe 1: q 3fc6d1f089fc6560 3fd3c215c3b0e9da 3fcfd3caade50db4",
+    "probe 2: q 3fd0cf5a23c34852 3fb9d53963115dc5 bf88f9db2d23a64e",
 ];
 
 const RL_SEARCH: [&str; 61] = [
