@@ -3,9 +3,12 @@
 #
 #   scripts/perfbench_pairs.sh <base-rev> <workload> [pairs] [first-seed]
 #
-# Exports <base-rev> with `git archive` to target/perfbench_pairs/base and
-# builds perfbench there and in the working tree, each into its own target
-# directory under target/perfbench_pairs/. Then runs `pairs` (default 10)
+# Exports <base-rev> with `git archive` to a temporary directory outside
+# the working tree (cargo merges every .cargo/config.toml from the build
+# directory up to /, so a base nested in the working tree would build with
+# the working tree's rustflags too), and builds perfbench there and in the
+# working tree, each into its own target directory under
+# target/perfbench_pairs/. Then runs `pairs` (default 10)
 # pairs of `--seconds <run_seconds from BENCHMARK.json> --trace 0`: pair i
 # runs both sides on seed first-seed + i (default first seed 1001), and
 # the side that runs first alternates from pair to pair. Prints each
@@ -31,21 +34,22 @@ log=$out/$workload.jsonl
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 rev=$(git rev-parse --verify "$base_rev^{commit}")
-rm -rf "$out/base"
-mkdir -p "$out/base"
-git archive "$rev" | tar -x -C "$out/base"
+mkdir -p "$out"
+base=$(mktemp -d -t perfbench_pairs.XXXXXX)
+trap 'rm -rf "$base"' EXIT
+git archive "$rev" | tar -x -C "$base"
 
 build() { # <checkout> <side>
   echo "building perfbench for $2 ($1)" >&2
   (cd "$1" && CARGO_TARGET_DIR="$out/$2-target" \
     cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml)
 }
-build "$out/base" base
+build "$base" base
 build "$PWD" change
 
 run() { # <side> <pair> <seed>
   local root=$PWD line
-  [ "$1" = base ] && root=$out/base
+  [ "$1" = base ] && root=$base
   echo "pair $2 seed $3: $1" >&2
   line=$(cd "$root" && "$out/$1-target/release/autohet-perfbench" \
            --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1) \
