@@ -15,20 +15,18 @@ use crate::mapping::{col_ranges, row_ranges};
 use autohet_dnn::ops::{self, im2col};
 use autohet_dnn::quant::{quantize_matrix, Quantizer};
 use autohet_dnn::{Layer, LayerKind, Model, Stage, Tensor};
-use autohet_xbar::{Adc, CostParams, Crossbar, PackedInput, XbarScratch, XbarShape};
+use autohet_xbar::{Adc, CostParams, Crossbar, PackedInput, XbarShape};
 use std::cell::RefCell;
 use std::ops::Range;
 
 /// Reusable layer-level MVM buffers: the shared packed input (one pack per
-/// grid-row slice, reused across every crossbar in that grid row) plus the
-/// crossbar-level scratch.
+/// grid-row slice, reused across every crossbar in that grid row).
 #[derive(Debug, Default)]
 struct LayerScratch {
     packed: PackedInput,
     /// Per-batch-element packed slices for [`MappedLayer::mvm_batch`]'s
     /// crossbar-outer walk (one pack per input, refilled per grid row).
     packs: Vec<PackedInput>,
-    xbar: XbarScratch,
 }
 
 thread_local! {
@@ -161,11 +159,6 @@ impl MappedLayer {
         (self.grid.len(), self.grid.first().map_or(0, Vec::len))
     }
 
-    /// Mutable access to the grid, for fault-injection studies.
-    pub fn crossbars_mut(&mut self) -> impl Iterator<Item = &mut Crossbar> {
-        self.grid.iter_mut().flatten()
-    }
-
     /// One full weight-matrix MVM: slice the quantized input vector by
     /// grid-row ranges, run every crossbar, and merge partial sums across
     /// grid rows (the adder tree). Returns `Cout` integer accumulations.
@@ -185,12 +178,7 @@ impl MappedLayer {
             // its chunk — no cross-crossbar partial sums.
             for (i, (rrange, crange)) in self.row_ranges.iter().zip(&self.col_ranges).enumerate() {
                 s.packed.pack(&input_q[rrange.clone()]);
-                self.grid[i][0].mvm_packed_into(
-                    &s.packed,
-                    adc,
-                    &mut s.xbar,
-                    &mut out[crange.clone()],
-                );
+                self.grid[i][0].mvm_packed_into(&s.packed, adc, &mut out[crange.clone()]);
             }
             return out;
         }
@@ -199,12 +187,7 @@ impl MappedLayer {
         for (ri, rrange) in self.row_ranges.iter().enumerate() {
             s.packed.pack(&input_q[rrange.clone()]);
             for (ci, crange) in self.col_ranges.iter().enumerate() {
-                self.grid[ri][ci].mvm_packed_into(
-                    &s.packed,
-                    adc,
-                    &mut s.xbar,
-                    &mut out[crange.clone()],
-                );
+                self.grid[ri][ci].mvm_packed_into(&s.packed, adc, &mut out[crange.clone()]);
             }
         }
         out
@@ -250,17 +233,12 @@ impl MappedLayer {
             if self.diagonal {
                 let crange = &self.col_ranges[ri];
                 for (o, p) in out.iter_mut().zip(&s.packs) {
-                    self.grid[ri][0].mvm_packed_into(p, adc, &mut s.xbar, &mut o[crange.clone()]);
+                    self.grid[ri][0].mvm_packed_into(p, adc, &mut o[crange.clone()]);
                 }
             } else {
                 for (ci, crange) in self.col_ranges.iter().enumerate() {
                     for (o, p) in out.iter_mut().zip(&s.packs) {
-                        self.grid[ri][ci].mvm_packed_into(
-                            p,
-                            adc,
-                            &mut s.xbar,
-                            &mut o[crange.clone()],
-                        );
+                        self.grid[ri][ci].mvm_packed_into(p, adc, &mut o[crange.clone()]);
                     }
                 }
             }

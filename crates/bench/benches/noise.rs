@@ -1,14 +1,11 @@
 //! Device-variation benchmarks (DESIGN.md §11): the packed
-//! variation-aware MVM against the dense f64 fallback and the retained
-//! scalar reference, variation sampling itself, and the Monte-Carlo
+//! variation-aware MVM against the retained scalar reference and the
+//! ideal packed kernel, variation sampling itself, and the Monte-Carlo
 //! robustness evaluator end to end.
 
 use autohet_accel::{AccelConfig, EvalEngine, NoiseEvalConfig};
-use autohet_xbar::noise::NoiseModel;
 use autohet_xbar::{Adc, Crossbar, VariationModel, VariedCrossbar, XbarShape};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 
 const ROWS: usize = 108;
@@ -30,33 +27,19 @@ fn probe_input() -> Vec<u8> {
 }
 
 /// The headline comparison: one 108×64 bit-serial MVM under HyperMetric
-/// lognormal variation through (a) the packed LUT fast path, (b) the
-/// dense f64 fallback the old `apply_noise` route forces, (c) the scalar
-/// per-threshold reference, and (d) the ideal noise-free packed kernel
-/// as the floor.
+/// lognormal variation through (a) the packed LUT fast path and (b) the
+/// scalar per-threshold reference, with (c) the ideal noise-free packed
+/// kernel as the floor.
 fn bench_variation_mvm(c: &mut Criterion) {
     let xb = programmed_108x64();
     let adc = Adc::new(10);
     let input = probe_input();
-    let model = VariationModel::hypermetric();
-    let varied = VariedCrossbar::sample(&xb, &model, 7);
-
-    // Dense comparator: conductance noise knocks cells off their exact
-    // levels, so the crossbar abandons its packed planes for f64 math.
-    let mut dense = xb.clone();
-    let fell_back = dense.apply_noise(
-        &NoiseModel::variation(model.dev_on),
-        &mut SmallRng::seed_from_u64(7),
-    );
-    assert!(fell_back, "variation must force the dense fallback");
+    let varied = VariedCrossbar::sample(&xb, &VariationModel::hypermetric(), 7);
 
     let mut g = c.benchmark_group("noise/variation_mvm");
     g.throughput(Throughput::Elements((ROWS * COLS) as u64));
     g.bench_function("fast_108x64", |b| {
         b.iter(|| black_box(varied.mvm(black_box(&input), &adc)))
-    });
-    g.bench_function("dense_108x64", |b| {
-        b.iter(|| black_box(dense.mvm(black_box(&input), &adc)))
     });
     g.bench_function("scalar_108x64", |b| {
         b.iter(|| black_box(varied.mvm_scalar(black_box(&input), &adc)))

@@ -19,23 +19,21 @@
 //! ```
 //!
 //! With an ADC wide enough for the tallest active-row count the pipeline
-//! is *exact* over the integers; with a narrower ADC it saturates, and
-//! with device noise the per-cycle sums are perturbed before sampling —
-//! both effects are modeled faithfully.
+//! is *exact* over the integers; with a narrower ADC it saturates. Device
+//! variation is modeled over a programmed crossbar by
+//! [`crate::variation`], which leaves the programmed levels untouched.
 
 use crate::adc::Adc;
 use crate::dac;
 use crate::geometry::XbarShape;
-use crate::kernels::{self, PackedInput, PackedWeights, XbarScratch};
-use crate::noise::NoiseModel;
-use rand::Rng;
+use crate::kernels::{PackedInput, PackedWeights};
 use std::cell::RefCell;
 
 thread_local! {
-    /// Per-thread MVM scratch so the allocation-free fast path is available
-    /// through the plain [`Crossbar::mvm`] signature, including when one
-    /// crossbar is shared across inference worker threads.
-    static MVM_SCRATCH: RefCell<XbarScratch> = RefCell::new(XbarScratch::new());
+    /// Per-thread packed-input buffer so the allocation-free fast path is
+    /// available through the plain [`Crossbar::mvm`] signature, including
+    /// when one crossbar is shared across inference worker threads.
+    static MVM_INPUT: RefCell<PackedInput> = RefCell::new(PackedInput::new());
 }
 
 /// A programmed logical crossbar (all its physical bit-plane slices).
@@ -60,11 +58,9 @@ pub struct Crossbar {
     planes: Vec<Vec<f64>>,
     rows_used: usize,
     cols_used: usize,
-    /// Bit-packed per-column weight slices (DESIGN.md §9). `Some` while
-    /// every used conductance is an exact integer level — rebuilt after
-    /// every mutation, dropped when analog variation makes cells
-    /// non-integral (the MVM then falls back to `f64` accumulation).
-    packed: Option<PackedWeights>,
+    /// Bit-packed per-column weight slices of the programmed levels
+    /// (DESIGN.md §9), which every MVM but the scalar reference runs on.
+    packed: PackedWeights,
 }
 
 impl Crossbar {
@@ -121,30 +117,22 @@ impl Crossbar {
                 }
             }
         }
-        let mut xb = Crossbar {
+        let packed = PackedWeights::from_planes(
+            &planes,
+            rows_used,
+            cols_used,
+            shape.cols as usize,
+            cell_bits,
+        );
+        Crossbar {
             shape,
             weight_bits,
             cell_bits,
             planes,
             rows_used,
             cols_used,
-            packed: None,
-        };
-        xb.repack();
-        xb
-    }
-
-    /// Rebuild the bit-packed fast-path weights from the conductance
-    /// planes. Call after any plane mutation; packing silently degrades to
-    /// `None` (the `f64` fallback) when cells are no longer exact levels.
-    fn repack(&mut self) {
-        self.packed = PackedWeights::from_planes(
-            &self.planes,
-            self.rows_used,
-            self.cols_used,
-            self.shape.cols as usize,
-            self.cell_bits,
-        );
+            packed,
+        }
     }
 
     /// Crossbar shape.
@@ -174,85 +162,27 @@ impl Crossbar {
         &self.planes
     }
 
-    /// Apply a device noise model to every programmed cell (stuck-at-one
-    /// faults pin cells to the full conductance level of the cell's
-    /// precision). Per-cell RNG consumption order is plane-major then
-    /// row-major over the used region, so seeded noise stays reproducible.
-    ///
-    /// Returns `true` iff some cell left the exact-level domain, i.e. the
-    /// bit-packed fast path was lost and MVMs now take the `f64` fallback.
-    /// Stuck-at faults and zero effective perturbation keep every cell on
-    /// an integer level; the packed planes are then rebuilt (or, when no
-    /// cell moved at all, left untouched) and the call returns `false`.
-    pub fn apply_noise<R: Rng>(&mut self, model: &NoiseModel, rng: &mut R) -> bool {
-        if model.is_ideal() {
-            return false;
-        }
-        let max_level = ((1_u64 << self.cell_bits) - 1) as f64;
-        let cols = self.shape.cols as usize;
-        let (rows_used, cols_used) = (self.rows_used, self.cols_used);
-        let mut moved = false;
-        for plane in &mut self.planes {
-            // One chunked walk over the used window per plane instead of
-            // re-slicing from flat indices on every row.
-            for row in plane.chunks_mut(cols).take(rows_used) {
-                for cell in &mut row[..cols_used] {
-                    let perturbed = model.perturb_leveled(*cell, max_level, rng);
-                    moved |= perturbed != *cell;
-                    *cell = perturbed;
-                }
-            }
-        }
-        // Keep the fast path coherent: pure stuck-at faults leave integer
-        // levels (repack succeeds); conductance variation drops to the
-        // `f64` fallback. When nothing moved the packed planes are still
-        // valid verbatim — skip the rebuild entirely.
-        if moved {
-            self.repack();
-        }
-        !self.is_bit_packed()
-    }
-
-    /// True while the bit-packed integer fast path is active (exact
-    /// conductance levels — always right after programming, lost after
-    /// analog variation).
-    pub fn is_bit_packed(&self) -> bool {
-        self.packed.is_some()
-    }
-
     /// One bit-serial MVM: `result[j] = Σ_r input[r] · w[r][j]` over the
     /// used columns. `input.len()` must equal the used row count; samples
     /// run through `adc` (exact when the ADC covers the active-row count).
     ///
-    /// This is the bit-packed fast path (thread-local scratch, no per-call
-    /// buffer allocation); it is bit-identical to [`Crossbar::mvm_scalar`]
-    /// for every shape, `cell_bits`, ADC resolution and noise state.
+    /// This is the bit-packed fast path (a thread-local input buffer, no
+    /// per-call allocation beyond the result); it is bit-identical to [`Crossbar::mvm_scalar`]
+    /// for every shape, weight precision, `cell_bits` and ADC resolution.
     pub fn mvm(&self, input: &[u8], adc: &Adc) -> Vec<i64> {
-        MVM_SCRATCH.with(|s| self.mvm_with_scratch(input, adc, &mut s.borrow_mut()))
-    }
-
-    /// [`Crossbar::mvm`] with a caller-managed scratch, for hot loops that
-    /// want buffer reuse without the thread-local indirection.
-    pub fn mvm_with_scratch(&self, input: &[u8], adc: &Adc, scratch: &mut XbarScratch) -> Vec<i64> {
-        assert_eq!(input.len(), self.rows_used, "input/row mismatch");
-        scratch.input.pack(input);
-        let packed = std::mem::take(&mut scratch.input);
-        let out = self.mvm_packed(&packed, adc, scratch);
-        scratch.input = packed;
-        out
+        MVM_INPUT.with(|p| {
+            let packed = &mut p.borrow_mut();
+            packed.pack(input);
+            self.mvm_packed(packed, adc)
+        })
     }
 
     /// MVM over an already-packed input (callers that push one input slice
     /// through a whole grid row of crossbars pack it once). The pack's
     /// length must equal this crossbar's used row count.
-    pub fn mvm_packed(
-        &self,
-        input: &PackedInput,
-        adc: &Adc,
-        scratch: &mut XbarScratch,
-    ) -> Vec<i64> {
+    pub fn mvm_packed(&self, input: &PackedInput, adc: &Adc) -> Vec<i64> {
         let mut acc = vec![0_i64; self.cols_used];
-        self.mvm_packed_into(input, adc, scratch, &mut acc);
+        self.mvm_packed_into(input, adc, &mut acc);
         acc
     }
 
@@ -261,20 +191,11 @@ impl Crossbar {
     /// straight into the layer's output columns instead of allocating one
     /// partial vector per crossbar call. `acc.len()` must equal this
     /// crossbar's used column count.
-    pub fn mvm_packed_into(
-        &self,
-        input: &PackedInput,
-        adc: &Adc,
-        scratch: &mut XbarScratch,
-        acc: &mut [i64],
-    ) {
+    pub fn mvm_packed_into(&self, input: &PackedInput, adc: &Adc, acc: &mut [i64]) {
         assert_eq!(input.len(), self.rows_used, "input/row mismatch");
         assert_eq!(acc.len(), self.cols_used, "acc/column mismatch");
         if input.nonzero_planes() != 0 {
-            match &self.packed {
-                Some(pw) => self.accumulate_packed(pw, input, adc, acc),
-                None => self.accumulate_dense(input, adc, scratch, acc),
-            }
+            self.accumulate_packed(input, adc, acc);
         }
         // Digital offset correction for the signed-weight encoding.
         let offset = 1_i64 << (self.weight_bits - 1);
@@ -286,14 +207,17 @@ impl Crossbar {
 
     /// Batched MVM: one result row per input, each bit-identical to a
     /// scalar [`Crossbar::mvm_scalar`] call on that input. Inputs share
-    /// one scratch, so the whole batch performs no per-call buffer
-    /// allocation beyond its result rows.
+    /// one packed-input buffer, so the whole batch performs no per-call
+    /// buffer allocation beyond its result rows.
     pub fn mvm_batch(&self, inputs: &[Vec<u8>], adc: &Adc) -> Vec<Vec<i64>> {
-        MVM_SCRATCH.with(|s| {
-            let scratch = &mut s.borrow_mut();
+        MVM_INPUT.with(|p| {
+            let packed = &mut p.borrow_mut();
             inputs
                 .iter()
-                .map(|input| self.mvm_with_scratch(input, adc, scratch))
+                .map(|input| {
+                    packed.pack(input);
+                    self.mvm_packed(packed, adc)
+                })
                 .collect()
         })
     }
@@ -305,13 +229,8 @@ impl Crossbar {
     /// plane's packed columns as one contiguous slice, with dedicated
     /// single-word paths for crossbars of ≤ 64 used rows (the common
     /// square-32/64 and 36×32…72×64 candidates).
-    fn accumulate_packed(
-        &self,
-        pw: &PackedWeights,
-        input: &PackedInput,
-        adc: &Adc,
-        acc: &mut [i64],
-    ) {
+    fn accumulate_packed(&self, input: &PackedInput, adc: &Adc, acc: &mut [i64]) {
+        let pw = &self.packed;
         debug_assert_eq!(pw.words(), input.words());
         let n_planes = self.planes.len();
         let words = pw.words();
@@ -359,44 +278,9 @@ impl Crossbar {
         }
     }
 
-    /// `f64` fallback for non-integral (variation-noised) conductances:
-    /// still skips all-zero cycles and dead words via the packed input
-    /// masks, and accumulates active rows in ascending order so sums are
-    /// bit-identical to the scalar reference.
-    fn accumulate_dense(
-        &self,
-        input: &PackedInput,
-        adc: &Adc,
-        scratch: &mut XbarScratch,
-        acc: &mut [i64],
-    ) {
-        let cols = self.shape.cols as usize;
-        scratch.bitline.resize(self.cols_used, 0.0);
-        for t in 0..8u32 {
-            if input.nonzero_planes() & (1 << t) == 0 {
-                continue;
-            }
-            let wordlines = input.plane(t as usize);
-            for (b, plane) in self.planes.iter().enumerate() {
-                let bitline = &mut scratch.bitline[..];
-                bitline.iter_mut().for_each(|v| *v = 0.0);
-                kernels::for_each_set_bit(wordlines, |r| {
-                    let row = &plane[r * cols..r * cols + self.cols_used];
-                    for (v, &g) in bitline.iter_mut().zip(row) {
-                        *v += g;
-                    }
-                });
-                let shift = t + b as u32 * self.cell_bits;
-                for (a, &s) in acc.iter_mut().zip(bitline.iter()) {
-                    *a += adc.sample(s) << shift;
-                }
-            }
-        }
-    }
-
     /// The retained scalar reference MVM (the pre-kernel-layer
     /// implementation, kept verbatim): allocates per (cycle, plane) and
-    /// walks rows cell-by-cell. The fast paths are property-tested
+    /// walks rows cell-by-cell. The packed path is property-tested
     /// bit-identical against it; use it only for verification.
     pub fn mvm_scalar(&self, input: &[u8], adc: &Adc) -> Vec<i64> {
         assert_eq!(input.len(), self.rows_used, "input/row mismatch");
@@ -521,35 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn mild_noise_is_absorbed_by_adc_rounding() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let w = random_block(&mut rng, 16, 8);
-        let input: Vec<u8> = (0..16).map(|_| rng.gen_range(0..64)).collect();
-        let mut xb = Crossbar::program(XbarShape::square(32), &w, 8);
-        // With ≤16 active rows a per-cell sigma of 1% keeps every bitline
-        // perturbation well under half an ADC step.
-        xb.apply_noise(&NoiseModel::variation(0.001), &mut rng);
-        assert_eq!(xb.mvm(&input, &Adc::new(10)), reference(&w, &input));
-    }
-
-    #[test]
-    fn heavy_noise_corrupts_results() {
-        let mut rng = SmallRng::seed_from_u64(8);
-        let w = random_block(&mut rng, 32, 8);
-        let input: Vec<u8> = (0..32).map(|_| rng.gen()).collect();
-        let mut xb = Crossbar::program(XbarShape::square(32), &w, 8);
-        xb.apply_noise(
-            &NoiseModel {
-                conductance_sigma: 0.5,
-                stuck_at_zero: 0.05,
-                stuck_at_one: 0.05,
-            },
-            &mut rng,
-        );
-        assert_ne!(xb.mvm(&input, &Adc::new(10)), reference(&w, &input));
-    }
-
-    #[test]
     fn multi_level_cells_compute_the_same_mvm() {
         // 2-bit and 4-bit cells must match the 1-bit-cell (and integer)
         // result exactly while using fewer physical slices.
@@ -584,77 +439,6 @@ mod tests {
         assert_eq!(exact, reference(&w, &input));
         let clipped = xb.mvm(&input, &Adc::new(10));
         assert!(clipped[0] < exact[0]);
-    }
-
-    #[test]
-    fn mlc_stuck_at_one_pins_to_full_level() {
-        let w = vec![vec![0]];
-        let mut xb = Crossbar::program_with_cells(XbarShape::square(32), &w, 8, 4);
-        let mut rng = SmallRng::seed_from_u64(30);
-        xb.apply_noise(
-            &NoiseModel {
-                conductance_sigma: 0.0,
-                stuck_at_zero: 0.0,
-                stuck_at_one: 1.0,
-            },
-            &mut rng,
-        );
-        // Both 4-bit planes pinned to 15: value = 15 + 15·16 = 255 per
-        // active row, offset-corrected: (255 − 128) · Σx.
-        let y = xb.mvm(&[1], &Adc::new(10));
-        assert_eq!(y, vec![127]);
-    }
-
-    #[test]
-    fn stuck_at_noise_keeps_fast_path_and_reports_exact() {
-        let mut rng = SmallRng::seed_from_u64(40);
-        let w = random_block(&mut rng, 16, 8);
-        let mut xb = Crossbar::program(XbarShape::square(32), &w, 8);
-        assert!(xb.is_bit_packed());
-        // Pure stuck-at faults pin cells to integer levels: the packed
-        // fast path survives and the call reports "still exact".
-        let fell_back = xb.apply_noise(
-            &NoiseModel {
-                conductance_sigma: 0.0,
-                stuck_at_zero: 0.3,
-                stuck_at_one: 0.3,
-            },
-            &mut rng,
-        );
-        assert!(!fell_back);
-        assert!(xb.is_bit_packed());
-    }
-
-    #[test]
-    fn noop_noise_keeps_packed_planes_alive() {
-        // SA1 on an all-max block cannot move any cell; the packed planes
-        // must stay alive without a rebuild and the ideal model must be a
-        // pure no-op too.
-        let w = vec![vec![127; 4]; 4];
-        let mut xb = Crossbar::program(XbarShape::square(32), &w, 8);
-        let mut rng = SmallRng::seed_from_u64(41);
-        assert!(!xb.apply_noise(
-            &NoiseModel {
-                conductance_sigma: 0.0,
-                stuck_at_zero: 0.0,
-                stuck_at_one: 1.0,
-            },
-            &mut rng,
-        ));
-        assert!(xb.is_bit_packed());
-        assert!(!xb.apply_noise(&NoiseModel::ideal(), &mut rng));
-        assert!(xb.is_bit_packed());
-        assert_eq!(xb.mvm(&[1; 4], &Adc::new(10)), vec![127 * 4; 4]);
-    }
-
-    #[test]
-    fn variation_noise_reports_fallback() {
-        let mut rng = SmallRng::seed_from_u64(42);
-        let w = random_block(&mut rng, 16, 8);
-        let mut xb = Crossbar::program(XbarShape::square(32), &w, 8);
-        let fell_back = xb.apply_noise(&NoiseModel::variation(0.2), &mut rng);
-        assert!(fell_back);
-        assert!(!xb.is_bit_packed());
     }
 
     #[test]

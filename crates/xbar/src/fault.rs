@@ -1,8 +1,8 @@
 //! Component-level hard faults (an extension beyond the paper's
 //! ideal-device evaluation; see DESIGN.md §7).
 //!
-//! [`noise::NoiseModel`](crate::noise::NoiseModel) perturbs individual
-//! cells; this module models failures one level up, at the granularity the
+//! [`variation`](crate::variation) perturbs individual cells'
+//! conductances; this module models failures one level up, at the granularity the
 //! allocator reasons about — whole logical crossbars and their peripheral
 //! circuits inside a tile:
 //!

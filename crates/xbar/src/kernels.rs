@@ -8,26 +8,22 @@
 //! - [`PackedInput`]: all 8 input bit-planes of a `u8` activation vector
 //!   packed once into `u64` wordline masks (bit `r` of plane `t` = bit `t`
 //!   of `input[r]`), plus the digital input sum and a nonzero-plane mask so
-//!   all-zero cycles are skipped without touching memory.
+//!   all-zero cycles are skipped without touching memory. One buffer is
+//!   reused across MVMs, so repeated MVMs through one thread allocate
+//!   only their results.
 //! - [`PackedWeights`]: the crossbar's conductance planes re-sliced into
 //!   per-column `u64` row masks, one mask per *weight bit* (a `cell_bits`-
 //!   level plane contributes `cell_bits` single-bit slices). With these,
 //!   one (cycle, plane, column) bitline sum collapses to `cell_bits`
 //!   popcounts of `wordline_mask & column_mask` — integer arithmetic, no
 //!   per-row branches, independent of how many rows are active.
-//! - [`XbarScratch`]: the reusable buffers (input masks + an `f64` bitline
-//!   accumulator for the non-integral fallback) so repeated MVMs through
-//!   one thread allocate nothing.
 //!
-//! Packing is only valid while every programmed conductance is an exact
-//! integer level in `[0, 2^cell_bits)` — true at program time and after
-//! pure stuck-at faults, false after Gaussian conductance variation. The
-//! noisy case falls back to `f64` bitline accumulation that still uses the
-//! packed input masks (zero-plane and zero-word skipping, bit-scan row
-//! iteration in ascending order), so both paths stay bit-identical to the
-//! scalar reference: the integer path because bitline sums below `2^53`
-//! are exact in either domain, the fallback because `f64` additions happen
-//! in the same ascending-row order.
+//! Programming only ever writes exact integer levels in
+//! `[0, 2^cell_bits)`, so every crossbar packs, and the packed path is
+//! bit-identical to the scalar reference: bitline sums below `2^53` are
+//! exact in either domain. Device variation never touches the programmed
+//! levels; [`crate::variation`] samples it over them with its own
+//! readout tables.
 
 /// All 8 bit-planes of one input vector, packed into `u64` wordline masks.
 #[derive(Debug, Clone, Default)]
@@ -133,17 +129,15 @@ pub struct PackedWeights {
 
 impl PackedWeights {
     /// Pack conductance planes (row-major, `col_stride` cells per row) into
-    /// per-column bit slices. Returns `None` when any used cell is not an
-    /// exact integer level in `[0, 2^cell_bits)` — i.e. after analog
-    /// conductance variation — in which case callers must keep summing in
-    /// `f64`.
+    /// per-column bit slices. Panics when a used cell is not an exact
+    /// integer level in `[0, 2^cell_bits)`.
     pub fn from_planes(
         planes: &[Vec<f64>],
         rows_used: usize,
         cols_used: usize,
         col_stride: usize,
         cell_bits: u32,
-    ) -> Option<Self> {
+    ) -> Self {
         let words = words_for(rows_used);
         let max_level = (1_u64 << cell_bits) - 1;
         let mut masks = vec![0_u64; planes.len() * cols_used * cell_bits as usize * words];
@@ -155,9 +149,10 @@ impl PackedWeights {
                     if g == 0.0 {
                         continue;
                     }
-                    if g < 0.0 || g > max_level as f64 || g.fract() != 0.0 {
-                        return None;
-                    }
+                    assert!(
+                        g > 0.0 && g <= max_level as f64 && g.fract() == 0.0,
+                        "conductance {g} is not a {cell_bits}-bit cell level"
+                    );
                     let mut level = g as u64;
                     while level != 0 {
                         let lb = level.trailing_zeros() as usize;
@@ -168,12 +163,12 @@ impl PackedWeights {
                 }
             }
         }
-        Some(PackedWeights {
+        PackedWeights {
             words,
             cols: cols_used,
             cell_bits,
             masks,
-        })
+        }
     }
 
     /// `u64` words per column slice.
@@ -219,42 +214,11 @@ impl PackedWeights {
     }
 }
 
-/// Reusable per-thread (or per-caller) MVM buffers: the packed input masks
-/// and the `f64` bitline accumulator of the non-integral fallback path.
-#[derive(Debug, Clone, Default)]
-pub struct XbarScratch {
-    /// Packed input bit-planes.
-    pub(crate) input: PackedInput,
-    /// `f64` bitline accumulator (fallback path only).
-    pub(crate) bitline: Vec<f64>,
-}
-
-impl XbarScratch {
-    /// Fresh (empty) scratch; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// `u64` words needed to hold `n` row bits (min 1 so empty inputs stay
 /// indexable).
 #[inline]
 pub fn words_for(n: usize) -> usize {
     n.div_ceil(64).max(1)
-}
-
-/// Visit the set bits of `mask` in ascending index order. The visitor gets
-/// the bit index; iteration order matters — the `f64` fallback path relies
-/// on it matching the scalar reference's ascending-row accumulation.
-#[inline]
-pub fn for_each_set_bit(mask: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in mask.iter().enumerate() {
-        let mut m = word;
-        while m != 0 {
-            f((w << 6) + m.trailing_zeros() as usize);
-            m &= m - 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -296,19 +260,24 @@ mod tests {
 
     #[test]
     fn packed_weights_reject_non_integral_levels() {
-        let plane = vec![vec![1.0, 0.5]];
-        assert!(PackedWeights::from_planes(&plane, 1, 2, 2, 1).is_none());
-        let plane = vec![vec![2.0, 0.0]]; // above the 1-bit max level
-        assert!(PackedWeights::from_planes(&plane, 1, 2, 2, 1).is_none());
-        let plane = vec![vec![-1.0, 0.0]];
-        assert!(PackedWeights::from_planes(&plane, 1, 2, 2, 1).is_none());
+        // A fractional level, one above the 1-bit maximum and a negative
+        // one: none is a cell level, so packing refuses each.
+        for plane in [
+            vec![vec![1.0, 0.5]],
+            vec![vec![2.0, 0.0]],
+            vec![vec![-1.0, 0.0]],
+        ] {
+            let packed =
+                std::panic::catch_unwind(|| PackedWeights::from_planes(&plane, 1, 2, 2, 1));
+            assert!(packed.is_err(), "{plane:?} packed");
+        }
     }
 
     #[test]
     fn bitline_sum_counts_leveled_cells() {
         // One 2-bit plane over 3 rows, 2 cols: levels [[3, 1], [2, 0], [1, 3]].
         let plane = vec![vec![3.0, 1.0, 2.0, 0.0, 1.0, 3.0]];
-        let pw = PackedWeights::from_planes(&plane, 3, 2, 2, 2).unwrap();
+        let pw = PackedWeights::from_planes(&plane, 3, 2, 2, 2);
         // All three rows active.
         let mask = [0b111_u64];
         assert_eq!(pw.bitline_sum(&mask, 0, 0), 6);
@@ -317,13 +286,5 @@ mod tests {
         let mask = [0b100_u64];
         assert_eq!(pw.bitline_sum(&mask, 0, 0), 1);
         assert_eq!(pw.bitline_sum(&mask, 0, 1), 3);
-    }
-
-    #[test]
-    fn set_bit_iteration_is_ascending() {
-        let mask = [1_u64 << 63 | 1 << 5, 1 << 0 | 1 << 40];
-        let mut seen = Vec::new();
-        for_each_set_bit(&mask, |r| seen.push(r));
-        assert_eq!(seen, vec![5, 63, 64, 104]);
     }
 }

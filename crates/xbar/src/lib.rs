@@ -19,11 +19,10 @@
 //!   bit-serial 1-bit-DAC inputs, 10-bit ADC sampling, shift-and-add
 //!   recombination, offset-encoded signed weights. It reproduces the exact
 //!   integer MVM whenever bitline sums stay inside ADC range.
-//! - [`noise`]: beyond-paper non-idealities (conductance variation,
-//!   stuck-at faults) for robustness studies.
 //! - [`variation`]: stochastic lognormal Ron/Roff device variation with
 //!   operation-unit readout and a packed fast path (DESIGN.md §11) — the
-//!   device model behind the accuracy-under-noise objective.
+//!   one device-noise model, behind the accuracy-under-noise objective,
+//!   NSGA-II and the lifetime campaign.
 //! - [`fault`]: beyond-paper component-level hard faults (dead crossbars,
 //!   degraded ADCs, spare crossbars) — the seeded [`fault::FaultMap`] the
 //!   accel crate's repair machinery consumes.
@@ -43,7 +42,6 @@ pub mod fault;
 pub mod geometry;
 pub mod kernels;
 pub mod latency;
-pub mod noise;
 pub mod program_cost;
 pub mod utilization;
 pub mod variation;
@@ -55,6 +53,6 @@ pub use drift::DriftModel;
 pub use energy::LayerEnergy;
 pub use fault::{ComponentHealth, FaultMap, FaultRates};
 pub use geometry::XbarShape;
-pub use kernels::{PackedInput, PackedWeights, XbarScratch};
+pub use kernels::{PackedInput, PackedWeights};
 pub use utilization::Footprint;
 pub use variation::{VariationModel, VariedCrossbar};

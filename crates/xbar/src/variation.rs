@@ -1,6 +1,6 @@
 //! Stochastic device variation: lognormal Ron/Roff sampling with
-//! operation-unit readout, and a packed fast path that keeps variation
-//! off the dense `f64` fallback (DESIGN.md §11).
+//! operation-unit readout, and a packed fast path over precomputed
+//! readout tables (DESIGN.md §11).
 //!
 //! The device model follows the HyperMetric RRAM configuration
 //! (SNIPPETS.md §3): a programmed LRS cell's resistance is drawn from
@@ -139,8 +139,8 @@ impl VariationModel {
 
 /// One seeded draw of device variation over a programmed [`Crossbar`]:
 /// every used cell's resistance is sampled once, and per-unit activation
-/// pattern tables are precomputed so MVMs under variation run on the
-/// integer fast path instead of the dense `f64` fallback.
+/// pattern tables are precomputed so MVMs under variation run as integer
+/// table walks.
 ///
 /// The sampled devices are fixed for the draw's lifetime — re-rolling
 /// them means taking a fresh [`VariedCrossbar::sample`] with a different
@@ -172,12 +172,11 @@ pub struct VariedCrossbar {
 impl VariedCrossbar {
     /// Sample one variation draw over `xb` with `seed`. Per-cell RNG
     /// consumption is plane-major, then row-major, then column-major over
-    /// the used region — the same walk order as
-    /// [`Crossbar::apply_noise`], so streams are reproducible.
+    /// the used region, so streams are reproducible.
     ///
-    /// Requires 1-bit cells (the paper's SLC configuration) still on
-    /// exact levels: the programmed plane decides LRS (level ≥ 0.5) vs
-    /// HRS per cell before resistances are drawn.
+    /// Requires 1-bit cells (the paper's SLC configuration): the
+    /// programmed level decides LRS (level 1) vs HRS (level 0) per cell
+    /// before resistances are drawn.
     pub fn sample(xb: &Crossbar, model: &VariationModel, seed: u64) -> Self {
         Self::sample_with_reference(xb, model, model, seed)
     }
@@ -210,10 +209,6 @@ impl VariedCrossbar {
         );
         let model = device;
         assert_eq!(xb.cell_bits(), 1, "variation model requires 1-bit cells");
-        assert!(
-            xb.is_bit_packed(),
-            "variation must be sampled from exact programmed levels"
-        );
         let planes = xb.planes().len();
         assert!(
             planes <= 8,
