@@ -243,12 +243,6 @@ pub(crate) fn compose_allocation_report(
     }
 }
 
-/// Convenience: evaluate a homogeneous accelerator (every layer on the
-/// same crossbar shape) — the paper's baselines.
-pub fn evaluate_homogeneous(model: &Model, shape: XbarShape, cfg: &AccelConfig) -> EvalReport {
-    evaluate(model, &vec![shape; model.layers.len()], cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,7 +257,7 @@ mod tests {
     fn utilization_bounds_and_ordering() {
         let m = zoo::vgg16();
         for shape in SQUARE_CANDIDATES {
-            let r = evaluate_homogeneous(&m, shape, &cfg());
+            let r = evaluate(&m, &vec![shape; m.layers.len()], &cfg());
             assert!(r.utilization > 0.0 && r.utilization <= 1.0);
             // Allocation utilization can never beat mapping utilization.
             assert!(r.utilization <= r.mapping_utilization + 1e-12);
@@ -275,8 +269,8 @@ mod tests {
         // The paper's central tension (§2.2.3 / Fig. 9): 32×32 wins
         // utilization, 512×512 wins energy.
         let m = zoo::vgg16();
-        let small = evaluate_homogeneous(&m, XbarShape::square(32), &cfg());
-        let large = evaluate_homogeneous(&m, XbarShape::square(512), &cfg());
+        let small = evaluate(&m, &vec![XbarShape::square(32); m.layers.len()], &cfg());
+        let large = evaluate(&m, &vec![XbarShape::square(512); m.layers.len()], &cfg());
         assert!(small.mapping_utilization > large.mapping_utilization);
         assert!(small.energy_nj() > large.energy_nj());
         assert!(small.area_um2 > large.area_um2);
@@ -299,7 +293,7 @@ mod tests {
     #[test]
     fn latency_is_sum_of_layers() {
         let m = zoo::alexnet();
-        let r = evaluate_homogeneous(&m, XbarShape::square(128), &cfg());
+        let r = evaluate(&m, &vec![XbarShape::square(128); m.layers.len()], &cfg());
         let s: f64 = r.layers.iter().map(|l| l.latency_ns).sum();
         assert!((r.latency_ns - s).abs() < 1e-6);
     }
@@ -307,7 +301,7 @@ mod tests {
     #[test]
     fn rue_is_percent_over_nj() {
         let m = zoo::micro_cnn();
-        let r = evaluate_homogeneous(&m, XbarShape::square(64), &cfg());
+        let r = evaluate(&m, &vec![XbarShape::square(64); m.layers.len()], &cfg());
         assert!((r.rue() - r.utilization * 100.0 / r.energy.total()).abs() < 1e-12);
     }
 
@@ -338,7 +332,7 @@ mod tests {
         // Shape calibration (EXPERIMENTS.md): VGG16 latency ~2-3e6 ns and
         // RUE within a few orders of the paper's 1e-5 scale.
         let m = zoo::vgg16();
-        let r = evaluate_homogeneous(&m, XbarShape::square(512), &cfg());
+        let r = evaluate(&m, &vec![XbarShape::square(512); m.layers.len()], &cfg());
         assert!(
             r.latency_ns > 1e6 && r.latency_ns < 1e7,
             "latency {}",
@@ -354,7 +348,7 @@ mod tests {
     #[test]
     fn resnet152_evaluates() {
         let m = zoo::resnet152();
-        let r = evaluate_homogeneous(&m, XbarShape::square(256), &cfg());
+        let r = evaluate(&m, &vec![XbarShape::square(256); m.layers.len()], &cfg());
         assert_eq!(r.layers.len(), 156);
         assert!(r.energy_nj() > 0.0 && r.latency_ns > 0.0 && r.area_um2 > 0.0);
     }

@@ -16,7 +16,6 @@
 //! Plain text (not JSON) keeps the offline dependency set to the
 //! whitelisted crates and makes strategies diffable in code review.
 
-use autohet_dnn::Model;
 use autohet_xbar::XbarShape;
 use std::fmt::Write as _;
 use std::fs;
@@ -84,15 +83,6 @@ pub enum PersistError {
     Io(io::Error),
     /// The file exists but is not a well-formed strategy.
     Parse(ParseError),
-    /// The strategy parsed but was searched for a different network.
-    ModelMismatch {
-        /// Name of the model the caller wanted to deploy.
-        model: String,
-        /// Mappable layers that model has.
-        expected: usize,
-        /// Shapes the file actually assigns.
-        found: usize,
-    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -100,14 +90,6 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::Io(e) => write!(f, "strategy file I/O: {e}"),
             PersistError::Parse(e) => write!(f, "strategy file format: {e}"),
-            PersistError::ModelMismatch {
-                model,
-                expected,
-                found,
-            } => write!(
-                f,
-                "strategy has {found} layers but model '{model}' has {expected}"
-            ),
         }
     }
 }
@@ -117,7 +99,6 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Parse(e) => Some(e),
-            PersistError::ModelMismatch { .. } => None,
         }
     }
 }
@@ -193,22 +174,6 @@ pub fn load_strategy(path: &Path) -> Result<Vec<XbarShape>, PersistError> {
     Ok(strategy_from_str(&text)?)
 }
 
-/// Read a strategy from a file and validate it against `model`: the file
-/// must assign exactly one shape per mappable layer. Guards the
-/// search-once/deploy-many workflow against loading a strategy that was
-/// searched for a different network.
-pub fn load_strategy_for(model: &Model, path: &Path) -> Result<Vec<XbarShape>, PersistError> {
-    let strategy = load_strategy(path)?;
-    if strategy.len() != model.layers.len() {
-        return Err(PersistError::ModelMismatch {
-            model: model.name.clone(),
-            expected: model.layers.len(),
-            found: strategy.len(),
-        });
-    }
-    Ok(strategy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,40 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn load_strategy_for_accepts_matching_layer_count() {
-        let m = autohet_dnn::zoo::lenet5();
-        let s = vec![XbarShape::new(72, 64); m.layers.len()];
-        let path = std::env::temp_dir().join("autohet_strategy_for_ok.txt");
-        save_strategy(&path, &s, &m.name).unwrap();
-        assert_eq!(load_strategy_for(&m, &path).unwrap(), s);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_strategy_for_rejects_wrong_layer_count() {
-        let lenet = autohet_dnn::zoo::lenet5();
-        let alexnet = autohet_dnn::zoo::alexnet();
-        let s = vec![XbarShape::new(72, 64); lenet.layers.len()];
-        let path = std::env::temp_dir().join("autohet_strategy_for_mismatch.txt");
-        save_strategy(&path, &s, &lenet.name).unwrap();
-        let err = load_strategy_for(&alexnet, &path).unwrap_err();
-        match &err {
-            PersistError::ModelMismatch {
-                model,
-                expected,
-                found,
-            } => {
-                assert_eq!(model, &alexnet.name);
-                assert_eq!(*expected, alexnet.layers.len());
-                assert_eq!(*found, lenet.layers.len());
-            }
-            other => panic!("expected ModelMismatch, got {other:?}"),
-        }
-        assert!(err.to_string().contains(&alexnet.name), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn empty_input_is_truncated_not_bad_header() {
         assert_eq!(strategy_from_str(""), Err(ParseError::Truncated));
     }
@@ -364,12 +295,8 @@ mod tests {
         use std::error::Error as _;
         let e = PersistError::from(ParseError::BadHeader);
         assert!(e.source().is_some());
-        let m = PersistError::ModelMismatch {
-            model: "x".into(),
-            expected: 3,
-            found: 2,
-        };
-        assert!(m.source().is_none());
+        let io = PersistError::from(io::Error::from(io::ErrorKind::NotFound));
+        assert!(io.source().is_some());
     }
 
     mod props {

@@ -138,53 +138,6 @@ pub fn lenet5() -> Model {
         .build()
 }
 
-/// ResNet-18 on ImageNet: the basic-block (two 3×3 convs) ResNet, a
-/// mid-size workload between VGG16 and ResNet152. Built layer-by-layer
-/// like [`resnet152`] (residual topology ⇒ mapping-only model).
-pub fn resnet18() -> Model {
-    let mut layers: Vec<Layer> = Vec::with_capacity(21);
-    let mut idx = 0usize;
-    let mut push = |layers: &mut Vec<Layer>,
-                    cin: usize,
-                    cout: usize,
-                    k: usize,
-                    s: usize,
-                    p: usize,
-                    size: usize| {
-        layers.push(Layer::conv(idx, cin, cout, k, s, p, size));
-        idx += 1;
-    };
-
-    let mut size = 224;
-    push(&mut layers, 3, 64, 7, 2, 3, size);
-    size = 112 / 2; // stride-2 stem then pool → 56
-    let mut in_ch = 64;
-
-    let stages: [(usize, usize); 4] = [(2, 64), (2, 128), (2, 256), (2, 512)];
-    for (stage_i, &(blocks, width)) in stages.iter().enumerate() {
-        for b in 0..blocks {
-            let stride = if b == 0 && stage_i > 0 { 2 } else { 1 };
-            push(&mut layers, in_ch, width, 3, stride, 1, size);
-            let out_size = if stride == 2 { size / 2 } else { size };
-            push(&mut layers, width, width, 3, 1, 1, out_size);
-            if b == 0 && stage_i > 0 {
-                // 1×1 projection shortcut.
-                push(&mut layers, in_ch, width, 1, stride, 0, size);
-            }
-            in_ch = width;
-            size = out_size;
-        }
-    }
-    layers.push(Layer::fc(idx, in_ch, 1000));
-
-    Model {
-        name: "ResNet18".into(),
-        dataset: Dataset::ImageNet,
-        layers,
-        stages: Vec::new(),
-    }
-}
-
 /// MobileNetV1 on ImageNet (beyond-paper workload, DESIGN.md §6): the
 /// depthwise-separable architecture whose depthwise stages pack
 /// diagonally onto crossbars — the layer class where crossbar-level
@@ -375,27 +328,6 @@ mod tests {
         assert_eq!(fcs, vec![120, 84, 10]);
         // LeNet is a linear chain: functional inference supported.
         assert!(!m.stages.is_empty());
-    }
-
-    #[test]
-    fn resnet18_census() {
-        let m = resnet18();
-        // 1 stem + 16 basic-block convs + 3 projections + 1 fc = 21.
-        assert_eq!(m.num_layers(), 21);
-        let c3 = m
-            .layers
-            .iter()
-            .filter(|l| l.kind == LayerKind::Conv && l.kernel == 3)
-            .count();
-        assert_eq!(c3, 16);
-        let last_conv = m
-            .layers
-            .iter()
-            .rev()
-            .find(|l| l.kind == LayerKind::Conv)
-            .unwrap();
-        assert_eq!(last_conv.out_size(), 7);
-        assert_eq!(m.layers.last().unwrap().in_channels, 512);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod fault;
 pub mod geometry;
 pub mod kernels;
 pub mod latency;
-pub mod program_cost;
 pub mod utilization;
 pub mod variation;
 

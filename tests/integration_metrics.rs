@@ -2,7 +2,6 @@
 //! paper's qualitative claims on the real workloads.
 
 use autohet::prelude::*;
-use autohet_accel::metrics::evaluate_homogeneous;
 use autohet_dnn::zoo;
 
 #[test]
@@ -17,7 +16,7 @@ fn energy_decreases_with_crossbar_size_on_all_models() {
         let cfg = AccelConfig::default();
         let energies: Vec<f64> = SQUARE_CANDIDATES
             .iter()
-            .map(|&s| evaluate_homogeneous(&model, s, &cfg).energy_nj())
+            .map(|&s| evaluate(&model, &vec![s; model.layers.len()], &cfg).energy_nj())
             .collect();
         for w in energies[..4].windows(2) {
             assert!(w[1] < w[0], "{}: {energies:?}", model.name);
@@ -40,7 +39,7 @@ fn area_decreases_monotonically_with_crossbar_size_on_vgg16() {
     let cfg = AccelConfig::default();
     let mut prev = f64::MAX;
     for shape in SQUARE_CANDIDATES {
-        let a = evaluate_homogeneous(&m, shape, &cfg).area_um2;
+        let a = evaluate(&m, &vec![shape; m.layers.len()], &cfg).area_um2;
         assert!(a < prev, "{shape}: area {a} !< {prev}");
         prev = a;
     }
@@ -53,7 +52,7 @@ fn latency_spread_is_modest_as_in_table5() {
     let cfg = AccelConfig::default();
     let lats: Vec<f64> = SQUARE_CANDIDATES
         .iter()
-        .map(|&s| evaluate_homogeneous(&m, s, &cfg).latency_ns)
+        .map(|&s| evaluate(&m, &vec![s; m.layers.len()], &cfg).latency_ns)
         .collect();
     let (min, max) = lats
         .iter()
@@ -133,7 +132,11 @@ fn pipelined_execution_beats_sequential_for_batches_on_vgg16() {
 #[test]
 fn energy_breakdown_components_are_consistent() {
     let m = zoo::alexnet();
-    let r = evaluate_homogeneous(&m, XbarShape::square(128), &AccelConfig::default());
+    let r = evaluate(
+        &m,
+        &vec![XbarShape::square(128); m.layers.len()],
+        &AccelConfig::default(),
+    );
     let e = &r.energy;
     let total = e.adc + e.dac + e.cell + e.shift_add + e.buffer + e.leakage;
     assert!((r.energy_nj() - total).abs() < 1e-6);

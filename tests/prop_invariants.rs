@@ -274,24 +274,6 @@ proptest! {
         let text = strategy_to_string(&strategy, "prop");
         prop_assert_eq!(strategy_from_str(&text).unwrap(), strategy);
     }
-
-    #[test]
-    fn programming_cost_scales_linearly_with_kernels(
-        cin in 1usize..64, cout in 1usize..64
-    ) {
-        use autohet_xbar::program_cost::{layer_program_cost, WriteParams};
-        use autohet_xbar::CostParams;
-        let p = CostParams::default();
-        let w = WriteParams::default();
-        let l1 = Layer::conv(0, cin, cout, 3, 1, 1, 16);
-        let l2 = Layer::conv(0, cin, cout * 2, 3, 1, 1, 16);
-        let shape = XbarShape::new(72, 64);
-        let c1 = layer_program_cost(&footprint(&l1, shape), &p, &w);
-        let c2 = layer_program_cost(&footprint(&l2, shape), &p, &w);
-        prop_assert_eq!(c2.cell_writes, 2 * c1.cell_writes);
-        // Latency depends only on crossbar height.
-        prop_assert_eq!(c1.latency_ns, c2.latency_ns);
-    }
 }
 
 /// Tensor argmax agrees with a brute scan (plain test, not proptest, to
