@@ -82,9 +82,7 @@ pub mod prelude {
     pub use crate::search::dqn::{
         dqn_search, dqn_search_with_engine, DqnSearchConfig, DqnSearchOutcome,
     };
-    pub use crate::search::exhaustive::{
-        exhaustive_search, exhaustive_search_serial, exhaustive_search_with_engine,
-    };
+    pub use crate::search::exhaustive::exhaustive_search;
     pub use crate::search::greedy::{
         greedy_layerwise_rue, greedy_layerwise_rue_with_engine, greedy_utilization,
         greedy_utilization_with_engine, GreedyOutcome,

@@ -3,123 +3,41 @@
 //! Used to measure the RL agent's optimality gap — the paper argues the
 //! `Cᴺ` space makes manual/exhaustive search impractical (§2.2.3), which
 //! is true at VGG16 scale (5¹⁶ ≈ 1.5×10¹¹); on 4-layer test models the
-//! oracle is cheap and pins down the true optimum.
+//! oracle is cheap and pins down the true optimum. The optimality tests
+//! and the `eval_cache` bench call it.
 //!
 //! The enumeration walks a little-endian odometer over candidate indices
-//! (`idx[0]` increments first). [`exhaustive_search`] chunks the odometer
-//! range across `crossbeam::thread::scope` workers sharing one memoized
-//! [`EvalEngine`]; ties merge earliest-index-first, so the parallel result
-//! is exactly the serial one.
+//! (`idx[0]` increments first) on one thread, through one memoized
+//! [`EvalEngine`]; on exact RUE ties the earliest odometer index wins.
 
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::XbarShape;
 
-/// Enumerate all strategies in parallel (panics if the space exceeds
-/// `limit` evaluations; default callers pass ~1e5). Returns the
-/// RUE-optimal one — identical to [`exhaustive_search_serial`].
+/// Enumerate all strategies (panics if the space exceeds `limit`
+/// evaluations; default callers pass ~1e5) and return the RUE-optimal
+/// one. Reuses one scratch strategy buffer across the whole space,
+/// cloning only on a new best.
 pub fn exhaustive_search(
     model: &Model,
     candidates: &[XbarShape],
     cfg: &AccelConfig,
     limit: u64,
 ) -> (Vec<XbarShape>, EvalReport) {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    exhaustive_search_with_engine(&engine, candidates, limit, true)
-}
-
-/// Single-threaded enumeration, kept as the reference implementation (and
-/// the serial arm of the `eval_cache` bench).
-pub fn exhaustive_search_serial(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    limit: u64,
-) -> (Vec<XbarShape>, EvalReport) {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    exhaustive_search_with_engine(&engine, candidates, limit, false)
-}
-
-/// Enumeration core over an existing engine. `parallel` selects chunked
-/// scoped-thread workers versus the single-threaded loop; both return the
-/// same strategy and report.
-pub fn exhaustive_search_with_engine(
-    engine: &EvalEngine,
-    candidates: &[XbarShape],
-    limit: u64,
-    parallel: bool,
-) -> (Vec<XbarShape>, EvalReport) {
     assert!(!candidates.is_empty());
-    let n = engine.model().layers.len();
-    let c = candidates.len();
-    let space = (c as u64).checked_pow(n as u32).unwrap_or(u64::MAX);
+    let engine = EvalEngine::new(model.clone(), *cfg);
+    let n = model.layers.len();
+    let c = candidates.len() as u64;
+    let space = c.checked_pow(n as u32).unwrap_or(u64::MAX);
     assert!(
         space <= limit,
         "search space {space} exceeds limit {limit} (use rl_search instead)"
     );
 
-    let workers = if parallel {
-        std::thread::available_parallelism()
-            .map(|w| w.get())
-            .unwrap_or(4)
-            .min(space.max(1) as usize)
-    } else {
-        1
-    };
-    if workers <= 1 {
-        return best_in_range(engine, candidates, 0, space).expect("space >= 1");
-    }
-
-    let chunk = space.div_ceil(workers as u64);
-    let mut results: Vec<Option<(Vec<XbarShape>, EvalReport)>> = Vec::with_capacity(workers);
-    results.resize_with(workers, || None);
-    crossbeam::thread::scope(|s| {
-        for (wi, slot) in results.iter_mut().enumerate() {
-            let start = wi as u64 * chunk;
-            let end = (start + chunk).min(space);
-            if start >= end {
-                continue;
-            }
-            s.spawn(move |_| {
-                *slot = best_in_range(engine, candidates, start, end);
-            });
-        }
-    })
-    .expect("exhaustive search worker panicked");
-
-    // Merge in chunk order with a strict `>`: on exact RUE ties the
-    // earliest odometer index wins, matching the serial loop.
-    let mut best: Option<(Vec<XbarShape>, EvalReport)> = None;
-    for r in results.into_iter().flatten() {
-        if best.as_ref().map_or(true, |(_, b)| r.1.rue() > b.rue()) {
-            best = Some(r);
-        }
-    }
-    best.expect("space >= 1")
-}
-
-/// Best strategy over odometer indices `[start, end)`. Reuses one scratch
-/// strategy buffer across the whole range, cloning only on a new best.
-fn best_in_range(
-    engine: &EvalEngine,
-    candidates: &[XbarShape],
-    start: u64,
-    end: u64,
-) -> Option<(Vec<XbarShape>, EvalReport)> {
-    let n = engine.model().layers.len();
-    let c = candidates.len() as u64;
-
-    // Decode `start` into little-endian odometer digits.
     let mut idx = vec![0usize; n];
-    let mut rem = start;
-    for digit in idx.iter_mut() {
-        *digit = (rem % c) as usize;
-        rem /= c;
-    }
-    let mut scratch: Vec<XbarShape> = idx.iter().map(|&i| candidates[i]).collect();
-
+    let mut scratch = vec![candidates[0]; n];
     let mut best: Option<(Vec<XbarShape>, EvalReport)> = None;
-    for _ in start..end {
+    for _ in 0..space {
         let report = engine.evaluate_fresh(&scratch);
         if best.as_ref().map_or(true, |(_, b)| report.rue() > b.rue()) {
             best = Some((scratch.clone(), report));
@@ -137,7 +55,7 @@ fn best_in_range(
             pos += 1;
         }
     }
-    best
+    best.expect("space >= 1")
 }
 
 #[cfg(test)]
@@ -189,44 +107,6 @@ mod tests {
         for &s in &cands {
             let homo = evaluate(&m, &vec![s; m.layers.len()], &cfg);
             assert!(best.rue() >= homo.rue());
-        }
-    }
-
-    #[test]
-    fn parallel_and_serial_agree_exactly() {
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        for cfg in [
-            AccelConfig::default(),
-            AccelConfig::default().with_tile_sharing(),
-        ] {
-            let (sp, rp) = exhaustive_search(&m, &cands, &cfg, 1_000);
-            let (ss, rs) = exhaustive_search_serial(&m, &cands, &cfg, 1_000);
-            assert_eq!(sp, ss);
-            assert_eq!(rp, rs);
-        }
-    }
-
-    #[test]
-    fn chunked_ranges_cover_the_space_exactly_once() {
-        // Splitting [0, space) at arbitrary boundaries and merging must
-        // reproduce the full-range best.
-        let m = zoo::micro_cnn();
-        let cfg = AccelConfig::default();
-        let cands = vec![
-            XbarShape::square(32),
-            XbarShape::square(64),
-            XbarShape::square(256),
-        ];
-        let engine = EvalEngine::new(m.clone(), cfg);
-        let space = (cands.len() as u64).pow(m.layers.len() as u32);
-        let full = best_in_range(&engine, &cands, 0, space).unwrap();
-        for split in [1, 7, space / 2, space - 1] {
-            let lo = best_in_range(&engine, &cands, 0, split).unwrap();
-            let hi = best_in_range(&engine, &cands, split, space).unwrap();
-            let merged = if hi.1.rue() > lo.1.rue() { hi } else { lo };
-            assert_eq!(merged.0, full.0);
-            assert_eq!(merged.1, full.1);
         }
     }
 }

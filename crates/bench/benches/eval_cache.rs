@@ -1,6 +1,6 @@
 //! Criterion bench for the memoized evaluation engine (the search hot
-//! path): cold vs warm engine against direct `evaluate`, the parallel
-//! vs serial exhaustive driver on the 4-layer test model, and the
+//! path): cold vs warm engine against direct `evaluate`, the exhaustive
+//! oracle on the 4-layer test model, and the
 //! observability overhead contract — the disabled tracer must add <1%
 //! to the warm-compose path (`tracer_off` vs the uninstrumented
 //! baseline above it; `tracer_on` shows the cost of actually recording).
@@ -57,17 +57,7 @@ fn bench_eval_cache(c: &mut Criterion) {
 
     let micro = zoo::micro_cnn();
     let plain = AccelConfig::default();
-    c.bench_function("eval_cache/exhaustive_serial_micro", |b| {
-        b.iter(|| {
-            black_box(exhaustive_search_serial(
-                black_box(&micro),
-                &cands,
-                &plain,
-                1_000,
-            ))
-        })
-    });
-    c.bench_function("eval_cache/exhaustive_parallel_micro", |b| {
+    c.bench_function("eval_cache/exhaustive_micro", |b| {
         b.iter(|| black_box(exhaustive_search(black_box(&micro), &cands, &plain, 1_000)))
     });
 }
