@@ -9,6 +9,7 @@
 
 use crate::ddpg::{validate_agent, validate_lr};
 use crate::nn::{Activation, Adam, Mlp};
+use crate::replay::ReplayBuffer;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -78,8 +79,7 @@ pub struct Dqn {
     q: Mlp,
     q_target: Mlp,
     opt: Adam,
-    replay: Vec<DiscreteExperience>,
-    next_slot: usize,
+    replay: ReplayBuffer<DiscreteExperience>,
     epsilon: f64,
     rng: SmallRng,
     scratch: TrainScratch,
@@ -141,8 +141,7 @@ impl Dqn {
         Dqn {
             q_target: q.clone(),
             opt: Adam::new(cfg.lr),
-            replay: Vec::new(),
-            next_slot: 0,
+            replay: ReplayBuffer::new(cfg.pool),
             epsilon: cfg.eps0,
             q,
             rng,
@@ -187,12 +186,7 @@ impl Dqn {
 
     /// Store one transition (ring-buffer eviction).
     pub fn remember(&mut self, e: DiscreteExperience) {
-        if self.replay.len() < self.cfg.pool {
-            self.replay.push(e);
-        } else {
-            self.replay[self.next_slot] = e;
-            self.next_slot = (self.next_slot + 1) % self.cfg.pool;
-        }
+        self.replay.push(e);
     }
 
     /// One minibatch TD update; returns the batch MSE once the pool holds
@@ -201,11 +195,7 @@ impl Dqn {
         if self.replay.len() < self.cfg.batch {
             return None;
         }
-        let idx: Vec<usize> = (0..self.cfg.batch)
-            .map(|_| self.rng.gen_range(0..self.replay.len()))
-            .collect();
-        let batch: Vec<DiscreteExperience> =
-            idx.into_iter().map(|i| self.replay[i].clone()).collect();
+        let batch = self.replay.sample(self.cfg.batch, &mut self.rng);
         let n = batch.len() as f64;
         let b = batch.len();
         let acts = self.cfg.actions;

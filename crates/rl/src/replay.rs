@@ -3,7 +3,9 @@
 //! After each episode (one full pass assigning crossbars to every layer)
 //! the pool collects `(S_k, S_{k+1}, a_k, R)` tuples; the agent samples
 //! minibatches to update the actor-critic pair. Bounded ring buffer:
-//! oldest experiences are evicted first.
+//! oldest experiences are evicted first. The pool is generic over its
+//! transition type, so the DQN comparator keeps its discrete transitions
+//! in one too.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -20,15 +22,16 @@ pub struct Experience {
     pub done: bool,
 }
 
-/// Bounded FIFO experience pool with uniform sampling.
+/// Bounded FIFO pool of transitions `E` (DDPG [`Experience`]s by
+/// default) with uniform sampling.
 #[derive(Debug, Clone)]
-pub struct ReplayBuffer {
+pub struct ReplayBuffer<E = Experience> {
     capacity: usize,
-    items: Vec<Experience>,
+    items: Vec<E>,
     next: usize,
 }
 
-impl ReplayBuffer {
+impl<E> ReplayBuffer<E> {
     /// Pool with the given capacity (≥ 1).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1);
@@ -50,7 +53,7 @@ impl ReplayBuffer {
     }
 
     /// Insert, evicting the oldest experience when full.
-    pub fn push(&mut self, e: Experience) {
+    pub fn push(&mut self, e: E) {
         if self.items.len() < self.capacity {
             self.items.push(e);
         } else {
@@ -60,7 +63,7 @@ impl ReplayBuffer {
     }
 
     /// Sample `n` experiences uniformly with replacement.
-    pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<&Experience> {
+    pub fn sample<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<&E> {
         assert!(!self.items.is_empty(), "sampling an empty pool");
         (0..n)
             .map(|_| &self.items[rng.gen_range(0..self.items.len())])
@@ -123,7 +126,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn sampling_empty_pool_panics() {
-        let b = ReplayBuffer::new(4);
+        let b = ReplayBuffer::<Experience>::new(4);
         let mut rng = SmallRng::seed_from_u64(2);
         let _ = b.sample(1, &mut rng);
     }
