@@ -230,37 +230,8 @@ pub struct ServingStudyRow {
 pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow> {
     assert!(load > 0.0);
     let _span = autohet_obs::trace::span("study.serving");
-    let base = AccelConfig::default();
-    let shared = base.with_tile_sharing();
-    let (homo_shape, _) = best_homogeneous(model, &base);
-    let homo = vec![homo_shape; model.layers.len()];
-    let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
-    let configs: [(&str, &[XbarShape], &AccelConfig); 4] = [
-        ("homogeneous/tile-based", &homo, &base),
-        ("homogeneous/tile-shared", &homo, &shared),
-        ("autohet/tile-based", &het, &base),
-        ("autohet/tile-shared", &het, &shared),
-    ];
-    let deployments: Vec<Deployment> = configs
-        .iter()
-        .map(|(label, strategy, cfg)| Deployment::compile(label, model, strategy, cfg))
-        .collect();
-    // Identical load for every row: rate pinned to the slowest deployment,
-    // SLO to the slowest single-sample latency.
-    let floor_rps = deployments
-        .iter()
-        .map(Deployment::max_rate_rps)
-        .fold(f64::MAX, f64::min);
-    let slowest_fill = deployments
-        .iter()
-        .map(|d| d.pipeline.fill_ns)
-        .fold(0.0, f64::max);
-    let rate = load * floor_rps;
-    let slo_ns = (4.0 * slowest_fill) as u64;
-    let wl = Workload {
-        seed,
-        horizon_ns: (2_000.0 / rate * 1e9) as u64,
-    };
+    let lineup = Lineup::compile(model, &CONFIGS, load, 4.0);
+    let wl = lineup.workload(seed, 2_000.0);
     let cfg = ShardConfig {
         queue_depth: 32,
         // Per-window telemetry feeds the post-hoc alert pass; without
@@ -269,17 +240,17 @@ pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow
         epochs: 8,
         ..ShardConfig::default()
     };
-    deployments
+    lineup
+        .members
         .into_iter()
-        .map(|d| {
+        .map(|m| {
             let _cell = autohet_obs::trace::span("study.serving_cell");
-            let label = d.name.clone();
-            let tenant = TenantSpec::new(&label, d, rate, slo_ns);
+            let tenant = TenantSpec::new(m.label, m.healthy, lineup.rate, lineup.slo_ns);
             let r = run_sharded(&[tenant], &wl, &cfg);
             let alerts = autohet_serve::alert_timeline(&r, &Default::default(), None);
             let t = &r.tenants[0];
             ServingStudyRow {
-                label,
+                label: m.label.to_string(),
                 submitted: t.submitted,
                 rejected: t.rejected,
                 p99_ns: t.p99_ns,
@@ -291,6 +262,94 @@ pub fn serving_study(model: &Model, load: f64, seed: u64) -> Vec<ServingStudyRow
             }
         })
         .collect()
+}
+
+/// The four deployment configurations the serving-side studies compare:
+/// {best homogeneous, greedy AutoHet} strategy × {tile-based,
+/// tile-shared} allocation, as `(label, AutoHet strategy, tile sharing)`.
+const CONFIGS: [(&str, bool, bool); 4] = [
+    ("homogeneous/tile-based", false, false),
+    ("homogeneous/tile-shared", false, true),
+    ("autohet/tile-based", true, false),
+    ("autohet/tile-shared", true, true),
+];
+
+/// One deployment configuration of a [`Lineup`].
+struct Member {
+    label: &'static str,
+    strategy: Vec<XbarShape>,
+    accel: AccelConfig,
+    /// The configuration compiled on healthy hardware.
+    healthy: Deployment,
+}
+
+/// The deployment configurations a serving-side study compares, compiled
+/// under one shared load: the rate is pinned to the slowest healthy
+/// deployment's single-replica capacity and the SLO to its slowest
+/// single-sample fill, so every row serves an identical request stream.
+struct Lineup {
+    members: Vec<Member>,
+    /// Offered rate \[requests/s\].
+    rate: f64,
+    /// Latency SLO \[ns\].
+    slo_ns: u64,
+}
+
+impl Lineup {
+    /// Compile `configs` (entries of [`CONFIGS`]) for `model` at `load`
+    /// times the slowest capacity, with an SLO of `slo_fills` times the
+    /// slowest fill.
+    fn compile(
+        model: &Model,
+        configs: &[(&'static str, bool, bool)],
+        load: f64,
+        slo_fills: f64,
+    ) -> Self {
+        let base = AccelConfig::default();
+        let (homo_shape, _) = best_homogeneous(model, &base);
+        let homo = vec![homo_shape; model.layers.len()];
+        let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
+        let members: Vec<Member> = configs
+            .iter()
+            .map(|&(label, autohet, shared)| {
+                let strategy = if autohet { het.clone() } else { homo.clone() };
+                let accel = if shared {
+                    base.with_tile_sharing()
+                } else {
+                    base
+                };
+                let healthy = Deployment::compile(label, model, &strategy, &accel);
+                Member {
+                    label,
+                    strategy,
+                    accel,
+                    healthy,
+                }
+            })
+            .collect();
+        let floor_rps = members
+            .iter()
+            .map(|m| m.healthy.max_rate_rps())
+            .fold(f64::MAX, f64::min);
+        let slowest_fill = members
+            .iter()
+            .map(|m| m.healthy.pipeline.fill_ns)
+            .fold(0.0, f64::max);
+        Lineup {
+            members,
+            rate: load * floor_rps,
+            slo_ns: (slo_fills * slowest_fill) as u64,
+        }
+    }
+
+    /// A seeded request stream of about `requests` requests at the
+    /// lineup's rate.
+    fn workload(&self, seed: u64, requests: f64) -> Workload {
+        Workload {
+            seed,
+            horizon_ns: (requests / self.rate * 1e9) as u64,
+        }
+    }
 }
 
 /// Parameters of a [`fault_campaign`] run. Everything downstream — fault
@@ -362,35 +421,52 @@ pub struct FaultCampaignRow {
     pub downtime_ns: u64,
 }
 
-/// Outcome of a full fault-injection campaign on one model.
+/// A campaign cell's row, labelled with its deployment configuration.
+pub trait CampaignRow {
+    /// `"<strategy>/<allocation>"`, e.g. `"autohet/tile-shared"`.
+    fn label(&self) -> &str;
+}
+
+impl CampaignRow for FaultCampaignRow {
+    fn label(&self) -> &str {
+        &self.label
+    }
+}
+
+/// Outcome of a full campaign on one model: a [`FaultCampaignReport`] or
+/// a [`LifetimeCampaignReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultCampaignReport {
+pub struct CampaignReport<C, R> {
     /// Model swept.
     pub model: String,
     /// Campaign parameters.
-    pub config: FaultCampaignConfig,
-    /// One row per (deployment configuration × fault rate), grouped by
-    /// configuration in sweep order.
-    pub rows: Vec<FaultCampaignRow>,
+    pub config: C,
+    /// One row per campaign cell, grouped by deployment configuration in
+    /// sweep order.
+    pub rows: Vec<R>,
 }
 
-impl FaultCampaignReport {
-    /// The rows of one deployment configuration, in fault-rate order.
-    pub fn rows_for(&self, label: &str) -> Vec<&FaultCampaignRow> {
-        self.rows.iter().filter(|r| r.label == label).collect()
+impl<C, R: CampaignRow> CampaignReport<C, R> {
+    /// The rows of one deployment configuration, in sweep order.
+    pub fn rows_for(&self, label: &str) -> Vec<&R> {
+        self.rows.iter().filter(|r| r.label() == label).collect()
     }
 
     /// Distinct configuration labels, in declaration order.
     pub fn labels(&self) -> Vec<&str> {
         let mut seen = Vec::new();
         for r in &self.rows {
-            if !seen.contains(&r.label.as_str()) {
-                seen.push(r.label.as_str());
+            if !seen.contains(&r.label()) {
+                seen.push(r.label());
             }
         }
         seen
     }
 }
+
+/// Outcome of a [`fault_campaign`]: one row per (deployment
+/// configuration × fault rate), grouped by configuration in sweep order.
+pub type FaultCampaignReport = CampaignReport<FaultCampaignConfig, FaultCampaignRow>;
 
 /// A per-replica quantity summed over every shard of a serving run.
 fn replica_total(report: &ShardServingReport, f: fn(&autohet_serve::ShardStats) -> u64) -> u64 {
@@ -427,55 +503,28 @@ pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaign
     assert!(cfg.load > 0.0, "load must be positive");
     assert!(!cfg.fault_rates.is_empty(), "empty fault-rate sweep");
     assert!(cfg.replicas >= 1, "need at least one replica");
-    let base = AccelConfig::default();
-    let shared = base.with_tile_sharing();
-    let (homo_shape, _) = best_homogeneous(model, &base);
-    let homo = vec![homo_shape; model.layers.len()];
-    let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
-    let configs: [(&str, &[XbarShape], &AccelConfig); 4] = [
-        ("homogeneous/tile-based", &homo, &base),
-        ("homogeneous/tile-shared", &homo, &shared),
-        ("autohet/tile-based", &het, &base),
-        ("autohet/tile-shared", &het, &shared),
-    ];
-    let engines: Vec<EvalEngine> = configs
+    let lineup = Lineup::compile(model, &CONFIGS, cfg.load, 6.0);
+    let engines: Vec<EvalEngine> = lineup
+        .members
         .iter()
-        .map(|(_, _, c)| EvalEngine::new(model.clone(), **c))
+        .map(|m| EvalEngine::new(model.clone(), m.accel))
         .collect();
-    let healthy: Vec<Deployment> = configs
-        .iter()
-        .map(|(label, strategy, c)| Deployment::compile(label, model, strategy, c))
-        .collect();
-    // Identical load for every cell: rate pinned to the slowest healthy
-    // deployment, SLO to the slowest healthy fill.
-    let floor_rps = healthy
-        .iter()
-        .map(Deployment::max_rate_rps)
-        .fold(f64::MAX, f64::min);
-    let slowest_fill = healthy
-        .iter()
-        .map(|d| d.pipeline.fill_ns)
-        .fold(0.0, f64::max);
-    let rate = cfg.load * floor_rps;
-    let slo_ns = (6.0 * slowest_fill) as u64;
-    let wl = Workload {
-        seed: cfg.seed,
-        horizon_ns: (cfg.requests / rate * 1e9) as u64,
-    };
+    let wl = lineup.workload(cfg.seed, cfg.requests);
     let policy = RepairPolicy::default().with_spares(cfg.spares_per_tile);
-    let cells: Vec<(usize, f64)> = (0..configs.len())
+    let cells: Vec<(usize, f64)> = (0..lineup.members.len())
         .flat_map(|c| cfg.fault_rates.iter().map(move |&r| (c, r)))
         .collect();
     let rows = par_map(&cells, |&(c, fault_rate)| {
         let _cell = autohet_obs::trace::span("study.fault_cell");
+        let m = &lineup.members[c];
         let rates = FaultRates {
             dead_xbar: fault_rate,
             degraded_adc: fault_rate / 2.0,
             adc_bits_lost: 2,
         };
-        let faulted = engines[c].evaluate_faulted(configs[c].1, cfg.seed, rates, &policy);
-        let deployment = healthy[c].with_degradation(&faulted);
-        let tenant = TenantSpec::new(configs[c].0, deployment, rate, slo_ns);
+        let faulted = engines[c].evaluate_faulted(&m.strategy, cfg.seed, rates, &policy);
+        let deployment = m.healthy.with_degradation(&faulted);
+        let tenant = TenantSpec::new(m.label, deployment, lineup.rate, lineup.slo_ns);
         let serve = ShardConfig {
             replicas_per_shard: cfg.replicas,
             queue_depth: 32,
@@ -485,7 +534,7 @@ pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaign
         let report = run_sharded(&[tenant], &wl, &serve);
         let t = &report.tenants[0];
         FaultCampaignRow {
-            label: configs[c].0.to_string(),
+            label: m.label.to_string(),
             fault_rate,
             fidelity: faulted.fidelity,
             spared: faulted.repair.spared,
@@ -607,25 +656,18 @@ pub struct LifetimeRow {
     pub accuracy: f64,
 }
 
-/// Outcome of a full lifetime-resilience campaign on one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LifetimeCampaignReport {
-    /// Model swept.
-    pub model: String,
-    /// Campaign parameters.
-    pub config: LifetimeCampaignConfig,
-    /// One row per (configuration × drift scale × recovery policy),
-    /// grouped by configuration, then scale, then policy escalation
-    /// order.
-    pub rows: Vec<LifetimeRow>,
+impl CampaignRow for LifetimeRow {
+    fn label(&self) -> &str {
+        &self.label
+    }
 }
 
-impl LifetimeCampaignReport {
-    /// The rows of one deployment configuration, in sweep order.
-    pub fn rows_for(&self, label: &str) -> Vec<&LifetimeRow> {
-        self.rows.iter().filter(|r| r.label == label).collect()
-    }
+/// Outcome of a [`lifetime_campaign`]: one row per (configuration ×
+/// drift scale × recovery policy), grouped by configuration, then scale,
+/// then policy escalation order.
+pub type LifetimeCampaignReport = CampaignReport<LifetimeCampaignConfig, LifetimeRow>;
 
+impl LifetimeCampaignReport {
     /// The rows of one (configuration, recovery policy), in drift-scale
     /// order.
     pub fn policy_rows(&self, label: &str, policy: RecoveryPolicy) -> Vec<&LifetimeRow> {
@@ -633,17 +675,6 @@ impl LifetimeCampaignReport {
             .iter()
             .filter(|r| r.label == label && r.policy == policy.label())
             .collect()
-    }
-
-    /// Distinct configuration labels, in declaration order.
-    pub fn labels(&self) -> Vec<&str> {
-        let mut seen = Vec::new();
-        for r in &self.rows {
-            if !seen.contains(&r.label.as_str()) {
-                seen.push(r.label.as_str());
-            }
-        }
-        seen
     }
 
     /// The campaign's acceptance headline: at *every* nonzero drift
@@ -721,44 +752,19 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
         cfg.requests
     );
     assert!(cfg.replicas >= 1, "need at least one replica");
-    let base = AccelConfig::default();
-    let shared = base.with_tile_sharing();
-    let (homo_shape, _) = best_homogeneous(model, &base);
-    let homo = vec![homo_shape; model.layers.len()];
-    let het = greedy_layerwise_rue(model, &paper_hybrid_candidates(), &base).strategy;
-    let configs: [(&str, &[XbarShape], &AccelConfig); 2] = [
-        ("homogeneous/tile-based", &homo, &base),
-        ("autohet/tile-shared", &het, &shared),
-    ];
-    let healthy: Vec<Deployment> = configs
-        .iter()
-        .map(|(label, strategy, c)| Deployment::compile(label, model, strategy, c))
-        .collect();
-    // Identical load for every cell: rate pinned to the slowest healthy
-    // deployment, SLO to the slowest healthy fill.
-    let floor_rps = healthy
-        .iter()
-        .map(Deployment::max_rate_rps)
-        .fold(f64::MAX, f64::min);
-    let slowest_fill = healthy
-        .iter()
-        .map(|d| d.pipeline.fill_ns)
-        .fold(0.0, f64::max);
-    let rate = cfg.load * floor_rps;
-    let slo_ns = (6.0 * slowest_fill) as u64;
-    let wl = Workload {
-        seed: cfg.seed,
-        horizon_ns: (cfg.requests / rate * 1e9) as u64,
-    };
-    let cells: Vec<(usize, f64)> = (0..configs.len())
+    // The two corners: homogeneous/tile-based and autohet/tile-shared.
+    let lineup = Lineup::compile(model, &[CONFIGS[0], CONFIGS[3]], cfg.load, 6.0);
+    let wl = lineup.workload(cfg.seed, cfg.requests);
+    let cells: Vec<(usize, f64)> = (0..lineup.members.len())
         .flat_map(|c| cfg.drift_scales.iter().map(move |&s| (c, s)))
         .collect();
     let groups = par_map(&cells, |&(c, scale)| {
         let _cell = autohet_obs::trace::span("study.lifetime_cell");
+        let m = &lineup.members[c];
         // One drift-aware engine per (configuration, scale): the three
         // policy arms share its epoch memo, and each cell stays an
         // independent, seeded computation.
-        let engine = EvalEngine::new(model.clone(), *configs[c].2).with_drift(DriftEvalConfig {
+        let engine = EvalEngine::new(model.clone(), m.accel).with_drift(DriftEvalConfig {
             drift: DriftModel::nominal().with_rate_scale(scale),
             draws: cfg.draws,
             probes: cfg.probes,
@@ -768,9 +774,9 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
         RecoveryPolicy::ALL
             .iter()
             .map(|&policy| {
-                let deg = engine.evaluate_degraded(configs[c].1, cfg.epoch_hours, policy);
-                let deployment = healthy[c].with_degraded(&deg);
-                let tenant = TenantSpec::new(configs[c].0, deployment, rate, slo_ns);
+                let deg = engine.evaluate_degraded(&m.strategy, cfg.epoch_hours, policy);
+                let deployment = m.healthy.with_degraded(&deg);
+                let tenant = TenantSpec::new(m.label, deployment, lineup.rate, lineup.slo_ns);
                 let serve = ShardConfig {
                     replicas_per_shard: cfg.replicas,
                     queue_depth: 32,
@@ -780,7 +786,7 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
                 let report = run_sharded(&[tenant], &wl, &serve);
                 let t = &report.tenants[0];
                 LifetimeRow {
-                    label: configs[c].0.to_string(),
+                    label: m.label.to_string(),
                     drift_scale: scale,
                     policy: policy.label().to_string(),
                     t_hours: cfg.epoch_hours,
