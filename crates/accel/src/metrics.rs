@@ -7,9 +7,9 @@
 //! - **Crossbar utilization** `U`: weight-holding cells over *allocated*
 //!   cells (so tile round-up waste and tile-sharing gains both show up, as
 //!   in Figs. 4, 9b, 10).
-//! - **Energy** `E` [nJ]: per-layer dynamic activity plus provisioned-
+//! - **Energy** `E` \[nJ\]: per-layer dynamic activity plus provisioned-
 //!   hardware leakage over the inference (Fig. 9c, 10).
-//! - **Latency** [ns] and **area** [µm²] (Table 5).
+//! - **Latency** \[ns\] and **area** \[µm²\] (Table 5).
 //! - **RUE** `= U[%] / E[nJ]` — the paper's joint metric (§2.2.1).
 
 use crate::alloc::{allocate_tile_based, Allocation, LayerPlacement};
@@ -36,9 +36,9 @@ pub struct LayerReport {
     pub tiles: u64,
     /// Eq. 4 crossbar-level utilization.
     pub mapping_utilization: f64,
-    /// Latency of this layer [ns].
+    /// Latency of this layer \[ns\].
     pub latency_ns: f64,
-    /// Dynamic energy of this layer [nJ] (leakage is accounted globally).
+    /// Dynamic energy of this layer \[nJ\] (leakage is accounted globally).
     pub dynamic_nj: f64,
 }
 
@@ -61,18 +61,18 @@ pub struct EvalReport {
     pub utilization: f64,
     /// Eq. 4 utilization over *occupied* crossbars only (no tile effects).
     pub mapping_utilization: f64,
-    /// Itemized energy [nJ].
+    /// Itemized energy \[nJ\].
     pub energy: LayerEnergy,
-    /// Total inference latency [ns] (includes NoC latency when modeled).
+    /// Total inference latency \[ns\] (includes NoC latency when modeled).
     pub latency_ns: f64,
-    /// Total silicon area [µm²].
+    /// Total silicon area \[µm²\].
     pub area_um2: f64,
     /// Inter-tile traffic report (Some iff `AccelConfig::model_noc`).
     pub noc: Option<NocReport>,
 }
 
 impl EvalReport {
-    /// Total energy [nJ], including NoC energy when modeled.
+    /// Total energy \[nJ\], including NoC energy when modeled.
     pub fn energy_nj(&self) -> f64 {
         self.energy.total() + self.noc.map_or(0.0, |n| n.energy_nj)
     }
@@ -116,9 +116,9 @@ pub fn evaluate(model: &Model, strategy: &[XbarShape], cfg: &AccelConfig) -> Eva
 /// strategy — the memoizable core of [`evaluate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerCost {
-    /// Latency of one inference through the layer [ns].
+    /// Latency of one inference through the layer \[ns\].
     pub latency_ns: f64,
-    /// Dynamic energy of the layer [nJ] (leakage is charged globally).
+    /// Dynamic energy of the layer \[nJ\] (leakage is charged globally).
     pub dynamic: LayerEnergy,
 }
 

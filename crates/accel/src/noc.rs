@@ -24,9 +24,9 @@ use serde::{Deserialize, Serialize};
 /// NoC cost parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NocParams {
-    /// Energy per byte per hop [nJ].
+    /// Energy per byte per hop \[nJ\].
     pub e_hop_byte: f64,
-    /// Router+link traversal time per hop [ns] (per flit, fully pipelined
+    /// Router+link traversal time per hop \[ns\] (per flit, fully pipelined
     /// per transfer: latency counts worst-case route hops once per layer
     /// transfer plus a per-byte serialization term).
     pub t_hop: f64,
@@ -72,9 +72,9 @@ pub fn hops(a: (usize, usize), b: (usize, usize)) -> usize {
 pub struct NocReport {
     /// Total byte-hops moved.
     pub byte_hops: f64,
-    /// NoC energy [nJ].
+    /// NoC energy \[nJ\].
     pub energy_nj: f64,
-    /// NoC latency added to the inference [ns].
+    /// NoC latency added to the inference \[ns\].
     pub latency_ns: f64,
 }
 

@@ -1,7 +1,7 @@
 //! Layer-pipelined execution model (beyond the paper's sequential
 //! latency; DESIGN.md §6).
 //!
-//! ReRAM accelerators in the paper's lineage (PipeLayer [21], ISAAC [19])
+//! ReRAM accelerators in the paper's lineage (PipeLayer \[21\], ISAAC \[19\])
 //! stream batches: every layer works on a different sample concurrently,
 //! so steady-state throughput is set by the *slowest stage*, not the sum.
 //! This module computes
@@ -23,24 +23,24 @@ use serde::{Deserialize, Serialize};
 /// Pipeline analysis of one (model, strategy) pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineReport {
-    /// Per-layer stage latency for one sample [ns].
+    /// Per-layer stage latency for one sample \[ns\].
     pub stage_ns: Vec<f64>,
     /// Index of the slowest stage.
     pub bottleneck_layer: usize,
-    /// Slowest stage latency [ns].
+    /// Slowest stage latency \[ns\].
     pub bottleneck_ns: f64,
-    /// Pipeline fill latency (= sequential single-sample latency) [ns].
+    /// Pipeline fill latency (= sequential single-sample latency) \[ns\].
     pub fill_ns: f64,
 }
 
 impl PipelineReport {
-    /// Latency to finish a batch of `n` samples [ns].
+    /// Latency to finish a batch of `n` samples \[ns\].
     pub fn batch_latency_ns(&self, n: usize) -> f64 {
         assert!(n >= 1);
         self.fill_ns + (n as f64 - 1.0) * self.bottleneck_ns
     }
 
-    /// Integer batch service time for discrete-event serving [ns].
+    /// Integer batch service time for discrete-event serving \[ns\].
     ///
     /// Rounds [`Self::batch_latency_ns`] up to a whole nanosecond and
     /// floors it at 1 ns so event timestamps in downstream simulators

@@ -123,7 +123,7 @@ pub fn paper_models() -> Vec<Model> {
     vec![alexnet(), vgg16(), resnet152()]
 }
 
-/// LeNet-5 on MNIST (LeCun et al. '98, the paper's [14]): the classic
+/// LeNet-5 on MNIST (LeCun et al. '98, the paper's \[14\]): the classic
 /// small CNN, useful as an additional edge-class workload with 5×5
 /// kernels that fit no power-of-two crossbar height cleanly.
 pub fn lenet5() -> Model {

@@ -11,7 +11,7 @@
 use crate::cost::CostParams;
 use crate::geometry::XbarShape;
 
-/// Area of one physical crossbar slice [µm²].
+/// Area of one physical crossbar slice \[µm²\].
 pub fn slice_area(shape: XbarShape, p: &CostParams) -> f64 {
     shape.cols as f64 * p.adc_area()
         + shape.rows as f64 * p.a_driver
@@ -19,12 +19,12 @@ pub fn slice_area(shape: XbarShape, p: &CostParams) -> f64 {
         + p.a_xb_fixed
 }
 
-/// Area of `allocated` logical crossbars of `shape` [µm²].
+/// Area of `allocated` logical crossbars of `shape` \[µm²\].
 pub fn crossbar_area(allocated: u64, shape: XbarShape, p: &CostParams) -> f64 {
     allocated as f64 * p.slices() as f64 * slice_area(shape, p)
 }
 
-/// Tile overhead for `tiles` allocated tiles [µm²].
+/// Tile overhead for `tiles` allocated tiles \[µm²\].
 pub fn tile_overhead_area(tiles: u64, p: &CostParams) -> f64 {
     tiles as f64 * p.a_tile
 }

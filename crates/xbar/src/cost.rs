@@ -27,18 +27,18 @@ pub struct CostParams {
     /// ADC resolution (paper: 10, enough for 576-row bitline sums).
     pub adc_bits: u32,
 
-    /// ADC dynamic energy per conversion at `adc_ref_bits` resolution [nJ].
+    /// ADC dynamic energy per conversion at `adc_ref_bits` resolution \[nJ\].
     pub e_adc: f64,
     /// Reference resolution for `e_adc`/`a_adc`/`p_adc` (they scale ×2 per
     /// extra bit).
     pub adc_ref_bits: u32,
-    /// DAC dynamic energy per 1-bit conversion [nJ].
+    /// DAC dynamic energy per 1-bit conversion \[nJ\].
     pub e_dac: f64,
-    /// Energy per active cell per compute cycle [nJ].
+    /// Energy per active cell per compute cycle \[nJ\].
     pub e_cell: f64,
-    /// Shift-and-add energy per ADC sample merged [nJ].
+    /// Shift-and-add energy per ADC sample merged \[nJ\].
     pub e_shift_add: f64,
-    /// Buffer energy per byte moved in/out of a tile [nJ].
+    /// Buffer energy per byte moved in/out of a tile \[nJ\].
     pub e_buffer: f64,
     /// Input activity factor in `(0, 1]`: the fraction of bit-serial
     /// cycles whose input bit-plane is non-zero. The functional crossbar
@@ -47,31 +47,31 @@ pub struct CostParams {
     /// conservative default the paper's counting corresponds to.
     pub input_activity: f64,
 
-    /// ADC static power at `adc_ref_bits` [nW]. Provisioned-ADC leakage is
+    /// ADC static power at `adc_ref_bits` \[nW\]. Provisioned-ADC leakage is
     /// the dominant energy term for small-crossbar accelerators, which is
     /// what makes large crossbars energy-efficient (paper §2.2.3).
     pub p_adc: f64,
-    /// Wordline driver static power per row [nW].
+    /// Wordline driver static power per row \[nW\].
     pub p_driver: f64,
-    /// Cell-array static power per cell [nW].
+    /// Cell-array static power per cell \[nW\].
     pub p_cell: f64,
 
-    /// ADC area at `adc_ref_bits` [µm²].
+    /// ADC area at `adc_ref_bits` \[µm²\].
     pub a_adc: f64,
-    /// Cell area [µm²].
+    /// Cell area \[µm²\].
     pub a_cell: f64,
-    /// Wordline driver area per row [µm²].
+    /// Wordline driver area per row \[µm²\].
     pub a_driver: f64,
-    /// Fixed per-crossbar overhead (sense infrastructure) [µm²].
+    /// Fixed per-crossbar overhead (sense infrastructure) \[µm²\].
     pub a_xb_fixed: f64,
-    /// Per-tile overhead: buffers, pooling module, control [µm²].
+    /// Per-tile overhead: buffers, pooling module, control \[µm²\].
     pub a_tile: f64,
 
-    /// Base compute-cycle time [ns].
+    /// Base compute-cycle time \[ns\].
     pub t_cycle_base: f64,
-    /// Extra cycle time per 32 crossbar rows (wordline RC) [ns].
+    /// Extra cycle time per 32 crossbar rows (wordline RC) \[ns\].
     pub t_cycle_per_row32: f64,
-    /// Partial-sum adder-tree time per stage [ns].
+    /// Partial-sum adder-tree time per stage \[ns\].
     pub t_adder_stage: f64,
 }
 
@@ -118,17 +118,17 @@ impl CostParams {
         2.0_f64.powi(d)
     }
 
-    /// ADC dynamic energy per conversion at the configured resolution [nJ].
+    /// ADC dynamic energy per conversion at the configured resolution \[nJ\].
     pub fn adc_energy(&self) -> f64 {
         self.e_adc * self.adc_scale()
     }
 
-    /// ADC static power at the configured resolution [nW].
+    /// ADC static power at the configured resolution \[nW\].
     pub fn adc_power(&self) -> f64 {
         self.p_adc * self.adc_scale()
     }
 
-    /// ADC area at the configured resolution [µm²].
+    /// ADC area at the configured resolution \[µm²\].
     pub fn adc_area(&self) -> f64 {
         self.a_adc * self.adc_scale()
     }

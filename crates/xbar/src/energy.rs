@@ -59,7 +59,7 @@ pub fn dynamic_counts(layer: &Layer, fp: &Footprint, p: &CostParams) -> DynamicC
     }
 }
 
-/// Static power [nW] of `allocated` logical crossbars of `shape`
+/// Static power \[nW\] of `allocated` logical crossbars of `shape`
 /// (each logical crossbar is `slices()` physical slices; each slice carries
 /// one ADC per bitline plus row drivers and the cell array).
 pub fn static_power(allocated: u64, shape: crate::XbarShape, p: &CostParams) -> f64 {
@@ -69,7 +69,7 @@ pub fn static_power(allocated: u64, shape: crate::XbarShape, p: &CostParams) -> 
     allocated as f64 * p.slices() as f64 * per_slice
 }
 
-/// Itemized per-layer energy [nJ].
+/// Itemized per-layer energy \[nJ\].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LayerEnergy {
     pub adc: f64,
@@ -83,7 +83,7 @@ pub struct LayerEnergy {
 }
 
 impl LayerEnergy {
-    /// Total energy [nJ].
+    /// Total energy \[nJ\].
     pub fn total(&self) -> f64 {
         self.adc + self.dac + self.cell + self.shift_add + self.buffer + self.leakage
     }

@@ -13,7 +13,7 @@ use crate::cost::CostParams;
 use crate::utilization::Footprint;
 use autohet_dnn::Layer;
 
-/// Duration of one compute cycle for crossbars of this footprint [ns].
+/// Duration of one compute cycle for crossbars of this footprint \[ns\].
 pub fn cycle_time_ns(fp: &Footprint, p: &CostParams) -> f64 {
     let tree_stages = (fp.xb_rows as f64).log2().ceil().max(0.0);
     p.t_cycle_base
@@ -21,7 +21,7 @@ pub fn cycle_time_ns(fp: &Footprint, p: &CostParams) -> f64 {
         + p.t_adder_stage * tree_stages
 }
 
-/// Latency of one inference through `layer` mapped as `fp` [ns].
+/// Latency of one inference through `layer` mapped as `fp` \[ns\].
 pub fn layer_latency_ns(layer: &Layer, fp: &Footprint, p: &CostParams) -> f64 {
     let cycles = layer.presentations() as f64 * p.input_bits as f64;
     cycles * cycle_time_ns(fp, p)

@@ -26,9 +26,11 @@ cargo bench -p autohet-bench --bench serve_scale -- --test >/dev/null
 cargo fmt --check
 # --all-targets lints tests, examples, and benches too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings
-# The observability, RL and search crates' docs are part of their API
-# contract: a doc link to a renamed or deleted item fails here.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs -p autohet-rl -p autohet
+# The library crates' docs are part of their API contract: a doc link to
+# a renamed or deleted item fails here, and so does an unescaped bracket
+# (units and citations are written `\[nJ\]`, `\[19\]`).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs -p autohet-rl -p autohet \
+  -p autohet-xbar -p autohet-accel -p autohet-dnn
 
 # Observability smoke: the full dump pipeline must run end to end and
 # emit every artifact (CI uploads target/obs_smoke for inspection).
