@@ -84,12 +84,13 @@ if bench == "search":
     snapshot["derived"] = derived
 
 if bench == "noise":
-    # The packed variation MVM must beat the dense f64 fallback it
-    # replaces (DESIGN.md §11 acceptance: ≥3×); derive the speed-ups so
-    # the snapshot records the claim directly.
+    # Derive the packed variation MVM's speed-ups over the scalar
+    # reference and its ratio to the ideal packed kernel, so the snapshot
+    # records them directly. (The dense f64 fallback arm the DESIGN.md §11
+    # claim was measured against is retired with the fallback itself.)
     fast = best.get("noise/variation_mvm/fast_108x64")
     derived = {}
-    for other in ("dense", "scalar", "ideal"):
+    for other in ("scalar", "ideal"):
         ns = best.get(f"noise/variation_mvm/{other}_108x64")
         if fast and ns:
             derived[f"speedup_fast_vs_{other}"] = round(ns / fast, 2)
