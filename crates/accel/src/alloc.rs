@@ -106,7 +106,7 @@ pub fn placement_for(layer: &Layer, shape: XbarShape, capacity: u32) -> LayerPla
 /// Materialize concrete tiles from per-layer placements — the second,
 /// strategy-dependent half of the tile-based scheme, shared by
 /// [`allocate_tile_based`] and the memoized [`crate::engine::EvalEngine`]'s
-/// NoC and fault-repair paths so both produce identical allocations.
+/// fault-repair path so both produce identical allocations.
 pub(crate) fn allocation_from_placements(
     per_layer: Vec<LayerPlacement>,
     capacity: u32,

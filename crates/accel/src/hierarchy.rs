@@ -19,11 +19,6 @@ pub struct AccelConfig {
     pub pes_per_tile: u32,
     /// Enable the paper's tile-shared allocation scheme (Algorithm 1).
     pub tile_shared: bool,
-    /// Model inter-tile NoC traffic (energy + latency). Off by default,
-    /// matching the paper's evaluation; see [`crate::noc`].
-    pub model_noc: bool,
-    /// NoC cost parameters (used when `model_noc` is set).
-    pub noc: crate::noc::NocParams,
 }
 
 impl Default for AccelConfig {
@@ -32,8 +27,6 @@ impl Default for AccelConfig {
             cost: CostParams::default(),
             pes_per_tile: 4,
             tile_shared: false,
-            model_noc: false,
-            noc: crate::noc::NocParams::default(),
         }
     }
 }
@@ -49,12 +42,6 @@ impl AccelConfig {
     pub fn with_pes_per_tile(mut self, pes: u32) -> Self {
         assert!(pes >= 1);
         self.pes_per_tile = pes;
-        self
-    }
-
-    /// Configuration with the NoC model enabled.
-    pub fn with_noc(mut self) -> Self {
-        self.model_noc = true;
         self
     }
 }

@@ -39,7 +39,6 @@ pub mod engine;
 pub mod hierarchy;
 pub mod mapping;
 pub mod metrics;
-pub mod noc;
 pub mod par;
 pub mod pipeline;
 pub mod repair;

@@ -14,7 +14,6 @@
 
 use crate::alloc::{allocate_tile_based, Allocation, LayerPlacement};
 use crate::hierarchy::AccelConfig;
-use crate::noc::NocReport;
 use crate::tile_shared::{apply_tile_sharing, SharingReport};
 use autohet_dnn::{Layer, Model};
 use autohet_xbar::energy::{layer_energy, static_power, LayerEnergy};
@@ -63,18 +62,16 @@ pub struct EvalReport {
     pub mapping_utilization: f64,
     /// Itemized energy \[nJ\].
     pub energy: LayerEnergy,
-    /// Total inference latency \[ns\] (includes NoC latency when modeled).
+    /// Total inference latency \[ns\].
     pub latency_ns: f64,
     /// Total silicon area \[µm²\].
     pub area_um2: f64,
-    /// Inter-tile traffic report (Some iff `AccelConfig::model_noc`).
-    pub noc: Option<NocReport>,
 }
 
 impl EvalReport {
-    /// Total energy \[nJ\], including NoC energy when modeled.
+    /// Total energy \[nJ\].
     pub fn energy_nj(&self) -> f64 {
-        self.energy.total() + self.noc.map_or(0.0, |n| n.energy_nj)
+        self.energy.total()
     }
 
     /// Utilization as the percentage the paper plots.
@@ -147,7 +144,6 @@ pub(crate) fn compose_report(
     per_layer: &[LayerPlacement],
     costs: &[LayerCost],
     tiles_by_shape: &[(XbarShape, u64)],
-    noc: Option<NocReport>,
     sharing: Option<SharingReport>,
     cfg: &AccelConfig,
 ) -> EvalReport {
@@ -155,14 +151,9 @@ pub(crate) fn compose_report(
     let p = &cfg.cost;
 
     // Latency first: leakage charges hardware for the whole inference.
-    // Inter-tile traffic (optional) extends the window the provisioned
-    // hardware leaks over.
     let mut latency_ns = 0.0;
     for c in costs {
         latency_ns += c.latency_ns;
-    }
-    if let Some(n) = &noc {
-        latency_ns += n.latency_ns;
     }
 
     // Dynamic energy per layer.
@@ -211,14 +202,13 @@ pub(crate) fn compose_report(
         energy,
         latency_ns,
         area_um2,
-        noc,
     }
 }
 
 /// [`compose_report`] over materialized tiles (after sharing, and after
-/// any fault repair), with the NoC modelled on them when configured.
-/// Repair can drop degraded crossbars from their tiles, so occupancy is
-/// counted from the tiles, not from the placements.
+/// any fault repair). Repair can drop degraded crossbars from their
+/// tiles, so occupancy is counted from the tiles, not from the
+/// placements.
 pub(crate) fn compose_allocation_report(
     model: &Model,
     alloc: &Allocation,
@@ -226,9 +216,6 @@ pub(crate) fn compose_allocation_report(
     sharing: Option<SharingReport>,
     cfg: &AccelConfig,
 ) -> EvalReport {
-    let noc = cfg
-        .model_noc
-        .then(|| crate::noc::evaluate_noc(model, alloc, &cfg.noc));
     EvalReport {
         occupied_xbars: alloc.occupied_xbars(),
         ..compose_report(
@@ -236,7 +223,6 @@ pub(crate) fn compose_allocation_report(
             &alloc.per_layer,
             costs,
             &alloc.tiles_by_shape(),
-            noc,
             sharing,
             cfg,
         )

@@ -96,27 +96,6 @@ fn tile_sharing_helps_every_paper_model() {
 }
 
 #[test]
-fn noc_model_adds_energy_and_latency_and_punishes_scattering() {
-    let m = zoo::alexnet();
-    let strategy = vec![XbarShape::square(64); m.layers.len()];
-    let plain = evaluate(&m, &strategy, &AccelConfig::default());
-    let with_noc = evaluate(&m, &strategy, &AccelConfig::default().with_noc());
-    assert!(plain.noc.is_none());
-    let n = with_noc.noc.expect("noc report");
-    assert!(n.energy_nj > 0.0 && n.latency_ns > 0.0);
-    assert!(with_noc.energy_nj() > plain.energy_nj());
-    assert!(with_noc.latency_ns > plain.latency_ns);
-
-    // Scattering over tiny crossbars costs more interconnect.
-    let tiny = evaluate(
-        &m,
-        &vec![XbarShape::square(32); m.layers.len()],
-        &AccelConfig::default().with_noc(),
-    );
-    assert!(tiny.noc.unwrap().byte_hops > n.byte_hops);
-}
-
-#[test]
 fn pipelined_execution_beats_sequential_for_batches_on_vgg16() {
     use autohet_accel::pipeline::pipeline_report;
     let m = zoo::vgg16();

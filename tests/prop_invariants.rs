@@ -144,14 +144,13 @@ proptest! {
         layers in prop::collection::vec((0usize..3, 0usize..5), 1..12),
         palette in prop::collection::vec(0usize..10, 1..=3),
         shared in any::<bool>(),
-        noc in any::<bool>(),
         cap in prop::sample::select(vec![1u32, 2, 3, 4, 5, 8, 16])
     ) {
         // The memoized engine must reproduce `evaluate` *exactly* — same
         // float accumulation order, so bit-identical reports, `{:?}`
         // included — whether the answer comes from a cold compose, the
-        // layer memo, or the strategy cache, and across tile sharing /
-        // NoC / tile width. Layers up to 160 channels wide span several
+        // layer memo, or the strategy cache, and across tile sharing and
+        // tile width. Layers up to 160 channels wide span several
         // tiles, so full tiles precede each layer's partial one, and every
         // strategy draws from at most three shapes, so same-shape partial
         // tiles from different layers combine.
@@ -168,9 +167,6 @@ proptest! {
         let mut cfg = AccelConfig::default().with_pes_per_tile(cap);
         if shared {
             cfg = cfg.with_tile_sharing();
-        }
-        if noc {
-            cfg = cfg.with_noc();
         }
         let direct = evaluate(&model, &strategy, &cfg);
         let engine = EvalEngine::new(model, cfg);
@@ -218,28 +214,6 @@ proptest! {
         let dense = Layer::conv(0, channels, channels, k, 1, k / 2, 32);
         prop_assert!(fp.total_xbars() >= 1);
         let _ = footprint(&dense, shape);
-    }
-
-    #[test]
-    fn noc_placement_covers_all_tiles(n in 1usize..500) {
-        use autohet_accel::noc::{hops, place_row_major};
-        let p = place_row_major(n);
-        prop_assert_eq!(p.coords.len(), n);
-        prop_assert!(p.side * p.side >= n);
-        // All coordinates in-bounds and pairwise distinct.
-        let mut seen = std::collections::HashSet::new();
-        for &c in &p.coords {
-            prop_assert!(c.0 < p.side && c.1 < p.side);
-            prop_assert!(seen.insert(c));
-        }
-        // Hop metric: symmetric, zero on the diagonal, triangle inequality
-        // on a sample.
-        if n >= 3 {
-            let (a, b, c) = (p.coords[0], p.coords[n / 2], p.coords[n - 1]);
-            prop_assert_eq!(hops(a, b), hops(b, a));
-            prop_assert_eq!(hops(a, a), 0);
-            prop_assert!(hops(a, c) <= hops(a, b) + hops(b, c));
-        }
     }
 
     #[test]
