@@ -17,7 +17,7 @@
 
 use crate::env::AutoHetEnv;
 use crate::vec_env::VecEnv;
-use autohet_accel::{AccelConfig, EngineStats, EvalEngine, EvalReport, NoiseEvalConfig};
+use autohet_accel::{AccelConfig, EngineStats, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_rl::{Ddpg, DdpgConfig, Experience, OuNoise, TrainProfile};
 use autohet_xbar::XbarShape;
@@ -51,16 +51,6 @@ pub struct RlSearchConfig {
     /// paper's Eq. 2; other weights trade utilization against energy (see
     /// `crate::pareto`).
     pub reward_weights: (f64, f64),
-    /// Opt-in device-variation pressure on the reward: when positive,
-    /// each episode's reward is divided by
-    /// `1 + noise_penalty × mean_dev`, where `mean_dev` is the
-    /// Monte-Carlo mean output deviation of the episode's strategy under
-    /// the engine's noise oracle ([`EvalEngine::evaluate_noisy`], enabled
-    /// automatically with [`NoiseEvalConfig::default`] if the engine has
-    /// no noise state). `0.0` (the default) never touches the noise
-    /// oracle and leaves the search bit-identical to earlier versions.
-    #[serde(default)]
-    pub noise_penalty: f64,
 }
 
 impl Default for RlSearchConfig {
@@ -74,42 +64,7 @@ impl Default for RlSearchConfig {
             train_steps: 8,
             warmup_episodes: 60,
             reward_weights: (1.0, 1.0),
-            noise_penalty: 0.0,
         }
-    }
-}
-
-/// The engine a noise-penalized search runs on: the caller's engine if it
-/// already carries a noise state (or no penalty applies), otherwise a
-/// clone with the default noise oracle attached. Cloning forfeits cache
-/// sharing with the caller, so penalized searches that want a shared memo
-/// should pass an engine built with [`EvalEngine::with_noise`].
-fn noise_ready_engine(scfg: &RlSearchConfig, engine: Arc<EvalEngine>) -> Arc<EvalEngine> {
-    assert!(
-        scfg.noise_penalty >= 0.0 && scfg.noise_penalty.is_finite(),
-        "bad noise penalty {}",
-        scfg.noise_penalty
-    );
-    if scfg.noise_penalty > 0.0 && engine.noise_config().is_none() {
-        Arc::new(EvalEngine::clone(&engine).with_noise(NoiseEvalConfig::default()))
-    } else {
-        engine
-    }
-}
-
-/// `reward` deflated by the configured noise penalty (identity at the
-/// default `noise_penalty == 0.0`, which never queries the noise oracle).
-fn penalized_reward(
-    scfg: &RlSearchConfig,
-    env: &AutoHetEnv,
-    strategy: &[XbarShape],
-    reward: f64,
-) -> f64 {
-    if scfg.noise_penalty > 0.0 {
-        let noisy = env.engine().evaluate_noisy(strategy);
-        reward / (1.0 + scfg.noise_penalty * noisy.robustness.mean_dev)
-    } else {
-        reward
     }
 }
 
@@ -357,7 +312,6 @@ pub fn rl_search_vec_tapped(
     assert!(lanes >= 1, "need at least one lane");
     assert!(scfg.episodes >= 1, "need at least one episode");
     let t0 = Instant::now();
-    let engine = noise_ready_engine(scfg, engine);
     let stats0 = engine.stats();
     let env = AutoHetEnv::with_shared_engine(model, candidates, *cfg, scfg.reward_weights, engine);
     let n = env.num_layers();
@@ -435,15 +389,6 @@ pub fn rl_search_vec_tapped(
         // ---- Hardware feedback: evaluate the group in lane order.
         let ts = Instant::now();
         let episodes_done = venv.finish();
-        // The noise oracle's memoized slices are pure functions of
-        // (layer, shape), so folding the penalty here — instead of inside
-        // `VecEnv::finish` — changes no value; it happens before the
-        // cache window closes so that the oracle's internal `evaluate`
-        // call lands in the episode's counters.
-        let rewards: Vec<f64> = episodes_done
-            .iter()
-            .map(|ep| penalized_reward(scfg, &env, &ep.strategy, ep.reward))
-            .collect();
         timing.simulator += ts.elapsed();
 
         // One cache window per group: the decision stage never touches the
@@ -453,7 +398,7 @@ pub fn rl_search_vec_tapped(
         // ---- Learning stage: ingest lanes in order, then train per group.
         let ta = Instant::now();
         for (l, ep) in episodes_done.into_iter().enumerate() {
-            let reward = rewards[l];
+            let reward = ep.reward;
             history.push(EpisodeRecord {
                 episode: episode + l,
                 rue: ep.report.rue(),
@@ -787,55 +732,6 @@ mod tests {
             outcome.best_rue(),
             homo.rue()
         );
-    }
-
-    #[test]
-    fn noise_penalty_deflates_rewards_without_changing_exploration() {
-        // Warm-up actions are reward-independent, so the penalized search
-        // visits the same early configurations but records strictly
-        // smaller rewards for them; the whole run stays deterministic.
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        let base = rl_search(&m, &cands, &cfg, &quick_cfg(5, 12));
-        let pcfg = RlSearchConfig {
-            noise_penalty: 5.0,
-            ..quick_cfg(5, 12)
-        };
-        let pen = rl_search(&m, &cands, &cfg, &pcfg);
-        let warmup = pcfg.warmup_episodes.min(pcfg.episodes / 3);
-        for e in 0..warmup {
-            assert_eq!(base.history[e].rue, pen.history[e].rue, "episode {e}");
-            assert!(
-                pen.history[e].reward < base.history[e].reward,
-                "episode {e}: {} !< {}",
-                pen.history[e].reward,
-                base.history[e].reward
-            );
-        }
-        let again = rl_search(&m, &cands, &cfg, &pcfg);
-        assert_eq!(outcome_bits(&pen), outcome_bits(&again));
-    }
-
-    #[test]
-    fn noise_penalized_vec_search_single_lane_is_bit_identical() {
-        // A bare engine gets the default noise oracle attached on a clone;
-        // an engine that already carries it is used as is. Both give the
-        // same search, counters and hit rates included.
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        let scfg = RlSearchConfig {
-            noise_penalty: 2.0,
-            ..quick_cfg(7, 18)
-        };
-        let attached = rl_search(&m, &cands, &cfg, &scfg);
-        let ready = EvalEngine::new(m.clone(), cfg).with_noise(NoiseEvalConfig::default());
-        let own = rl_search_vec_with_stats(&m, &cands, &cfg, &scfg, 1, Arc::new(ready)).0;
-        assert_eq!(outcome_bits(&attached), outcome_bits(&own));
-        assert_eq!(attached.best_strategy, own.best_strategy);
-        assert_eq!(attached.best_report, own.best_report);
-        assert_eq!(attached.timing.cache, own.timing.cache);
     }
 
     #[test]
