@@ -89,5 +89,5 @@ pub use shard::{
     SwapEvent, SwapSpec,
 };
 pub use sim::{HealthEvent, HealthEventKind, HealthSpec};
-pub use telemetry::{alert_timeline, publish_report, window_series, ServeAlertConfig};
+pub use telemetry::{alert_timeline, publish_report, window_series};
 pub use workload::{tenant_arrivals, BurstSpec, RampSpec, TenantSpec, Workload};

@@ -251,7 +251,7 @@ fn main() {
             ..ShardConfig::default()
         };
         let overload = run_sharded(&tenants, &wl, &alert_cfg);
-        let timeline = alert_timeline(&overload, &ServeAlertConfig::default(), None);
+        let timeline = alert_timeline(&overload, None);
         println!(
             "alerts    {} events ({} firing, {} resolved) over {} windows, {} health events",
             timeline.events.len(),

@@ -171,19 +171,18 @@ proptest! {
             }),
             ..ShardConfig::default()
         };
-        let acfg = ServeAlertConfig::default();
         let plain = run_sharded(&tenants, &wl, &cfg);
         // Evaluating the timeline reads the report; the report must be
         // exactly the one an alert-free consumer would see.
-        let t1 = alert_timeline(&plain, &acfg, None);
+        let t1 = alert_timeline(&plain, None);
         prop_assert_eq!(&plain, &run_sharded(&tenants, &wl, &cfg));
         // Identical runs yield identical timelines, and the threaded
         // driver lands every alert and health annotation on the same
         // simulated-time instants as the sequential recurrence.
-        prop_assert_eq!(&t1, &alert_timeline(&run_sharded(&tenants, &wl, &cfg), &acfg, None));
+        prop_assert_eq!(&t1, &alert_timeline(&run_sharded(&tenants, &wl, &cfg), None));
         prop_assert_eq!(
             &t1,
-            &alert_timeline(&run_sharded_threaded(&tenants, &wl, &cfg, 2), &acfg, None)
+            &alert_timeline(&run_sharded_threaded(&tenants, &wl, &cfg, 2), None)
         );
         // Timeline events are emitted in simulated-time order.
         prop_assert!(t1.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns));
