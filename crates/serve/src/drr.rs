@@ -5,8 +5,8 @@
 //! FIFO would. Backlogged tenants sit on a ring, each carries a deficit
 //! counter, and a tenant may dispatch only when its deficit covers the
 //! batch cost (cost = requests drained).
-//! Passing the turn to a ready tenant tops its deficit up by
-//! `quantum × weight`, so over any busy interval the requests served per
+//! Passing the turn to a ready tenant tops its deficit up by its weight
+//! (the DRR quantum), so over any busy interval the requests served per
 //! tenant are proportional to its [`TenantSpec::weight`] — the classic
 //! Shreedhar & Varghese guarantee, adapted in two ways to the serving
 //! recurrence:
@@ -110,7 +110,7 @@ impl DrrRing {
     /// this at a dispatchable instant). Returns the selected tenant,
     /// which is left at the ring front holding the turn; follow up with
     /// [`served`](Self::served) after draining its queue.
-    pub fn select<A: DrrAccess>(&mut self, a: &mut A, at: u64, quantum: u64) -> usize {
+    pub fn select<A: DrrAccess>(&mut self, a: &mut A, at: u64) -> usize {
         debug_assert!(
             self.ring.iter().any(|&g| a.ready_ns(g) <= at),
             "DRR select at a non-dispatchable instant"
@@ -124,7 +124,7 @@ impl DrrRing {
                     // Turn starts: top up once.
                     self.turn = Some(gid);
                     let w = a.weight(gid).max(1);
-                    a.set_deficit(gid, a.deficit(gid).saturating_add(quantum.max(1) * w));
+                    a.set_deficit(gid, a.deficit(gid).saturating_add(w));
                 }
                 let cost = a.cost(gid);
                 if a.deficit(gid) >= cost {
@@ -132,7 +132,7 @@ impl DrrRing {
                     return gid;
                 }
             }
-            // Not ready, or quantum spent: the turn passes.
+            // Not ready, or deficit spent: the turn passes.
             self.turn = None;
             let g = self.ring.pop_front().expect("DRR ring emptied mid-walk");
             self.ring.push_back(g);
@@ -146,7 +146,7 @@ impl DrrRing {
     }
 
     /// Walk-length guard of [`select`](Self::select): a ready tenant gains
-    /// ≥ quantum ≥ 1 deficit per full cycle and needs at most `cost` of
+    /// ≥ 1 deficit (its weight) per full cycle and needs at most `cost` of
     /// it, so the walk terminates within (max ready cost) cycles; the
     /// guard trips on contract bugs rather than hanging the simulation.
     /// The bound exceeds the ring length and a walk changes no ring
@@ -228,7 +228,7 @@ mod tests {
     fn serve_n(toy: &mut Toy, ring: &mut DrrRing, n: usize) -> Vec<u64> {
         let mut served = vec![0u64; toy.queue.len()];
         for _ in 0..n {
-            let g = ring.select(toy, 0, 1);
+            let g = ring.select(toy, 0);
             let cost = toy.cost(g);
             served[g] += cost;
             toy.queue[g] -= cost;
@@ -293,20 +293,20 @@ mod tests {
         let mut ring = DrrRing::new();
         ring.push(0);
         ring.push(1);
-        let g = ring.select(&mut toy, 0, 1);
+        let g = ring.select(&mut toy, 0);
         assert_eq!(g, 1, "only the ready lane may serve");
         // Lane 0 kept its (zero) deficit: no top-up while unready.
         assert_eq!(toy.deficit[0], 0);
         // Once ready, lane 0 serves.
         toy.queue[1] -= toy.cost(1);
         ring.served(&mut toy, 1, false);
-        let g = ring.select(&mut toy, 1_000, 1);
+        let g = ring.select(&mut toy, 1_000);
         assert!(g == 0 || g == 1);
     }
 
     #[test]
     fn rotations_count_the_turns_a_walk_passed() {
-        let mut toy = Toy::new(&[100, 100, 100], &[1, 1, 1], 8);
+        let mut toy = Toy::new(&[100, 100, 100], &[16, 16, 16], 8);
         toy.ready[0] = 1_000;
         toy.ready[1] = 1_000;
         let mut ring = DrrRing::new();
@@ -314,23 +314,23 @@ mod tests {
             ring.push(g);
         }
         // Lanes 0 and 1 are not ready: the walk passes two turns.
-        assert_eq!(ring.select(&mut toy, 0, 16), 2);
+        assert_eq!(ring.select(&mut toy, 0), 2);
         assert_eq!(ring.rotations(), 2);
         // Lane 2 keeps the turn while its deficit lasts: no rotation.
         toy.queue[2] -= 8;
         ring.served(&mut toy, 2, false);
-        assert_eq!(ring.select(&mut toy, 0, 16), 2);
+        assert_eq!(ring.select(&mut toy, 0), 2);
         assert_eq!(ring.rotations(), 2);
     }
 
     #[test]
     fn emptied_lane_leaves_and_rejoins_at_the_back() {
-        let mut toy = Toy::new(&[3, 1_000], &[1, 1], 8);
+        let mut toy = Toy::new(&[3, 1_000], &[8, 8], 8);
         let mut ring = DrrRing::new();
         ring.push(0);
         ring.push(1);
         // Lane 0 drains in one batch and leaves.
-        let g = ring.select(&mut toy, 0, 8);
+        let g = ring.select(&mut toy, 0);
         assert_eq!(g, 0);
         toy.queue[0] = 0;
         ring.served(&mut toy, 0, true);
@@ -345,22 +345,22 @@ mod tests {
 
     #[test]
     fn a_lane_with_leftover_deficit_keeps_the_turn() {
-        // Quantum large enough for two max batches: the front lane must
+        // Weight large enough for two max batches: the front lane must
         // serve twice before the turn passes.
-        let mut toy = Toy::new(&[1_000, 1_000], &[1, 1], 4);
+        let mut toy = Toy::new(&[1_000, 1_000], &[8, 8], 4);
         let mut ring = DrrRing::new();
         ring.push(0);
         ring.push(1);
-        let first = ring.select(&mut toy, 0, 8);
+        let first = ring.select(&mut toy, 0);
         assert_eq!(first, 0);
         toy.queue[0] -= 4;
         ring.served(&mut toy, 0, false);
-        let second = ring.select(&mut toy, 0, 8);
+        let second = ring.select(&mut toy, 0);
         assert_eq!(second, 0, "deficit 8−4 = 4 still covers a batch");
         toy.queue[0] -= 4;
         ring.served(&mut toy, 0, false);
-        let third = ring.select(&mut toy, 0, 8);
-        assert_eq!(third, 1, "quantum spent: the turn passes");
+        let third = ring.select(&mut toy, 0);
+        assert_eq!(third, 1, "deficit spent: the turn passes");
     }
 
     #[test]
@@ -369,12 +369,12 @@ mod tests {
         let mut ring = DrrRing::new();
         ring.push(0);
         ring.push(1);
-        let g = ring.select(&mut toy, 0, 1);
+        let g = ring.select(&mut toy, 0);
         assert_eq!(g, 0);
         assert!(ring.remove(0));
         assert!(!ring.remove(0));
         // With the turn cleared, lane 1 gets a fresh top-up and serves.
-        let g = ring.select(&mut toy, 0, 1);
+        let g = ring.select(&mut toy, 0);
         assert_eq!(g, 1);
     }
 }
