@@ -24,7 +24,7 @@
 //! degradation axes meet.
 
 use crate::metrics::EvalReport;
-use crate::repair::{DegradationMode, RepairPolicy, RepairReport};
+use crate::repair::{RepairPolicy, RepairReport};
 use crate::robustness::RobustnessReport;
 use autohet_xbar::drift::DriftModel;
 use autohet_xbar::fault::FaultRates;
@@ -87,13 +87,11 @@ pub struct DriftEvalConfig {
     pub noise_seed: u64,
     /// Spares provisioned per tile when the policy repairs.
     pub spares_per_tile: u32,
-    /// Degradation fallback for slices the cascade cannot re-home.
-    pub fallback: DegradationMode,
 }
 
 impl Default for DriftEvalConfig {
     /// Nominal drift corner, the static noise oracle's 3 draws × 4
-    /// probes budget, one spare per tile, re-serialization fallback.
+    /// probes budget, one spare per tile.
     fn default() -> Self {
         DriftEvalConfig {
             drift: DriftModel::nominal(),
@@ -101,7 +99,6 @@ impl Default for DriftEvalConfig {
             probes: 4,
             noise_seed: 7,
             spares_per_tile: 1,
-            fallback: DegradationMode::Reserialize,
         }
     }
 }
@@ -115,10 +112,9 @@ impl DriftEvalConfig {
             RepairPolicy {
                 spares_per_tile: self.spares_per_tile,
                 remap: true,
-                fallback: self.fallback,
             }
         } else {
-            RepairPolicy::no_spares(self.fallback).without_remap()
+            RepairPolicy::no_spares().without_remap()
         }
     }
 }

@@ -16,10 +16,11 @@
 //!    so repair is tile-shared aware by construction: under sharing, tiles
 //!    run fuller and fewer usable empty slots exist).
 //! 3. **Degrade** — with spares exhausted and no usable slot anywhere, the
-//!    slice is dropped from the physical mapping and the layer enters the
-//!    policy's [`DegradationMode`]: re-serialize its work over the
-//!    surviving crossbars (latency factor `total / surviving`), or
-//!    tolerate the loss as noise (fidelity hit, no latency change).
+//!    slice is dropped from the physical mapping and the layer enters a
+//!    [`DegradationMode`]: it re-serializes its work over the surviving
+//!    crossbars (latency factor `total / surviving`); a layer with no
+//!    surviving crossbar can only tolerate the loss as noise (fidelity
+//!    hit, no latency change).
 //!
 //! Slot-index convention: occupants fill a tile's primary slots from
 //! index 0 in occupant order, matching [`FaultMap::sample`]'s per-slot
@@ -59,28 +60,24 @@ pub struct RepairPolicy {
     /// slots (cascade step 2). Disabled by the lifetime campaign's
     /// no-recovery arm; always on for ordinary repair.
     pub remap: bool,
-    /// Fallback when spares and remap targets are exhausted.
-    pub fallback: DegradationMode,
 }
 
 impl Default for RepairPolicy {
-    /// One spare per tile, remapping on, re-serialization fallback.
+    /// One spare per tile, remapping on.
     fn default() -> Self {
         RepairPolicy {
             spares_per_tile: 1,
             remap: true,
-            fallback: DegradationMode::Reserialize,
         }
     }
 }
 
 impl RepairPolicy {
     /// Policy without any spare provisioning.
-    pub fn no_spares(fallback: DegradationMode) -> Self {
+    pub fn no_spares() -> Self {
         RepairPolicy {
             spares_per_tile: 0,
             remap: true,
-            fallback,
         }
     }
 
@@ -356,7 +353,7 @@ pub fn repair_allocation(
             let mode = if lost_xbars > 0 && surviving == 0 {
                 DegradationMode::TolerateNoise
             } else {
-                policy.fallback
+                DegradationMode::Reserialize
             };
             let latency_factor = match mode {
                 DegradationMode::Reserialize if lost_xbars > 0 => total as f64 / surviving as f64,
@@ -499,11 +496,7 @@ mod tests {
         let has_room = alloc.tiles.iter().skip(1).any(|t| t.empty() > 0);
         assert!(has_room, "test fixture needs slack");
         let occupied_before = alloc.occupied_xbars();
-        let rep = repair_allocation(
-            &mut alloc,
-            &faults,
-            &RepairPolicy::no_spares(DegradationMode::Reserialize),
-        );
+        let rep = repair_allocation(&mut alloc, &faults, &RepairPolicy::no_spares());
         assert_eq!(rep.remapped, 1);
         assert_eq!(rep.degraded, 0);
         assert_eq!(alloc.occupied_xbars(), occupied_before);
@@ -525,7 +518,7 @@ mod tests {
         let rep = repair_allocation(
             &mut alloc,
             &faults,
-            &RepairPolicy::no_spares(DegradationMode::Reserialize).without_remap(),
+            &RepairPolicy::no_spares().without_remap(),
         );
         assert_eq!(rep.remapped, 0);
         assert_eq!(rep.degraded, 1);
@@ -551,11 +544,7 @@ mod tests {
                 *s = ComponentHealth::Dead;
             }
         }
-        let rep = repair_allocation(
-            &mut alloc,
-            &faults,
-            &RepairPolicy::no_spares(DegradationMode::Reserialize),
-        );
+        let rep = repair_allocation(&mut alloc, &faults, &RepairPolicy::no_spares());
         assert_eq!(rep.degraded, rep.dead_occupied);
         assert!(rep.degraded > 0);
         // Everything died: layers fall back to tolerate-with-noise and
@@ -591,11 +580,7 @@ mod tests {
             }
         }
         let _ = occupied;
-        let rep = repair_allocation(
-            &mut alloc,
-            &faults,
-            &RepairPolicy::no_spares(DegradationMode::Reserialize),
-        );
+        let rep = repair_allocation(&mut alloc, &faults, &RepairPolicy::no_spares());
         assert_eq!(rep.degraded, 1);
         let d = rep.damage[0];
         assert_eq!(d.lost_xbars, 1);
@@ -604,36 +589,6 @@ mod tests {
         assert_eq!(d.fidelity, 1.0); // re-serialized work stays exact
         assert_eq!(rep.latency_factor(0), d.latency_factor);
         assert_eq!(rep.latency_factor(999), 1.0);
-    }
-
-    #[test]
-    fn tolerate_noise_trades_fidelity_not_latency() {
-        let m = autohet_dnn::ModelBuilder::new("t", autohet_dnn::Dataset::Mnist)
-            .fc(256)
-            .build();
-        let strategy = vec![XbarShape::square(64); m.layers.len()];
-        let mut alloc = allocate_tile_based(&m, &strategy, 4);
-        let total = alloc.per_layer[0].footprint.total_xbars();
-        let caps = capacities(&alloc);
-        let mut faults = FaultMap::ideal(&caps, 0);
-        faults.tiles[0].slots[0] = ComponentHealth::Dead;
-        for (ti, tf) in faults.tiles.iter_mut().enumerate() {
-            let occ = alloc.tiles[ti].occupied() as usize;
-            for s in occ..tf.slots.len() {
-                tf.slots[s] = ComponentHealth::Dead;
-            }
-        }
-        let rep = repair_allocation(
-            &mut alloc,
-            &faults,
-            &RepairPolicy::no_spares(DegradationMode::TolerateNoise),
-        );
-        let d = rep.damage[0];
-        assert_eq!(d.latency_factor, 1.0);
-        let expect = (total - 1) as f64 / total as f64;
-        assert!((d.fidelity - expect).abs() < 1e-12);
-        let fid = rep.model_fidelity(&[total]);
-        assert!((fid - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -648,11 +603,7 @@ mod tests {
         };
         let faults = FaultMap::sample(5, rates, &capacities(&alloc), 0);
         let occupied = alloc.occupied_xbars();
-        let rep = repair_allocation(
-            &mut alloc,
-            &faults,
-            &RepairPolicy::no_spares(DegradationMode::Reserialize),
-        );
+        let rep = repair_allocation(&mut alloc, &faults, &RepairPolicy::no_spares());
         assert_eq!(rep.adc_degraded, occupied);
         assert_eq!(rep.dead_occupied, 0);
         assert!(rep.damage.iter().all(|d| d.fidelity < 1.0));
@@ -690,7 +641,7 @@ mod tests {
         // process (no spares) it can only degrade at least as many slices.
         let m = zoo::vgg16();
         let strategy = vec![XbarShape::square(64); m.layers.len()];
-        let policy = RepairPolicy::no_spares(DegradationMode::Reserialize);
+        let policy = RepairPolicy::no_spares();
         let mut degraded = Vec::new();
         for tile_shared in [false, true] {
             let mut alloc = allocate_tile_based(&m, &strategy, 4);

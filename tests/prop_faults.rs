@@ -54,7 +54,7 @@ proptest! {
             .iter()
             .map(|t| t.occupants.iter().map(|o| o.xbars as u64).sum::<u64>())
             .sum();
-        let policy = RepairPolicy::no_spares(DegradationMode::Reserialize).with_spares(spares);
+        let policy = RepairPolicy::no_spares().with_spares(spares);
         let report = repair_allocation(&mut alloc, &faults, &policy);
 
         // Conservation: every dead occupied slice was spared, remapped,
