@@ -46,30 +46,11 @@ struct Maxima {
 }
 
 impl AutoHetEnv {
-    /// Build the environment with the paper's Eq. 2 reward (`u/e`).
-    /// `candidates` must be non-empty.
-    pub fn new(model: &Model, candidates: &[XbarShape], cfg: AccelConfig) -> Self {
-        Self::with_weights(model, candidates, cfg, (1.0, 1.0))
-    }
-
-    /// Build with custom objective exponents `(α, β)`: reward ∝ `u^α/e^β`.
-    pub fn with_weights(
-        model: &Model,
-        candidates: &[XbarShape],
-        cfg: AccelConfig,
-        weights: (f64, f64),
-    ) -> Self {
-        Self::with_shared_engine(
-            model,
-            candidates,
-            cfg,
-            weights,
-            Arc::new(EvalEngine::new(model.clone(), cfg)),
-        )
-    }
-
-    /// Build on an existing (possibly shared) evaluation engine. The
-    /// engine must have been constructed for the same model and config.
+    /// Build the environment on an existing (possibly shared) evaluation
+    /// engine, with objective exponents `(α, β)`: reward ∝ `u^α/e^β`,
+    /// where `(1, 1)` is the paper's Eq. 2. `candidates` must be
+    /// non-empty, and the engine must have been constructed for the same
+    /// model and config.
     pub fn with_shared_engine(
         model: &Model,
         candidates: &[XbarShape],
@@ -214,11 +195,10 @@ mod tests {
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
     fn env() -> AutoHetEnv {
-        AutoHetEnv::new(
-            &zoo::micro_cnn(),
-            &paper_hybrid_candidates(),
-            AccelConfig::default(),
-        )
+        let m = zoo::micro_cnn();
+        let cfg = AccelConfig::default();
+        let engine = Arc::new(EvalEngine::new(m.clone(), cfg));
+        AutoHetEnv::with_shared_engine(&m, &paper_hybrid_candidates(), cfg, (1.0, 1.0), engine)
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub fn homogeneous_reports(model: &Model, cfg: &AccelConfig) -> Vec<(XbarShape, 
 /// for a subsequent search over the same config.
 pub fn homogeneous_reports_with_engine(engine: &EvalEngine) -> Vec<(XbarShape, EvalReport)> {
     let n = engine.model().layers.len();
-    crate::par::par_map(SQUARE_CANDIDATES.as_ref(), |&s| {
+    autohet_accel::par_map(SQUARE_CANDIDATES.as_ref(), |&s| {
         (s, engine.evaluate(&vec![s; n]))
     })
 }

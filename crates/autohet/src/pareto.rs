@@ -42,7 +42,7 @@ pub fn pareto_sweep(
     alphas: &[f64],
 ) -> Vec<ParetoPoint> {
     let engine = Arc::new(EvalEngine::new(model.clone(), *cfg));
-    crate::par::par_map(alphas, |&alpha| {
+    autohet_accel::par_map(alphas, |&alpha| {
         let mut s = *scfg;
         s.reward_weights = (alpha, 1.0);
         let outcome =

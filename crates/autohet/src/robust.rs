@@ -13,7 +13,7 @@
 //! [`EvalEngine::evaluate_noisy`] — the ideal-device metrics come from
 //! the memoized cost slices and the noise objective from the
 //! Monte-Carlo variation oracle, both cached per `(layer, shape)`, so a
-//! whole generation fans out over [`crate::par::par_map`] against one
+//! whole generation fans out over [`autohet_accel::par_map`] against one
 //! cache. Seeded and deterministic: same config ⇒ same front.
 
 use crate::pareto::{crowding_distances, non_dominated_sort};
@@ -272,7 +272,7 @@ fn evaluate_population(
     candidates: &[XbarShape],
     engine: &Arc<EvalEngine>,
 ) -> Vec<RobustPoint> {
-    crate::par::par_map(pop, |genes| {
+    autohet_accel::par_map(pop, |genes| {
         let strategy: Vec<XbarShape> = genes.iter().map(|&g| candidates[g]).collect();
         let report = engine.evaluate_noisy(&strategy);
         RobustPoint::from_report(strategy, &report)

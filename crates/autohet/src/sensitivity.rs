@@ -59,7 +59,7 @@ fn sweep_points(
     scfg: &RlSearchConfig,
     specs: Vec<(String, Vec<XbarShape>, AccelConfig)>,
 ) -> Vec<SweepPoint> {
-    crate::par::par_map(&specs, |(label, candidates, cfg)| {
+    autohet_accel::par_map(&specs, |(label, candidates, cfg)| {
         autohet_point(label.clone(), model, candidates.clone(), cfg, scfg)
     })
 }

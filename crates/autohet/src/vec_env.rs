@@ -158,11 +158,10 @@ mod tests {
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
     fn env() -> AutoHetEnv {
-        AutoHetEnv::new(
-            &zoo::micro_cnn(),
-            &paper_hybrid_candidates(),
-            AccelConfig::default(),
-        )
+        let m = zoo::micro_cnn();
+        let cfg = AccelConfig::default();
+        let engine = Arc::new(EvalEngine::new(m.clone(), cfg));
+        AutoHetEnv::with_shared_engine(&m, &paper_hybrid_candidates(), cfg, (1.0, 1.0), engine)
     }
 
     fn run_group(

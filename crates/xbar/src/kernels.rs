@@ -184,34 +184,6 @@ impl PackedWeights {
         let len = self.cols * self.cell_bits as usize * self.words;
         &self.masks[b * len..(b + 1) * len]
     }
-
-    /// The contiguous `cell_bits × words` slice block of (plane `b`,
-    /// column `j`).
-    #[inline]
-    fn column(&self, b: usize, j: usize) -> &[u64] {
-        let col = b * self.cols + j;
-        let start = col * self.cell_bits as usize * self.words;
-        &self.masks[start..start + self.cell_bits as usize * self.words]
-    }
-
-    /// One bitline sum: `Σ_r active[r] · level[r][j]` for (cycle mask
-    /// `wordlines`, plane `b`, column `j`) via per-bit popcounts.
-    #[inline]
-    pub fn bitline_sum(&self, wordlines: &[u64], b: usize, j: usize) -> i64 {
-        let block = self.column(b, j);
-        debug_assert_eq!(wordlines.len(), self.words);
-        let mut sum = 0_i64;
-        for lb in 0..self.cell_bits as usize {
-            let col = &block[lb * self.words..(lb + 1) * self.words];
-            let ones: u32 = wordlines
-                .iter()
-                .zip(col)
-                .map(|(&m, &c)| (m & c).count_ones())
-                .sum();
-            sum += (ones as i64) << lb;
-        }
-        sum
-    }
 }
 
 /// `u64` words needed to hold `n` row bits (min 1 so empty inputs stay
@@ -271,20 +243,5 @@ mod tests {
                 std::panic::catch_unwind(|| PackedWeights::from_planes(&plane, 1, 2, 2, 1));
             assert!(packed.is_err(), "{plane:?} packed");
         }
-    }
-
-    #[test]
-    fn bitline_sum_counts_leveled_cells() {
-        // One 2-bit plane over 3 rows, 2 cols: levels [[3, 1], [2, 0], [1, 3]].
-        let plane = vec![vec![3.0, 1.0, 2.0, 0.0, 1.0, 3.0]];
-        let pw = PackedWeights::from_planes(&plane, 3, 2, 2, 2);
-        // All three rows active.
-        let mask = [0b111_u64];
-        assert_eq!(pw.bitline_sum(&mask, 0, 0), 6);
-        assert_eq!(pw.bitline_sum(&mask, 0, 1), 4);
-        // Only row 2 active.
-        let mask = [0b100_u64];
-        assert_eq!(pw.bitline_sum(&mask, 0, 0), 1);
-        assert_eq!(pw.bitline_sum(&mask, 0, 1), 3);
     }
 }
