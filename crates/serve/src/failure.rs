@@ -21,9 +21,9 @@ use serde::{Deserialize, Serialize};
 /// Failure process parameters for the replica fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailureSpec {
-    /// Mean time between failures per replica [ns] (exponential).
+    /// Mean time between failures per replica \[ns\] (exponential).
     pub mtbf_ns: u64,
-    /// Mean time to recovery per outage [ns] (exponential, ≥ 1 ns).
+    /// Mean time to recovery per outage \[ns\] (exponential, ≥ 1 ns).
     pub mttr_ns: u64,
     /// Seed of the failure process (independent of the workload seed).
     pub seed: u64,
@@ -39,9 +39,9 @@ impl FailureSpec {
 /// One outage interval: the replica is down on `[down_ns, up_ns)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Outage {
-    /// Failure edge [ns].
+    /// Failure edge \[ns\].
     pub down_ns: u64,
-    /// Recovery edge [ns] (exclusive; the replica serves again at `up_ns`).
+    /// Recovery edge \[ns\] (exclusive; the replica serves again at `up_ns`).
     pub up_ns: u64,
 }
 

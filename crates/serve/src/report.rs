@@ -23,7 +23,7 @@ impl LatencyHistogram {
         }
     }
 
-    /// Record one request latency [ns].
+    /// Record one request latency \[ns\].
     pub fn record(&mut self, latency_ns: u64) {
         let bin = if latency_ns <= 1 {
             0
@@ -74,9 +74,9 @@ impl Default for LatencyHistogram {
 pub struct WindowStats {
     /// Window index (0-based).
     pub index: usize,
-    /// Window start [ns].
+    /// Window start \[ns\].
     pub start_ns: u64,
-    /// Nominal window end [ns] (exclusive; the last window also covers
+    /// Nominal window end \[ns\] (exclusive; the last window also covers
     /// the drain past this instant).
     pub end_ns: u64,
     /// Arrivals generated in the window, all tenants.
@@ -99,7 +99,7 @@ pub struct WindowStats {
     pub mean_queue_depth: f64,
     /// Largest aggregate queued-request count observed in the window.
     pub peak_queue_depth: u64,
-    /// Replica downtime overlapping the window, summed over replicas [ns].
+    /// Replica downtime overlapping the window, summed over replicas \[ns\].
     pub downtime_ns: u64,
     /// Jain's fairness index over per-tenant attained service per unit
     /// weight within the window (tenants idle in the window are

@@ -52,22 +52,22 @@ pub struct HealthSpec {
     /// Per-request error probability growth: ppm per millisecond since
     /// the replica's last successful recalibration.
     pub err_ppm_per_ms: u64,
-    /// Ceiling on the per-request error probability [ppm].
+    /// Ceiling on the per-request error probability \[ppm\].
     pub err_cap_ppm: u64,
     /// EWMA weight on the newest batch's error fraction (1..=1000).
     pub ewma_alpha_milli: u64,
-    /// Circuit-breaker threshold on the EWMA [milli]; a value above 1000
+    /// Circuit-breaker threshold on the EWMA \[milli\]; a value above 1000
     /// can never be reached, disabling recovery entirely.
     pub trip_milli: u64,
-    /// Replica pause per recalibration attempt [ns].
+    /// Replica pause per recalibration attempt \[ns\].
     pub recalibrate_ns: u64,
-    /// Per-attempt recalibration success probability [milli].
+    /// Per-attempt recalibration success probability \[milli\].
     pub recal_success_milli: u64,
     /// Bounded recalibration attempts per trip.
     pub max_retries: u32,
-    /// Extra pause before each attempt [ns], doubling per attempt.
+    /// Extra pause before each attempt \[ns\], doubling per attempt.
     pub backoff_base_ns: u64,
-    /// Replica pause for the remap escalation [ns].
+    /// Replica pause for the remap escalation \[ns\].
     pub remap_ns: u64,
     /// Escalate to a remap (always succeeds) when retries are exhausted.
     pub remap: bool,
@@ -111,9 +111,9 @@ impl HealthSpec {
 /// every scheduler driver evolves it identically).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ReplicaHealth {
-    /// Instant of the last successful recalibration/remap [ns].
+    /// Instant of the last successful recalibration/remap \[ns\].
     pub last_recal_ns: u64,
-    /// Error-rate EWMA [milli].
+    /// Error-rate EWMA \[milli\].
     pub ewma_milli: u64,
     /// Circuit-breaker trips.
     pub trips: u64,
@@ -121,7 +121,7 @@ pub(crate) struct ReplicaHealth {
     pub recals: u64,
     /// Remap escalations.
     pub remaps: u64,
-    /// Total time spent paused in recovery [ns].
+    /// Total time spent paused in recovery \[ns\].
     pub recovery_ns: u64,
 }
 
@@ -157,7 +157,7 @@ impl HealthEventKind {
 /// instant the replica came back (or gave up).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthEvent {
-    /// Simulated instant of the transition [ns].
+    /// Simulated instant of the transition \[ns\].
     pub t_ns: u64,
     /// Shard owning the replica.
     pub shard: usize,
@@ -257,7 +257,7 @@ impl ReplicaFaults {
         killed_ns.saturating_sub(arrival_ns) <= self.retry_deadline_ns
     }
 
-    /// Per-request drift-error probability [ppm] of a batch dispatched on
+    /// Per-request drift-error probability \[ppm\] of a batch dispatched on
     /// `replica` at `start_ns`; 0 without health modeling.
     pub(crate) fn error_ppm(&self, replica: usize, start_ns: u64) -> u64 {
         let Some(spec) = &self.spec else {

@@ -30,7 +30,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # a renamed or deleted item fails here, and so does an unescaped bracket
 # (units and citations are written `\[nJ\]`, `\[19\]`).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs -p autohet-rl -p autohet \
-  -p autohet-xbar -p autohet-accel -p autohet-dnn
+  -p autohet-xbar -p autohet-accel -p autohet-dnn -p autohet-serve -p autohet-bench
 
 # Observability smoke: the full dump pipeline must run end to end and
 # emit every artifact (CI uploads target/obs_smoke for inspection).
