@@ -12,6 +12,10 @@
 //!   between 2 shards while it carries leftover DRR deficit, which must
 //!   travel with it: a migration that dropped the deficit would reorder
 //!   the thief's dispatches.
+//! - `autoscaled_faulty_run_is_pinned` autoscales 2 shards × 1 replica up
+//!   and down while replicas fail and drift, so the replicas it adds
+//!   must draw their outages and start their drift clocks at the instant
+//!   they join, not at 0.
 //!
 //! Each run pins the totals, every steal, scale, swap and health event
 //! (f64 fields as bits), each shard's stats, each window's counts and an
@@ -350,6 +354,51 @@ fn stolen_deficit_run_is_pinned() {
     check("stolen_deficit", &rows(&r), &STOLEN_DEFICIT);
 }
 
+#[test]
+fn autoscaled_faulty_run_is_pinned() {
+    let wl = Workload {
+        seed: 23,
+        horizon_ns: 40_000_000,
+    };
+    let cfg = ShardConfig {
+        shards: 2,
+        epochs: 16,
+        queue_depth: 32,
+        retry_deadline_ns: 4_000_000,
+        autoscale: Some(AutoscaleSpec {
+            high_depth: 8.0,
+            low_depth: 4.0,
+            for_epochs: 1,
+            clear_epochs: 1,
+            min_replicas: 2,
+            max_replicas: 6,
+            cooldown_epochs: 0,
+        }),
+        failures: Some(FailureSpec {
+            mtbf_ns: 4_000_000,
+            mttr_ns: 400_000,
+            seed: 13,
+        }),
+        health: Some(HealthSpec {
+            err_ppm_per_ms: 30_000,
+            ..HealthSpec::default()
+        }),
+        ..ShardConfig::default()
+    };
+    let r = run_all_drivers(&lopsided_fleet(), &wl, &cfg);
+    assert!(r.scale_events.iter().any(|e| e.up), "no scale-up");
+    assert!(r.scale_events.iter().any(|e| !e.up), "no scale-down");
+    assert!(
+        r.tenants.iter().any(|t| t.killed_batches > 0),
+        "no killed batch"
+    );
+    assert!(
+        r.health_events.iter().any(|e| e.replica >= 1),
+        "no breaker trip on an added replica"
+    );
+    check("autoscaled_faulty", &rows(&r), &AUTOSCALED_FAULTY);
+}
+
 const FLEET: [&str; 49] = [
     "totals: submitted 19106 completed 18745 rejected 361 failed 0 retried 0 errored 0 batches 13674 makespan_ns 2002759692 replicas 8/11/10 energy 0x41c760f72ccb2232 fairness 0x3fe043c16cc1ad92",
     "StealEvent { t_ns: 875000000, epoch: 6, tenant: 92, from_shard: 4, to_shard: 7, moved_requests: 16 }",
@@ -565,4 +614,66 @@ const STOLEN_DEFICIT: [&str; 23] = [
     "window 14: submitted 18 rejected 7 completed 16 batches 2 peak 49 downtime_ns 0 slo 0x0 depth 0x4046af93b5540a43",
     "window 15: submitted 12 rejected 9 completed 56 batches 11 peak 50 downtime_ns 0 slo 0x3fc9249249249249 depth 0x40314cb3ec67408e",
     "tenants fnv1a 0xad870869756f7edc",
+];
+const AUTOSCALED_FAULTY: [&str; 60] = [
+    "totals: submitted 182 completed 120 rejected 0 failed 62 retried 95 errored 21 batches 51 makespan_ns 43016409 replicas 2/6/4 energy 0x41568318166b65fb fairness 0x3fefaa9114a38ba6",
+    "ScaleEvent { t_ns: 7500000, epoch: 2, up: true, shard: 0, replica: 1, active_after: 3 }",
+    "ScaleEvent { t_ns: 10000000, epoch: 3, up: true, shard: 0, replica: 2, active_after: 4 }",
+    "ScaleEvent { t_ns: 12500000, epoch: 4, up: false, shard: 0, replica: 2, active_after: 3 }",
+    "ScaleEvent { t_ns: 15000000, epoch: 5, up: true, shard: 0, replica: 3, active_after: 4 }",
+    "ScaleEvent { t_ns: 17500000, epoch: 6, up: true, shard: 0, replica: 4, active_after: 5 }",
+    "ScaleEvent { t_ns: 20000000, epoch: 7, up: true, shard: 0, replica: 5, active_after: 6 }",
+    "ScaleEvent { t_ns: 37500000, epoch: 14, up: false, shard: 0, replica: 5, active_after: 5 }",
+    "ScaleEvent { t_ns: 40000000, epoch: 15, up: false, shard: 0, replica: 4, active_after: 4 }",
+    "HealthEvent { t_ns: 15439460, shard: 0, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 15839460, shard: 0, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 18542207, shard: 0, replica: 1, kind: Trip }",
+    "HealthEvent { t_ns: 18942207, shard: 0, replica: 1, kind: Recal }",
+    "HealthEvent { t_ns: 25388939, shard: 0, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 25788939, shard: 0, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 23155222, shard: 0, replica: 1, kind: Trip }",
+    "HealthEvent { t_ns: 23555222, shard: 0, replica: 1, kind: Recal }",
+    "HealthEvent { t_ns: 25516570, shard: 0, replica: 5, kind: Trip }",
+    "HealthEvent { t_ns: 25916570, shard: 0, replica: 5, kind: Recal }",
+    "HealthEvent { t_ns: 29337270, shard: 0, replica: 5, kind: Trip }",
+    "HealthEvent { t_ns: 29737270, shard: 0, replica: 5, kind: Recal }",
+    "HealthEvent { t_ns: 29843902, shard: 0, replica: 4, kind: Trip }",
+    "HealthEvent { t_ns: 30243902, shard: 0, replica: 4, kind: Recal }",
+    "HealthEvent { t_ns: 34902609, shard: 0, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 35302609, shard: 0, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 39743378, shard: 0, replica: 5, kind: Trip }",
+    "HealthEvent { t_ns: 40643378, shard: 0, replica: 5, kind: Recal }",
+    "HealthEvent { t_ns: 38763618, shard: 0, replica: 1, kind: Trip }",
+    "HealthEvent { t_ns: 39663618, shard: 0, replica: 1, kind: Recal }",
+    "HealthEvent { t_ns: 42306252, shard: 0, replica: 1, kind: Trip }",
+    "HealthEvent { t_ns: 42706252, shard: 0, replica: 1, kind: Recal }",
+    "HealthEvent { t_ns: 12472893, shard: 1, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 12872893, shard: 1, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 19935736, shard: 1, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 20335736, shard: 1, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 29431038, shard: 1, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 29831038, shard: 1, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 32041372, shard: 1, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 32441372, shard: 1, replica: 0, kind: Recal }",
+    "HealthEvent { t_ns: 36023494, shard: 1, replica: 0, kind: Trip }",
+    "HealthEvent { t_ns: 36423494, shard: 1, replica: 0, kind: Recal }",
+    "shard 0: tenants 3 replicas 3/6 dispatched 50 steals 0/0 makespan_ns 42306252 downtime_ns 21951012 trips 11 recals 11 remaps 0 recovery_ns 5400000",
+    "shard 1: tenants 3 replicas 1/1 dispatched 32 steals 0/0 makespan_ns 43016409 downtime_ns 2720223 trips 5 recals 5 remaps 0 recovery_ns 2000000",
+    "window 0: submitted 10 rejected 0 completed 0 batches 0 peak 7 downtime_ns 269794 slo 0x3ff0000000000000 depth 0x4005ed692486c806",
+    "window 1: submitted 11 rejected 0 completed 9 batches 4 peak 11 downtime_ns 316570 slo 0x3ff0000000000000 depth 0x4014a40badb32c12",
+    "window 2: submitted 8 rejected 0 completed 0 batches 0 peak 17 downtime_ns 770007 slo 0x3ff0000000000000 depth 0x4027d84de20b2273",
+    "window 3: submitted 12 rejected 0 completed 5 batches 3 peak 15 downtime_ns 380365 slo 0x3ff0000000000000 depth 0x402091967b01281e",
+    "window 4: submitted 5 rejected 0 completed 2 batches 2 peak 10 downtime_ns 326334 slo 0x3fe0000000000000 depth 0x4003b141560ba550",
+    "window 5: submitted 11 rejected 0 completed 1 batches 1 peak 14 downtime_ns 1091672 slo 0x3ff0000000000000 depth 0x40244e9acd763ff8",
+    "window 6: submitted 20 rejected 0 completed 11 batches 2 peak 21 downtime_ns 705749 slo 0x3fe1745d1745d174 depth 0x402d3ec2a6025da8",
+    "window 7: submitted 13 rejected 0 completed 8 batches 4 peak 20 downtime_ns 2256881 slo 0x3fe8000000000000 depth 0x402fff92af9a8cdf",
+    "window 8: submitted 13 rejected 0 completed 4 batches 3 peak 14 downtime_ns 3730899 slo 0x3ff0000000000000 depth 0x4020b5e4d9330c9d",
+    "window 9: submitted 13 rejected 0 completed 11 batches 3 peak 13 downtime_ns 2422186 slo 0x3fc745d1745d1746 depth 0x4019da1a78514a75",
+    "window 10: submitted 11 rejected 0 completed 18 batches 5 peak 11 downtime_ns 1222599 slo 0x3fe38e38e38e38e4 depth 0x40185383d5e2f604",
+    "window 11: submitted 11 rejected 0 completed 7 batches 5 peak 11 downtime_ns 2326657 slo 0x3fe2492492492492 depth 0x401ce51d0ad2c1d9",
+    "window 12: submitted 11 rejected 0 completed 4 batches 4 peak 12 downtime_ns 3512347 slo 0x3fe0000000000000 depth 0x40143cfc09d13a1a",
+    "window 13: submitted 14 rejected 0 completed 13 batches 5 peak 15 downtime_ns 1803355 slo 0x3fed89d89d89d89e depth 0x401fb7610fe55051",
+    "window 14: submitted 8 rejected 0 completed 1 batches 1 peak 5 downtime_ns 3095582 slo 0x0 depth 0x400d029d6931f2c1",
+    "window 15: submitted 11 rejected 0 completed 26 batches 9 peak 10 downtime_ns 440238 slo 0x3fe9d89d89d89d8a depth 0x4004454025500e08",
+    "tenants fnv1a 0x9de45c5b0a15581c",
 ];
