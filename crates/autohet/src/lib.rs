@@ -111,8 +111,8 @@ pub mod prelude {
         alert_timeline, jain_index, publish_report, run_sharded, run_sharded_reference,
         run_sharded_threaded, window_series, AutoscaleSpec, BurstSpec, Deployment, FailureSpec,
         HealthEvent, HealthEventKind, HealthSpec, LatencyHistogram, RampSpec, ScaleEvent,
-        SelectMode, ShardConfig, ShardServingReport, ShardTenantStats, StealSpec, SwapEvent,
-        SwapSpec, TenantSpec, Workload,
+        ShardConfig, ShardServingReport, ShardTenantStats, StealSpec, SwapEvent, SwapSpec,
+        TenantSpec, Workload,
     };
     pub use autohet_xbar::fault::{FaultMap, FaultRates};
     pub use autohet_xbar::geometry::{

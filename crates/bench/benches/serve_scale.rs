@@ -13,7 +13,8 @@
 use autohet_accel::AccelConfig;
 use autohet_dnn::zoo;
 use autohet_serve::{
-    run_sharded, BurstSpec, Deployment, SelectMode, ShardConfig, TenantSpec, Workload,
+    run_sharded, run_sharded_reference, BurstSpec, Deployment, ShardConfig, ShardServingReport,
+    TenantSpec, Workload,
 };
 use autohet_xbar::XbarShape;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -69,14 +70,16 @@ fn fleet() -> Vec<TenantSpec> {
         .collect()
 }
 
-fn config(shards: usize, mode: SelectMode) -> ShardConfig {
+fn config(shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
         replicas_per_shard: TOTAL_REPLICAS / shards,
-        mode,
         ..ShardConfig::default()
     }
 }
+
+/// A serving driver: the heap scheduler or the linear-scan reference.
+type Driver = fn(&[TenantSpec], &Workload, &ShardConfig) -> ShardServingReport;
 
 fn bench_serve_scale(c: &mut Criterion) {
     let tenants = fleet();
@@ -86,7 +89,7 @@ fn bench_serve_scale(c: &mut Criterion) {
     };
     // One probe run pins down the workload's actual scale (the arrival
     // streams are seeded, so every timed run serves the same requests).
-    let probe = run_sharded(&tenants, &wl, &config(8, SelectMode::Heap));
+    let probe = run_sharded(&tenants, &wl, &config(8));
     assert_eq!(probe.lost_requests(), 0);
     println!(
         "serve_meta requests={} tenants={} horizon_ns={} replicas={}",
@@ -96,14 +99,15 @@ fn bench_serve_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve");
     g.throughput(Throughput::Elements(probe.total_submitted));
     g.sample_size(2);
-    for (name, shards, mode) in [
-        ("day/scan_shard1", 1, SelectMode::LinearScan),
-        ("day/heap_shard1", 1, SelectMode::Heap),
-        ("day/heap_shard8", 8, SelectMode::Heap),
-    ] {
-        let cfg = config(shards, mode);
+    let drivers: [(&str, usize, Driver); 3] = [
+        ("day/scan_shard1", 1, run_sharded_reference),
+        ("day/heap_shard1", 1, run_sharded),
+        ("day/heap_shard8", 8, run_sharded),
+    ];
+    for (name, shards, run) in drivers {
+        let cfg = config(shards);
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_sharded(black_box(&tenants), &wl, &cfg)))
+            b.iter(|| black_box(run(black_box(&tenants), &wl, &cfg)))
         });
     }
     g.finish();

@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 /// The per-tenant quantities [`DrrRing::select`] needs, abstracted so
 /// the shard scheduler can back them with its own tenant state (and
 /// tests with a toy harness).
-pub trait DrrAccess {
+pub(crate) trait DrrAccess {
     /// Earliest instant the tenant's head batch may dispatch.
     fn ready_ns(&self, gid: usize) -> u64;
     /// Requests the tenant's next batch would drain (≥ 1 while
@@ -51,7 +51,7 @@ pub trait DrrAccess {
 /// scheduler state: it evolves deterministically with the selection
 /// sequence and is part of what the bit-identity tests pin down.
 #[derive(Debug, Clone, Default)]
-pub struct DrrRing {
+pub(crate) struct DrrRing {
     ring: VecDeque<usize>,
     /// The tenant currently holding the service turn (it sits at the
     /// ring front and has already received this round's top-up).
@@ -61,38 +61,34 @@ pub struct DrrRing {
 }
 
 impl DrrRing {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DrrRing::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
 
     /// Turns the [`select`](Self::select) walks have passed so far: a
     /// scheduler counter, the same in every driver.
-    pub fn rotations(&self) -> u64 {
+    pub(crate) fn rotations(&self) -> u64 {
         self.rotations
     }
 
     /// Ring order, front to back (the front tenant serves next).
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.ring.iter().copied()
     }
 
     /// A tenant became backlogged: join at the back of the ring.
-    pub fn push(&mut self, gid: usize) {
+    pub(crate) fn push(&mut self, gid: usize) {
         debug_assert!(!self.ring.contains(&gid));
         self.ring.push_back(gid);
     }
 
     /// Remove a tenant wherever it sits (migration / drained elsewhere).
     /// Returns whether it was present.
-    pub fn remove(&mut self, gid: usize) -> bool {
+    pub(crate) fn remove(&mut self, gid: usize) -> bool {
         if let Some(pos) = self.ring.iter().position(|&g| g == gid) {
             self.ring.remove(pos);
             if self.turn == Some(gid) {
@@ -110,7 +106,7 @@ impl DrrRing {
     /// this at a dispatchable instant). Returns the selected tenant,
     /// which is left at the ring front holding the turn; follow up with
     /// [`served`](Self::served) after draining its queue.
-    pub fn select<A: DrrAccess>(&mut self, a: &mut A, at: u64) -> usize {
+    pub(crate) fn select<A: DrrAccess>(&mut self, a: &mut A, at: u64) -> usize {
         debug_assert!(
             self.ring.iter().any(|&g| a.ready_ns(g) <= at),
             "DRR select at a non-dispatchable instant"
@@ -169,7 +165,7 @@ impl DrrRing {
     /// credit across idle periods would let a tenant burst past its
     /// share); a still-backlogged tenant keeps the front slot and the
     /// turn while its deficit lasts.
-    pub fn served<A: DrrAccess>(&mut self, a: &mut A, gid: usize, emptied: bool) {
+    pub(crate) fn served<A: DrrAccess>(&mut self, a: &mut A, gid: usize, emptied: bool) {
         debug_assert_eq!(self.ring.front(), Some(&gid));
         if emptied {
             self.ring.pop_front();
@@ -334,7 +330,7 @@ mod tests {
         assert_eq!(g, 0);
         toy.queue[0] = 0;
         ring.served(&mut toy, 0, true);
-        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.iter().collect::<Vec<_>>(), vec![1]);
         assert_eq!(toy.deficit[0], 0, "deficit resets on leaving the ring");
         // It refills and rejoins behind lane 1.
         toy.queue[0] = 5;

@@ -28,10 +28,10 @@
 //! - **Replicas** are identical accelerator instances. Each batch goes to
 //!   the earliest-free replica (ties: lowest replica id); among
 //!   dispatchable tenants, deficit round-robin over per-tenant weights
-//!   ([`TenantSpec::weight`]) picks the batch ([`DrrRing`]).
+//!   ([`TenantSpec::weight`]) picks the batch.
 //! - **Failures** (optional): replica instances fail and recover on a
-//!   seeded alternating renewal schedule ([`FailureSpec`] →
-//!   [`FailurePlan`]). A down replica is skipped at dispatch time
+//!   seeded alternating renewal schedule ([`FailureSpec`]), drawn per
+//!   replica when it joins. A down replica is skipped at dispatch time
 //!   (failover to survivors); a batch interrupted mid-service is killed
 //!   and its requests retried — back at the queue front, keeping arrival
 //!   order — unless their retry deadline has passed, in which case they
@@ -49,8 +49,8 @@
 //! ## One engine, three drivers
 //!
 //! [`run_sharded`] runs the model on shard-local schedulers: tenants
-//! partition across shards with their own queues, clocks, replica pools
-//! and replica health, and all cross-shard coupling — work stealing,
+//! partition across shards with their own queues, clocks and replica
+//! tables (free times, outages, drift health), and all cross-shard coupling — work stealing,
 //! telemetry-driven replica autoscaling, online strategy swap on
 //! workload-mix drift — happens at deterministic epoch barriers, which
 //! also cut the per-window telemetry. One shard with `n` replicas is the
@@ -67,27 +67,24 @@
 //! deploy-time cost, §4.5 of the paper).
 
 pub mod deploy;
-pub mod drr;
-pub mod failure;
-pub mod parallel;
-pub mod ready;
+mod drr;
+mod failure;
+mod parallel;
+mod ready;
+mod replica;
 pub mod report;
 pub mod shard;
-pub mod sim;
 pub mod telemetry;
 pub mod workload;
 
 pub use deploy::Deployment;
-pub use drr::{DrrAccess, DrrRing};
-pub use failure::{FailurePlan, FailureSpec, Outage};
+pub use failure::FailureSpec;
 pub use parallel::run_sharded_threaded;
-pub use ready::{ReplicaPool, StampedHeap};
+pub use replica::{HealthEvent, HealthEventKind, HealthSpec};
 pub use report::{jain_index, LatencyHistogram, WindowStats};
 pub use shard::{
-    run_sharded, run_sharded_reference, AutoscaleSpec, EpochSignal, ScaleEvent, SelectMode,
-    ShardConfig, ShardServingReport, ShardStats, ShardTenantStats, StealEvent, StealSpec,
-    SwapEvent, SwapSpec,
+    run_sharded, run_sharded_reference, AutoscaleSpec, EpochSignal, ScaleEvent, ShardConfig,
+    ShardServingReport, ShardStats, ShardTenantStats, StealEvent, StealSpec, SwapEvent, SwapSpec,
 };
-pub use sim::{HealthEvent, HealthEventKind, HealthSpec};
 pub use telemetry::{alert_timeline, publish_report, window_series};
 pub use workload::{tenant_arrivals, BurstSpec, RampSpec, TenantSpec, Workload};

@@ -1,14 +1,14 @@
 //! Epoch-parallel execution of the serving engine.
 //!
 //! Between epoch barriers each shard touches only its own state — its
-//! queues, replicas, outage schedule and health monitors — so shards
-//! step concurrently on scoped `crossbeam` workers; every barrier
-//! (settle → steal → autoscale → swap) runs single-threaded in a fixed
-//! order. The schedule of decisions is therefore *identical* to
+//! queues and its replica table — so shards step concurrently on scoped
+//! `crossbeam` workers; every barrier (settle → steal → autoscale →
+//! swap) runs single-threaded in a fixed order, in the one epoch loop all
+//! drivers share. The schedule of decisions is therefore *identical* to
 //! [`run_sharded`](crate::run_sharded), and the report is bit-identical
 //! to both sequential drivers at any thread count.
 
-use crate::shard::{Shard, ShardConfig, ShardServingReport, ShardedSim};
+use crate::shard::{run_epochs, SelectMode, ShardConfig, ShardServingReport};
 use crate::workload::{TenantSpec, Workload};
 
 /// Epoch-parallel driver for the serving engine: shards step
@@ -22,11 +22,8 @@ pub fn run_sharded_threaded(
     threads: usize,
 ) -> ShardServingReport {
     let _span = autohet_obs::trace::span("serve.run_sharded_threaded");
-    let threads = threads.max(1);
-    let mut sim = ShardedSim::new(tenants, wl, cfg);
-    let ends = sim.epoch_ends();
-    let chunk = sim.shards.len().div_ceil(threads);
-    let step_all = |shards: &mut [Shard], e_end: u64| {
+    let chunk = cfg.shards.div_ceil(threads.max(1));
+    run_epochs(tenants, wl, cfg, SelectMode::Heap, |shards, e_end| {
         crossbeam::thread::scope(|s| {
             for group in shards.chunks_mut(chunk) {
                 s.spawn(move |_| {
@@ -37,13 +34,7 @@ pub fn run_sharded_threaded(
             }
         })
         .expect("shard worker panicked");
-    };
-    for (e, &end) in ends.iter().enumerate() {
-        step_all(&mut sim.shards, end);
-        sim.barrier(e, end);
-    }
-    step_all(&mut sim.shards, u64::MAX);
-    sim.finish()
+    })
 }
 
 #[cfg(test)]
@@ -51,8 +42,8 @@ mod tests {
     use super::*;
     use crate::deploy::Deployment;
     use crate::failure::FailureSpec;
+    use crate::replica::HealthSpec;
     use crate::shard::run_sharded;
-    use crate::sim::HealthSpec;
     use crate::workload::BurstSpec;
     use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;

@@ -1,10 +1,9 @@
-//! Per-replica device simulation: instance outages and conductance-drift
-//! health, run by the shard scheduler inside its recurrence.
+//! The replica table: each shard's replicas, indexed by shard-local id,
+//! with their free times, retirement, outage schedules and drift health
+//! in one place.
 //!
-//! Each shard keeps a `ReplicaFaults` beside its
-//! [`ReplicaPool`](crate::ready::ReplicaPool), indexed by the same
-//! shard-local replica ids. [`Shard::step`](crate::shard) consults it at
-//! every dispatch, in a fixed order:
+//! [`Shard::step`](crate::shard) consults the table at every dispatch,
+//! in a fixed order:
 //!
 //! 1. a replica that is down at its free instant, or at the dispatch
 //!    instant, waits out the outage and the turn passes (failover);
@@ -20,10 +19,21 @@
 //! batch's fate is resolved synchronously inside the shard — which is
 //! what keeps the heap scheduler, the linear-scan reference and the
 //! epoch-threaded driver bit-identical.
+//!
+//! "Which replica frees earliest?" is answered by a lazy-deletion
+//! min-heap over `(free_ns, id)` in O(log R) per update, *without
+//! changing a single scheduling decision*: it pops exactly the minimum
+//! the linear scan ([`ReplicaTable::scan_min`]) finds, with the scan's
+//! tie-break (equal free times → lowest id; `BinaryHeap` over
+//! `Reverse<(free_ns, id)>` orders ties by id ascending for free). Stale
+//! entries stay in the heap until they surface, and every peek discards
+//! the outdated ones.
 
-use crate::failure::{FailurePlan, FailureSpec, Outage};
+use crate::failure::{self, FailureSpec, Outage};
 use crate::shard::ShardConfig;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Online replica-health monitoring and drift recovery — the serving half
 /// of the lifetime-resilience layer (DESIGN.md §12).
@@ -180,75 +190,176 @@ fn health_roll(seed: u64, a: u64, b: u64, c: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Outage schedule and drift health of one shard's replicas, indexed by
-/// shard-local replica id like the shard's
-/// [`ReplicaPool`](crate::ready::ReplicaPool).
+/// One replica's row of the [`ReplicaTable`].
+#[derive(Debug, Clone)]
+struct Replica {
+    /// The instant the replica is next free \[ns\] (meaningful for a
+    /// retired replica too: the instant its last batch drains).
+    free_ns: u64,
+    /// A retired replica takes no further dispatches.
+    retired: bool,
+    /// Sorted, non-overlapping outage intervals; empty without failures.
+    outages: Vec<Outage>,
+    health: ReplicaHealth,
+}
+
+/// Free times, retirement, outage schedules and drift health of one
+/// shard's replicas, indexed by shard-local replica id (dense, never
+/// shrinking: retired replicas keep their row).
 ///
 /// Outage streams and health rolls are keyed by the replica key
 /// `local id × shards + shard`: unique across shards, and the local id
 /// itself when there is one shard. A replica the autoscaler adds at `t`
 /// starts freshly calibrated at `t` and only fails after `t`.
 #[derive(Debug, Clone)]
-pub(crate) struct ReplicaFaults {
+pub(crate) struct ReplicaTable {
     shard: usize,
     shards: usize,
     horizon_ns: u64,
     failures: Option<FailureSpec>,
     retry_deadline_ns: u64,
     spec: Option<HealthSpec>,
-    pub(crate) plan: FailurePlan,
-    pub(crate) health: Vec<ReplicaHealth>,
+    replicas: Vec<Replica>,
+    /// Lazy min-heap of `(free_ns, id)` candidates.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    active: usize,
     /// Health transitions in recurrence order.
     pub(crate) events: Vec<HealthEvent>,
 }
 
-impl ReplicaFaults {
+impl ReplicaTable {
+    /// Shard `shard`'s table: `cfg.replicas_per_shard` replicas, all free
+    /// and freshly calibrated at t = 0.
     pub(crate) fn new(cfg: &ShardConfig, shard: usize, horizon_ns: u64) -> Self {
-        let mut faults = ReplicaFaults {
+        let mut table = ReplicaTable {
             shard,
             shards: cfg.shards,
             horizon_ns,
             failures: cfg.failures,
             retry_deadline_ns: cfg.retry_deadline_ns,
             spec: cfg.health,
-            plan: FailurePlan::none(0),
-            health: Vec::new(),
+            replicas: Vec::new(),
+            heap: BinaryHeap::new(),
+            active: 0,
             events: Vec::new(),
         };
         for _ in 0..cfg.replicas_per_shard {
-            faults.add(0);
+            table.add(0);
         }
-        faults
+        table
     }
 
     fn key(&self, replica: usize) -> u64 {
         (replica * self.shards + self.shard) as u64
     }
 
-    /// A replica joined the shard at `t_ns` (its local id is the next
-    /// one in line, as in [`ReplicaPool::add`](crate::ready::ReplicaPool::add)).
-    pub(crate) fn add(&mut self, t_ns: u64) {
-        let key = self.key(self.health.len());
-        self.plan
-            .push(self.failures.as_ref(), key, self.horizon_ns, t_ns);
-        self.health.push(ReplicaHealth {
-            last_recal_ns: t_ns,
-            ..ReplicaHealth::default()
+    /// Replicas ever created (including retired ones).
+    pub(crate) fn len(&self) -> usize {
+        self.replicas.len()
+    }
+
+    /// Replicas currently dispatchable.
+    pub(crate) fn active(&self) -> usize {
+        self.active
+    }
+
+    /// Add a replica that joins the shard at `t_ns`: it is free at
+    /// `t_ns`, its drift clock starts there, and it fails only at or
+    /// after it. Returns its id (the next one in line).
+    pub(crate) fn add(&mut self, t_ns: u64) -> usize {
+        let r = self.replicas.len();
+        let outages = match &self.failures {
+            Some(spec) => failure::outages(spec, self.key(r), self.horizon_ns, t_ns),
+            None => Vec::new(),
+        };
+        self.replicas.push(Replica {
+            free_ns: t_ns,
+            retired: false,
+            outages,
+            health: ReplicaHealth {
+                last_recal_ns: t_ns,
+                ..ReplicaHealth::default()
+            },
         });
+        self.heap.push(Reverse((t_ns, r)));
+        self.active += 1;
+        r
+    }
+
+    /// Retire replica `r`: it finishes any in-flight batch (its free
+    /// time stays meaningful) but takes no further dispatches.
+    pub(crate) fn retire(&mut self, r: usize) {
+        if !self.replicas[r].retired {
+            self.replicas[r].retired = true;
+            self.active -= 1;
+        }
+    }
+
+    /// The highest active replica id, the one a scale-down retires.
+    pub(crate) fn last_active(&self) -> Option<usize> {
+        self.replicas.iter().rposition(|rep| !rep.retired)
+    }
+
+    /// The earliest-free active replica `(free_ns, id)` without removing
+    /// it; ties break to the lowest id. Discards stale heap entries.
+    pub(crate) fn peek_min(&mut self) -> Option<(u64, usize)> {
+        while let Some(&Reverse((t, r))) = self.heap.peek() {
+            let rep = &self.replicas[r];
+            if !rep.retired && rep.free_ns == t {
+                return Some((t, r));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Linear-scan reference of [`peek_min`](Self::peek_min): min over
+    /// `(free_ns, id)` of the active replicas. The scan-mode scheduler
+    /// uses this so the reference driver exercises the original O(R)
+    /// cost.
+    pub(crate) fn scan_min(&self) -> Option<(u64, usize)> {
+        (self.replicas.iter().enumerate())
+            .filter(|(_, rep)| !rep.retired)
+            .map(|(r, rep)| (rep.free_ns, r))
+            .min()
+    }
+
+    /// Publish a new free time for replica `r` (after dispatching to it,
+    /// failing it over or pausing it). Free times may move in either
+    /// direction; the old heap entry goes stale and is discarded lazily.
+    pub(crate) fn set_free(&mut self, r: usize, t_ns: u64) {
+        let rep = &mut self.replicas[r];
+        rep.free_ns = t_ns;
+        if !rep.retired {
+            self.heap.push(Reverse((t_ns, r)));
+        }
     }
 
     /// If `replica` is down at `t_ns`, the instant it recovers. Ideal
     /// replicas skip the schedule lookup: this runs at every dispatch.
     pub(crate) fn down_until(&self, replica: usize, t_ns: u64) -> Option<u64> {
         self.failures?;
-        self.plan.down_until(replica, t_ns)
+        failure::down_until(&self.replicas[replica].outages, t_ns)
     }
 
     /// The outage that kills a batch serving on `replica` over
     /// `(from_ns, to_ns)`, if any.
     pub(crate) fn outage_in(&self, replica: usize, from_ns: u64, to_ns: u64) -> Option<Outage> {
         self.failures?;
-        self.plan.outage_in(replica, from_ns, to_ns)
+        failure::outage_in(&self.replicas[replica].outages, from_ns, to_ns)
+    }
+
+    /// Downtime of all the shard's replicas overlapping `[from_ns, to_ns)`
+    /// \[ns\].
+    pub(crate) fn downtime_in(&self, from_ns: u64, to_ns: u64) -> u64 {
+        (self.replicas.iter())
+            .map(|rep| failure::downtime_in(&rep.outages, from_ns, to_ns))
+            .sum()
+    }
+
+    /// Each replica's health state, by id.
+    pub(crate) fn health(&self) -> impl Iterator<Item = &ReplicaHealth> {
+        self.replicas.iter().map(|rep| &rep.health)
     }
 
     /// Whether a request that arrived at `arrival_ns` and was killed at
@@ -263,7 +374,7 @@ impl ReplicaFaults {
         let Some(spec) = &self.spec else {
             return 0;
         };
-        let elapsed_ns = start_ns.saturating_sub(self.health[replica].last_recal_ns);
+        let elapsed_ns = start_ns.saturating_sub(self.replicas[replica].health.last_recal_ns);
         ((spec.err_ppm_per_ms as u128 * elapsed_ns as u128) / 1_000_000)
             .min(spec.err_cap_ppm as u128) as u64
     }
@@ -302,7 +413,7 @@ impl ReplicaFaults {
             return completion_ns;
         };
         let key = self.key(replica);
-        let h = &mut self.health[replica];
+        let h = &mut self.replicas[replica].health;
         let batch_milli = errors * 1000 / n.max(1) as u64;
         h.ewma_milli = (spec.ewma_alpha_milli * batch_milli
             + (1000 - spec.ewma_alpha_milli) * h.ewma_milli)
@@ -393,6 +504,87 @@ mod tests {
 
     fn sum(r: &ShardServingReport, f: impl Fn(&crate::shard::ShardStats) -> u64) -> u64 {
         r.shard_stats.iter().map(f).sum()
+    }
+
+    /// A failure-free table of `n` replicas, all free at t = 0.
+    fn table(n: usize) -> ReplicaTable {
+        ReplicaTable::new(&replicas(n), 0, 1_000_000)
+    }
+
+    #[test]
+    fn pool_ties_break_to_lowest_id_like_the_scan() {
+        let mut p = table(4);
+        // All free at 0: the scan picks replica 0, and so must the heap.
+        assert_eq!(p.peek_min(), Some((0, 0)));
+        assert_eq!(p.peek_min(), p.scan_min());
+        // Tie at a later instant between replicas 2 and 1 (pushed in
+        // that order): lowest id still wins.
+        p.set_free(0, 100);
+        p.set_free(3, 90);
+        p.set_free(2, 50);
+        p.set_free(1, 50);
+        assert_eq!(p.peek_min(), Some((50, 1)));
+        assert_eq!(p.peek_min(), p.scan_min());
+        // Breaking the tie flips to the remaining minimum.
+        p.set_free(1, 51);
+        assert_eq!(p.peek_min(), Some((50, 2)));
+        assert_eq!(p.peek_min(), p.scan_min());
+    }
+
+    #[test]
+    fn pool_matches_scan_under_random_updates() {
+        // Deterministic LCG-driven fuzz: after every update the heap and
+        // the scan must agree exactly (value and id).
+        let mut p = table(5);
+        let mut x = 0x2545F491u64;
+        for step in 0..2000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (x >> 33) as usize % p.len();
+            if !p.replicas[r].retired {
+                p.set_free(r, (x >> 7) % 10_000);
+            }
+            if step % 97 == 0 && p.active() > 1 {
+                p.retire(r);
+            }
+            if step % 193 == 0 {
+                p.add((x >> 11) % 10_000);
+            }
+            assert_eq!(p.peek_min(), p.scan_min(), "step {step}");
+        }
+    }
+
+    #[test]
+    fn retired_replicas_never_win() {
+        let mut p = table(3);
+        p.set_free(0, 10);
+        p.set_free(1, 20);
+        p.set_free(2, 30);
+        p.retire(0);
+        assert_eq!(p.peek_min(), Some((20, 1)));
+        assert_eq!(p.active(), 2);
+        assert_eq!(p.last_active(), Some(2));
+        p.retire(2);
+        assert_eq!(p.last_active(), Some(1));
+        p.retire(1);
+        assert_eq!(p.peek_min(), None);
+        assert_eq!(p.scan_min(), None);
+        assert_eq!(p.last_active(), None);
+    }
+
+    #[test]
+    fn added_replicas_join_dispatch() {
+        let mut p = table(1);
+        p.set_free(0, 1000);
+        let r = p.add(500);
+        assert_eq!(r, 1);
+        assert_eq!(p.peek_min(), Some((500, 1)));
+        // A new replica tying an old one loses to the lower id.
+        let r2 = p.add(500);
+        assert_eq!(r2, 2);
+        assert_eq!(p.peek_min(), Some((500, 1)));
+        assert_eq!(p.peek_min(), p.scan_min());
     }
 
     #[test]

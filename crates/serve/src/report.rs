@@ -39,7 +39,7 @@ impl LatencyHistogram {
     }
 
     /// Fold another histogram's counts into this one (bin-wise sum) —
-    /// how per-window telemetry aggregates into run-level distributions.
+    /// how per-tenant histograms aggregate into the run's distribution.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.bins.iter_mut().zip(&other.bins) {
             *a += b;
@@ -66,8 +66,7 @@ impl Default for LatencyHistogram {
 /// equally; the last window additionally absorbs the drain tail past the
 /// horizon. Submission-side columns (`submitted`, `rejected`,
 /// `peak_queue_depth`) bucket by arrival time; completion-side columns
-/// (`completed`, `batches`, latency, SLO) bucket by batch completion
-/// time.
+/// (`completed`, `batches`, SLO) bucket by batch completion time.
 ///
 /// [`ShardConfig::epochs`]: crate::shard::ShardConfig::epochs
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,8 +105,6 @@ pub struct WindowStats {
     /// excluded; 1.0 when at most one tenant was active).
     #[serde(default)]
     pub fairness_index: f64,
-    /// Latency distribution of the window's completed requests.
-    pub histogram: LatencyHistogram,
 }
 
 /// Jain's fairness index `J = (Σx)² / (n·Σx²)` over the non-zero

@@ -7,15 +7,15 @@
 //!
 //! Tenants are partitioned across `shards` shard-local schedulers
 //! (`gid % shards`). Each shard owns its tenants' arrival streams,
-//! queues, a [`DrrRing`] of backlogged tenants, a [`ReplicaPool`] of
-//! local replicas, and beside it the replicas' outage schedule and drift
-//! health ([`ReplicaFaults`]). A shard advances its own clock with an
+//! queues, a deficit-round-robin ring of backlogged tenants, and a
+//! replica table: one row per local replica with its free time,
+//! retirement, outage schedule and drift health. A shard advances its own clock with an
 //! ingest-before-dispatch recurrence: arrivals at or before the next
 //! dispatch instant are admitted (or shed) first; then the earliest-free
 //! replica (ties: lowest id) takes one batch from the tenant deficit
 //! round-robin selects. A replica that is down fails over, a batch an
 //! outage interrupts is killed and its requests retried, and a completed
-//! batch feeds the replica's circuit breaker (see [`crate::sim`]). With
+//! batch feeds the replica's circuit breaker. With
 //! one tenant, DRR picks exactly the batch oldest-head FIFO would.
 //!
 //! The simulated horizon is cut into `epochs` equal windows. *Within* an
@@ -53,19 +53,20 @@
 //! only nondeterminism a thread schedule could introduce is the order
 //! in which independent shards are stepped, and shard state composes
 //! commutatively at the barrier. The linear-scan reference
-//! ([`SelectMode::LinearScan`]) makes every choice by an O(tenants)
-//! or O(replicas) scan; heap mode makes the same choices through
-//! lazy-deletion heaps ([`ReplicaPool`], [`StampedHeap`]) with the
-//! scan's tie-breaks, so all three drivers produce identical reports.
+//! ([`run_sharded_reference`]) makes every choice by an O(tenants) or
+//! O(replicas) scan; heap mode makes the same choices through
+//! lazy-deletion heaps (the replica table's free-time heap, the tenant
+//! ready-heap) with the scan's tie-breaks, so all three drivers produce
+//! identical reports. All three run one epoch loop; they differ only in
+//! the selection mode and in how shards are stepped between barriers.
 //!
 //! [`alt_deployment`]: crate::workload::TenantSpec::alt_deployment
-//! [`ReplicaFaults`]: crate::sim
 
 use crate::drr::{DrrAccess, DrrRing};
 use crate::failure::FailureSpec;
-use crate::ready::{ReplicaPool, StampedHeap};
+use crate::ready::StampedHeap;
+use crate::replica::{HealthEvent, HealthSpec, ReplicaHealth, ReplicaTable};
 use crate::report::{jain_index, percentile, LatencyHistogram, WindowStats};
-use crate::sim::{HealthEvent, HealthSpec, ReplicaFaults};
 use crate::workload::{tenant_arrivals, TenantSpec, Workload};
 use autohet_obs::alert::{AlertEngine, AlertRule, ThresholdRule};
 use serde::{Deserialize, Serialize};
@@ -79,10 +80,11 @@ pub const SCALE_UP_RULE: &str = "serve.scale_up";
 pub const SCALE_DOWN_RULE: &str = "serve.scale_down";
 
 /// How the scheduler finds minima: the faithful linear scans of the
-/// original event loop, or the heap-backed structures that replace them.
-/// Both modes make identical decisions; they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SelectMode {
+/// original event loop ([`run_sharded_reference`]), or the heap-backed
+/// structures that replace them. Both modes make identical decisions;
+/// they differ only in cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SelectMode {
     /// O(tenants)/O(replicas) scans per event — the reference.
     LinearScan,
     /// O(log) lazy-deletion heaps with the scan's exact tie-breaks.
@@ -217,8 +219,6 @@ pub struct ShardConfig {
     pub queue_depth: usize,
     /// Epoch barriers per horizon; also the telemetry window count.
     pub epochs: usize,
-    /// Scheduler implementation (identical decisions either way).
-    pub mode: SelectMode,
     /// Work stealing at epoch barriers.
     pub steal: Option<StealSpec>,
     /// Telemetry-driven replica autoscaling.
@@ -244,7 +244,6 @@ impl Default for ShardConfig {
             batch_window_ns: 1_000_000,
             queue_depth: 64,
             epochs: 16,
-            mode: SelectMode::Heap,
             steal: None,
             autoscale: None,
             swap: None,
@@ -343,11 +342,6 @@ pub struct EpochSignal {
     pub t_ns: u64,
     /// Mean queue depth over the epoch (area / span).
     pub mean_queue_depth: f64,
-    /// SLO attainment over the epoch's completions (recorded for
-    /// telemetry; no autoscaler rule reads it).
-    pub slo_attainment: f64,
-    /// Total queued requests across shards at the barrier.
-    pub backlog: u64,
 }
 
 /// Per-tenant results of a serving run.
@@ -602,7 +596,7 @@ impl TenantState {
         let arrivals = tenant_arrivals(gid, spec, wl);
         TenantState {
             gid,
-            weight: spec.weight.max(1),
+            weight: spec.weight,
             slo_ns: spec.slo_ns,
             latencies: Vec::with_capacity(arrivals.len()),
             arrivals,
@@ -709,9 +703,7 @@ pub(crate) struct Shard {
     ready: StampedHeap,
     /// Heap mode: min-heap over (next arrival, gid), cursor-validated.
     arr_heap: BinaryHeap<Reverse<(u64, usize)>>,
-    replicas: ReplicaPool,
-    /// Outage schedule and drift health, indexed like `replicas`.
-    faults: ReplicaFaults,
+    replicas: ReplicaTable,
     /// Scratch for the requests of the batch being dispatched.
     batch: Vec<u64>,
     total_queued: usize,
@@ -729,14 +721,20 @@ pub(crate) struct Shard {
     win_batches: Vec<u64>,
     win_depth_area: Vec<u128>,
     win_peak: Vec<usize>,
-    win_hist: Vec<LatencyHistogram>,
 }
 
 impl Shard {
-    fn new(id: usize, cfg: &ShardConfig, grid: WinGrid, horizon_ns: u64, n_tenants: usize) -> Self {
+    fn new(
+        id: usize,
+        cfg: &ShardConfig,
+        mode: SelectMode,
+        grid: WinGrid,
+        horizon_ns: u64,
+        n_tenants: usize,
+    ) -> Self {
         Shard {
             id,
-            mode: cfg.mode,
+            mode,
             grid,
             max_batch: cfg.max_batch,
             window_ns: cfg.batch_window_ns,
@@ -746,8 +744,7 @@ impl Shard {
             ring: DrrRing::new(),
             ready: StampedHeap::new(),
             arr_heap: BinaryHeap::new(),
-            replicas: ReplicaPool::new(cfg.replicas_per_shard),
-            faults: ReplicaFaults::new(cfg, id, horizon_ns),
+            replicas: ReplicaTable::new(cfg, id, horizon_ns),
             batch: Vec::with_capacity(cfg.max_batch),
             total_queued: 0,
             last_depth_event: 0,
@@ -764,7 +761,6 @@ impl Shard {
             win_batches: vec![0; grid.n],
             win_depth_area: vec![0; grid.n],
             win_peak: vec![0; grid.n],
-            win_hist: vec![LatencyHistogram::new(); grid.n],
         }
     }
 
@@ -951,7 +947,7 @@ impl Shard {
         };
         let service = dep.service_ns(n);
         let completion = at + service;
-        let outage = self.faults.outage_in(rid, at, completion);
+        let outage = self.replicas.outage_in(rid, at, completion);
         let next_free = match outage {
             Some(o) => {
                 // Killed at the failure edge: requests still within their
@@ -960,7 +956,7 @@ impl Shard {
                 t.killed_batches += 1;
                 let mut requeued = 0;
                 for &arr in self.batch.iter().rev() {
-                    if self.faults.retryable(arr, o.down_ns) {
+                    if self.replicas.retryable(arr, o.down_ns) {
                         t.queue.push_front(arr);
                         requeued += 1;
                     } else {
@@ -977,7 +973,7 @@ impl Shard {
             }
             None => {
                 let w = self.grid.window_of(completion);
-                let p_ppm = self.faults.error_ppm(rid, at);
+                let p_ppm = self.replicas.error_ppm(rid, at);
                 let mut errors = 0u64;
                 t.completed += n as u64;
                 t.degraded += degraded as u64;
@@ -988,19 +984,18 @@ impl Shard {
                 for (pos, &arr) in self.batch.iter().enumerate() {
                     let l = completion - arr;
                     t.latencies.push(l);
-                    if p_ppm > 0 && self.faults.errored(rid, index, pos, p_ppm) {
+                    if p_ppm > 0 && self.replicas.errored(rid, index, pos, p_ppm) {
                         errors += 1;
                     } else if l <= t.slo_ns {
                         t.met += 1;
                         self.win_met[w] += 1;
                     }
-                    self.win_hist[w].record(l);
                 }
                 t.errored += errors;
                 self.win_completed[w] += n as u64;
                 self.win_batches[w] += 1;
                 self.makespan = self.makespan.max(completion);
-                self.faults.complete(rid, errors, n, completion)
+                self.replicas.complete(rid, errors, n, completion)
             }
         };
         let backlogged = !t.queue.is_empty();
@@ -1048,8 +1043,8 @@ impl Shard {
             let Some((at, free, rid)) = disp.filter(|&(at, _, _)| at < e_end) else {
                 break;
             };
-            let down = self.faults.down_until(rid, free);
-            match down.or_else(|| self.faults.down_until(rid, at)) {
+            let down = self.replicas.down_until(rid, free);
+            match down.or_else(|| self.replicas.down_until(rid, at)) {
                 Some(up) => {
                     self.failovers += 1;
                     self.replicas.set_free(rid, up);
@@ -1099,15 +1094,13 @@ impl Shard {
     }
 }
 
-/// The assembled sharded simulation: shards plus barrier state. Public
-/// within the crate so the epoch-parallel driver in [`crate::parallel`]
-/// can step shards concurrently.
-pub(crate) struct ShardedSim<'a> {
-    pub(crate) specs: &'a [TenantSpec],
+/// The assembled sharded simulation: shards plus barrier state.
+struct ShardedSim<'a> {
+    specs: &'a [TenantSpec],
     wl: Workload,
     cfg: ShardConfig,
     grid: WinGrid,
-    pub(crate) shards: Vec<Shard>,
+    shards: Vec<Shard>,
     engine: Option<AlertEngine>,
     base_share: Vec<f64>,
     cooldown: usize,
@@ -1146,11 +1139,14 @@ pub(crate) fn autoscale_engine(spec: &AutoscaleSpec) -> AlertEngine {
 }
 
 impl<'a> ShardedSim<'a> {
-    pub(crate) fn new(specs: &'a [TenantSpec], wl: &Workload, cfg: &ShardConfig) -> Self {
+    fn new(specs: &'a [TenantSpec], wl: &Workload, cfg: &ShardConfig, mode: SelectMode) -> Self {
         cfg.validate(wl.horizon_ns);
+        for spec in specs {
+            spec.validate();
+        }
         let grid = WinGrid::new(wl.horizon_ns, cfg.epochs);
         let mut shards: Vec<Shard> = (0..cfg.shards)
-            .map(|s| Shard::new(s, cfg, grid, wl.horizon_ns, specs.len()))
+            .map(|s| Shard::new(s, cfg, mode, grid, wl.horizon_ns, specs.len()))
             .collect();
         for (gid, spec) in specs.iter().enumerate() {
             let t = TenantState::new(gid, spec, wl, grid.n);
@@ -1186,17 +1182,9 @@ impl<'a> ShardedSim<'a> {
         }
     }
 
-    /// Barrier instants: epoch `e` ends at `(e+1)·win_len`, the last at
-    /// the horizon.
-    pub(crate) fn epoch_ends(&self) -> Vec<u64> {
-        (0..self.cfg.epochs)
-            .map(|e| self.grid.end_of(e, self.wl.horizon_ns))
-            .collect()
-    }
-
     /// The epoch barrier: settle → steal → autoscale → swap, each in a
     /// fixed deterministic order.
-    pub(crate) fn barrier(&mut self, epoch: usize, t_end: u64) {
+    fn barrier(&mut self, epoch: usize, t_end: u64) {
         for sh in &mut self.shards {
             sh.settle_depth(t_end);
         }
@@ -1217,17 +1205,9 @@ impl<'a> ShardedSim<'a> {
         let start = self.grid.start_of(epoch);
         let span = (t_end - start).max(1);
         let area: u128 = self.shards.iter().map(|s| s.win_depth_area[epoch]).sum();
-        let completed: u64 = self.shards.iter().map(|s| s.win_completed[epoch]).sum();
-        let met: u64 = self.shards.iter().map(|s| s.win_met[epoch]).sum();
         EpochSignal {
             t_ns: t_end,
             mean_queue_depth: area as f64 / span as f64,
-            slo_attainment: if completed == 0 {
-                1.0
-            } else {
-                met as f64 / completed as f64
-            },
-            backlog: self.shards.iter().map(|s| s.total_queued as u64).sum(),
         }
     }
 
@@ -1298,7 +1278,6 @@ impl<'a> ShardedSim<'a> {
                 .max_by_key(|&s| (self.shards[s].total_queued, Reverse(s)))
                 .unwrap();
             let rid = self.shards[sid].replicas.add(t_end);
-            self.shards[sid].faults.add(t_end);
             self.total_active += 1;
             self.peak_active = self.peak_active.max(self.total_active);
             self.cooldown = spec.cooldown_epochs;
@@ -1320,7 +1299,7 @@ impl<'a> ShardedSim<'a> {
             else {
                 return;
             };
-            let rid = *self.shards[sid].replicas.active_ids().last().unwrap();
+            let rid = self.shards[sid].replicas.last_active().unwrap();
             self.shards[sid].replicas.retire(rid);
             self.total_active -= 1;
             self.cooldown = spec.cooldown_epochs;
@@ -1378,7 +1357,7 @@ impl<'a> ShardedSim<'a> {
     }
 
     /// Assemble the final report (consumes the sim).
-    pub(crate) fn finish(mut self) -> ShardServingReport {
+    fn finish(mut self) -> ShardServingReport {
         let n = self.specs.len();
         let horizon = self.wl.horizon_ns;
         let makespan = self
@@ -1471,10 +1450,6 @@ impl<'a> ShardedSim<'a> {
                 let met = sum(&|s| s.win_met[w]);
                 let batches = sum(&|s| s.win_batches[w]);
                 let area: u128 = self.shards.iter().map(|s| s.win_depth_area[w]).sum();
-                let mut hist = LatencyHistogram::new();
-                for s in &self.shards {
-                    hist.merge(&s.win_hist[w]);
-                }
                 WindowStats {
                     index: w,
                     start_ns,
@@ -1503,18 +1478,13 @@ impl<'a> ShardedSim<'a> {
                     // global instantaneous backlog peak (shard clocks
                     // are not aligned within an epoch).
                     peak_queue_depth: self.shards.iter().map(|s| s.win_peak[w] as u64).sum(),
-                    downtime_ns: sum(&|s| {
-                        (0..s.replicas.len())
-                            .map(|r| s.faults.plan.downtime_in(r, start_ns, covered_to))
-                            .sum()
-                    }),
+                    downtime_ns: sum(&|s| s.replicas.downtime_in(start_ns, covered_to)),
                     fairness_index: jain_index(
                         states
                             .iter()
                             .filter(|t| t.win_attained[w] > 0)
                             .map(|t| t.win_attained[w] as f64 / t.weight as f64),
                     ),
-                    histogram: hist,
                 }
             })
             .collect();
@@ -1530,9 +1500,8 @@ impl<'a> ShardedSim<'a> {
             .shards
             .iter()
             .map(|s| {
-                let health = |f: fn(&crate::sim::ReplicaHealth) -> u64| -> u64 {
-                    s.faults.health.iter().map(f).sum()
-                };
+                let health =
+                    |f: fn(&ReplicaHealth) -> u64| -> u64 { s.replicas.health().map(f).sum() };
                 ShardStats {
                     shard: s.id,
                     tenants: owners.iter().filter(|&&o| o == s.id).count(),
@@ -1542,9 +1511,7 @@ impl<'a> ShardedSim<'a> {
                     steals_in: s.steals_in,
                     steals_out: s.steals_out,
                     makespan_ns: s.makespan,
-                    downtime_ns: (0..s.replicas.len())
-                        .map(|r| s.faults.plan.downtime_ns(r, makespan))
-                        .sum(),
+                    downtime_ns: s.replicas.downtime_in(0, makespan),
                     trips: health(|h| h.trips),
                     recals: health(|h| h.recals),
                     remaps: health(|h| h.remaps),
@@ -1558,7 +1525,7 @@ impl<'a> ShardedSim<'a> {
         let health_events = self
             .shards
             .iter_mut()
-            .flat_map(|s| std::mem::take(&mut s.faults.events))
+            .flat_map(|s| std::mem::take(&mut s.replicas.events))
             .collect();
         ShardServingReport {
             seed: self.wl.seed,
@@ -1600,30 +1567,46 @@ impl<'a> ShardedSim<'a> {
     }
 }
 
-/// Run the sharded simulation sequentially: step every shard to each
-/// barrier, run the barrier, then drain. The epoch-parallel driver in
-/// [`crate::parallel`] replays exactly this schedule with shards stepped
-/// concurrently between barriers.
-fn run_sequential(tenants: &[TenantSpec], wl: &Workload, cfg: &ShardConfig) -> ShardServingReport {
-    let _span = autohet_obs::trace::span("serve.run_sharded");
-    let mut sim = ShardedSim::new(tenants, wl, cfg);
-    let ends = sim.epoch_ends();
-    for (e, &end) in ends.iter().enumerate() {
-        for sh in &mut sim.shards {
-            sh.step(tenants, end);
-        }
+/// The epoch loop of every driver: `step_all` steps every shard to the
+/// barrier (epoch `e` ends at `(e+1)·win_len`, the last at the horizon),
+/// the barrier runs, and after the last barrier `step_all` drains every
+/// shard (to `u64::MAX`). The sequential drivers step the shards one
+/// after another; the epoch-parallel one steps them concurrently.
+pub(crate) fn run_epochs(
+    tenants: &[TenantSpec],
+    wl: &Workload,
+    cfg: &ShardConfig,
+    mode: SelectMode,
+    mut step_all: impl FnMut(&mut [Shard], u64),
+) -> ShardServingReport {
+    let mut sim = ShardedSim::new(tenants, wl, cfg, mode);
+    for e in 0..cfg.epochs {
+        let end = sim.grid.end_of(e, wl.horizon_ns);
+        step_all(&mut sim.shards, end);
         sim.barrier(e, end);
     }
-    for sh in &mut sim.shards {
-        sh.step(tenants, u64::MAX);
-    }
+    step_all(&mut sim.shards, u64::MAX);
     sim.finish()
 }
 
-/// The sharded serving runtime (heap-mode scheduler unless the config
-/// says otherwise).
+/// Run the sharded simulation sequentially in `mode`.
+fn run_sequential(
+    tenants: &[TenantSpec],
+    wl: &Workload,
+    cfg: &ShardConfig,
+    mode: SelectMode,
+) -> ShardServingReport {
+    let _span = autohet_obs::trace::span("serve.run_sharded");
+    run_epochs(tenants, wl, cfg, mode, |shards, end| {
+        for sh in shards {
+            sh.step(tenants, end);
+        }
+    })
+}
+
+/// The sharded serving runtime, on the heap-mode scheduler.
 pub fn run_sharded(tenants: &[TenantSpec], wl: &Workload, cfg: &ShardConfig) -> ShardServingReport {
-    run_sequential(tenants, wl, cfg)
+    run_sequential(tenants, wl, cfg, SelectMode::Heap)
 }
 
 /// The linear-scan sequential reference: identical decisions through
@@ -1634,11 +1617,7 @@ pub fn run_sharded_reference(
     wl: &Workload,
     cfg: &ShardConfig,
 ) -> ShardServingReport {
-    let cfg = ShardConfig {
-        mode: SelectMode::LinearScan,
-        ..*cfg
-    };
-    run_sequential(tenants, wl, &cfg)
+    run_sequential(tenants, wl, cfg, SelectMode::LinearScan)
 }
 
 #[cfg(test)]
@@ -2011,6 +1990,50 @@ mod tests {
             max_replicas: 4,
             ..AutoscaleSpec::default()
         }));
+    }
+
+    /// `run_sharded` over `fleet(2)` after `edit` changed tenant 0: the
+    /// traffic fields are public, so a run must check them again.
+    fn run_edited(edit: impl FnOnce(&mut TenantSpec)) -> ShardServingReport {
+        let mut tenants = fleet(2);
+        edit(&mut tenants[0]);
+        let wl = Workload {
+            seed: 1,
+            horizon_ns: 1_000_000,
+        };
+        run_sharded(&tenants, &wl, &ShardConfig::default())
+    }
+
+    // Before the run checked its tenants, each of these drew zero (or
+    // NaN) arrival gaps until memory ran out.
+    #[test]
+    #[should_panic(expected = "rate_rps must be finite and >= 0, got inf")]
+    fn infinite_rate_set_on_a_built_tenant_is_rejected_up_front() {
+        run_edited(|t| t.rate_rps = f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst.factor must be finite and > 0, got inf")]
+    fn infinite_burst_factor_set_on_a_built_tenant_is_rejected_up_front() {
+        run_edited(|t| {
+            t.burst = Some(BurstSpec {
+                period_ns: 300_000,
+                burst_ns: 100_000,
+                factor: f64::INFINITY,
+            })
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ramp.to_factor must be finite and > 0, got inf")]
+    fn infinite_ramp_factor_set_on_a_built_tenant_is_rejected_up_front() {
+        run_edited(|t| {
+            t.ramp = Some(RampSpec {
+                start_ns: 0,
+                end_ns: 500_000,
+                to_factor: f64::INFINITY,
+            })
+        });
     }
 
     #[test]

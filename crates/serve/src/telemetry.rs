@@ -130,7 +130,7 @@ pub const DOWNTIME_RULE: &str = "serve.downtime";
 /// it cannot change the report.
 ///
 /// [`EpochSignal`]: crate::shard::EpochSignal
-/// [`HealthEvent`]: crate::sim::HealthEvent
+/// [`HealthEvent`]: crate::HealthEvent
 pub fn alert_timeline(
     report: &ShardServingReport,
     autoscale: Option<&AutoscaleSpec>,
@@ -188,9 +188,9 @@ pub fn alert_timeline(
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
-    use crate::report::{LatencyHistogram, WindowStats};
+    use crate::replica::{HealthEvent, HealthEventKind, HealthSpec};
+    use crate::report::WindowStats;
     use crate::shard::{run_sharded, EpochSignal, ShardConfig};
-    use crate::sim::{HealthEvent, HealthEventKind, HealthSpec};
     use crate::workload::{TenantSpec, Workload};
     use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
@@ -231,12 +231,6 @@ mod tests {
         assert_eq!(rejected, r.total_rejected);
         assert_eq!(completed, r.total_completed);
         assert_eq!(batches, r.batches);
-        // Window histograms merge to the overall distribution.
-        let mut merged = LatencyHistogram::new();
-        for w in &r.windows {
-            merged.merge(&w.histogram);
-        }
-        assert_eq!(merged, r.overall_histogram());
         // Windows tile [0, horizon) contiguously.
         for (i, w) in r.windows.iter().enumerate() {
             assert_eq!(w.index, i);
@@ -300,8 +294,6 @@ mod tests {
             .map(|w| EpochSignal {
                 t_ns: w.end_ns,
                 mean_queue_depth: w.mean_queue_depth,
-                slo_attainment: w.slo_attainment,
-                backlog: 0,
             })
             .collect();
         r.windows = windows;
@@ -325,7 +317,6 @@ mod tests {
             peak_queue_depth: depth.ceil() as u64,
             downtime_ns: 0,
             fairness_index: 1.0,
-            histogram: LatencyHistogram::new(),
         }
     }
 

@@ -81,15 +81,9 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// A steady (burst-free) tenant with weight 1. An infinite rate
-    /// would make arrival generation loop forever, so it is rejected here.
+    /// A steady (burst-free) tenant with weight 1.
     pub fn new(name: &str, deployment: Deployment, rate_rps: f64, slo_ns: u64) -> Self {
-        assert!(
-            rate_rps.is_finite() && rate_rps >= 0.0,
-            "rate_rps must be finite and >= 0, got {rate_rps}"
-        );
-        assert!(slo_ns > 0, "zero SLO");
-        TenantSpec {
+        let spec = TenantSpec {
             name: name.to_string(),
             deployment,
             rate_rps,
@@ -98,38 +92,71 @@ impl TenantSpec {
             weight: 1,
             ramp: None,
             alt_deployment: None,
-        }
+        };
+        spec.validate();
+        spec
     }
 
     /// Attach a periodic burst pattern.
     pub fn with_burst(mut self, burst: BurstSpec) -> Self {
-        assert!(burst.period_ns > 0 && burst.burst_ns <= burst.period_ns);
-        assert!(
-            burst.factor.is_finite() && burst.factor > 0.0,
-            "burst.factor must be finite and > 0, got {}",
-            burst.factor
-        );
         self.burst = Some(burst);
+        self.validate();
         self
     }
 
     /// Set the DRR fair-share weight (≥ 1).
     pub fn with_weight(mut self, weight: u64) -> Self {
-        assert!(weight >= 1, "zero weight");
         self.weight = weight;
+        self.validate();
         self
     }
 
     /// Attach a linear rate ramp (workload-mix drift).
     pub fn with_ramp(mut self, ramp: RampSpec) -> Self {
-        assert!(ramp.end_ns > ramp.start_ns, "empty ramp");
-        assert!(
-            ramp.to_factor.is_finite() && ramp.to_factor > 0.0,
-            "ramp.to_factor must be finite and > 0, got {}",
-            ramp.to_factor
-        );
         self.ramp = Some(ramp);
+        self.validate();
         self
+    }
+
+    /// Panics, naming the field, on traffic no run can serve. An infinite
+    /// rate or burst or ramp factor makes every arrival gap 0 (NaN at a
+    /// ramp's start), so arrival generation would never reach the
+    /// horizon. The fields are public, so every serving run checks each
+    /// tenant again before drawing arrivals.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.rate_rps.is_finite() && self.rate_rps >= 0.0,
+            "rate_rps must be finite and >= 0, got {}",
+            self.rate_rps
+        );
+        assert!(self.slo_ns > 0, "slo_ns must be > 0");
+        assert!(self.weight >= 1, "weight must be >= 1");
+        if let Some(b) = &self.burst {
+            assert!(
+                b.period_ns > 0 && b.burst_ns <= b.period_ns,
+                "burst.burst_ns ({}) must be at most burst.period_ns ({}), which must be > 0",
+                b.burst_ns,
+                b.period_ns
+            );
+            assert!(
+                b.factor.is_finite() && b.factor > 0.0,
+                "burst.factor must be finite and > 0, got {}",
+                b.factor
+            );
+        }
+        if let Some(r) = &self.ramp {
+            assert!(
+                r.end_ns > r.start_ns,
+                "ramp.end_ns ({}) must exceed ramp.start_ns ({})",
+                r.end_ns,
+                r.start_ns
+            );
+            assert!(
+                r.to_factor.is_finite() && r.to_factor > 0.0,
+                "ramp.to_factor must be finite and > 0, got {}",
+                r.to_factor
+            );
+        }
     }
 
     /// Attach an alternative strategy for online swap.

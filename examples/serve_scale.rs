@@ -112,13 +112,11 @@ fn main() {
     let scan1 = ShardConfig {
         shards: 1,
         replicas_per_shard: total_replicas,
-        mode: SelectMode::LinearScan,
         ..ShardConfig::default()
     };
     let heap8 = ShardConfig {
         shards: 8,
         replicas_per_shard: total_replicas / 8,
-        mode: SelectMode::Heap,
         ..ShardConfig::default()
     };
     println!(
@@ -129,7 +127,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let ref_report = run_sharded(&tenants, &wl, &scan1);
+    let ref_report = run_sharded_reference(&tenants, &wl, &scan1);
     let scan1_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
     let day = run_sharded(&tenants, &wl, &heap8);
