@@ -28,9 +28,11 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # The library crates' docs are part of their API contract: a doc link to
 # a renamed or deleted item fails here, and so does an unescaped bracket
-# (units and citations are written `\[nJ\]`, `\[19\]`).
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p autohet-obs -p autohet-rl -p autohet \
-  -p autohet-xbar -p autohet-accel -p autohet-dnn -p autohet-serve -p autohet-bench
+# (units and citations are written `\[nJ\]`, `\[19\]`). Private items are
+# documented too, so the comments of private modules are checked as well.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items \
+  -p autohet-obs -p autohet-rl -p autohet -p autohet-xbar -p autohet-accel -p autohet-dnn \
+  -p autohet-serve -p autohet-bench
 
 # Observability smoke: the full dump pipeline must run end to end and
 # emit every artifact (CI uploads target/obs_smoke for inspection).
