@@ -50,10 +50,10 @@
 //!
 //! [`run_sharded`] runs the model on shard-local schedulers: tenants
 //! partition across shards with their own queues, clocks and replica
-//! tables (free times, outages, drift health), and all cross-shard coupling — work stealing,
-//! telemetry-driven replica autoscaling, online strategy swap on
-//! workload-mix drift — happens at deterministic epoch barriers, which
-//! also cut the per-window telemetry. One shard with `n` replicas is the
+//! tables (free times, outages, drift health), and all cross-shard
+//! coupling — work stealing, telemetry-driven replica autoscaling,
+//! online strategy swap on workload-mix drift — happens at deterministic
+//! epoch barriers, which also cut the per-window telemetry. One shard with `n` replicas is the
 //! classic single-queue-set deployment. The heap-mode scheduler, the
 //! linear-scan reference ([`run_sharded_reference`]), and the
 //! epoch-parallel driver ([`run_sharded_threaded`]) are bit-identical;

@@ -9,14 +9,14 @@
 //! (`gid % shards`). Each shard owns its tenants' arrival streams,
 //! queues, a deficit-round-robin ring of backlogged tenants, and a
 //! replica table: one row per local replica with its free time,
-//! retirement, outage schedule and drift health. A shard advances its own clock with an
-//! ingest-before-dispatch recurrence: arrivals at or before the next
-//! dispatch instant are admitted (or shed) first; then the earliest-free
-//! replica (ties: lowest id) takes one batch from the tenant deficit
-//! round-robin selects. A replica that is down fails over, a batch an
-//! outage interrupts is killed and its requests retried, and a completed
-//! batch feeds the replica's circuit breaker. With
-//! one tenant, DRR picks exactly the batch oldest-head FIFO would.
+//! retirement, outage schedule and drift health. A shard advances its
+//! own clock with an ingest-before-dispatch recurrence: arrivals at or
+//! before the next dispatch instant are admitted (or shed) first; then
+//! the earliest-free replica (ties: lowest id) takes one batch from the
+//! tenant deficit round-robin selects. A replica that is down fails
+//! over, a batch an outage interrupts is killed and its requests
+//! retried, and a completed batch feeds the replica's circuit breaker.
+//! With one tenant, DRR picks exactly the batch oldest-head FIFO would.
 //!
 //! The simulated horizon is cut into `epochs` equal windows. *Within* an
 //! epoch shards are fully independent — that is what makes the
@@ -1299,7 +1299,8 @@ impl<'a> ShardedSim<'a> {
             else {
                 return;
             };
-            let rid = self.shards[sid].replicas.last_active().unwrap();
+            let rid = (self.shards[sid].replicas.last_active())
+                .expect("a shard with two active replicas has a last one");
             self.shards[sid].replicas.retire(rid);
             self.total_active -= 1;
             self.cooldown = spec.cooldown_epochs;
