@@ -74,6 +74,8 @@ mod ready;
 mod replica;
 pub mod report;
 pub mod shard;
+#[cfg(test)]
+mod sim;
 pub mod telemetry;
 pub mod workload;
 
