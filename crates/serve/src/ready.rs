@@ -1,6 +1,6 @@
 //! The tenant ready-heap of the dispatch hot path.
 //!
-//! The original scheduler re-scanned every tenant on each event to find
+//! The linear-scan reference scans every tenant on each event to find
 //! the earliest dispatchable batch (O(tenants) per dispatch). The heap
 //! here replaces that scan at O(log n) per update, *without changing a
 //! single scheduling decision*: it pops exactly the minimum the linear

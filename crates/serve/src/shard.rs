@@ -2005,8 +2005,8 @@ mod tests {
         run_sharded(&tenants, &wl, &ShardConfig::default())
     }
 
-    // Before the run checked its tenants, each of these drew zero (or
-    // NaN) arrival gaps until memory ran out.
+    // Unchecked at run start, each of these would draw zero (or NaN)
+    // arrival gaps until memory ran out.
     #[test]
     #[should_panic(expected = "rate_rps must be finite and >= 0, got inf")]
     fn infinite_rate_set_on_a_built_tenant_is_rejected_up_front() {
