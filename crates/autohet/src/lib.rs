@@ -47,7 +47,8 @@
 //!   [`studies::serving_study`] — searched strategies behind the
 //!   `autohet-serve` multi-tenant queueing simulator.
 //! - [`telemetry`]: bridges from search histories to the `autohet-obs`
-//!   observability substrate (episode time series, metric mirroring).
+//!   observability substrate (episode time series, reward-stall
+//!   timelines, metric mirroring).
 
 pub mod ablation;
 pub mod env;
@@ -87,8 +88,8 @@ pub mod prelude {
     };
     pub use crate::search::random::{random_search, random_search_with_engine};
     pub use crate::search::rl::{
-        rl_search, rl_search_vec_tapped, rl_search_vec_with_stats, EpisodeRecord, RlSearchConfig,
-        SearchOutcome, SearchTap, SearchTiming, VecSearchStats,
+        rl_search, rl_search_vec_with_stats, EpisodeRecord, RlSearchConfig, SearchOutcome,
+        SearchTiming, VecSearchStats,
     };
     pub use crate::studies::{
         fault_campaign, lifetime_campaign, robustness_study, serving_study, FaultCampaignConfig,
@@ -97,8 +98,8 @@ pub mod prelude {
     };
     pub use crate::telemetry::{
         episode_series, front_series, publish_episode_history, publish_robust_search,
-        publish_vec_search, vec_occupancy_series, EpisodeStream, StallDetector, EPISODE_COLUMNS,
-        FRONT_COLUMNS, REWARD_STALL_RULE,
+        publish_vec_search, stall_timeline, vec_occupancy_series, EPISODE_COLUMNS, FRONT_COLUMNS,
+        REWARD_STALL_RULE,
     };
     pub use crate::vec_env::{VecEnv, VecEpisode};
     pub use autohet_accel::par_map;

@@ -12,7 +12,7 @@
 //! Timing of the two stages is instrumented because the paper reports that
 //! ~97% of search time is simulator feedback (§4.5).
 //!
-//! One driver, [`rl_search_vec_tapped`], runs this loop over `lanes`
+//! One driver, [`rl_search_vec_with_stats`], runs this loop over `lanes`
 //! lockstep episodes at a time; [`rl_search`] is that driver at one lane.
 
 use crate::env::AutoHetEnv;
@@ -210,37 +210,6 @@ pub struct VecSearchStats {
     pub mean_occupancy: f64,
 }
 
-/// Observation taps the vectorized driver feeds as it runs: a streaming
-/// per-episode exporter and/or a reward-stall detector. Both are fed
-/// right after each episode's [`EpisodeRecord`] is appended to the
-/// history and never read back, so a tapped search is bit-identical to an
-/// untapped one (property-tested in `tests/prop_obs.rs`); an empty tap
-/// costs two `Option` checks per episode.
-#[derive(Default)]
-pub struct SearchTap<'a> {
-    /// Streams every episode row as it is produced.
-    pub episodes: Option<&'a mut crate::telemetry::EpisodeStream>,
-    /// Watches the reward trajectory for stalls.
-    pub stall: Option<&'a mut crate::telemetry::StallDetector>,
-}
-
-impl SearchTap<'_> {
-    /// The no-op tap (what the untapped entry points use).
-    pub fn none() -> Self {
-        SearchTap::default()
-    }
-
-    #[inline]
-    fn feed(&mut self, record: &EpisodeRecord) {
-        if let Some(stream) = self.episodes.as_deref_mut() {
-            stream.push(record);
-        }
-        if let Some(stall) = self.stall.as_deref_mut() {
-            stall.observe(record.episode, record.reward);
-        }
-    }
-}
-
 /// The DDPG search with `lanes` lockstep exploration environments over
 /// one agent and an existing (possibly shared) evaluation engine, also
 /// returning throughput counters. Pareto sweeps and ablation stages with
@@ -283,30 +252,6 @@ pub fn rl_search_vec_with_stats(
     scfg: &RlSearchConfig,
     lanes: usize,
     engine: Arc<EvalEngine>,
-) -> (SearchOutcome, VecSearchStats) {
-    rl_search_vec_tapped(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        lanes,
-        engine,
-        &mut SearchTap::none(),
-    )
-}
-
-/// [`rl_search_vec_with_stats`] with observation taps attached (streaming
-/// episode export, reward-stall detection — see [`SearchTap`]). The taps
-/// observe the identical episode stream; the search result does not
-/// depend on them.
-pub fn rl_search_vec_tapped(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &RlSearchConfig,
-    lanes: usize,
-    engine: Arc<EvalEngine>,
-    tap: &mut SearchTap<'_>,
 ) -> (SearchOutcome, VecSearchStats) {
     let _span = autohet_obs::trace::span("search.rl_vec");
     assert!(lanes >= 1, "need at least one lane");
@@ -407,7 +352,6 @@ pub fn rl_search_vec_tapped(
                 energy_nj: ep.report.energy_nj(),
                 cache_hit_rate: hit,
             });
-            tap.feed(history.last().expect("just pushed"));
             if reward > best_reward {
                 best_reward = reward;
                 best = Some((ep.strategy, ep.report));
@@ -732,42 +676,5 @@ mod tests {
             outcome.best_rue(),
             homo.rue()
         );
-    }
-
-    #[test]
-    fn tapped_search_is_bit_identical_and_streams_every_episode() {
-        let m = zoo::micro_cnn();
-        let cands = paper_hybrid_candidates();
-        let cfg = AccelConfig::default();
-        let scfg = quick_cfg(13, 20);
-        let engine = || Arc::new(EvalEngine::new(m.clone(), cfg));
-        let (plain, plain_stats) = rl_search_vec_with_stats(&m, &cands, &cfg, &scfg, 4, engine());
-        let sink = autohet_obs::MemorySink::new();
-        let mut stream = crate::telemetry::EpisodeStream::new("ep", Box::new(sink.clone()));
-        let mut stall = crate::telemetry::StallDetector::new(5, 1e-12);
-        let mut tap = SearchTap {
-            episodes: Some(&mut stream),
-            stall: Some(&mut stall),
-        };
-        let (tapped, tapped_stats) =
-            rl_search_vec_tapped(&m, &cands, &cfg, &scfg, 4, engine(), &mut tap);
-        // Observation must not perturb the search.
-        assert_eq!(outcome_bits(&plain), outcome_bits(&tapped));
-        assert_eq!(plain.best_strategy, tapped.best_strategy);
-        assert_eq!(plain_stats.group_occupancy, tapped_stats.group_occupancy);
-        // One streamed row per episode, in episode order.
-        stream.flush();
-        assert_eq!(stream.rows_written(), 20);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 20);
-        assert!(lines[0].starts_with("{\"episode\":0,"));
-        assert!(lines[19].starts_with("{\"episode\":19,"));
-        // The stall detector saw the full reward trajectory.
-        let best = tapped
-            .history
-            .iter()
-            .map(|h| h.reward)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert_eq!(stall.best_reward(), best);
     }
 }

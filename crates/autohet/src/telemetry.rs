@@ -1,6 +1,7 @@
 //! Bridges from search trajectories to the `autohet-obs` substrate:
-//! per-episode histories as a [`Series`] table and search outcomes
-//! mirrored into a metrics [`Registry`].
+//! per-episode histories as a [`Series`] table or a reward-stall
+//! [`AlertTimeline`], and search outcomes mirrored into a metrics
+//! [`Registry`].
 //!
 //! Every search driver ([`rl_search`](crate::search::rl::rl_search),
 //! [`dqn_search`](crate::search::dqn::dqn_search),
@@ -12,7 +13,6 @@
 use crate::robust::{RobustPoint, RobustSearchOutcome};
 use crate::search::rl::{EpisodeRecord, SearchTiming, VecSearchStats};
 use autohet_obs::alert::{AlertEngine, AlertRule, AlertTimeline, ThresholdRule};
-use autohet_obs::export::{SeriesStream, Sink};
 use autohet_obs::{Registry, Series};
 
 /// Column schema of [`episode_series`] (name, unit), kept in one place so
@@ -78,113 +78,41 @@ pub fn publish_episode_history(
     c("train.steps", timing.train.steps);
 }
 
-/// Streaming twin of [`episode_series`]: writes each [`EpisodeRecord`]
-/// through a [`Sink`] as it is produced (schema per [`EPISODE_COLUMNS`]),
-/// so long campaigns leave a usable JSONL trace even if killed mid-run.
-/// Attachable to the vectorized DDPG driver via
-/// [`SearchTap`](crate::search::rl::SearchTap); purely observational —
-/// the search never reads anything back.
-pub struct EpisodeStream {
-    stream: SeriesStream,
-}
-
-impl EpisodeStream {
-    pub fn new(name: &str, sink: Box<dyn Sink>) -> Self {
-        let columns: Vec<&str> = EPISODE_COLUMNS.iter().map(|(c, _)| *c).collect();
-        EpisodeStream {
-            stream: SeriesStream::new(name, &columns, sink),
-        }
-    }
-
-    /// Write one episode row.
-    pub fn push(&mut self, e: &EpisodeRecord) {
-        self.stream.push(&[
-            e.episode as f64,
-            e.rue,
-            e.reward,
-            e.utilization,
-            e.energy_nj,
-            e.cache_hit_rate,
-        ]);
-    }
-
-    /// Rows written so far.
-    pub fn rows_written(&self) -> u64 {
-        self.stream.rows_written()
-    }
-
-    /// Flush the underlying sink.
-    pub fn flush(&mut self) {
-        self.stream.flush();
-    }
-}
-
-/// Name of the rule a [`StallDetector`] installs.
+/// Name of the rule [`stall_timeline`] installs.
 pub const REWARD_STALL_RULE: &str = "search.reward_stall";
 
-/// Reward-stall detector for search drivers, built on the shared alert
-/// engine: tracks the best reward seen and feeds the count of episodes
-/// since the last improvement through a threshold rule, so a stalled
-/// search surfaces on the same pending → firing → resolved timeline as
-/// serving alerts (timestamps are episode indices, not nanoseconds).
-/// Observation only — detecting a stall never changes the search.
-pub struct StallDetector {
-    engine: AlertEngine,
-    best_reward: f64,
-    since_improvement: u64,
-    /// Minimum relative reward improvement that resets the stall clock.
-    min_delta: f64,
-}
-
-impl StallDetector {
-    /// Fire after `patience` consecutive episodes without the best reward
-    /// improving by at least `min_delta` (absolute).
-    pub fn new(patience: u64, min_delta: f64) -> Self {
-        StallDetector {
-            engine: AlertEngine::new().with_rule(AlertRule::Threshold(
-                ThresholdRule::above(
-                    REWARD_STALL_RULE,
-                    "episodes_since_improvement",
-                    patience as f64 - 0.5,
-                )
-                .clear_samples(1),
-            )),
-            best_reward: f64::NEG_INFINITY,
-            since_improvement: 0,
-            min_delta,
-        }
-    }
-
-    /// Observe one episode's reward (episode indices must be fed in
-    /// order; they become the timeline's timestamps).
-    pub fn observe(&mut self, episode: usize, reward: f64) {
-        if reward > self.best_reward + self.min_delta {
-            self.best_reward = reward;
-            self.since_improvement = 0;
+/// Reward-stall timeline of a finished search, on the shared alert
+/// engine: counts the episodes since the best reward last rose by more
+/// than `min_delta` (absolute) and feeds that count through a threshold
+/// rule that fires once it reaches `patience`, so a stalled search shows
+/// the same pending → firing → resolved timeline as serving alerts.
+/// Timestamps are episode indices, not nanoseconds. Like
+/// [`alert_timeline`](autohet_serve::alert_timeline), it is a pass over a
+/// finished result and never changes the search.
+pub fn stall_timeline(history: &[EpisodeRecord], patience: u64, min_delta: f64) -> AlertTimeline {
+    let mut engine = AlertEngine::new().with_rule(AlertRule::Threshold(
+        ThresholdRule::above(
+            REWARD_STALL_RULE,
+            "episodes_since_improvement",
+            patience as f64 - 0.5,
+        )
+        .clear_samples(1),
+    ));
+    let mut best_reward = f64::NEG_INFINITY;
+    let mut since_improvement = 0u64;
+    for e in history {
+        if e.reward > best_reward + min_delta {
+            best_reward = e.reward;
+            since_improvement = 0;
         } else {
-            self.since_improvement += 1;
+            since_improvement += 1;
         }
-        self.engine.observe(
-            episode as u64,
-            &[("episodes_since_improvement", self.since_improvement as f64)],
+        engine.observe(
+            e.episode as u64,
+            &[("episodes_since_improvement", since_improvement as f64)],
         );
     }
-
-    /// Whether the stall rule is currently firing.
-    pub fn is_stalled(&self) -> bool {
-        self.engine.is_firing(REWARD_STALL_RULE)
-    }
-
-    /// Best reward observed so far (−∞ before any observation).
-    pub fn best_reward(&self) -> f64 {
-        self.best_reward
-    }
-
-    /// Consume the detector into its alert timeline (timestamps are
-    /// episode indices).
-    pub fn finish(self) -> AlertTimeline {
-        self.engine.finish()
-    }
+    engine.finish()
 }
 
 /// Column schema of [`vec_occupancy_series`] (name, unit).
@@ -417,42 +345,26 @@ mod tests {
         assert!(!text.contains("best_rue"));
     }
 
-    #[test]
-    fn episode_stream_mirrors_the_series_schema() {
-        let sink = autohet_obs::MemorySink::new();
-        let mut stream = EpisodeStream::new("ep", Box::new(sink.clone()));
-        for e in history() {
-            stream.push(&e);
-        }
-        stream.flush();
-        assert_eq!(stream.rows_written(), 4);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 4);
-        // Same rows the batch exporter would produce, keyed by column.
-        assert!(lines[0].starts_with("{\"episode\":0,\"rue\":0.1,\"reward\":0,"));
-        for (name, _) in EPISODE_COLUMNS {
-            assert!(lines[0].contains(&format!("\"{name}\":")), "{name}");
-        }
+    /// A history whose episodes earn `rewards`, in order.
+    fn rewarded(rewards: &[f64]) -> Vec<EpisodeRecord> {
+        rewards
+            .iter()
+            .enumerate()
+            .map(|(episode, &reward)| EpisodeRecord {
+                episode,
+                reward,
+                ..history()[0]
+            })
+            .collect()
     }
 
     #[test]
     fn stall_detector_fires_after_patience_and_resolves_on_improvement() {
-        let mut d = StallDetector::new(3, 1e-9);
-        // Improving rewards: no stall.
-        d.observe(0, 1.0);
-        d.observe(1, 2.0);
-        assert!(!d.is_stalled());
-        // Flat rewards: stalls on the 3rd non-improving episode.
-        d.observe(2, 2.0);
-        d.observe(3, 2.0);
-        assert!(!d.is_stalled());
-        d.observe(4, 2.0);
-        assert!(d.is_stalled());
-        // A breakthrough resolves the stall.
-        d.observe(5, 3.0);
-        assert!(!d.is_stalled());
-        assert_eq!(d.best_reward(), 3.0);
-        let t = d.finish();
+        let h = rewarded(&[1.0, 2.0, 2.0, 2.0, 2.0, 3.0]);
+        // Improving rewards, then two flat ones: no stall yet.
+        assert!(stall_timeline(&h[..4], 3, 1e-9).events.is_empty());
+        // The 3rd non-improving episode fires; a breakthrough resolves it.
+        let t = stall_timeline(&h, 3, 1e-9);
         let stall = t.for_rule(REWARD_STALL_RULE);
         let kinds: Vec<&str> = stall.iter().map(|e| e.kind.label()).collect();
         assert_eq!(kinds, ["firing", "resolved"]);
@@ -462,13 +374,7 @@ mod tests {
 
     #[test]
     fn stall_detector_is_deterministic() {
-        let run = || {
-            let mut d = StallDetector::new(2, 0.0);
-            for (i, r) in [1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0].iter().enumerate() {
-                d.observe(i, *r);
-            }
-            d.finish()
-        };
-        assert_eq!(run(), run());
+        let h = rewarded(&[1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0]);
+        assert_eq!(stall_timeline(&h, 2, 0.0), stall_timeline(&h, 2, 0.0));
     }
 }

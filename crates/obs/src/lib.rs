@@ -17,9 +17,6 @@
 //! - [`alert`]: a deterministic alert engine — threshold and multi-window
 //!   SLO burn-rate rules with a pending → firing → resolved state machine,
 //!   evaluated on simulated time so alert timelines are bit-reproducible.
-//! - [`export`]: streaming sinks (bounded-buffer JSONL file, in-memory)
-//!   and a schema-carrying row stream, so long campaigns flush telemetry
-//!   incrementally instead of only at end of run.
 //! - [`regress`]: a perf-regression sentinel over the `BENCH_*.json`
 //!   min-of-N snapshots, with a noise-aware threshold and a JSONL verdict
 //!   artifact for CI.
@@ -43,7 +40,6 @@
 //! This crate deliberately has **no dependencies** (std only).
 
 pub mod alert;
-pub mod export;
 pub mod metrics;
 pub mod regress;
 pub mod series;
@@ -53,7 +49,6 @@ pub use alert::{
     AlertEngine, AlertEvent, AlertKind, AlertRule, AlertTimeline, BurnRateRule, Comparison,
     ThresholdRule,
 };
-pub use export::{JsonlFileSink, MemorySink, SeriesStream, Sink};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Registry, SnapshotValue};
 pub use regress::{
     compare, parse_snapshot, BenchSnapshot, RegressConfig, RegressReport, RegressRow, Verdict,

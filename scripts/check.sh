@@ -41,8 +41,19 @@ for f in trace.jsonl trace.collapsed metrics.txt metrics.jsonl \
          search_episodes.csv search_episodes.jsonl \
          vec_groups.csv vec_groups.jsonl \
          serving_windows.csv serving_windows.jsonl \
-         alerts.jsonl alerts.csv stream_episodes.jsonl; do
+         alerts.jsonl alerts.csv vec_episodes.jsonl; do
   [ -s "target/obs_smoke/$f" ] || { echo "missing obs artifact: $f" >&2; exit 1; }
+done
+# Every seeded artifact must repeat byte for byte in a second run. trace.*
+# and metrics.* hold wall-clock values (span times, episodes/s), so they
+# stay out of the comparison.
+cargo run --release -p autohet --example obs_dump -- --smoke --alerts --out target/obs_smoke_again
+for f in search_episodes.csv search_episodes.jsonl \
+         vec_groups.csv vec_groups.jsonl \
+         serving_windows.csv serving_windows.jsonl \
+         alerts.jsonl alerts.csv vec_episodes.jsonl; do
+  cmp "target/obs_smoke/$f" "target/obs_smoke_again/$f" \
+    || { echo "obs smoke: $f differs between two seeded runs" >&2; exit 1; }
 done
 # The alert timeline must exercise the full state machine: the engineered
 # overload has to both fire and later resolve on simulated time.

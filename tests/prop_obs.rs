@@ -188,45 +188,3 @@ proptest! {
         prop_assert!(t1.events.windows(2).all(|p| p[0].t_ns <= p[1].t_ns));
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    // Tapping the vectorized search — streaming every episode row through
-    // a sink and feeding a reward-stall detector — must not change a bit
-    // of the outcome, and must stream exactly one row per episode.
-    #[test]
-    fn tapped_vec_search_is_bit_identical(seed in 0u64..1_000) {
-        let model = small_model();
-        let cfg = AccelConfig::default().with_tile_sharing();
-        let cands = paper_hybrid_candidates();
-        let scfg = RlSearchConfig {
-            episodes: 8,
-            ddpg: DdpgConfig {
-                seed,
-                hidden: 16,
-                batch: 16,
-                ..DdpgConfig::default()
-            },
-            train_steps: 2,
-            ..RlSearchConfig::default()
-        };
-        let lanes = 2;
-        let engine = || std::sync::Arc::new(EvalEngine::new(model.clone(), cfg));
-        let (plain, _) = rl_search_vec_with_stats(&model, &cands, &cfg, &scfg, lanes, engine());
-        let sink = autohet_obs::MemorySink::new();
-        let mut stream = EpisodeStream::new("prop", Box::new(sink.clone()));
-        let mut stall = StallDetector::new(3, 1e-9);
-        let mut tap = SearchTap {
-            episodes: Some(&mut stream),
-            stall: Some(&mut stall),
-        };
-        let (tapped, _) =
-            rl_search_vec_tapped(&model, &cands, &cfg, &scfg, lanes, engine(), &mut tap);
-        prop_assert_eq!(plain.best_strategy, tapped.best_strategy);
-        prop_assert_eq!(plain.best_report, tapped.best_report);
-        prop_assert_eq!(&plain.history, &tapped.history);
-        stream.flush();
-        prop_assert_eq!(sink.lines().len(), plain.history.len());
-    }
-}
