@@ -33,8 +33,8 @@ pub struct FailureSpec {
 
 impl FailureSpec {
     pub(crate) fn validate(&self) {
-        assert!(self.mtbf_ns > 0, "zero MTBF");
-        assert!(self.mttr_ns > 0, "zero MTTR");
+        assert!(self.mtbf_ns > 0, "failures.mtbf_ns must be > 0, got 0");
+        assert!(self.mttr_ns > 0, "failures.mttr_ns must be > 0, got 0");
     }
 }
 

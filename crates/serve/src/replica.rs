@@ -107,13 +107,19 @@ impl HealthSpec {
     pub(crate) fn validate(&self) {
         assert!(
             (1..=1000).contains(&self.ewma_alpha_milli),
-            "EWMA weight must be in 1..=1000 milli"
+            "health.ewma_alpha_milli must be in 1..=1000, got {}",
+            self.ewma_alpha_milli
         );
         assert!(
             self.recal_success_milli <= 1000,
-            "success probability above 1"
+            "health.recal_success_milli must be <= 1000, got {}",
+            self.recal_success_milli
         );
-        assert!(self.err_cap_ppm <= 1_000_000, "error cap above 1");
+        assert!(
+            self.err_cap_ppm <= 1_000_000,
+            "health.err_cap_ppm must be <= 1000000, got {}",
+            self.err_cap_ppm
+        );
     }
 }
 

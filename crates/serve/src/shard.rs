@@ -258,11 +258,14 @@ impl ShardConfig {
     /// Panics on a configuration no run over `horizon_ns` can honour,
     /// before any simulation starts.
     fn validate(&self, horizon_ns: u64) {
-        assert!(self.shards >= 1, "at least one shard");
-        assert!(self.replicas_per_shard >= 1, "at least one replica/shard");
-        assert!(self.max_batch >= 1, "zero max_batch");
-        assert!(self.queue_depth >= 1, "zero queue_depth");
-        assert!(self.epochs >= 1, "at least one epoch");
+        assert!(self.shards >= 1, "shards must be >= 1, got 0");
+        assert!(
+            self.replicas_per_shard >= 1,
+            "replicas_per_shard must be >= 1, got 0"
+        );
+        assert!(self.max_batch >= 1, "max_batch must be >= 1, got 0");
+        assert!(self.queue_depth >= 1, "queue_depth must be >= 1, got 0");
+        assert!(self.epochs >= 1, "epochs must be >= 1, got 0");
         assert!(
             self.epochs as u64 <= horizon_ns,
             "epochs ({}) exceed horizon_ns ({horizon_ns}): every epoch needs at least 1 ns",
@@ -1993,6 +1996,71 @@ mod tests {
         }));
     }
 
+    #[test]
+    fn every_config_check_names_its_field() {
+        let edited = |edit: fn(&mut ShardConfig)| {
+            let mut cfg = ShardConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let failures = |mtbf_ns, mttr_ns| ShardConfig {
+            failures: Some(FailureSpec {
+                mtbf_ns,
+                mttr_ns,
+                seed: 1,
+            }),
+            ..ShardConfig::default()
+        };
+        let health = |edit: fn(&mut HealthSpec)| {
+            let mut h = HealthSpec::default();
+            edit(&mut h);
+            ShardConfig {
+                health: Some(h),
+                ..ShardConfig::default()
+            }
+        };
+        let cases = [
+            (edited(|c| c.shards = 0), "shards must be >= 1, got 0"),
+            (
+                edited(|c| c.replicas_per_shard = 0),
+                "replicas_per_shard must be >= 1, got 0",
+            ),
+            (edited(|c| c.max_batch = 0), "max_batch must be >= 1, got 0"),
+            (
+                edited(|c| c.queue_depth = 0),
+                "queue_depth must be >= 1, got 0",
+            ),
+            (edited(|c| c.epochs = 0), "epochs must be >= 1, got 0"),
+            (failures(0, 1), "failures.mtbf_ns must be > 0, got 0"),
+            (failures(1, 0), "failures.mttr_ns must be > 0, got 0"),
+            (
+                health(|h| h.ewma_alpha_milli = 0),
+                "health.ewma_alpha_milli must be in 1..=1000, got 0",
+            ),
+            (
+                health(|h| h.ewma_alpha_milli = 1001),
+                "health.ewma_alpha_milli must be in 1..=1000, got 1001",
+            ),
+            (
+                health(|h| h.recal_success_milli = 1001),
+                "health.recal_success_milli must be <= 1000, got 1001",
+            ),
+            (
+                health(|h| h.err_cap_ppm = 1_000_001),
+                "health.err_cap_ppm must be <= 1000000, got 1000001",
+            ),
+        ];
+        for (bad, expected) in cases {
+            let err = std::panic::catch_unwind(|| run_with(bad)).expect_err(expected);
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "{msg:?} does not name {expected:?}");
+        }
+    }
+
     /// `run_sharded` over `fleet(2)` after `edit` changed tenant 0: the
     /// traffic fields are public, so a run must check them again.
     fn run_edited(edit: impl FnOnce(&mut TenantSpec)) -> ShardServingReport {
@@ -2052,6 +2120,19 @@ mod tests {
                 ..AutoscaleSpec::default()
             })
         });
+        for (ewma_alpha_milli, recal_success_milli, err_cap_ppm) in
+            [(1, 1000, 1_000_000), (1000, 1000, 1_000_000)]
+        {
+            run_with(ShardConfig {
+                health: Some(HealthSpec {
+                    ewma_alpha_milli,
+                    recal_success_milli,
+                    err_cap_ppm,
+                    ..HealthSpec::default()
+                }),
+                ..ShardConfig::default()
+            });
+        }
     }
 
     #[test]
