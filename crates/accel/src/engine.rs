@@ -57,7 +57,7 @@ struct LayerSlice {
 const STRATEGY_CAPACITY: usize = 512;
 
 /// Bounded strategy → report map with insertion-order (FIFO) eviction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct StrategyCache {
     map: HashMap<Vec<XbarShape>, EvalReport>,
     order: VecDeque<Vec<XbarShape>>,
@@ -316,12 +316,6 @@ impl EvalEngine {
         self
     }
 
-    /// The noise-evaluation configuration, if enabled via
-    /// [`EvalEngine::with_noise`].
-    pub fn noise_config(&self) -> Option<&NoiseEvalConfig> {
-        self.noise.as_ref().map(|n| &n.cfg)
-    }
-
     /// This engine with lifetime-degradation evaluation enabled:
     /// [`EvalEngine::evaluate_degraded`] becomes available, memoizing
     /// per-epoch noise slices beside the static noise cache.
@@ -331,12 +325,6 @@ impl EvalEngine {
             memo: Mutex::new(HashMap::new()),
         });
         self
-    }
-
-    /// The drift-evaluation configuration, if enabled via
-    /// [`EvalEngine::with_drift`].
-    pub fn drift_config(&self) -> Option<&DriftEvalConfig> {
-        self.drift.as_ref().map(|d| &d.cfg)
     }
 
     /// The model this engine evaluates.
@@ -382,20 +370,6 @@ impl EvalEngine {
             noise_slices: self.noise_slices.load(Ordering::Relaxed),
             device_draws: self.device_draws.load(Ordering::Relaxed),
             readout_tables: self.readout_tables.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drop all cached entries (counters are kept).
-    pub fn clear(&self) {
-        self.layers.lock().clear();
-        let mut s = self.strategies.lock();
-        s.map.clear();
-        s.order.clear();
-        if let Some(n) = &self.noise {
-            n.memo.lock().clear();
-        }
-        if let Some(d) = &self.drift {
-            d.memo.lock().clear();
         }
     }
 
@@ -690,34 +664,6 @@ impl EvalEngine {
     }
 }
 
-impl Clone for EvalEngine {
-    /// Deep clone: the new engine starts with a copy of the current cache
-    /// contents and counter values, then diverges independently.
-    fn clone(&self) -> Self {
-        EvalEngine {
-            model: self.model.clone(),
-            cfg: self.cfg,
-            layers: Mutex::new(self.layers.lock().clone()),
-            strategies: Mutex::new(self.strategies.lock().clone()),
-            strategy_hits: AtomicU64::new(self.strategy_hits.load(Ordering::Relaxed)),
-            strategy_misses: AtomicU64::new(self.strategy_misses.load(Ordering::Relaxed)),
-            layer_hits: AtomicU64::new(self.layer_hits.load(Ordering::Relaxed)),
-            layer_misses: AtomicU64::new(self.layer_misses.load(Ordering::Relaxed)),
-            noise_slices: AtomicU64::new(self.noise_slices.load(Ordering::Relaxed)),
-            device_draws: AtomicU64::new(self.device_draws.load(Ordering::Relaxed)),
-            readout_tables: AtomicU64::new(self.readout_tables.load(Ordering::Relaxed)),
-            noise: self.noise.as_ref().map(|n| NoiseState {
-                cfg: n.cfg,
-                memo: Mutex::new(n.memo.lock().clone()),
-            }),
-            drift: self.drift.as_ref().map(|d| DriftState {
-                cfg: d.cfg,
-                memo: Mutex::new(d.memo.lock().clone()),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,28 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_drops_caches_but_stays_correct() {
-        let m = zoo::micro_cnn();
-        let cfg = AccelConfig::default().with_tile_sharing();
-        let engine = EvalEngine::new(m.clone(), cfg);
-        let s = rotating_strategy(&m, 1);
-        let before = engine.evaluate(&s);
-        engine.clear();
-        assert_eq!(engine.evaluate(&s), before);
-    }
-
-    #[test]
-    fn cloned_engine_diverges_independently() {
-        let m = zoo::micro_cnn();
-        let engine = EvalEngine::new(m.clone(), AccelConfig::default());
-        engine.evaluate(&rotating_strategy(&m, 0));
-        let fork = engine.clone();
-        assert_eq!(fork.stats(), engine.stats());
-        fork.evaluate(&rotating_strategy(&m, 0)); // hit from copied cache
-        assert_eq!(fork.stats().strategy_hits, engine.stats().strategy_hits + 1);
-    }
-
-    #[test]
     fn ideal_faults_reproduce_the_healthy_evaluation_bit_for_bit() {
         let m = zoo::alexnet();
         for cfg in [
@@ -925,9 +849,7 @@ mod tests {
         assert_eq!(a.robustness.per_layer.len(), m.layers.len());
         assert!(a.robustness.mean_dev > 0.0);
         assert!(a.robustness.accuracy_proxy <= 1.0);
-        // Memoized slices survive a clone and evaluation-order changes.
-        let fork = engine.clone();
-        assert_eq!(fork.evaluate_noisy(&s), a);
+        // Memoized slices do not depend on evaluation order.
         let other = rotating_strategy(&m, 1);
         let engine2 = EvalEngine::new(m.clone(), AccelConfig::default())
             .with_noise(NoiseEvalConfig::default());
@@ -1008,16 +930,10 @@ mod tests {
         let a = engine.evaluate_degraded(&s, 3000.0, RecoveryPolicy::FullCascade);
         let b = engine.evaluate_degraded(&s, 3000.0, RecoveryPolicy::FullCascade);
         assert_eq!(a, b);
-        // Memoized epoch slices survive a clone and a cache clear stays
-        // correct.
-        let fork = engine.clone();
+        // A cold engine computes the same epoch slices afresh.
+        let cold = drift_engine(&m, AccelConfig::default());
         assert_eq!(
-            fork.evaluate_degraded(&s, 3000.0, RecoveryPolicy::FullCascade),
-            a
-        );
-        engine.clear();
-        assert_eq!(
-            engine.evaluate_degraded(&s, 3000.0, RecoveryPolicy::FullCascade),
+            cold.evaluate_degraded(&s, 3000.0, RecoveryPolicy::FullCascade),
             a
         );
     }

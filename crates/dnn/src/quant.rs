@@ -61,11 +61,6 @@ impl Quantizer {
         q as f32 * self.scale
     }
 
-    /// Quantize a whole tensor into a flat integer vector (row-major).
-    pub fn quantize_tensor(&self, t: &Tensor) -> Vec<i32> {
-        t.data().iter().map(|&x| self.quantize(x)).collect()
-    }
-
     /// Largest absolute quantization error for values inside the fitted
     /// range: half a step.
     pub fn max_error(&self) -> f32 {

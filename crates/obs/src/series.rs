@@ -90,30 +90,6 @@ impl Series {
         out
     }
 
-    /// The trailing `n` rows as a new series with the same name and
-    /// schema — the windowed view alert rules evaluate over. Returns all
-    /// rows when `n ≥ len`.
-    pub fn tail(&self, n: usize) -> Series {
-        let start = self.rows.len().saturating_sub(n);
-        Series {
-            name: self.name.clone(),
-            columns: self.columns.clone(),
-            rows: self.rows[start..].to_vec(),
-        }
-    }
-
-    /// Append all rows of `other` to this series. Panics unless the
-    /// column schemas (names **and** units) match exactly — merging
-    /// mismatched tables silently would corrupt exports.
-    pub fn merge(&mut self, other: &Series) {
-        assert_eq!(
-            self.columns, other.columns,
-            "series {:?}: cannot merge {:?} with a different column schema",
-            self.name, other.name
-        );
-        self.rows.extend(other.rows.iter().cloned());
-    }
-
     /// JSON Lines export: one object per row keyed by column name, with
     /// non-finite cells rendered as `null`.
     pub fn to_jsonl(&self) -> String {
@@ -164,42 +140,5 @@ mod tests {
     fn schema_mismatch_panics() {
         let mut s = Series::new("bad", &[("a", ""), ("b", "")]);
         s.push(vec![1.0]);
-    }
-
-    #[test]
-    fn tail_returns_trailing_window() {
-        let mut s = Series::new("t", &[("x", "")]);
-        for i in 0..5 {
-            s.push(vec![i as f64]);
-        }
-        let last2 = s.tail(2);
-        assert_eq!(last2.rows, vec![vec![3.0], vec![4.0]]);
-        assert_eq!(last2.name, "t");
-        assert_eq!(last2.columns, s.columns);
-        // n past the length returns everything; n = 0 returns nothing.
-        assert_eq!(s.tail(99).rows.len(), 5);
-        assert!(s.tail(0).is_empty());
-    }
-
-    #[test]
-    fn merge_appends_schema_matched_rows() {
-        let mut a = Series::new("a", &[("t", "ns"), ("v", "")]);
-        a.push(vec![1.0, 10.0]);
-        let mut b = Series::new("b", &[("t", "ns"), ("v", "")]);
-        b.push(vec![2.0, 20.0]);
-        b.push(vec![3.0, 30.0]);
-        a.merge(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.rows[2], vec![3.0, 30.0]);
-        // The source series is untouched.
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different column schema")]
-    fn merge_rejects_unit_mismatch() {
-        let mut a = Series::new("a", &[("t", "ns")]);
-        let b = Series::new("b", &[("t", "ms")]);
-        a.merge(&b);
     }
 }

@@ -91,11 +91,6 @@ impl Tracer {
         self.enabled.store(false, Ordering::Release);
     }
 
-    /// Whether spans are currently being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Number of events evicted because the ring buffer was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)

@@ -69,12 +69,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Mutable element access.
-    #[inline]
-    pub fn get_mut(&mut self, r: usize, c: usize) -> &mut f64 {
-        &mut self.data[r * self.cols + c]
-    }
-
     /// Flat data view (for optimizers / soft updates).
     pub fn data(&self) -> &[f64] {
         &self.data
