@@ -1,6 +1,6 @@
 //! Lockstep vectorized environments for the batched DDPG search.
 //!
-//! [`VecEnv`] steps `lanes` copies of one [`AutoHetEnv`] in lockstep: at
+//! [`VecEnv`] steps `lanes` episodes of one [`AutoHetEnv`] in lockstep: at
 //! layer step `k` it stacks every active lane's 10-dim state into one
 //! feature-major buffer (so the agent can run a single batched actor GEMM
 //! across the group), applies the returned per-lane actions, and at the
@@ -36,10 +36,10 @@ pub struct VecEpisode {
     pub actions: Vec<f64>,
 }
 
-/// `lanes` lockstep copies of one environment over a shared engine.
+/// `lanes` lockstep episodes of one environment over a shared engine.
 #[derive(Debug, Clone)]
 pub struct VecEnv {
-    envs: Vec<AutoHetEnv>,
+    env: AutoHetEnv,
     active: usize,
     prev_a: Vec<f64>,
     prev_u: Vec<f64>,
@@ -48,13 +48,14 @@ pub struct VecEnv {
 }
 
 impl VecEnv {
-    /// Clone `env` into `lanes` lockstep copies. Clones share the
-    /// `Arc<EvalEngine>` memo table, so a lane reuses what earlier lanes
+    /// Step `lanes` lockstep episodes of `env`. The environment is
+    /// immutable, so every lane reads the same one and the same
+    /// `Arc<EvalEngine>` memo table: a lane reuses what earlier lanes
     /// evaluated.
     pub fn new(env: &AutoHetEnv, lanes: usize) -> Self {
         assert!(lanes >= 1, "need at least one lane");
         VecEnv {
-            envs: vec![env.clone(); lanes],
+            env: env.clone(),
             active: 0,
             prev_a: vec![0.0; lanes],
             prev_u: vec![0.0; lanes],
@@ -65,27 +66,17 @@ impl VecEnv {
 
     /// Total lane count.
     pub fn lanes(&self) -> usize {
-        self.envs.len()
-    }
-
-    /// Lanes participating in the current group.
-    pub fn active(&self) -> usize {
-        self.active
+        self.prev_a.len()
     }
 
     /// Steps per episode.
     pub fn num_layers(&self) -> usize {
-        self.envs[0].num_layers()
-    }
-
-    /// The underlying (lane 0) environment.
-    pub fn env(&self) -> &AutoHetEnv {
-        &self.envs[0]
+        self.env.num_layers()
     }
 
     /// The shared evaluation engine.
     pub fn engine(&self) -> &Arc<EvalEngine> {
-        self.envs[0].engine()
+        self.env.engine()
     }
 
     /// Start a new lockstep group of `active ≤ lanes` episodes.
@@ -106,7 +97,7 @@ impl VecEnv {
     pub fn observe_step(&mut self, k: usize, out: &mut Vec<f64>) {
         out.clear();
         for l in 0..self.active {
-            let s = self.envs[l].state(k, self.prev_a[l], self.prev_u[l]);
+            let s = self.env.state(k, self.prev_a[l], self.prev_u[l]);
             out.extend_from_slice(&s);
             self.states[l].push(s);
         }
@@ -118,7 +109,7 @@ impl VecEnv {
         assert_eq!(actions.len(), self.active);
         for (l, &a) in actions.iter().enumerate() {
             self.prev_a[l] = a;
-            self.prev_u[l] = self.envs[l].layer_utilization(k, a);
+            self.prev_u[l] = self.env.layer_utilization(k, a);
             self.actions[l].push(a);
         }
     }
@@ -130,13 +121,13 @@ impl VecEnv {
     /// lane order with their state/action buffers moved out.
     pub fn finish(&mut self) -> Vec<VecEpisode> {
         let n = self.num_layers();
-        let env = &self.envs[0];
+        let env = &self.env;
         (0..self.active)
             .map(|l| {
                 assert_eq!(self.actions[l].len(), n, "finish before all steps");
                 let mut states = std::mem::take(&mut self.states[l]);
-                states.push(self.envs[l].state(n - 1, self.prev_a[l], self.prev_u[l]));
-                let strategy = self.envs[l].decode(&self.actions[l]);
+                states.push(env.state(n - 1, self.prev_a[l], self.prev_u[l]));
+                let strategy = env.decode(&self.actions[l]);
                 let report = env.evaluate_strategy(&strategy);
                 VecEpisode {
                     reward: env.reward(&report),
