@@ -35,6 +35,7 @@ use crate::robustness::{
 };
 use crate::tile_shared::{apply_tile_sharing, tile_counts};
 use autohet_dnn::Model;
+use autohet_obs::Metric;
 use autohet_xbar::energy::static_power;
 use autohet_xbar::fault::{FaultMap, FaultRates};
 use autohet_xbar::{area, XbarShape};
@@ -155,12 +156,11 @@ impl EngineStats {
     }
 
     /// Mirror these counters into `registry` under `prefix` (e.g.
-    /// `prefix = "engine"` publishes `engine.strategy_hits`, ...). Counters
-    /// are cumulative, so publish cumulative snapshots — not deltas.
-    pub fn publish(&self, registry: &autohet_obs::Registry, prefix: &str) {
-        let set = |name: &str, v: u64| {
-            let c = registry.counter(&format!("{prefix}.{name}"));
-            c.add(v.saturating_sub(c.get()));
+    /// `prefix = "engine"` publishes `engine.strategy_hits`, ...). A later
+    /// publish replaces the values.
+    pub fn publish(&self, registry: &mut autohet_obs::Registry, prefix: &str) {
+        let mut set = |name: &str, v: u64| {
+            registry.set(&format!("{prefix}.{name}"), Metric::Counter(v));
         };
         set("strategy_hits", self.strategy_hits);
         set("strategy_misses", self.strategy_misses);
@@ -1055,14 +1055,15 @@ mod tests {
             "strategy 1/4 hits (25.0%), layer 9/10 hits (90.0%)"
         );
         assert!((stats.combined_hit_rate() - 10.0 / 14.0).abs() < 1e-12);
-        let reg = autohet_obs::Registry::new();
-        stats.publish(&reg, "engine");
+        let mut reg = autohet_obs::Registry::new();
+        stats.publish(&mut reg, "engine");
         // Publishing the same cumulative snapshot twice is idempotent.
-        stats.publish(&reg, "engine");
-        assert_eq!(reg.counter("engine.strategy_hits").get(), 1);
-        assert_eq!(reg.counter("engine.layer_hits").get(), 9);
-        assert_eq!(reg.counter("engine.layer_misses").get(), 1);
-        assert_eq!(reg.counter("engine.readout_tables").get(), 0);
+        stats.publish(&mut reg, "engine");
+        let get = |name: &str| reg.get(&format!("engine.{name}")).cloned();
+        assert_eq!(get("strategy_hits"), Some(Metric::Counter(1)));
+        assert_eq!(get("layer_hits"), Some(Metric::Counter(9)));
+        assert_eq!(get("layer_misses"), Some(Metric::Counter(1)));
+        assert_eq!(get("readout_tables"), Some(Metric::Counter(0)));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::robust::{RobustPoint, RobustSearchOutcome};
 use crate::search::rl::{EpisodeRecord, SearchTiming, VecSearchStats};
 use autohet_obs::alert::{AlertEngine, AlertRule, AlertTimeline, ThresholdRule};
-use autohet_obs::{Registry, Series};
+use autohet_obs::{Metric, Registry, Series};
 
 /// Column schema of [`episode_series`] (name, unit), kept in one place so
 /// docs and exporters cannot drift apart.
@@ -53,24 +53,19 @@ pub fn episode_series(name: &str, history: &[EpisodeRecord]) -> Series {
 pub fn publish_episode_history(
     history: &[EpisodeRecord],
     timing: &SearchTiming,
-    registry: &Registry,
+    registry: &mut Registry,
     prefix: &str,
 ) {
-    registry
-        .counter(&format!("{prefix}.episodes"))
-        .add(history.len() as u64);
+    let mut set = |name: &str, value| registry.set(&format!("{prefix}.{name}"), value);
+    set("episodes", Metric::Counter(history.len() as u64));
     let best = history.iter().map(|e| e.rue).fold(f64::NAN, f64::max);
     if best.is_finite() {
-        registry
-            .gauge(&format!("{prefix}.best_rue_x1e6"))
-            .set((best * 1e6) as i64);
+        set("best_rue_x1e6", Metric::Gauge((best * 1e6) as i64));
     }
     if let Some(last) = history.last() {
-        registry
-            .gauge(&format!("{prefix}.last_rue_x1e6"))
-            .set((last.rue * 1e6) as i64);
+        set("last_rue_x1e6", Metric::Gauge((last.rue * 1e6) as i64));
     }
-    let c = |name: &str, v: u64| registry.counter(&format!("{prefix}.{name}")).add(v);
+    let mut c = |name: &str, v: u64| set(name, Metric::Counter(v));
     c("cache.strategy_hits", timing.cache.strategy_hits);
     c("cache.strategy_misses", timing.cache.strategy_misses);
     c("cache.layer_hits", timing.cache.layer_hits);
@@ -135,22 +130,19 @@ pub fn vec_occupancy_series(name: &str, stats: &VecSearchStats) -> Series {
 /// gauges for episodes/sec and mean occupancy (gauges are integers).
 /// Purely observational — publishing never feeds back into the search,
 /// preserving the bit-identity-when-enabled contract.
-pub fn publish_vec_search(stats: &VecSearchStats, registry: &Registry, prefix: &str) {
-    registry
-        .counter(&format!("{prefix}.episodes"))
-        .add(stats.episodes as u64);
-    registry
-        .counter(&format!("{prefix}.groups"))
-        .add(stats.groups as u64);
-    registry
-        .gauge(&format!("{prefix}.lanes"))
-        .set(stats.lanes as i64);
-    registry
-        .gauge(&format!("{prefix}.episodes_per_sec_x1000"))
-        .set((stats.episodes_per_sec * 1e3) as i64);
-    registry
-        .gauge(&format!("{prefix}.occupancy_x1000"))
-        .set((stats.mean_occupancy * 1e3) as i64);
+pub fn publish_vec_search(stats: &VecSearchStats, registry: &mut Registry, prefix: &str) {
+    let mut set = |name: &str, value| registry.set(&format!("{prefix}.{name}"), value);
+    set("episodes", Metric::Counter(stats.episodes as u64));
+    set("groups", Metric::Counter(stats.groups as u64));
+    set("lanes", Metric::Gauge(stats.lanes as i64));
+    set(
+        "episodes_per_sec_x1000",
+        Metric::Gauge((stats.episodes_per_sec * 1e3) as i64),
+    );
+    set(
+        "occupancy_x1000",
+        Metric::Gauge((stats.mean_occupancy * 1e3) as i64),
+    );
 }
 
 /// Column schema of [`front_series`] (name, unit).
@@ -184,25 +176,19 @@ pub fn front_series(name: &str, front: &[RobustPoint]) -> Series {
 /// evaluation/generation counters, a front-size gauge, and ×1e6-scaled
 /// gauges for the front's best noise deviation and best RUE (gauges are
 /// integers). Purely observational.
-pub fn publish_robust_search(outcome: &RobustSearchOutcome, registry: &Registry, prefix: &str) {
-    registry
-        .counter(&format!("{prefix}.evaluations"))
-        .add(outcome.evaluations);
-    registry
-        .counter(&format!("{prefix}.generations"))
-        .add(outcome.history.len() as u64);
-    registry
-        .gauge(&format!("{prefix}.front_size"))
-        .set(outcome.front.len() as i64);
+pub fn publish_robust_search(outcome: &RobustSearchOutcome, registry: &mut Registry, prefix: &str) {
+    let mut set = |name: &str, value| registry.set(&format!("{prefix}.{name}"), value);
+    set("evaluations", Metric::Counter(outcome.evaluations));
+    set("generations", Metric::Counter(outcome.history.len() as u64));
+    set("front_size", Metric::Gauge(outcome.front.len() as i64));
     if let Some(robust) = outcome.most_robust() {
-        registry
-            .gauge(&format!("{prefix}.best_noise_dev_x1e6"))
-            .set((robust.noise_dev * 1e6) as i64);
+        set(
+            "best_noise_dev_x1e6",
+            Metric::Gauge((robust.noise_dev * 1e6) as i64),
+        );
     }
     if let Some(best) = outcome.best_rue() {
-        registry
-            .gauge(&format!("{prefix}.best_rue_x1e6"))
-            .set((best.rue * 1e6) as i64);
+        set("best_rue_x1e6", Metric::Gauge((best.rue * 1e6) as i64));
     }
 }
 
@@ -236,19 +222,20 @@ mod tests {
 
     #[test]
     fn publish_mirrors_counts_and_best() {
-        let reg = Registry::new();
+        let mut reg = Registry::new();
         let mut timing = SearchTiming::default();
         timing.cache.strategy_hits = 3;
         timing.cache.layer_misses = 7;
         timing.train.steps = 24;
-        publish_episode_history(&history(), &timing, &reg, "search.ddpg");
-        assert_eq!(reg.counter("search.ddpg.episodes").get(), 4);
+        publish_episode_history(&history(), &timing, &mut reg, "search.ddpg");
+        let get = |name: &str| reg.get(&format!("search.ddpg.{name}")).cloned();
+        assert_eq!(get("episodes"), Some(Metric::Counter(4)));
         // Best RUE is 0.4 → 400_000 in the ×1e6 gauge.
-        assert_eq!(reg.gauge("search.ddpg.best_rue_x1e6").get(), 400_000);
-        assert_eq!(reg.gauge("search.ddpg.last_rue_x1e6").get(), 400_000);
-        assert_eq!(reg.counter("search.ddpg.cache.strategy_hits").get(), 3);
-        assert_eq!(reg.counter("search.ddpg.cache.layer_misses").get(), 7);
-        assert_eq!(reg.counter("search.ddpg.train.steps").get(), 24);
+        assert_eq!(get("best_rue_x1e6"), Some(Metric::Gauge(400_000)));
+        assert_eq!(get("last_rue_x1e6"), Some(Metric::Gauge(400_000)));
+        assert_eq!(get("cache.strategy_hits"), Some(Metric::Counter(3)));
+        assert_eq!(get("cache.layer_misses"), Some(Metric::Counter(7)));
+        assert_eq!(get("train.steps"), Some(Metric::Counter(24)));
     }
 
     fn vec_stats() -> VecSearchStats {
@@ -274,16 +261,29 @@ mod tests {
 
     #[test]
     fn publish_vec_search_mirrors_throughput() {
-        let reg = Registry::new();
-        publish_vec_search(&vec_stats(), &reg, "search.vec");
-        assert_eq!(reg.counter("search.vec.episodes").get(), 9);
-        assert_eq!(reg.counter("search.vec.groups").get(), 3);
-        assert_eq!(reg.gauge("search.vec.lanes").get(), 4);
-        assert_eq!(
-            reg.gauge("search.vec.episodes_per_sec_x1000").get(),
-            123_456
-        );
-        assert_eq!(reg.gauge("search.vec.occupancy_x1000").get(), 750);
+        let mut reg = Registry::new();
+        publish_vec_search(&vec_stats(), &mut reg, "search.vec");
+        let get = |name: &str| reg.get(&format!("search.vec.{name}")).cloned();
+        assert_eq!(get("episodes"), Some(Metric::Counter(9)));
+        assert_eq!(get("groups"), Some(Metric::Counter(3)));
+        assert_eq!(get("lanes"), Some(Metric::Gauge(4)));
+        assert_eq!(get("episodes_per_sec_x1000"), Some(Metric::Gauge(123_456)));
+        assert_eq!(get("occupancy_x1000"), Some(Metric::Gauge(750)));
+    }
+
+    #[test]
+    fn history_and_vec_stats_under_one_prefix_count_episodes_once() {
+        // A vectorized search publishes both its history and its stats
+        // under one prefix; the episode counter holds the run's count.
+        let mut reg = Registry::new();
+        let timing = SearchTiming::default();
+        publish_episode_history(&history(), &timing, &mut reg, "search.vec");
+        let stats = VecSearchStats {
+            episodes: 4,
+            ..vec_stats()
+        };
+        publish_vec_search(&stats, &mut reg, "search.vec");
+        assert_eq!(reg.get("search.vec.episodes"), Some(&Metric::Counter(4)));
     }
 
     fn front() -> Vec<RobustPoint> {
@@ -326,21 +326,22 @@ mod tests {
             ],
             evaluations: 40,
         };
-        let reg = Registry::new();
-        publish_robust_search(&outcome, &reg, "search.nsga");
-        assert_eq!(reg.counter("search.nsga.evaluations").get(), 40);
-        assert_eq!(reg.counter("search.nsga.generations").get(), 5);
-        assert_eq!(reg.gauge("search.nsga.front_size").get(), 3);
+        let mut reg = Registry::new();
+        publish_robust_search(&outcome, &mut reg, "search.nsga");
+        let get = |name: &str| reg.get(&format!("search.nsga.{name}")).cloned();
+        assert_eq!(get("evaluations"), Some(Metric::Counter(40)));
+        assert_eq!(get("generations"), Some(Metric::Counter(5)));
+        assert_eq!(get("front_size"), Some(Metric::Gauge(3)));
         // Most robust point: noise_dev 0.05/3 → 16_666 in the ×1e6 gauge.
-        assert_eq!(reg.gauge("search.nsga.best_noise_dev_x1e6").get(), 16_666);
-        assert_eq!(reg.gauge("search.nsga.best_rue_x1e6").get(), 60_000);
+        assert_eq!(get("best_noise_dev_x1e6"), Some(Metric::Gauge(16_666)));
+        assert_eq!(get("best_rue_x1e6"), Some(Metric::Gauge(60_000)));
     }
 
     #[test]
     fn empty_history_publishes_no_gauges() {
-        let reg = Registry::new();
-        publish_episode_history(&[], &SearchTiming::default(), &reg, "x");
-        assert_eq!(reg.counter("x.episodes").get(), 0);
+        let mut reg = Registry::new();
+        publish_episode_history(&[], &SearchTiming::default(), &mut reg, "x");
+        assert_eq!(reg.get("x.episodes"), Some(&Metric::Counter(0)));
         let text = reg.to_text();
         assert!(!text.contains("best_rue"));
     }

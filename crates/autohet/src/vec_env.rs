@@ -15,9 +15,8 @@
 //! DESIGN.md §10).
 
 use crate::env::AutoHetEnv;
-use autohet_accel::{EvalEngine, EvalReport};
+use autohet_accel::EvalReport;
 use autohet_xbar::XbarShape;
-use std::sync::Arc;
 
 /// One completed lane episode, handed back by [`VecEnv::finish`] in lane
 /// order. State buffers are moved out (not cloned) so the driver can feed
@@ -72,11 +71,6 @@ impl VecEnv {
     /// Steps per episode.
     pub fn num_layers(&self) -> usize {
         self.env.num_layers()
-    }
-
-    /// The shared evaluation engine.
-    pub fn engine(&self) -> &Arc<EvalEngine> {
-        self.env.engine()
     }
 
     /// Start a new lockstep group of `active ≤ lanes` episodes.
@@ -144,9 +138,10 @@ impl VecEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autohet_accel::AccelConfig;
+    use autohet_accel::{AccelConfig, EvalEngine};
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
+    use std::sync::Arc;
 
     fn env() -> AutoHetEnv {
         let m = zoo::micro_cnn();
@@ -176,10 +171,15 @@ mod tests {
 
     #[test]
     fn lanes_share_one_engine() {
+        // Every lane evaluates on the env's engine: one 4-lane group
+        // counts 4 strategy lookups there.
         let e = env();
-        let v = VecEnv::new(&e, 4);
-        assert!(Arc::ptr_eq(v.engine(), e.engine()));
+        let mut v = VecEnv::new(&e, 4);
         assert_eq!(v.lanes(), 4);
+        let before = e.engine().stats();
+        run_group(&mut v, 4, |l, k| (l as f64 * 0.17 + k as f64 * 0.05) % 1.0);
+        let delta = e.engine().stats().since(&before);
+        assert_eq!(delta.strategy_hits + delta.strategy_misses, 4);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! - [`trace`]: a span-based structured tracer — hierarchical scopes with
 //!   monotonic timestamps, recorded into a bounded ring buffer, exported
 //!   as JSONL or as collapsed stacks consumable by flamegraph tools.
-//! - [`metrics`]: a metrics registry unifying counters, gauges, and
-//!   log₂-binned histograms behind typed handles, with deterministic
-//!   (name-sorted) text and JSONL snapshots.
+//! - [`metrics`]: a name-sorted table of counters, gauges and log₂
+//!   histograms, written from finished outcomes and exported as
+//!   deterministic text and JSONL.
 //! - [`series`]: time-series tables (named, unit-annotated columns) with
 //!   CSV and JSONL export — the carrier for per-episode search traces and
 //!   per-window serving telemetry.
@@ -33,7 +33,7 @@
 //! ## Determinism
 //!
 //! Span timestamps are wall-clock (monotonic, process-relative) and so
-//! vary run to run; everything else — metric snapshots, series exports,
+//! vary run to run; everything else — metric tables, series exports,
 //! collapsed stacks — is deterministic given the same recorded values,
 //! because all exports iterate in name- or insertion-sorted order.
 //!
@@ -49,7 +49,7 @@ pub use alert::{
     AlertEngine, AlertEvent, AlertKind, AlertRule, AlertTimeline, BurnRateRule, Comparison,
     ThresholdRule,
 };
-pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot, Registry, SnapshotValue};
+pub use metrics::{Metric, Registry};
 pub use regress::{
     compare, parse_snapshot, BenchSnapshot, RegressConfig, RegressReport, RegressRow, Verdict,
 };

@@ -1,122 +1,27 @@
-//! Process-wide metrics registry.
+//! Metrics table of finished runs.
 //!
-//! A [`Registry`] hands out typed handles — [`Counter`], [`Gauge`],
-//! [`Histogram`] — keyed by name. Handles are cheap `Arc` clones over
-//! atomics, so instrumented code can stash them and update lock-free;
-//! the registry itself is only locked on registration and snapshot.
+//! A [`Registry`] maps names to [`Metric`] values. Publishers
+//! (`EngineStats::publish`, `publish_report`, ...) write it from a
+//! finished outcome, and writing a name again keeps the last value.
 //!
-//! Snapshots iterate metrics in name order, so [`Registry::to_text`] and
-//! [`Registry::to_jsonl`] are deterministic given the same recorded
-//! values. Histograms use the same log₂ binning as
-//! `autohet-serve`'s `LatencyHistogram` (bin `i` counts values in
-//! `[2^i, 2^(i+1))`, bin 0 also absorbing 0), so serving latency
-//! distributions can be mirrored into the registry without re-bucketing.
+//! [`Registry::to_text`] and [`Registry::to_jsonl`] iterate in name order,
+//! so exports are deterministic given the same values. A histogram holds
+//! the per-bin counts of `autohet-serve`'s `LatencyHistogram` as they are
+//! (bin `i` counts values in `[2^i, 2^(i+1))`, bin 0 also absorbing 0);
+//! this module only reads them, through one nearest-rank quantile rule.
 
 use crate::{json_escape, json_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::mem::discriminant;
 
-/// Number of power-of-two histogram bins (covers the full `u64` range).
-pub const HIST_BINS: usize = 64;
-
-/// Monotonically increasing counter.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Add `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins signed gauge.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Overwrite the gauge value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjust the gauge by `delta` (may be negative).
-    pub fn adjust(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Log₂-binned histogram handle: bin `i` counts values in
-/// `[2^i, 2^(i+1))` ns/units (bin 0 also absorbs 0).
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramCore>);
-
-struct HistogramCore {
-    bins: [AtomicU64; HIST_BINS],
-}
-
-/// Map a value to its log₂ bin (shared with the snapshot quantile).
-fn bin_of(value: u64) -> usize {
-    if value <= 1 {
-        0
-    } else {
-        (value.ilog2() as usize).min(HIST_BINS - 1)
-    }
-}
-
-impl Histogram {
-    /// Record one observation.
-    pub fn record(&self, value: u64) {
-        self.0.bins[bin_of(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total observations recorded.
-    pub fn count(&self) -> u64 {
-        self.0.bins.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Copy out the per-bin counts.
-    pub fn bins(&self) -> Vec<u64> {
-        self.0
-            .bins
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Nearest-rank quantile estimate: the upper bound of the bin holding
-    /// the rank-`q` observation (see [`quantile_from_bins`]).
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_bins(&self.bins(), q)
-    }
-
-    /// Add pre-binned counts (same log₂ binning) into this histogram —
-    /// how externally accumulated distributions (e.g. a serving run's
-    /// latency histogram) are mirrored into the registry without
-    /// re-recording every observation. Extra bins beyond [`HIST_BINS`]
-    /// are ignored.
-    pub fn merge_bins(&self, bins: &[u64]) {
-        for (slot, &c) in self.0.bins.iter().zip(bins) {
-            slot.fetch_add(c, Ordering::Relaxed);
-        }
-    }
+/// One metric's value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Metric {
+    Counter(u64),
+    Gauge(i64),
+    /// Per-bin counts of a log₂ histogram.
+    Histogram(Vec<u64>),
 }
 
 /// Nearest-rank quantile over log₂ bins, reporting the **upper bound** of
@@ -124,7 +29,7 @@ impl Histogram {
 /// estimate: true value ≤ reported value). Returns 0 for an empty
 /// histogram; `q` is clamped to `[0, 1]` and `q = 0` selects the first
 /// observation's bin.
-pub fn quantile_from_bins(bins: &[u64], q: f64) -> u64 {
+fn quantile_from_bins(bins: &[u64], q: f64) -> u64 {
     let total: u64 = bins.iter().sum();
     if total == 0 {
         return 0;
@@ -148,138 +53,51 @@ pub fn quantile_from_bins(bins: &[u64], q: f64) -> u64 {
     u64::MAX
 }
 
-/// One metric's value at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotValue {
-    Counter(u64),
-    Gauge(i64),
-    /// Per-bin counts of a log₂ histogram.
-    Histogram(Vec<u64>),
-}
-
-/// A named metric captured by [`Registry::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricSnapshot {
-    pub name: String,
-    pub value: SnapshotValue,
-}
-
-enum Slot {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-/// Named metric registry. `counter`/`gauge`/`histogram` register on
-/// first use and return the existing handle on subsequent calls with the
-/// same name; registering a name as two different kinds panics (it is a
-/// programming error, caught in tests).
+/// Named metric table, sorted by name. Writing a name as a different kind
+/// than before panics (it is a programming error, caught in tests).
+#[derive(Debug, Default)]
 pub struct Registry {
-    slots: Mutex<BTreeMap<String, Slot>>,
+    metrics: BTreeMap<String, Metric>,
 }
 
 impl Registry {
     pub fn new() -> Self {
-        Registry {
-            slots: Mutex::new(BTreeMap::new()),
-        }
+        Registry::default()
     }
 
-    /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = lock_ok(&self.slots);
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-        {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
+    /// Write `value` under `name`, replacing any earlier value.
+    pub fn set(&mut self, name: &str, value: Metric) {
+        if let Some(old) = self.metrics.get(name) {
+            assert!(
+                discriminant(old) == discriminant(&value),
+                "metric {name:?} already written with a different kind"
+            );
         }
+        self.metrics.insert(name.to_string(), value);
     }
 
-    /// Get or create the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = lock_ok(&self.slots);
-        match slots
-            .entry(name.to_string())
-            .or_insert_with(|| Slot::Gauge(Gauge(Arc::new(AtomicI64::new(0)))))
-        {
-            Slot::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut slots = lock_ok(&self.slots);
-        match slots.entry(name.to_string()).or_insert_with(|| {
-            Slot::Histogram(Histogram(Arc::new(HistogramCore {
-                bins: std::array::from_fn(|_| AtomicU64::new(0)),
-            })))
-        }) {
-            Slot::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
-    /// Reset every registered metric to zero **in place**. Entries are
-    /// not dropped, so typed handles held across a clear stay wired to
-    /// the live cores (and the names remain visible to snapshots): a
-    /// handle update after `clear` is observed, not lost on a detached
-    /// `Arc`.
-    pub fn clear(&self) {
-        for slot in lock_ok(&self.slots).values() {
-            match slot {
-                Slot::Counter(c) => c.0.store(0, Ordering::Relaxed),
-                Slot::Gauge(g) => g.0.store(0, Ordering::Relaxed),
-                Slot::Histogram(h) => {
-                    for bin in &h.0.bins {
-                        bin.store(0, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Capture every metric's current value, sorted by name.
-    pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        lock_ok(&self.slots)
-            .iter()
-            .map(|(name, slot)| MetricSnapshot {
-                name: name.clone(),
-                value: match slot {
-                    Slot::Counter(c) => SnapshotValue::Counter(c.get()),
-                    Slot::Gauge(g) => SnapshotValue::Gauge(g.get()),
-                    Slot::Histogram(h) => SnapshotValue::Histogram(h.bins()),
-                },
-            })
-            .collect()
+    /// The value last written under `name`.
+    pub fn get(&self, name: &str) -> Option<&Metric> {
+        self.metrics.get(name)
     }
 
     /// Human-readable `name value` lines; histograms render count and
     /// p50/p95/p99 bin upper bounds.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for m in self.snapshot() {
-            match &m.value {
-                SnapshotValue::Counter(v) => {
-                    let _ = writeln!(out, "{} {v}", m.name);
-                }
-                SnapshotValue::Gauge(v) => {
-                    let _ = writeln!(out, "{} {v}", m.name);
-                }
-                SnapshotValue::Histogram(bins) => {
-                    let count: u64 = bins.iter().sum();
-                    let _ = writeln!(
-                        out,
-                        "{} count={count} p50<={} p95<={} p99<={}",
-                        m.name,
-                        quantile_from_bins(bins, 0.50),
-                        quantile_from_bins(bins, 0.95),
-                        quantile_from_bins(bins, 0.99),
-                    );
-                }
-            }
+        for (name, metric) in &self.metrics {
+            let _ = match metric {
+                Metric::Counter(v) => writeln!(out, "{name} {v}"),
+                Metric::Gauge(v) => writeln!(out, "{name} {v}"),
+                Metric::Histogram(bins) => writeln!(
+                    out,
+                    "{name} count={} p50<={} p95<={} p99<={}",
+                    bins.iter().sum::<u64>(),
+                    quantile_from_bins(bins, 0.50),
+                    quantile_from_bins(bins, 0.95),
+                    quantile_from_bins(bins, 0.99),
+                ),
+            };
         }
         out
     }
@@ -288,23 +106,18 @@ impl Registry {
     /// metric, sorted by name.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for m in self.snapshot() {
-            let name = json_escape(&m.name);
-            match &m.value {
-                SnapshotValue::Counter(v) => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{v}}}"
-                    );
-                }
-                SnapshotValue::Gauge(v) => {
-                    let _ = writeln!(
-                        out,
-                        "{{\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":{v}}}"
-                    );
-                }
-                SnapshotValue::Histogram(bins) => {
-                    let count: u64 = bins.iter().sum();
+        for (name, metric) in &self.metrics {
+            let name = json_escape(name);
+            let _ = match metric {
+                Metric::Counter(v) => writeln!(
+                    out,
+                    "{{\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{v}}}"
+                ),
+                Metric::Gauge(v) => writeln!(
+                    out,
+                    "{{\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":{v}}}"
+                ),
+                Metric::Histogram(bins) => {
                     // Only non-empty bins are listed, as [bin, count]
                     // pairs, to keep lines compact.
                     let pairs: Vec<String> = bins
@@ -313,34 +126,19 @@ impl Registry {
                         .filter(|(_, &c)| c > 0)
                         .map(|(i, &c)| format!("[{i},{c}]"))
                         .collect();
-                    let _ = writeln!(
+                    writeln!(
                         out,
-                        "{{\"name\":\"{name}\",\"kind\":\"histogram\",\"count\":{count},\"p50\":{},\"p99\":{},\"bins\":[{}]}}",
+                        "{{\"name\":\"{name}\",\"kind\":\"histogram\",\"count\":{},\"p50\":{},\"p99\":{},\"bins\":[{}]}}",
+                        bins.iter().sum::<u64>(),
                         json_f64(quantile_from_bins(bins, 0.50) as f64),
                         json_f64(quantile_from_bins(bins, 0.99) as f64),
                         pairs.join(",")
-                    );
+                    )
                 }
-            }
+            };
         }
         out
     }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Process-wide registry shared by all instrumented crates.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
@@ -348,38 +146,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_roundtrip() {
-        let r = Registry::new();
-        let c = r.counter("evals");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        // Same name returns the same underlying counter.
-        assert_eq!(r.counter("evals").get(), 5);
-        let g = r.gauge("depth");
-        g.set(7);
-        g.adjust(-3);
-        assert_eq!(g.get(), 4);
-    }
-
-    #[test]
-    fn histogram_bins_match_serve_semantics() {
-        let r = Registry::new();
-        let h = r.histogram("lat");
-        for v in [0u64, 1, 2, 3, 1024, u64::MAX] {
-            h.record(v);
-        }
-        let bins = h.bins();
-        assert_eq!(bins[0], 2);
-        assert_eq!(bins[1], 2);
-        assert_eq!(bins[10], 1);
-        assert_eq!(bins[63], 1);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
     fn quantiles_report_bin_upper_bounds() {
-        let mut bins = vec![0u64; HIST_BINS];
+        let mut bins = vec![0u64; 64];
         assert_eq!(quantile_from_bins(&bins, 0.5), 0); // empty
         bins[3] = 1; // a single sample in [8, 16)
         assert_eq!(quantile_from_bins(&bins, 0.0), 15);
@@ -389,20 +157,32 @@ mod tests {
         assert_eq!(quantile_from_bins(&bins, 0.5), 2047);
         assert_eq!(quantile_from_bins(&bins, 0.99), 2047);
         assert_eq!(quantile_from_bins(&bins, 0.01), 15);
-        let mut top = vec![0u64; HIST_BINS];
+        let mut top = vec![0u64; 64];
         top[63] = 5;
         assert_eq!(quantile_from_bins(&top, 0.5), u64::MAX);
+        // One sample each of 10, 100, 1000 and 10000: each quartile
+        // reads its own bin's upper bound, and q outside [0, 1] clamps.
+        let mut spread = vec![0u64; 64];
+        for bin in [3, 6, 9, 13] {
+            spread[bin] = 1;
+        }
+        let at = |q| quantile_from_bins(&spread, q);
+        assert_eq!(
+            [at(0.25), at(0.5), at(0.75), at(1.0)],
+            [15, 127, 1023, 16383]
+        );
+        assert_eq!(at(-1.0), at(0.0));
+        assert_eq!(at(2.0), at(1.0));
     }
 
     #[test]
     fn snapshot_is_name_sorted_and_exports_deterministically() {
-        let r = Registry::new();
-        r.counter("z.last").add(1);
-        r.gauge("a.first").set(-2);
-        r.histogram("m.mid").record(100);
-        let snap = r.snapshot();
-        let names: Vec<&str> = snap.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["a.first", "m.mid", "z.last"]);
+        let mut r = Registry::new();
+        r.set("z.last", Metric::Counter(1));
+        r.set("a.first", Metric::Gauge(-2));
+        let mut bins = vec![0u64; 64];
+        bins[6] = 1; // one sample of 100, in [64, 128)
+        r.set("m.mid", Metric::Histogram(bins));
         assert_eq!(
             r.to_text(),
             "a.first -2\nm.mid count=1 p50<=127 p95<=127 p99<=127\nz.last 1\n"
@@ -415,36 +195,19 @@ mod tests {
     }
 
     #[test]
-    fn handles_stay_valid_across_clear() {
-        let r = Registry::new();
-        let c = r.counter("c");
-        let g = r.gauge("g");
-        let h = r.histogram("h");
-        c.add(10);
-        g.set(-5);
-        h.record(1024);
-        r.clear();
-        // Values reset in place; names stay registered.
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.count(), 0);
-        assert_eq!(r.snapshot().len(), 3);
-        // The old handles still feed the live cores: updates through them
-        // are visible to freshly fetched handles and to snapshots.
-        c.inc();
-        g.adjust(3);
-        h.record(7);
-        assert_eq!(r.counter("c").get(), 1);
-        assert_eq!(r.gauge("g").get(), 3);
-        assert_eq!(r.histogram("h").count(), 1);
-        assert!(r.to_text().contains("c 1"));
+    fn a_name_written_twice_keeps_the_last_value() {
+        let mut r = Registry::new();
+        r.set("episodes", Metric::Counter(20));
+        r.set("episodes", Metric::Counter(10));
+        assert_eq!(r.get("episodes"), Some(&Metric::Counter(10)));
+        assert_eq!(r.to_text(), "episodes 10\n");
     }
 
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_mismatch_panics() {
-        let r = Registry::new();
-        r.counter("x");
-        r.gauge("x");
+        let mut r = Registry::new();
+        r.set("x", Metric::Counter(0));
+        r.set("x", Metric::Gauge(0));
     }
 }

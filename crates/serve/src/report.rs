@@ -45,14 +45,6 @@ impl LatencyHistogram {
             *a += b;
         }
     }
-
-    /// Nearest-rank quantile estimate: the inclusive upper bound of the
-    /// bin holding the rank-⌈q·n⌉ latency (so the true latency is ≤ the
-    /// returned value). Returns 0 for an empty histogram; `q` is clamped
-    /// to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        autohet_obs::metrics::quantile_from_bins(&self.bins, q)
-    }
 }
 
 impl Default for LatencyHistogram {
@@ -156,51 +148,6 @@ mod tests {
         assert_eq!(h.bins[10], 1); // 1024
         assert_eq!(h.bins[63], 1); // u64::MAX
         assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn empty_histogram_quantiles_are_zero() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.count(), 0);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 0);
-        }
-    }
-
-    #[test]
-    fn single_sample_dominates_every_quantile() {
-        let mut h = LatencyHistogram::new();
-        h.record(1000); // bin 9 = [512, 1024)
-        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 1023);
-        }
-    }
-
-    #[test]
-    fn all_equal_samples_collapse_to_one_bin() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..1000 {
-            h.record(5_000); // bin 12 = [4096, 8192)
-        }
-        assert_eq!(h.quantile(0.5), 8191);
-        assert_eq!(h.quantile(0.999), 8191);
-        // Quantiles are upper bounds and out-of-range q is clamped.
-        assert_eq!(h.quantile(-1.0), h.quantile(0.0));
-        assert_eq!(h.quantile(2.0), h.quantile(1.0));
-    }
-
-    #[test]
-    fn quantiles_are_conservative_upper_bounds() {
-        let mut h = LatencyHistogram::new();
-        for l in [10u64, 100, 1_000, 10_000] {
-            h.record(l);
-        }
-        assert!(h.quantile(0.5) >= 100);
-        assert!(h.quantile(1.0) >= 10_000);
-        assert!(h.quantile(0.25) >= 10);
-        // Monotone in q.
-        assert!(h.quantile(0.25) <= h.quantile(0.5));
-        assert!(h.quantile(0.5) <= h.quantile(1.0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::shard::{autoscale_rules, AutoscaleSpec, ShardServingReport, ShardStats};
 use autohet_obs::alert::{AlertEngine, AlertRule, AlertTimeline, BurnRateRule, ThresholdRule};
-use autohet_obs::{Registry, Series};
+use autohet_obs::{Metric, Registry, Series};
 
 /// Column schema of [`window_series`] (name, unit), kept in one place so
 /// docs and exporters cannot drift apart.
@@ -55,10 +55,11 @@ pub fn window_series(report: &ShardServingReport) -> Series {
 
 /// Mirror a serving run's totals into `registry` under `prefix`:
 /// request/batch counters, steal/scale/swap event counters, replica
-/// gauges, and the merged latency distribution as a `{prefix}.latency_ns`
-/// histogram (same log₂ binning on both sides).
-pub fn publish_report(report: &ShardServingReport, registry: &Registry, prefix: &str) {
-    let c = |name: &str, v: u64| registry.counter(&format!("{prefix}.{name}")).add(v);
+/// gauges, and the bins of the merged latency distribution as a
+/// `{prefix}.latency_ns` histogram.
+pub fn publish_report(report: &ShardServingReport, registry: &mut Registry, prefix: &str) {
+    let mut set = |name: &str, value| registry.set(&format!("{prefix}.{name}"), value);
+    let mut c = |name: &str, v: u64| set(name, Metric::Counter(v));
     c("submitted", report.total_submitted);
     c("completed", report.total_completed);
     c("rejected", report.total_rejected);
@@ -79,15 +80,10 @@ pub fn publish_report(report: &ShardServingReport, registry: &Registry, prefix: 
     c("ingested", shards(|s| s.ingested));
     c("drr_rotations", shards(|s| s.drr_rotations));
     c("failovers", shards(|s| s.failovers));
-    registry
-        .gauge(&format!("{prefix}.shards"))
-        .set(report.shards as i64);
-    registry
-        .gauge(&format!("{prefix}.replicas"))
-        .set(report.replicas_final as i64);
-    registry
-        .histogram(&format!("{prefix}.latency_ns"))
-        .merge_bins(&report.overall_histogram().bins);
+    set("shards", Metric::Gauge(report.shards as i64));
+    set("replicas", Metric::Gauge(report.replicas_final as i64));
+    let latency = report.overall_histogram().bins;
+    set("latency_ns", Metric::Histogram(latency));
 }
 
 /// SLO attainment target per window; the burn-rate rule watches the error
@@ -271,18 +267,21 @@ mod tests {
     #[test]
     fn publish_mirrors_totals_and_latencies() {
         let r = report(4);
-        let reg = Registry::new();
-        publish_report(&r, &reg, "serve");
-        assert_eq!(reg.counter("serve.completed").get(), r.total_completed);
-        assert_eq!(reg.counter("serve.batches").get(), r.batches);
-        assert_eq!(reg.counter("serve.ingested").get(), r.total_submitted);
+        let mut reg = Registry::new();
+        publish_report(&r, &mut reg, "serve");
+        let get = |name: &str| reg.get(&format!("serve.{name}")).cloned();
+        let counter = |v| Some(Metric::Counter(v));
+        assert_eq!(get("completed"), counter(r.total_completed));
+        assert_eq!(get("batches"), counter(r.batches));
+        assert_eq!(get("ingested"), counter(r.total_submitted));
         let rotations = r.shard_stats.iter().map(|s| s.drr_rotations).sum::<u64>();
-        assert_eq!(reg.counter("serve.drr_rotations").get(), rotations);
-        assert_eq!(reg.counter("serve.failovers").get(), 0);
-        assert_eq!(reg.gauge("serve.replicas").get(), r.replicas_final as i64);
-        let h = reg.histogram("serve.latency_ns");
-        assert_eq!(h.count(), r.total_completed);
-        assert_eq!(h.bins(), r.overall_histogram().bins);
+        assert_eq!(get("drr_rotations"), counter(rotations));
+        assert_eq!(get("failovers"), counter(0));
+        let replicas = Some(Metric::Gauge(r.replicas_final as i64));
+        assert_eq!(get("replicas"), replicas);
+        let latency = r.overall_histogram();
+        assert_eq!(latency.count(), r.total_completed);
+        assert_eq!(get("latency_ns"), Some(Metric::Histogram(latency.bins)));
     }
 
     /// A report skeleton with hand-written windows, for driving the alert

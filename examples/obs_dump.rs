@@ -1,6 +1,7 @@
 //! End-to-end observability dump: run every search driver plus a serving
-//! window on one shared evaluation engine with the tracer and metrics
-//! registry enabled, then export every `autohet-obs` artifact.
+//! window on one shared evaluation engine with the tracer enabled, publish
+//! the finished outcomes into a metrics table, then export every
+//! `autohet-obs` artifact.
 //!
 //! ```sh
 //! cargo run --release -p autohet --example obs_dump -- --out target/obs_dump
@@ -14,8 +15,8 @@
 //! |-----------------------|-------------------------------------------------|
 //! | `trace.jsonl`         | one span per line (path, depth, start/end ns)   |
 //! | `trace.collapsed`     | collapsed stacks (self-time) for flamegraph.pl  |
-//! | `metrics.txt`         | registry snapshot, one `name value` per line    |
-//! | `metrics.jsonl`       | same snapshot as JSON Lines                     |
+//! | `metrics.txt`         | metrics table, one `name value` per line        |
+//! | `metrics.jsonl`       | same table as JSON Lines                        |
 //! | `search_episodes.csv` | per-episode telemetry for every search driver   |
 //! | `search_episodes.jsonl` | same rows as JSON Lines                       |
 //! | `vec_groups.csv`      | per-group lane occupancy of the vectorized DDPG |
@@ -33,7 +34,7 @@
 //! | `vec_episodes.jsonl` | per-episode rows of the vectorized DDPG search    |
 
 use autohet::prelude::*;
-use autohet_obs::Series;
+use autohet_obs::{Registry, Series};
 use autohet_rl::{DdpgConfig, DqnConfig};
 use std::fs;
 use std::path::PathBuf;
@@ -56,8 +57,7 @@ fn main() {
 
     let tracer = autohet_obs::trace::global();
     tracer.enable(1 << 16);
-    let registry = autohet_obs::metrics::global();
-    registry.clear();
+    let mut registry = Registry::new();
 
     let model = if smoke {
         autohet_dnn::zoo::micro_cnn()
@@ -106,7 +106,7 @@ fn main() {
         ddpg.best_rue(),
         ddpg.timing.cache
     );
-    publish_episode_history(&ddpg.history, &ddpg.timing, registry, "search.ddpg");
+    publish_episode_history(&ddpg.history, &ddpg.timing, &mut registry, "search.ddpg");
     add_rows(0, &ddpg.history);
 
     // --- Vectorized DDPG (lockstep batched driver, DESIGN.md §10) ------
@@ -123,10 +123,10 @@ fn main() {
     publish_episode_history(
         &vec_ddpg.history,
         &vec_ddpg.timing,
-        registry,
+        &mut registry,
         "search.ddpg_vec",
     );
-    publish_vec_search(&vec_stats, registry, "search.ddpg_vec");
+    publish_vec_search(&vec_stats, &mut registry, "search.ddpg_vec");
     let vec_groups = vec_occupancy_series("vec_groups", &vec_stats);
 
     // --- DQN (discrete-action ablation) --------------------------------
@@ -146,7 +146,7 @@ fn main() {
         dqn.best_rue(),
         dqn.timing.cache
     );
-    publish_episode_history(&dqn.history, &dqn.timing, registry, "search.dqn");
+    publish_episode_history(&dqn.history, &dqn.timing, &mut registry, "search.dqn");
     add_rows(1, &dqn.history);
 
     // --- Simulated annealing -------------------------------------------
@@ -161,7 +161,7 @@ fn main() {
         sa.best_rue(),
         sa.timing.cache
     );
-    publish_episode_history(&sa.history, &sa.timing, registry, "search.annealing");
+    publish_episode_history(&sa.history, &sa.timing, &mut registry, "search.annealing");
     add_rows(2, &sa.history);
 
     // --- Greedy comparators (no trajectory, cache delta only) ----------
@@ -181,7 +181,7 @@ fn main() {
     // Engine totals across the whole sweep.
     let totals = engine.stats();
     println!("engine    totals          cache: {totals}");
-    totals.publish(registry, "engine");
+    totals.publish(&mut registry, "engine");
 
     // --- Serving window on the best searched strategy ------------------
     let d = Deployment::compile(&model.name, &model, &ddpg.best_strategy, &cfg);
@@ -204,7 +204,7 @@ fn main() {
         report.total_rejected,
         report.windows.len()
     );
-    publish_report(&report, registry, "serve");
+    publish_report(&report, &mut registry, "serve");
     let windows = window_series(&report);
 
     // --- Alerting demo (--alerts) ----------------------------------------

@@ -112,7 +112,7 @@ fn main() {
     println!("\n{summary}");
 
     // Mirror the study into the obs substrate: the front as a series,
-    // the search counters into the global registry.
+    // the search counters into a metrics table.
     let front: Vec<RobustPoint> = report
         .rows
         .iter()
@@ -131,9 +131,8 @@ fn main() {
         history: report.generations.clone(),
         evaluations: report.nsga_evaluations,
     };
-    let registry = autohet_obs::metrics::global();
-    registry.clear();
-    publish_robust_search(&outcome, registry, "search.nsga");
+    let mut registry = autohet_obs::Registry::new();
+    publish_robust_search(&outcome, &mut registry, "search.nsga");
 
     let series = front_series("nsga_front", &outcome.front);
     let write = |name: &str, data: String| {

@@ -21,7 +21,7 @@
 //! | `shard_windows.jsonl` | same rows as JSON Lines                       |
 //! | `shard_alerts.jsonl`  | alert timeline with the autoscaler's own rules |
 //! | `shard_alerts.csv`    | same timeline as CSV                          |
-//! | `metrics.txt`         | metrics registry snapshot of both runs        |
+//! | `metrics.txt`         | metrics table of both runs                    |
 
 use autohet::prelude::*;
 use std::fmt::Write as _;
@@ -87,8 +87,7 @@ fn main() {
         }
     }
     fs::create_dir_all(&out).expect("create output directory");
-    let registry = autohet_obs::metrics::global();
-    registry.clear();
+    let mut registry = autohet_obs::Registry::new();
     let mut summary = String::new();
 
     // --- A simulated day at fleet scale --------------------------------
@@ -144,7 +143,7 @@ fn main() {
         "  {} submitted, {} completed, {} rejected, fairness {:.3}",
         day.total_submitted, day.total_completed, day.total_rejected, day.fairness_index
     );
-    publish_report(&day, registry, "serve_scale.day");
+    publish_report(&day, &mut registry, "serve_scale.day");
     writeln!(summary, "requests: {}", day.total_submitted).unwrap();
     writeln!(summary, "tenants: {n_tenants}").unwrap();
     writeln!(summary, "scan1_wall_s: {scan1_s:.3}").unwrap();
@@ -206,7 +205,7 @@ fn main() {
         ups, downs, burst.replicas_initial, burst.replicas_peak, burst.replicas_final
     );
     assert!(ups >= 1 && downs >= 1, "autoscaler failed to react");
-    publish_report(&burst, registry, "serve_scale.burst");
+    publish_report(&burst, &mut registry, "serve_scale.burst");
     writeln!(summary, "scale_up_events: {ups}").unwrap();
     writeln!(summary, "scale_down_events: {downs}").unwrap();
     writeln!(summary, "replicas_peak: {}", burst.replicas_peak).unwrap();

@@ -45,8 +45,8 @@ for f in trace.jsonl trace.collapsed metrics.txt metrics.jsonl \
   [ -s "target/obs_smoke/$f" ] || { echo "missing obs artifact: $f" >&2; exit 1; }
 done
 # Every seeded artifact must repeat byte for byte in a second run. trace.*
-# and metrics.* hold wall-clock values (span times, episodes/s), so they
-# stay out of the comparison.
+# holds span times, so it stays out of the comparison; metrics.* is
+# compared without its one wall-clock value, the episodes/s gauge.
 cargo run --release -p autohet --example obs_dump -- --smoke --alerts --out target/obs_smoke_again
 for f in search_episodes.csv search_episodes.jsonl \
          vec_groups.csv vec_groups.jsonl \
@@ -55,6 +55,15 @@ for f in search_episodes.csv search_episodes.jsonl \
   cmp "target/obs_smoke/$f" "target/obs_smoke_again/$f" \
     || { echo "obs smoke: $f differs between two seeded runs" >&2; exit 1; }
 done
+for f in metrics.txt metrics.jsonl; do
+  cmp <(grep -v episodes_per_sec_x1000 "target/obs_smoke/$f") \
+      <(grep -v episodes_per_sec_x1000 "target/obs_smoke_again/$f") \
+    || { echo "obs smoke: $f differs between two seeded runs" >&2; exit 1; }
+done
+# The vectorized search's episode counter must equal its episode rows.
+grep -qx "search.ddpg_vec.episodes $(wc -l < target/obs_smoke/vec_episodes.jsonl)" \
+    target/obs_smoke/metrics.txt \
+  || { echo "obs smoke: search.ddpg_vec.episodes is not the vec_episodes.jsonl row count" >&2; exit 1; }
 # The alert timeline must exercise the full state machine: the engineered
 # overload has to both fire and later resolve on simulated time.
 grep -q '"kind":"firing"' target/obs_smoke/alerts.jsonl \
