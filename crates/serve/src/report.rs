@@ -133,6 +133,7 @@ pub(crate) fn percentile(sample: &mut [u64], q: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autohet_obs::{Metric, Registry};
 
     #[test]
     fn histogram_bins_are_powers_of_two() {
@@ -148,6 +149,52 @@ mod tests {
         assert_eq!(h.bins[10], 1); // 1024
         assert_eq!(h.bins[63], 1); // u64::MAX
         assert_eq!(h.count(), 6);
+    }
+
+    /// p50, p95 and p99 as the metrics table reads them from `h`'s bins.
+    fn table_quantiles(h: &LatencyHistogram) -> [u64; 3] {
+        let mut r = Registry::new();
+        r.set("h", Metric::Histogram(h.bins.clone()));
+        let read: Vec<u64> = r
+            .to_text()
+            .split_whitespace()
+            .filter_map(|field| field.split_once("<="))
+            .map(|(_, v)| v.parse().unwrap())
+            .collect();
+        read.try_into().unwrap()
+    }
+
+    #[test]
+    fn all_equal_samples_collapse_to_one_bin() {
+        let mut h = LatencyHistogram::new();
+        for _ in 0..1000 {
+            h.record(5_000); // bin 12 = [4096, 8192)
+        }
+        assert_eq!(h.bins[12], 1000);
+        assert_eq!(h.count(), 1000);
+        // Every quantile the table reads is that bin's upper bound.
+        assert_eq!(table_quantiles(&h), [8191; 3]);
+    }
+
+    #[test]
+    fn quantiles_are_conservative_upper_bounds() {
+        let mut h = LatencyHistogram::new();
+        let mut sample = [10u64, 100, 1_000, 10_000];
+        for l in sample {
+            h.record(l);
+        }
+        let read = table_quantiles(&h);
+        assert_eq!(read, [127, 16383, 16383]);
+        for (bound, q) in read.into_iter().zip([0.50, 0.95, 0.99]) {
+            // The bound is the upper end of the exact value's own bin.
+            let exact = percentile(&mut sample, q);
+            assert!(
+                exact <= bound && bound < 2 * exact.max(1),
+                "q {q}: exact {exact}, bound {bound}"
+            );
+        }
+        // Monotone in q.
+        assert!(read[0] <= read[1] && read[1] <= read[2]);
     }
 
     #[test]
