@@ -25,6 +25,7 @@ use autohet_dnn::metrics::{argmax_i64, max_abs_dev_i64};
 use autohet_dnn::ops::synthetic_weights;
 use autohet_dnn::quant::quantize_matrix;
 use autohet_dnn::Layer;
+use autohet_xbar::fault::splitmix64;
 use autohet_xbar::variation::{VariationModel, VariedCrossbar};
 use autohet_xbar::{Adc, CostParams, Crossbar, XbarShape};
 use rand::rngs::SmallRng;
@@ -116,19 +117,13 @@ impl RobustnessReport {
     }
 }
 
-/// SplitMix64 finalizer — decorrelates the structured per-draw seed
-/// tuples before they reach the xoshiro seeding path.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// The seed of one `(layer, shape)` pair. The SplitMix64 finalizer
+/// decorrelates the structured per-draw seed tuples before they reach the
+/// xoshiro seeding path.
 fn pair_seed(seed: u64, layer: usize, shape: XbarShape) -> u64 {
-    splitmix(
-        seed ^ splitmix(((layer as u64) << 1) | 1)
-            ^ splitmix(((shape.rows as u64) << 32) | shape.cols as u64),
+    splitmix64(
+        seed ^ splitmix64(((layer as u64) << 1) | 1)
+            ^ splitmix64(((shape.rows as u64) << 32) | shape.cols as u64),
     )
 }
 
@@ -228,7 +223,7 @@ pub fn layer_noise_per_reference(
 
     let mut tallies = vec![Tally::default(); read.len()];
     for d in 0..cfg.draws {
-        let seed = splitmix(base ^ ((d as u64) << 8));
+        let seed = splitmix64(base ^ ((d as u64) << 8));
         let mut vc = VariedCrossbar::sample_with_reference(&xb, device, &references[read[0]], seed);
         for (n, (tally, &i)) in tallies.iter_mut().zip(&read).enumerate() {
             if n > 0 {

@@ -7,22 +7,24 @@
 //! episode reward — computed only when every layer has its assignment — is
 //! the accelerator's utilization/energy ratio for the full configuration
 //! (the paper feeds the same terminal reward back to every step, Eq. 3).
+//!
+//! The environment reads the model and the accelerator config from the
+//! engine it is built on.
 
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::XbarShape;
 use std::sync::Arc;
 
-/// The search environment for one model + candidate set.
+/// The search environment for one engine + candidate set.
 #[derive(Debug, Clone)]
 pub struct AutoHetEnv {
-    model: Model,
     candidates: Vec<XbarShape>,
-    cfg: AccelConfig,
-    /// Memoized evaluator; `Arc` so several searches (e.g. multi-seed
-    /// workers or ablation stages with a common config) can share one
-    /// memo table. Cached results are bit-identical to direct
-    /// `evaluate()`, so sharing never changes any outcome.
+    /// Memoized evaluator, and the owner of the model and config under
+    /// search; `Arc` so several searches (e.g. multi-seed workers or
+    /// ablation stages with a common config) can share one memo table.
+    /// Cached results are bit-identical to direct `evaluate()`, so
+    /// sharing never changes any outcome.
     engine: Arc<EvalEngine>,
     maxima: Maxima,
     /// Reward normalizer: raw RUE is divided by this so rewards sit in a
@@ -47,29 +49,12 @@ struct Maxima {
 
 impl AutoHetEnv {
     /// Build the environment on an existing (possibly shared) evaluation
-    /// engine, with objective exponents `(α, β)`: reward ∝ `u^α/e^β`,
-    /// where `(1, 1)` is the paper's Eq. 2. `candidates` must be
-    /// non-empty, and the engine must have been constructed for the same
-    /// model and config.
-    pub fn with_shared_engine(
-        model: &Model,
-        candidates: &[XbarShape],
-        cfg: AccelConfig,
-        weights: (f64, f64),
-        engine: Arc<EvalEngine>,
-    ) -> Self {
+    /// engine, which supplies the model and config under search, with
+    /// objective exponents `(α, β)`: reward ∝ `u^α/e^β`, where `(1, 1)`
+    /// is the paper's Eq. 2. `candidates` must be non-empty.
+    pub fn new(engine: Arc<EvalEngine>, candidates: &[XbarShape], weights: (f64, f64)) -> Self {
         assert!(!candidates.is_empty());
-        assert_eq!(
-            engine.model().layers.len(),
-            model.layers.len(),
-            "engine must be built for the searched model"
-        );
-        assert_eq!(
-            *engine.config(),
-            cfg,
-            "engine must be built for the same accelerator config"
-        );
-        let fm = model.feature_maxima();
+        let fm = engine.model().feature_maxima();
         let maxima = Maxima {
             inc: fm.in_channels as f64,
             outc: fm.out_channels as f64,
@@ -83,9 +68,7 @@ impl AutoHetEnv {
             "exponents must be positive"
         );
         let mut env = AutoHetEnv {
-            model: model.clone(),
             candidates: candidates.to_vec(),
-            cfg,
             engine,
             maxima,
             reward_scale: 1.0,
@@ -94,7 +77,7 @@ impl AutoHetEnv {
         // Normalize rewards by a fixed reference configuration: the middle
         // candidate applied homogeneously.
         let mid = candidates[candidates.len() / 2];
-        let reference = env.evaluate_strategy(&vec![mid; model.layers.len()]);
+        let reference = env.evaluate_strategy(&vec![mid; env.num_layers()]);
         env.reward_scale = env.raw_objective(&reference).max(f64::MIN_POSITIVE);
         env
     }
@@ -106,7 +89,7 @@ impl AutoHetEnv {
 
     /// Number of steps per episode.
     pub fn num_layers(&self) -> usize {
-        self.model.layers.len()
+        self.model().layers.len()
     }
 
     /// The candidate list (action space).
@@ -114,14 +97,9 @@ impl AutoHetEnv {
         &self.candidates
     }
 
-    /// Model under search.
+    /// Model under search, as the engine holds it.
     pub fn model(&self) -> &Model {
-        &self.model
-    }
-
-    /// Accelerator configuration used for feedback.
-    pub fn accel_config(&self) -> &AccelConfig {
-        &self.cfg
+        self.engine.model()
     }
 
     /// Discretize a continuous action in `[0,1]` onto a candidate index
@@ -142,8 +120,9 @@ impl AutoHetEnv {
     /// (zero at the first step), which is how a step-wise agent can
     /// actually observe them.
     pub fn state(&self, k: usize, prev_action: f64, prev_util: f64) -> Vec<f64> {
-        let l = &self.model.layers[k];
-        let n = self.model.layers.len();
+        let layers = &self.model().layers;
+        let l = &layers[k];
+        let n = layers.len();
         vec![
             k as f64 / (n - 1).max(1) as f64,
             l.kind.as_state(),
@@ -161,7 +140,10 @@ impl AutoHetEnv {
     /// Eq. 4 utilization of layer `k` under a continuous action — the
     /// dynamic state feature `u_k`.
     pub fn layer_utilization(&self, k: usize, action: f64) -> f64 {
-        autohet_xbar::utilization::utilization(&self.model.layers[k], self.action_to_shape(action))
+        autohet_xbar::utilization::utilization(
+            &self.model().layers[k],
+            self.action_to_shape(action),
+        )
     }
 
     /// Full hardware feedback for a complete strategy, served through the
@@ -191,14 +173,13 @@ impl AutoHetEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
     fn env() -> AutoHetEnv {
-        let m = zoo::micro_cnn();
-        let cfg = AccelConfig::default();
-        let engine = Arc::new(EvalEngine::new(m.clone(), cfg));
-        AutoHetEnv::with_shared_engine(&m, &paper_hybrid_candidates(), cfg, (1.0, 1.0), engine)
+        let engine = Arc::new(EvalEngine::new(zoo::micro_cnn(), AccelConfig::default()));
+        AutoHetEnv::new(engine, &paper_hybrid_candidates(), (1.0, 1.0))
     }
 
     #[test]
@@ -269,7 +250,7 @@ mod tests {
     fn evaluate_strategy_matches_direct_evaluate_and_caches() {
         let e = env();
         let strategy = vec![e.candidates()[0]; e.num_layers()];
-        let direct = autohet_accel::evaluate(e.model(), &strategy, e.accel_config());
+        let direct = autohet_accel::evaluate(e.model(), &strategy, e.engine().config());
         let before = e.engine().stats();
         assert_eq!(e.evaluate_strategy(&strategy), direct);
         assert_eq!(e.evaluate_strategy(&strategy), direct);

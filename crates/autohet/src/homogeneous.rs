@@ -4,22 +4,20 @@
 //! per square size, §4.1) and motivates the search with a hand-tuned
 //! heterogeneous split of VGG16 (§2.2.1 / Fig. 3: 512×512 for the first
 //! ten layers, 256×256 for the last six).
+//!
+//! The baselines are scored on the engine they are given, which supplies
+//! the model and config. [`best_homogeneous`] also keeps a `(model, cfg)`
+//! form that builds a fresh engine, because the repo benchmark calls it.
 
 use autohet_accel::{evaluate, AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::geometry::SQUARE_CANDIDATES;
 use autohet_xbar::XbarShape;
 
-/// Evaluate every homogeneous square baseline (one parallel worker per
-/// candidate, ordered like `SQUARE_CANDIDATES`).
-pub fn homogeneous_reports(model: &Model, cfg: &AccelConfig) -> Vec<(XbarShape, EvalReport)> {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    homogeneous_reports_with_engine(&engine)
-}
-
-/// [`homogeneous_reports`] on an existing engine, warming its memo table
-/// for a subsequent search over the same config.
-pub fn homogeneous_reports_with_engine(engine: &EvalEngine) -> Vec<(XbarShape, EvalReport)> {
+/// Evaluate every homogeneous square baseline on `engine` (one parallel
+/// worker per candidate, ordered like `SQUARE_CANDIDATES`), warming its
+/// memo table for a subsequent search over the same config.
+pub fn homogeneous_reports(engine: &EvalEngine) -> Vec<(XbarShape, EvalReport)> {
     let n = engine.model().layers.len();
     autohet_accel::par_map(SQUARE_CANDIDATES.as_ref(), |&s| {
         (s, engine.evaluate(&vec![s; n]))
@@ -27,17 +25,14 @@ pub fn homogeneous_reports_with_engine(engine: &EvalEngine) -> Vec<(XbarShape, E
 }
 
 /// The homogeneous baseline with the highest RUE ("Best-Homo" in §4.4,
-/// "Base" in §4.3).
+/// "Base" in §4.3), on a fresh engine.
 pub fn best_homogeneous(model: &Model, cfg: &AccelConfig) -> (XbarShape, EvalReport) {
-    homogeneous_reports(model, cfg)
-        .into_iter()
-        .max_by(|a, b| a.1.rue().partial_cmp(&b.1.rue()).unwrap())
-        .expect("at least one baseline")
+    best_homogeneous_with_engine(&EvalEngine::new(model.clone(), *cfg))
 }
 
 /// [`best_homogeneous`] on an existing engine.
 pub fn best_homogeneous_with_engine(engine: &EvalEngine) -> (XbarShape, EvalReport) {
-    homogeneous_reports_with_engine(engine)
+    homogeneous_reports(engine)
         .into_iter()
         .max_by(|a, b| a.1.rue().partial_cmp(&b.1.rue()).unwrap())
         .expect("at least one baseline")
@@ -70,8 +65,7 @@ mod tests {
 
     #[test]
     fn five_baselines_are_produced() {
-        let m = zoo::alexnet();
-        let reports = homogeneous_reports(&m, &AccelConfig::default());
+        let reports = homogeneous_reports(&EvalEngine::new(zoo::alexnet(), AccelConfig::default()));
         assert_eq!(reports.len(), 5);
         assert!(reports.iter().all(|(s, _)| s.is_square()));
     }
@@ -80,7 +74,7 @@ mod tests {
     fn engine_backed_reports_match_direct_evaluation() {
         let m = zoo::alexnet();
         let cfg = AccelConfig::default().with_tile_sharing();
-        for (s, r) in homogeneous_reports(&m, &cfg) {
+        for (s, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
             assert_eq!(r, evaluate(&m, &vec![s; m.layers.len()], &cfg));
         }
     }
@@ -90,7 +84,7 @@ mod tests {
         let m = zoo::vgg16();
         let cfg = AccelConfig::default();
         let (_, best) = best_homogeneous(&m, &cfg);
-        for (_, r) in homogeneous_reports(&m, &cfg) {
+        for (_, r) in homogeneous_reports(&EvalEngine::new(m, cfg)) {
             assert!(best.rue() >= r.rue());
         }
     }
@@ -98,8 +92,7 @@ mod tests {
     #[test]
     fn homogeneous_tradeoff_matches_fig3() {
         // Fig. 3: 32×32 maximizes utilization, 512×512 minimizes energy.
-        let m = zoo::vgg16();
-        let reports = homogeneous_reports(&m, &AccelConfig::default());
+        let reports = homogeneous_reports(&EvalEngine::new(zoo::vgg16(), AccelConfig::default()));
         let best_util = reports
             .iter()
             .max_by(|a, b| a.1.utilization.partial_cmp(&b.1.utilization).unwrap())
@@ -133,7 +126,7 @@ mod tests {
         let m = zoo::vgg16();
         let cfg = AccelConfig::default();
         let manual = manual_hetero_vgg16(&m, &cfg);
-        let mut rues: Vec<f64> = homogeneous_reports(&m, &cfg)
+        let mut rues: Vec<f64> = homogeneous_reports(&EvalEngine::new(m, cfg))
             .into_iter()
             .map(|(_, r)| r.rue())
             .collect();

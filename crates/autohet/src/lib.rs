@@ -38,8 +38,8 @@
 //! - [`sensitivity`]: the §4.4 sweeps (SXB:RXB ratio, candidate count,
 //!   PEs per tile).
 //! - The parallel sweep drivers fan out with [`autohet_accel::par_map`],
-//!   scoped threads in input order; every search reuses one memoized
-//!   [`EvalEngine`].
+//!   scoped threads in input order; each comparator takes the
+//!   [`EvalEngine`] it evaluates on, which holds the model and config.
 //! - [`robust`]: NSGA-II multi-objective search producing energy ×
 //!   latency × noise-robustness Pareto fronts over the device-variation
 //!   oracle (DESIGN.md §11).
@@ -68,25 +68,18 @@ pub mod prelude {
     pub use crate::ablation::{run_ablation, AblationStage};
     pub use crate::env::AutoHetEnv;
     pub use crate::homogeneous::{
-        best_homogeneous, best_homogeneous_with_engine, homogeneous_reports,
-        homogeneous_reports_with_engine, manual_hetero_vgg16,
+        best_homogeneous, best_homogeneous_with_engine, homogeneous_reports, manual_hetero_vgg16,
     };
     pub use crate::robust::{
-        nsga_search, nsga_search_with_engine, GenerationStat, NsgaConfig, RobustPoint,
-        RobustSearchOutcome,
+        nsga_search, GenerationStat, NsgaConfig, RobustPoint, RobustSearchOutcome,
     };
-    pub use crate::search::annealing::{
-        annealing_search, annealing_search_with_engine, AnnealingConfig, AnnealingOutcome,
-    };
-    pub use crate::search::dqn::{
-        dqn_search, dqn_search_with_engine, DqnSearchConfig, DqnSearchOutcome,
-    };
+    pub use crate::search::annealing::{annealing_search, AnnealingConfig};
+    pub use crate::search::dqn::{dqn_search, DqnSearchConfig};
     pub use crate::search::exhaustive::exhaustive_search;
     pub use crate::search::greedy::{
-        greedy_layerwise_rue, greedy_layerwise_rue_with_engine, greedy_utilization,
-        greedy_utilization_with_engine, GreedyOutcome,
+        greedy_layerwise_rue, greedy_layerwise_rue_with_engine, greedy_utilization, GreedyOutcome,
     };
-    pub use crate::search::random::{random_search, random_search_with_engine};
+    pub use crate::search::random::random_search;
     pub use crate::search::rl::{
         rl_search, rl_search_vec_with_stats, EpisodeRecord, RlSearchConfig, SearchOutcome,
         SearchTiming, VecSearchStats,

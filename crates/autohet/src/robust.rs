@@ -9,16 +9,15 @@
 //! parent selection, uniform crossover and per-gene mutation over the
 //! candidate-shape indices, with (μ+λ) environmental selection.
 //!
-//! Every individual is evaluated through a shared
-//! [`EvalEngine::evaluate_noisy`] — the ideal-device metrics come from
+//! Every individual is evaluated through the [`EvalEngine::evaluate_noisy`]
+//! of the engine the search is given — the ideal-device metrics come from
 //! the memoized cost slices and the noise objective from the
 //! Monte-Carlo variation oracle, both cached per `(layer, shape)`, so a
 //! whole generation fans out over [`autohet_accel::par_map`] against one
 //! cache. Seeded and deterministic: same config ⇒ same front.
 
 use crate::pareto::{crowding_distances, non_dominated_sort};
-use autohet_accel::{AccelConfig, EvalEngine, NoiseEvalConfig, NoisyEvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, NoisyEvalReport};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -137,29 +136,15 @@ impl RobustSearchOutcome {
     }
 }
 
-/// Run an NSGA-II search for `model` on an accelerator configured by
-/// `cfg`, pricing device variation per `noise`. Builds a fresh noisy
-/// engine; use [`nsga_search_with_engine`] to share caches across
-/// searches.
-pub fn nsga_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    ncfg: &NsgaConfig,
-    noise: &NoiseEvalConfig,
-) -> RobustSearchOutcome {
-    let engine = Arc::new(EvalEngine::new(model.clone(), *cfg).with_noise(*noise));
-    nsga_search_with_engine(candidates, ncfg, engine)
-}
-
-/// [`nsga_search`] against a caller-provided engine (must be built with
-/// [`EvalEngine::with_noise`]). Deterministic in `(candidates, ncfg)`
+/// Run an NSGA-II search on `engine`, which supplies the model and
+/// config and must be built with [`EvalEngine::with_noise`] (its noise
+/// config prices device variation). Deterministic in `(candidates, ncfg)`
 /// and the engine's model/config/noise seed — shared caches never change
 /// results, only speed.
-pub fn nsga_search_with_engine(
+pub fn nsga_search(
+    engine: Arc<EvalEngine>,
     candidates: &[XbarShape],
     ncfg: &NsgaConfig,
-    engine: Arc<EvalEngine>,
 ) -> RobustSearchOutcome {
     let _span = autohet_obs::trace::span("search.nsga");
     assert!(!candidates.is_empty(), "no candidate shapes");
@@ -331,6 +316,7 @@ fn mutate(genes: &mut [usize], n_candidates: usize, rate: f64, rng: &mut SmallRn
 mod tests {
     use super::*;
     use crate::pareto::dominates_min;
+    use autohet_accel::{AccelConfig, NoiseEvalConfig};
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
     fn quick() -> NsgaConfig {
@@ -350,15 +336,19 @@ mod tests {
         }
     }
 
+    /// A fresh noisy engine for MicroCNN on the default accelerator.
+    fn micro_engine(noise: NoiseEvalConfig) -> Arc<EvalEngine> {
+        let m = autohet_dnn::zoo::micro_cnn();
+        Arc::new(EvalEngine::new(m, AccelConfig::default()).with_noise(noise))
+    }
+
     #[test]
     fn search_produces_a_valid_front() {
         let m = autohet_dnn::zoo::micro_cnn();
         let out = nsga_search(
-            &m,
+            micro_engine(quick_noise()),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick(),
-            &quick_noise(),
         );
         assert!(!out.front.is_empty());
         assert_eq!(out.history.len(), 4);
@@ -383,14 +373,11 @@ mod tests {
 
     #[test]
     fn search_is_seed_deterministic() {
-        let m = autohet_dnn::zoo::micro_cnn();
         let run = || {
             nsga_search(
-                &m,
+                micro_engine(quick_noise()),
                 &paper_hybrid_candidates(),
-                &AccelConfig::default(),
                 &quick(),
-                &quick_noise(),
             )
         };
         let a = run();
@@ -400,13 +387,10 @@ mod tests {
 
     #[test]
     fn picks_are_consistent_with_front() {
-        let m = autohet_dnn::zoo::micro_cnn();
         let out = nsga_search(
-            &m,
+            micro_engine(quick_noise()),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick(),
-            &quick_noise(),
         );
         let robust = out.most_robust().unwrap();
         let rue = out.best_rue().unwrap();
@@ -418,18 +402,11 @@ mod tests {
 
     #[test]
     fn exact_noise_collapses_the_noise_axis() {
-        let m = autohet_dnn::zoo::micro_cnn();
         let noise = NoiseEvalConfig {
             variation: autohet_xbar::VariationModel::ideal(),
             ..quick_noise()
         };
-        let out = nsga_search(
-            &m,
-            &paper_hybrid_candidates(),
-            &AccelConfig::default(),
-            &quick(),
-            &noise,
-        );
+        let out = nsga_search(micro_engine(noise), &paper_hybrid_candidates(), &quick());
         for p in &out.front {
             assert_eq!(p.noise_dev, 0.0);
             assert_eq!(p.accuracy_proxy, 1.0);

@@ -7,10 +7,12 @@
 //! (DESIGN.md §6): it needs no learned model, so it isolates how much of
 //! AutoHet's win comes from *learning* layer features versus merely
 //! *searching* the space.
+//!
+//! [`annealing_search`] runs on the engine it is given and returns the
+//! RL searches' [`SearchOutcome`].
 
-use crate::search::rl::{EpisodeRecord, SearchTiming};
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use crate::search::rl::{EpisodeRecord, SearchOutcome, SearchTiming};
+use autohet_accel::EvalEngine;
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,45 +43,17 @@ impl Default for AnnealingConfig {
     }
 }
 
-/// Result of an annealing run: the best strategy visited plus the full
-/// per-iteration trajectory in the same [`EpisodeRecord`] shape the RL
-/// searches emit (`episode` = iteration, `reward` = relative RUE delta of
-/// the proposal against the incumbent).
-#[derive(Debug, Clone)]
-pub struct AnnealingOutcome {
-    pub best_strategy: Vec<XbarShape>,
-    pub best_report: EvalReport,
-    pub history: Vec<EpisodeRecord>,
-    /// Stage timing and the evaluation-cache delta of this search.
-    pub timing: SearchTiming,
-}
-
-impl AnnealingOutcome {
-    /// Best raw RUE found.
-    pub fn best_rue(&self) -> f64 {
-        self.best_report.rue()
-    }
-}
-
-/// Run simulated annealing; returns the best strategy visited.
+/// Run simulated annealing on an existing (possibly shared) memoized
+/// engine; returns the best strategy visited plus the full per-iteration
+/// trajectory (`episode` = iteration, `reward` = relative RUE delta of
+/// the proposal against the incumbent). The annealer revisits states
+/// whenever a rejected mutation is proposed again, so the engine's
+/// strategy cache pays off within a single run.
 pub fn annealing_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    acfg: &AnnealingConfig,
-) -> AnnealingOutcome {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    annealing_search_with_engine(&engine, candidates, acfg)
-}
-
-/// [`annealing_search`] on an existing (possibly shared) memoized engine.
-/// The annealer revisits states whenever a rejected mutation is proposed
-/// again, so the engine's strategy cache pays off within a single run.
-pub fn annealing_search_with_engine(
     engine: &EvalEngine,
     candidates: &[XbarShape],
     acfg: &AnnealingConfig,
-) -> AnnealingOutcome {
+) -> SearchOutcome {
     assert!(!candidates.is_empty() && acfg.iterations >= 1);
     let _span = autohet_obs::trace::span("search.annealing");
     let t0 = Instant::now();
@@ -138,7 +112,7 @@ pub fn annealing_search_with_engine(
     }
     timing.total = t0.elapsed();
     timing.cache = engine.stats().since(&stats0);
-    AnnealingOutcome {
+    SearchOutcome {
         best_strategy: best.0,
         best_report: best.1,
         history,
@@ -150,7 +124,7 @@ pub fn annealing_search_with_engine(
 mod tests {
     use super::*;
     use crate::search::exhaustive::exhaustive_search;
-    use autohet_accel::evaluate;
+    use autohet_accel::{evaluate, AccelConfig};
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
@@ -163,8 +137,12 @@ mod tests {
             seed: 2,
             ..AnnealingConfig::default()
         };
-        let a = annealing_search(&m, &paper_hybrid_candidates(), &cfg, &acfg);
-        let b = annealing_search(&m, &paper_hybrid_candidates(), &cfg, &acfg);
+        let a = annealing_search(
+            &EvalEngine::new(m.clone(), cfg),
+            &paper_hybrid_candidates(),
+            &acfg,
+        );
+        let b = annealing_search(&EvalEngine::new(m, cfg), &paper_hybrid_candidates(), &acfg);
         assert_eq!(a.best_strategy, b.best_strategy);
         assert_eq!(a.best_rue(), b.best_rue());
         assert_eq!(a.history.len(), 40);
@@ -182,9 +160,8 @@ mod tests {
         let cands = paper_hybrid_candidates();
         let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
         let sa = annealing_search(
-            &m,
+            &EvalEngine::new(m, cfg),
             &cands,
-            &cfg,
             &AnnealingConfig {
                 iterations: 200,
                 seed: 5,
@@ -213,9 +190,8 @@ mod tests {
         let cands = paper_hybrid_candidates();
         let start = evaluate(&m, &vec![cands[cands.len() / 2]; m.layers.len()], &cfg);
         let sa = annealing_search(
-            &m,
+            &EvalEngine::new(m, cfg),
             &cands,
-            &cfg,
             &AnnealingConfig {
                 iterations: 30,
                 seed: 8,
@@ -230,7 +206,11 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = vec![XbarShape::square(64)];
-        let sa = annealing_search(&m, &cands, &cfg, &AnnealingConfig::default());
+        let sa = annealing_search(
+            &EvalEngine::new(m, cfg),
+            &cands,
+            &AnnealingConfig::default(),
+        );
         assert!(sa.best_strategy.iter().all(|&x| x == XbarShape::square(64)));
     }
 }

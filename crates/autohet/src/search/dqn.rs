@@ -6,11 +6,13 @@
 //! ablation: it shows how much of AutoHet's result depends on the DDPG
 //! formulation specifically (spoiler per our experiments: little — the
 //! environment and reward do the heavy lifting).
+//!
+//! [`dqn_search`] runs on the engine it is given, which supplies the
+//! model and config, and returns the DDPG search's [`SearchOutcome`].
 
 use crate::env::AutoHetEnv;
-use crate::search::rl::{EpisodeRecord, SearchTiming};
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use crate::search::rl::{EpisodeRecord, SearchOutcome, SearchTiming};
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_rl::{DiscreteExperience, Dqn, DqnConfig};
 use autohet_xbar::XbarShape;
 use serde::{Deserialize, Serialize};
@@ -38,53 +40,20 @@ impl Default for DqnSearchConfig {
     }
 }
 
-/// Result of a DQN search.
-#[derive(Debug, Clone)]
-pub struct DqnSearchOutcome {
-    pub best_strategy: Vec<XbarShape>,
-    pub best_report: EvalReport,
-    pub history: Vec<EpisodeRecord>,
-    /// Stage timing and the evaluation-cache delta of this search.
-    pub timing: SearchTiming,
-}
-
-impl DqnSearchOutcome {
-    /// Best raw RUE found.
-    pub fn best_rue(&self) -> f64 {
-        self.best_report.rue()
-    }
-}
-
-/// Run the DQN search (same protocol as [`crate::search::rl::rl_search`]).
+/// Run the DQN search (same protocol as [`crate::search::rl::rl_search`])
+/// on an existing (possibly shared) evaluation engine. Cached feedback is
+/// bit-identical to direct evaluation, so the outcome for a fixed seed is
+/// independent of the engine's prior contents; only `cache_hit_rate` and
+/// `timing.cache` read them.
 pub fn dqn_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &DqnSearchConfig,
-) -> DqnSearchOutcome {
-    dqn_search_with_engine(
-        model,
-        candidates,
-        cfg,
-        scfg,
-        Arc::new(EvalEngine::new(model.clone(), *cfg)),
-    )
-}
-
-/// [`dqn_search`] on an existing (possibly shared) evaluation engine.
-/// Cached feedback is bit-identical to direct evaluation, so the outcome
-/// for a fixed seed is independent of the engine's prior contents.
-pub fn dqn_search_with_engine(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    scfg: &DqnSearchConfig,
     engine: Arc<EvalEngine>,
-) -> DqnSearchOutcome {
+    candidates: &[XbarShape],
+    scfg: &DqnSearchConfig,
+) -> SearchOutcome {
     let _span = autohet_obs::trace::span("search.dqn");
     let t0 = Instant::now();
     let stats0 = engine.stats();
-    let env = AutoHetEnv::with_shared_engine(model, candidates, *cfg, (1.0, 1.0), engine);
+    let env = AutoHetEnv::new(engine, candidates, (1.0, 1.0));
     let n = env.num_layers();
     let c = candidates.len();
     let mut agent = Dqn::new(DqnConfig {
@@ -159,7 +128,7 @@ pub fn dqn_search_with_engine(
     timing.total = t0.elapsed();
     timing.cache = env.engine().stats().since(&stats0);
     let (best_strategy, best_report) = best.expect("episodes >= 1");
-    DqnSearchOutcome {
+    SearchOutcome {
         best_strategy,
         best_report,
         history,
@@ -171,8 +140,13 @@ pub fn dqn_search_with_engine(
 mod tests {
     use super::*;
     use crate::homogeneous::best_homogeneous;
-    use autohet_dnn::zoo;
+    use autohet_accel::AccelConfig;
+    use autohet_dnn::{zoo, Model};
     use autohet_xbar::geometry::paper_hybrid_candidates;
+
+    fn fresh(m: &Model, cfg: AccelConfig) -> Arc<EvalEngine> {
+        Arc::new(EvalEngine::new(m.clone(), cfg))
+    }
 
     fn quick(seed: u64, episodes: usize) -> DqnSearchConfig {
         DqnSearchConfig {
@@ -196,7 +170,7 @@ mod tests {
         // that stalls below homo even at 90 episodes — the point here is
         // that a converged tiny-budget search beats the baseline, not
         // that every stream does.
-        let outcome = dqn_search(&m, &paper_hybrid_candidates(), &cfg, &quick(7, 60));
+        let outcome = dqn_search(fresh(&m, cfg), &paper_hybrid_candidates(), &quick(7, 60));
         let (_, homo) = best_homogeneous(&m, &AccelConfig::default());
         assert!(
             outcome.best_rue() >= homo.rue(),
@@ -210,8 +184,8 @@ mod tests {
     fn dqn_search_is_deterministic() {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
-        let a = dqn_search(&m, &paper_hybrid_candidates(), &cfg, &quick(4, 15));
-        let b = dqn_search(&m, &paper_hybrid_candidates(), &cfg, &quick(4, 15));
+        let a = dqn_search(fresh(&m, cfg), &paper_hybrid_candidates(), &quick(4, 15));
+        let b = dqn_search(fresh(&m, cfg), &paper_hybrid_candidates(), &quick(4, 15));
         assert_eq!(a.best_strategy, b.best_strategy);
     }
 
@@ -222,7 +196,7 @@ mod tests {
         let m = zoo::micro_cnn();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let dqn = dqn_search(&m, &cands, &cfg, &quick(2, 80));
+        let dqn = dqn_search(fresh(&m, cfg), &cands, &quick(2, 80));
         let ddpg = crate::search::rl::rl_search(
             &m,
             &cands,

@@ -72,7 +72,7 @@ mod tests {
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
         let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
-        let (_, rand) = random_search(&m, &cands, &cfg, 50, 1);
+        let (_, rand) = random_search(&EvalEngine::new(m, cfg), &cands, 50, 1);
         assert!(oracle.rue() >= rand.rue());
     }
 

@@ -10,6 +10,10 @@
 //!   (utilization over that layer's standalone energy) — greedy on the
 //!   paper's own metric, but blind to cross-layer allocation effects,
 //!   which is exactly what the RL search can exploit.
+//!
+//! Both run on the engine they are given, which supplies the model and
+//! config; [`greedy_layerwise_rue`] also keeps a `(model, cfg)` form that
+//! builds a fresh engine, because the repo benchmark calls it.
 
 use crate::search::rl::SearchTiming;
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
@@ -39,21 +43,9 @@ impl GreedyOutcome {
     }
 }
 
-/// Pick each layer's candidate by Eq. 4 utilization.
-pub fn greedy_utilization(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-) -> GreedyOutcome {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    greedy_utilization_with_engine(&engine, candidates)
-}
-
-/// [`greedy_utilization`] on an existing (possibly shared) memoized engine.
-pub fn greedy_utilization_with_engine(
-    engine: &EvalEngine,
-    candidates: &[XbarShape],
-) -> GreedyOutcome {
+/// Pick each layer's candidate by Eq. 4 utilization, on an existing
+/// (possibly shared) memoized engine.
+pub fn greedy_utilization(engine: &EvalEngine, candidates: &[XbarShape]) -> GreedyOutcome {
     assert!(!candidates.is_empty());
     let _span = autohet_obs::trace::span("search.greedy_utilization");
     let t0 = Instant::now();
@@ -94,8 +86,7 @@ pub fn greedy_layerwise_rue(
     candidates: &[XbarShape],
     cfg: &AccelConfig,
 ) -> GreedyOutcome {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    greedy_layerwise_rue_with_engine(&engine, candidates)
+    greedy_layerwise_rue_with_engine(&EvalEngine::new(model.clone(), *cfg), candidates)
 }
 
 /// [`greedy_layerwise_rue`] on an existing (possibly shared) memoized
@@ -159,7 +150,8 @@ mod tests {
         // VGG16 L4 (128×128×3³) fits 36×32 at exactly 100% — the greedy
         // must find it among the hybrid candidates.
         let m = zoo::vgg16();
-        let out = greedy_utilization(&m, &paper_hybrid_candidates(), &AccelConfig::default());
+        let engine = EvalEngine::new(m.clone(), AccelConfig::default());
+        let out = greedy_utilization(&engine, &paper_hybrid_candidates());
         // Both 36×32 and 72×64 fit this layer at exactly 100%; the tie
         // breaks toward the larger crossbar (fewer peripherals).
         let u = footprint(&m.layers[3], out.strategy[3]).utilization();
@@ -175,7 +167,7 @@ mod tests {
     fn greedy_utilization_beats_any_homogeneous_on_mapping_utilization() {
         let m = zoo::alexnet();
         let cfg = AccelConfig::default();
-        let out = greedy_utilization(&m, SQUARE_CANDIDATES.as_ref(), &cfg);
+        let out = greedy_utilization(&EvalEngine::new(m.clone(), cfg), SQUARE_CANDIDATES.as_ref());
         for s in SQUARE_CANDIDATES {
             let homo = evaluate(&m, &vec![s; m.layers.len()], &cfg);
             assert!(
@@ -194,7 +186,7 @@ mod tests {
         let m = zoo::vgg16();
         let cfg = AccelConfig::default();
         let cands = paper_hybrid_candidates();
-        let by_util = greedy_utilization(&m, &cands, &cfg);
+        let by_util = greedy_utilization(&EvalEngine::new(m.clone(), cfg), &cands);
         let by_rue = greedy_layerwise_rue(&m, &cands, &cfg);
         assert!(by_rue.rue() >= by_util.rue() * 0.99);
     }
@@ -213,9 +205,9 @@ mod tests {
         // closing evaluation must be a strategy-cache hit.
         let m = zoo::micro_cnn();
         let engine = EvalEngine::new(m, AccelConfig::default());
-        let first = greedy_utilization_with_engine(&engine, &paper_hybrid_candidates());
+        let first = greedy_utilization(&engine, &paper_hybrid_candidates());
         assert_eq!(first.timing.cache.strategy_hits, 0);
-        let second = greedy_utilization_with_engine(&engine, &paper_hybrid_candidates());
+        let second = greedy_utilization(&engine, &paper_hybrid_candidates());
         assert_eq!(second.timing.cache.strategy_hits, 1);
         assert_eq!(first.strategy, second.strategy);
     }

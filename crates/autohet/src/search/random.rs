@@ -3,27 +3,17 @@
 //! Not in the paper, but the honest control for any learned search — the
 //! RL agent has to beat this at an equal evaluation budget to demonstrate
 //! it learned anything (the exhaustive oracle bounds both from above).
+//! [`random_search`] samples on the engine it is given, which supplies
+//! the model and config.
 
-use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::Model;
+use autohet_accel::{EvalEngine, EvalReport};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Evaluate `samples` uniform random strategies; return the best by RUE.
+/// Evaluate `samples` uniform random strategies on an existing (possibly
+/// shared) memoized engine; return the best by RUE.
 pub fn random_search(
-    model: &Model,
-    candidates: &[XbarShape],
-    cfg: &AccelConfig,
-    samples: usize,
-    seed: u64,
-) -> (Vec<XbarShape>, EvalReport) {
-    let engine = EvalEngine::new(model.clone(), *cfg);
-    random_search_with_engine(&engine, candidates, samples, seed)
-}
-
-/// [`random_search`] on an existing (possibly shared) memoized engine.
-pub fn random_search_with_engine(
     engine: &EvalEngine,
     candidates: &[XbarShape],
     samples: usize,
@@ -48,16 +38,16 @@ pub fn random_search_with_engine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autohet_accel::AccelConfig;
     use autohet_dnn::zoo;
     use autohet_xbar::geometry::paper_hybrid_candidates;
 
     #[test]
     fn finds_something_and_is_deterministic() {
-        let m = zoo::micro_cnn();
-        let cfg = AccelConfig::default();
+        let engine = || EvalEngine::new(zoo::micro_cnn(), AccelConfig::default());
         let cands = paper_hybrid_candidates();
-        let (s1, r1) = random_search(&m, &cands, &cfg, 20, 9);
-        let (s2, r2) = random_search(&m, &cands, &cfg, 20, 9);
+        let (s1, r1) = random_search(&engine(), &cands, 20, 9);
+        let (s2, r2) = random_search(&engine(), &cands, 20, 9);
         assert_eq!(s1, s2);
         assert_eq!(r1.rue(), r2.rue());
         assert!(r1.rue() > 0.0);
@@ -65,11 +55,10 @@ mod tests {
 
     #[test]
     fn more_samples_never_do_worse() {
-        let m = zoo::micro_cnn();
-        let cfg = AccelConfig::default();
+        let engine = EvalEngine::new(zoo::micro_cnn(), AccelConfig::default());
         let cands = paper_hybrid_candidates();
-        let (_, small) = random_search(&m, &cands, &cfg, 5, 4);
-        let (_, large) = random_search(&m, &cands, &cfg, 50, 4);
+        let (_, small) = random_search(&engine, &cands, 5, 4);
+        let (_, large) = random_search(&engine, &cands, 50, 4);
         assert!(large.rue() >= small.rue());
     }
 }

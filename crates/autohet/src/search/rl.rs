@@ -148,22 +148,6 @@ impl SearchOutcome {
             .unwrap_or(0)
     }
 
-    /// Moving average of episode RUE with the given window, for
-    /// convergence plots.
-    pub fn rue_moving_average(&self, window: usize) -> Vec<f64> {
-        assert!(window >= 1);
-        let mut out = Vec::with_capacity(self.history.len());
-        let mut sum = 0.0;
-        for (i, h) in self.history.iter().enumerate() {
-            sum += h.rue;
-            if i >= window {
-                sum -= self.history[i - window].rue;
-            }
-            out.push(sum / window.min(i + 1) as f64);
-        }
-        out
-    }
-
     /// Running best-so-far RUE per episode (monotone non-decreasing).
     pub fn rue_running_best(&self) -> Vec<f64> {
         let mut best = f64::MIN;
@@ -216,7 +200,9 @@ pub struct VecSearchStats {
 /// a common config share one memo table this way; cached feedback is
 /// bit-identical to direct evaluation, so only `cache_hit_rate` and
 /// `timing.cache` depend on the engine's prior contents. Deterministic
-/// for a fixed `(scfg.ddpg.seed, lanes)`.
+/// for a fixed `(scfg.ddpg.seed, lanes)`. The engine must be built for
+/// `model` and `cfg`; the search panics before its first episode
+/// otherwise.
 ///
 /// Batching model (DESIGN.md §10): episodes advance in lockstep groups of
 /// up to `lanes`. Within a group, layer step `k` stacks all active lanes'
@@ -256,9 +242,18 @@ pub fn rl_search_vec_with_stats(
     let _span = autohet_obs::trace::span("search.rl_vec");
     assert!(lanes >= 1, "need at least one lane");
     assert!(scfg.episodes >= 1, "need at least one episode");
+    assert!(
+        engine.model().layers == model.layers,
+        "engine must be built for the searched model"
+    );
+    assert_eq!(
+        engine.config(),
+        cfg,
+        "engine must be built for the same accelerator config"
+    );
     let t0 = Instant::now();
     let stats0 = engine.stats();
-    let env = AutoHetEnv::with_shared_engine(model, candidates, *cfg, scfg.reward_weights, engine);
+    let env = AutoHetEnv::new(engine, candidates, scfg.reward_weights);
     let n = env.num_layers();
     let mut venv = VecEnv::new(&env, lanes);
     let mut agent = Ddpg::new(DdpgConfig {
@@ -531,9 +526,6 @@ mod tests {
         let e2b = outcome.episodes_to_best();
         assert!(e2b < 25);
         assert!((outcome.history[e2b].rue - outcome.best_rue()).abs() < 1e-15);
-        let ma = outcome.rue_moving_average(5);
-        assert_eq!(ma.len(), 25);
-        assert!((ma[0] - outcome.history[0].rue).abs() < 1e-15);
     }
 
     #[test]
@@ -637,6 +629,26 @@ mod tests {
         assert_eq!(outcome_bits(&a), outcome_bits(&b));
         assert_eq!(a.best_strategy, b.best_strategy);
         assert_eq!(a.best_report, b.best_report);
+    }
+
+    #[test]
+    #[should_panic(expected = "engine must be built for the searched model")]
+    fn engine_for_another_model_is_rejected() {
+        // Same layer count, another layer 0: the engine would price every
+        // strategy on a model the search never saw.
+        let m = zoo::micro_cnn();
+        let mut other = m.clone();
+        other.layers[0].out_channels *= 4;
+        let cfg = AccelConfig::default();
+        let engine = Arc::new(EvalEngine::new(other, cfg));
+        let _ = rl_search_vec_with_stats(
+            &m,
+            &paper_hybrid_candidates(),
+            &cfg,
+            &quick_cfg(1, 6),
+            2,
+            engine,
+        );
     }
 
     #[test]

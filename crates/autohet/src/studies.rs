@@ -40,7 +40,7 @@
 //!   differs from the noise-blind winner (DESIGN.md §11).
 
 use crate::homogeneous::best_homogeneous;
-use crate::robust::{nsga_search_with_engine, GenerationStat, NsgaConfig};
+use crate::robust::{nsga_search, GenerationStat, NsgaConfig};
 use crate::search::greedy::{greedy_layerwise_rue, greedy_layerwise_rue_with_engine};
 use autohet_accel::alloc::allocate_tile_based;
 use autohet_accel::par_map;
@@ -938,7 +938,7 @@ pub fn robustness_study(model: &Model, cfg: &RobustnessStudyConfig) -> Robustnes
     let r = engine.evaluate_noisy(&greedy);
     rows.push(robustness_row("autohet/greedy".into(), greedy, &r));
 
-    let outcome = nsga_search_with_engine(&candidates, &cfg.nsga, Arc::clone(&engine));
+    let outcome = nsga_search(Arc::clone(&engine), &candidates, &cfg.nsga);
     rows.extend(
         outcome
             .front

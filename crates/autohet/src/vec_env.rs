@@ -144,10 +144,8 @@ mod tests {
     use std::sync::Arc;
 
     fn env() -> AutoHetEnv {
-        let m = zoo::micro_cnn();
-        let cfg = AccelConfig::default();
-        let engine = Arc::new(EvalEngine::new(m.clone(), cfg));
-        AutoHetEnv::with_shared_engine(&m, &paper_hybrid_candidates(), cfg, (1.0, 1.0), engine)
+        let engine = Arc::new(EvalEngine::new(zoo::micro_cnn(), AccelConfig::default()));
+        AutoHetEnv::new(engine, &paper_hybrid_candidates(), (1.0, 1.0))
     }
 
     fn run_group(

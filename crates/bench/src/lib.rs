@@ -192,7 +192,7 @@ pub fn fig3() -> Table {
         "Fig. 3 — VGG16: homogeneous baselines vs Manual-Hetero",
         &["accelerator", "utilization %", "energy nJ", "RUE"],
     );
-    for (shape, r) in homogeneous_reports(&m, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
         t.push(vec![
             shape.to_string(),
             pct(r.utilization),
@@ -303,7 +303,7 @@ pub fn fig9(rc: &ReproConfig, models: &[Model]) -> Vec<Table> {
                     "norm energy",
                 ],
             );
-            let homos = homogeneous_reports(m, &cfg);
+            let homos = homogeneous_reports(&EvalEngine::new(m.clone(), cfg));
             let e_min = homos
                 .iter()
                 .map(|(_, r)| r.energy_nj())
@@ -454,7 +454,7 @@ pub fn table5(rc: &ReproConfig) -> Table {
         "Table 5 — area & latency, VGG16",
         &["accelerator", "area um^2", "latency ns"],
     );
-    for (shape, r) in homogeneous_reports(&m, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
         t.push(vec![
             format!("SXB{}", shape.rows),
             sci(r.area_um2),
@@ -602,13 +602,17 @@ pub fn study_multi_model() -> Table {
 pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
     use autohet::search::annealing::{annealing_search, AnnealingConfig};
     use autohet::search::dqn::{dqn_search, DqnSearchConfig};
-    use autohet::search::greedy::{greedy_layerwise_rue, greedy_utilization};
+    use autohet::search::greedy::{greedy_layerwise_rue_with_engine, greedy_utilization};
     use autohet::search::random::random_search;
     use autohet_rl::DqnConfig;
+    use std::sync::Arc;
 
     let cfg = AccelConfig::default().with_tile_sharing();
     let plain = AccelConfig::default();
     let cands = paper_hybrid_candidates();
+    // Every comparator below scores on this one engine; cached feedback is
+    // bit-identical to a fresh engine's, so sharing changes no row.
+    let engine = Arc::new(EvalEngine::new(model.clone(), cfg));
     let mut t = Table::new(
         format!(
             "Search comparators on {} ({} evaluations each)",
@@ -630,9 +634,8 @@ pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
     let ddpg = rl_search(model, &cands, &cfg, &rc.search());
     push("DDPG (paper)", &ddpg.best_report);
     let dqn = dqn_search(
-        model,
+        Arc::clone(&engine),
         &cands,
-        &cfg,
         &DqnSearchConfig {
             episodes: rc.episodes,
             dqn: DqnConfig {
@@ -644,9 +647,8 @@ pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
     );
     push("DQN", &dqn.best_report);
     let sa = annealing_search(
-        model,
+        &engine,
         &cands,
-        &cfg,
         &AnnealingConfig {
             iterations: rc.episodes,
             seed: rc.seed,
@@ -654,11 +656,11 @@ pub fn comparators(rc: &ReproConfig, model: &Model) -> Table {
         },
     );
     push("Annealing", &sa.best_report);
-    let gu = greedy_utilization(model, &cands, &cfg);
+    let gu = greedy_utilization(&engine, &cands);
     push("Greedy-util [29]", &gu.report);
-    let gr = greedy_layerwise_rue(model, &cands, &cfg);
+    let gr = greedy_layerwise_rue_with_engine(&engine, &cands);
     push("Greedy-RUE", &gr.report);
-    let (_, rnd) = random_search(model, &cands, &cfg, rc.episodes, rc.seed);
+    let (_, rnd) = random_search(&engine, &cands, rc.episodes, rc.seed);
     push("Random", &rnd);
     t
 }
@@ -686,7 +688,7 @@ pub fn mobilenet(rc: &ReproConfig) -> Table {
             .map(|l| autohet_xbar::utilization::utilization(l, shape))
             .fold(f64::MAX, f64::min)
     };
-    for (shape, r) in homogeneous_reports(&m, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(m.clone(), cfg)) {
         t.push(vec![
             shape.to_string(),
             sci(r.rue()),
@@ -719,9 +721,11 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
     use autohet::search::dqn::{dqn_search, DqnSearchConfig};
     use autohet::search::random::random_search;
     use autohet_rl::DqnConfig;
+    use std::sync::Arc;
 
     let cfg = AccelConfig::default().with_tile_sharing();
     let cands = paper_hybrid_candidates();
+    let engine = Arc::new(EvalEngine::new(model.clone(), cfg));
     let checkpoints: Vec<usize> = [0.1, 0.25, 0.5, 0.75, 1.0]
         .iter()
         .map(|f| ((rc.episodes as f64 * f) as usize).max(1))
@@ -729,10 +733,9 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
 
     let ddpg = rl_search(model, &cands, &cfg, &rc.search());
     let ddpg_best = ddpg.rue_running_best();
-    let dqn = dqn_search(
-        model,
+    let dqn_best = dqn_search(
+        Arc::clone(&engine),
         &cands,
-        &cfg,
         &DqnSearchConfig {
             episodes: rc.episodes,
             dqn: DqnConfig {
@@ -741,20 +744,15 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
             },
             ..DqnSearchConfig::default()
         },
-    );
-    let mut dqn_best = Vec::with_capacity(dqn.history.len());
-    let mut b = f64::MIN;
-    for h in &dqn.history {
-        b = b.max(h.rue);
-        dqn_best.push(b);
-    }
+    )
+    .rue_running_best();
 
     let mut t = Table::new(
         format!("Convergence on {} (running best RUE)", model.name),
         &["episodes", "DDPG", "DQN", "Random"],
     );
     for &cp in &checkpoints {
-        let (_, rnd) = random_search(model, &cands, &cfg, cp, rc.seed);
+        let (_, rnd) = random_search(&engine, &cands, cp, rc.seed);
         t.push(vec![
             cp.to_string(),
             sci(ddpg_best[cp - 1]),

@@ -44,7 +44,7 @@ fn main() {
         );
     };
 
-    for (shape, r) in homogeneous_reports(&model, &cfg) {
+    for (shape, r) in homogeneous_reports(&EvalEngine::new(model.clone(), cfg)) {
         report_line(&shape.to_string(), &r);
     }
 

@@ -140,7 +140,7 @@ fn main() {
         },
         train_steps: 4,
     };
-    let dqn = dqn_search_with_engine(&model, &cands, &cfg, &dcfg, engine.clone());
+    let dqn = dqn_search(engine.clone(), &cands, &dcfg);
     println!(
         "dqn       best RUE {:.4}  cache: {}",
         dqn.best_rue(),
@@ -155,7 +155,7 @@ fn main() {
         seed: 7,
         ..AnnealingConfig::default()
     };
-    let sa = annealing_search_with_engine(&engine, &cands, &acfg);
+    let sa = annealing_search(&engine, &cands, &acfg);
     println!(
         "annealing best RUE {:.4}  cache: {}",
         sa.best_rue(),
@@ -165,7 +165,7 @@ fn main() {
     add_rows(2, &sa.history);
 
     // --- Greedy comparators (no trajectory, cache delta only) ----------
-    let gu = greedy_utilization_with_engine(&engine, &cands);
+    let gu = greedy_utilization(&engine, &cands);
     println!(
         "greedy-u  RUE      {:.4}  cache: {}",
         gu.rue(),

@@ -22,9 +22,11 @@ fn main() {
     //    1-bit cells, 10-bit ADCs) plus the tile-shared scheme.
     let cfg = AccelConfig::default().with_tile_sharing();
 
-    // 3. Homogeneous baselines.
+    // 3. Homogeneous baselines, scored on an engine that holds the model
+    //    and the plain accelerator config.
     println!("\n-- homogeneous baselines --");
-    for (shape, r) in homogeneous_reports(&model, &AccelConfig::default()) {
+    let plain = EvalEngine::new(model.clone(), AccelConfig::default());
+    for (shape, r) in homogeneous_reports(&plain) {
         println!(
             "{:>9}: util {:5.1}%  energy {:10.3e} nJ  RUE {:9.3e}",
             shape.to_string(),
@@ -57,7 +59,7 @@ fn main() {
         println!("    L{:<2} -> {s}", i + 1);
     }
 
-    let (_, best_homo) = best_homogeneous(&model, &AccelConfig::default());
+    let (_, best_homo) = best_homogeneous_with_engine(&plain);
     println!(
         "\nRUE improvement over best homogeneous: {:.2}x",
         r.rue() / best_homo.rue()

@@ -23,6 +23,7 @@ cargo bench -p autohet-bench --bench search -- --test >/dev/null
 cargo bench -p autohet-bench --bench noise -- --test >/dev/null
 cargo bench -p autohet-bench --bench lifetime -- --test >/dev/null
 cargo bench -p autohet-bench --bench serve_scale -- --test >/dev/null
+cargo bench -p autohet-bench --bench eval_cache -- --test >/dev/null
 cargo fmt --check
 # --all-targets lints tests, examples, and benches too, not just lib code.
 cargo clippy --workspace --all-targets -- -D warnings

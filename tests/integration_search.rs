@@ -2,7 +2,8 @@
 //! real workloads, against the comparator searches.
 
 use autohet::prelude::*;
-use autohet_rl::DdpgConfig;
+use autohet_rl::{DdpgConfig, DqnConfig};
+use std::sync::Arc;
 
 fn quick(seed: u64, episodes: usize) -> RlSearchConfig {
     RlSearchConfig {
@@ -42,7 +43,7 @@ fn rl_beats_random_search_at_equal_budget() {
     let cands = paper_hybrid_candidates();
     let budget = 80;
     let outcome = rl_search(&m, &cands, &cfg, &quick(7, budget));
-    let (_, rand) = random_search(&m, &cands, &cfg, budget, 7);
+    let (_, rand) = random_search(&EvalEngine::new(m.clone(), cfg), &cands, budget, 7);
     assert!(
         outcome.best_rue() >= rand.rue() * 0.98,
         "rl {} vs random {}",
@@ -76,10 +77,90 @@ fn greedy_searches_are_dominated_by_the_oracle() {
     let cfg = AccelConfig::default();
     let cands = paper_hybrid_candidates();
     let (_, oracle) = exhaustive_search(&m, &cands, &cfg, 1_000);
-    let gu = greedy_utilization(&m, &cands, &cfg);
+    let gu = greedy_utilization(&EvalEngine::new(m.clone(), cfg), &cands);
     let gr = greedy_layerwise_rue(&m, &cands, &cfg);
     assert!(oracle.rue() >= gu.rue());
     assert!(oracle.rue() >= gr.rue());
+}
+
+/// The best strategy, the best report's `Debug` form, and the bits of
+/// every history row's modelled values (not `cache_hit_rate`, which
+/// reads the engine's counters).
+fn outcome_bits(o: &SearchOutcome) -> (Vec<XbarShape>, String, Vec<[u64; 4]>) {
+    let rows = o
+        .history
+        .iter()
+        .map(|h| {
+            [
+                h.rue.to_bits(),
+                h.reward.to_bits(),
+                h.utilization.to_bits(),
+                h.energy_nj.to_bits(),
+            ]
+        })
+        .collect();
+    (
+        o.best_strategy.clone(),
+        format!("{:?}", o.best_report),
+        rows,
+    )
+}
+
+#[test]
+fn comparators_ignore_the_engines_prior_contents() {
+    // Each comparator runs on the engine it is given. Cached feedback is
+    // bit-identical to a fresh evaluation, so an engine that has already
+    // scored the baselines and an unrelated annealing run must give the
+    // same outcome as a fresh one; only the cache counters may differ.
+    let m = autohet_dnn::zoo::micro_cnn();
+    let cfg = AccelConfig::default().with_tile_sharing();
+    let cands = paper_hybrid_candidates();
+    let engine = |warm: bool| {
+        let engine = Arc::new(EvalEngine::new(m.clone(), cfg));
+        if warm {
+            homogeneous_reports(&engine);
+            let acfg = AnnealingConfig {
+                iterations: 50,
+                seed: 1,
+                ..AnnealingConfig::default()
+            };
+            annealing_search(&engine, &cands, &acfg);
+        }
+        engine
+    };
+
+    let dcfg = DqnSearchConfig {
+        episodes: 24,
+        dqn: DqnConfig {
+            seed: 3,
+            hidden: 32,
+            batch: 32,
+            ..DqnConfig::default()
+        },
+        train_steps: 4,
+    };
+    let dqn = |warm| outcome_bits(&dqn_search(engine(warm), &cands, &dcfg));
+    assert_eq!(dqn(false), dqn(true), "DQN");
+
+    let acfg = AnnealingConfig {
+        iterations: 40,
+        seed: 5,
+        ..AnnealingConfig::default()
+    };
+    let sa = |warm| outcome_bits(&annealing_search(&engine(warm), &cands, &acfg));
+    assert_eq!(sa(false), sa(true), "annealing");
+
+    let rnd = |warm| {
+        let (strategy, report) = random_search(&engine(warm), &cands, 40, 7);
+        (strategy, format!("{report:?}"))
+    };
+    assert_eq!(rnd(false), rnd(true), "random");
+
+    let gu = |warm| {
+        let out = greedy_utilization(&engine(warm), &cands);
+        (out.strategy, format!("{:?}", out.report))
+    };
+    assert_eq!(gu(false), gu(true), "greedy utilization");
 }
 
 #[test]

@@ -14,6 +14,7 @@ use autohet_xbar::{Adc, CostParams, Crossbar, DriftModel, VariedCrossbar, XbarSh
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// A programmed 1-bit-cell crossbar of arbitrary geometry and weight
 /// precision with one sampled variation draw, an input vector, and an
@@ -180,27 +181,28 @@ fn quick_nsga() -> NsgaConfig {
     }
 }
 
-fn quick_noise(scale: f64) -> NoiseEvalConfig {
-    NoiseEvalConfig {
+/// A fresh MicroCNN engine on the default accelerator whose device
+/// deviations are the HyperMetric ones scaled by `scale`.
+fn noisy_micro_engine(scale: f64) -> Arc<EvalEngine> {
+    let noise = NoiseEvalConfig {
         variation: VariationModel::hypermetric().with_deviation_scale(scale),
         draws: 2,
         probes: 2,
         ..NoiseEvalConfig::default()
-    }
+    };
+    let engine = EvalEngine::new(autohet_dnn::zoo::micro_cnn(), AccelConfig::default());
+    Arc::new(engine.with_noise(noise))
 }
 
 /// No member of a final NSGA front may dominate another, whatever the
 /// noise level; duplicated strategies never survive deduplication.
 #[test]
 fn nsga_front_members_are_mutually_non_dominated() {
-    let m = autohet_dnn::zoo::micro_cnn();
     for scale in [1.0, 0.5] {
         let out = nsga_search(
-            &m,
+            noisy_micro_engine(scale),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick_nsga(),
-            &quick_noise(scale),
         );
         assert!(!out.front.is_empty());
         for a in &out.front {
@@ -227,14 +229,11 @@ fn nsga_front_members_are_mutually_non_dominated() {
 /// 2-objective energy × latency trade-off).
 #[test]
 fn fronts_shrink_monotonically_under_tighter_noise() {
-    let m = autohet_dnn::zoo::micro_cnn();
     let run = |scale: f64| {
         nsga_search(
-            &m,
+            noisy_micro_engine(scale),
             &paper_hybrid_candidates(),
-            &AccelConfig::default(),
             &quick_nsga(),
-            &quick_noise(scale),
         )
     };
     let fronts: Vec<_> = [1.0, 0.5, 0.0].iter().map(|&s| run(s)).collect();
