@@ -11,10 +11,9 @@ use crate::hierarchy::Tile;
 use autohet_dnn::{Layer, Model};
 use autohet_xbar::utilization::{footprint, Footprint};
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer placement summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerPlacement {
     /// Layer index within the model.
     pub layer_index: usize,
@@ -40,7 +39,7 @@ impl LayerPlacement {
 }
 
 /// A complete allocation: concrete tiles plus per-layer summaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Allocation {
     /// Logical crossbars per tile.
     pub capacity: u32,
@@ -64,15 +63,6 @@ impl Allocation {
     /// Total empty crossbar slots across all tiles.
     pub fn empty_xbars(&self) -> u64 {
         self.allocated_xbars() - self.occupied_xbars()
-    }
-
-    /// Number of banks needed to host this allocation, given a per-bank
-    /// tile capacity (the paper's banks hold 256×256 tiles, §4.1 — far
-    /// more than any single model needs, but multi-model co-location and
-    /// small edge banks make the check meaningful).
-    pub fn banks_required(&self, tiles_per_bank: u64) -> u64 {
-        assert!(tiles_per_bank >= 1);
-        (self.tiles.len() as u64).div_ceil(tiles_per_bank)
     }
 
     /// Tile count per crossbar shape, for per-shape cost aggregation.
@@ -241,17 +231,6 @@ mod tests {
         assert_eq!(by_shape.len(), 2);
         let total: u64 = by_shape.iter().map(|(_, n)| n).sum();
         assert_eq!(total, alloc.tiles.len() as u64);
-    }
-
-    #[test]
-    fn banks_required_rounds_up() {
-        let m = zoo::vgg16();
-        let alloc = allocate_tile_based(&m, &uniform(&m, XbarShape::square(64)), 4);
-        let tiles = alloc.tiles.len() as u64;
-        assert_eq!(alloc.banks_required(tiles), 1);
-        assert_eq!(alloc.banks_required(tiles - 1), 2);
-        // The paper's 256×256-tile banks hold any single model.
-        assert_eq!(alloc.banks_required(256 * 256), 1);
     }
 
     #[test]

@@ -29,10 +29,9 @@ use crate::robustness::RobustnessReport;
 use autohet_xbar::drift::DriftModel;
 use autohet_xbar::fault::FaultRates;
 use autohet_xbar::variation::VariationModel;
-use serde::{Deserialize, Serialize};
 
 /// What the system does about accumulated degradation at an epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryPolicy {
     /// No reaction at all: stale readout references, degrade-only repair.
     NoRecovery,
@@ -74,7 +73,7 @@ impl RecoveryPolicy {
 
 /// Drift-evaluation parameters for
 /// [`EvalEngine::with_drift`](crate::engine::EvalEngine::with_drift).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftEvalConfig {
     /// The temporal degradation model (corner + seed).
     pub drift: DriftModel,
@@ -123,7 +122,7 @@ impl DriftEvalConfig {
 /// struct where hard faults (cumulative rates), soft variation (the
 /// drifted device population), and the recovery decision (readout
 /// reference) meet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationState {
     /// Epoch, simulated hours since deployment.
     pub t_hours: f64,
@@ -157,7 +156,7 @@ impl DegradationState {
 /// metrics, the repair outcome, and the drift-aware robustness scores.
 /// Produced by
 /// [`EvalEngine::evaluate_degraded`](crate::engine::EvalEngine::evaluate_degraded).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedEvalReport {
     /// Metrics of the repaired allocation at the epoch (latency factors,
     /// spare area, and spare leakage folded in).

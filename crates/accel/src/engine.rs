@@ -39,11 +39,10 @@ use autohet_obs::Metric;
 use autohet_xbar::energy::static_power;
 use autohet_xbar::fault::{FaultMap, FaultRates};
 use autohet_xbar::{area, XbarShape};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Cached per-(layer, shape) evaluation slice.
 #[derive(Debug, Clone, Copy)]
@@ -90,7 +89,7 @@ impl StrategyCache {
 /// together and are counted where a computation fills a memo key, so
 /// they are a function of the distinct keys requested, never of thread
 /// timing: a slice two workers race to compute counts once.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Whole-strategy cache hits (O(1) repeated evaluations).
     pub strategy_hits: u64,
@@ -202,7 +201,7 @@ impl fmt::Display for EngineStats {
 /// Evaluation of a strategy on faulted hardware: the repaired mapping's
 /// metrics plus the repair outcome that produced them. Produced by
 /// [`EvalEngine::evaluate_faulted`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultedEvalReport {
     /// Metrics of the repaired allocation (latency factors, spare area,
     /// and spare leakage folded in).
@@ -220,12 +219,19 @@ pub struct FaultedEvalReport {
 /// Evaluation of a strategy under device variation: the ideal-device
 /// metrics plus the Monte-Carlo robustness scores. Produced by
 /// [`EvalEngine::evaluate_noisy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NoisyEvalReport {
     /// Ideal-device metrics (identical to [`EvalEngine::evaluate`]).
     pub eval: EvalReport,
     /// Accuracy-under-noise scores (see [`crate::robustness`]).
     pub robustness: RobustnessReport,
+}
+
+/// Lock a memo, recovering the guard if a worker panicked while holding
+/// it. Every memo entry is computed outside the lock and inserted whole,
+/// so a panicking worker cannot leave a half-written entry behind.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Noise-evaluation state of an engine: the Monte-Carlo configuration
@@ -341,13 +347,13 @@ impl EvalEngine {
     /// Bit-identical to `evaluate(model, strategy, cfg)`.
     pub fn evaluate(&self, strategy: &[XbarShape]) -> EvalReport {
         let _span = autohet_obs::trace::span("engine.evaluate");
-        if let Some(hit) = self.strategies.lock().get(strategy) {
+        if let Some(hit) = lock(&self.strategies).get(strategy) {
             self.strategy_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.strategy_misses.fetch_add(1, Ordering::Relaxed);
         let report = self.compose(strategy);
-        let mut cache = self.strategies.lock();
+        let mut cache = lock(&self.strategies);
         cache.insert(strategy.to_vec(), report.clone());
         report
     }
@@ -375,7 +381,7 @@ impl EvalEngine {
 
     fn slice(&self, position: usize, shape: XbarShape) -> LayerSlice {
         let key = (position, shape);
-        if let Some(s) = self.layers.lock().get(&key) {
+        if let Some(s) = lock(&self.layers).get(&key) {
             self.layer_hits.fetch_add(1, Ordering::Relaxed);
             return *s;
         }
@@ -387,7 +393,7 @@ impl EvalEngine {
             cost: layer_cost(layer, &placement.footprint, &self.cfg.cost),
             placement,
         };
-        self.layers.lock().insert(key, s);
+        lock(&self.layers).insert(key, s);
         s
     }
 
@@ -420,7 +426,7 @@ impl EvalEngine {
 
     fn noise_slice(&self, state: &NoiseState, position: usize, shape: XbarShape) -> LayerNoise {
         let key = (position, shape);
-        if let Some(n) = state.memo.lock().get(&key) {
+        if let Some(n) = lock(&state.memo).get(&key) {
             return *n;
         }
         let variation = state.cfg.variation;
@@ -432,7 +438,7 @@ impl EvalEngine {
             &variation,
             &[variation],
         );
-        let filled = state.memo.lock().insert(key, scores[0]).is_none();
+        let filled = lock(&state.memo).insert(key, scores[0]).is_none();
         self.count_filled(filled as u64, work);
         scores[0]
     }
@@ -548,7 +554,7 @@ impl EvalEngine {
         shape: XbarShape,
     ) -> LayerNoise {
         let key = |recalibrated| (position, shape, state.t_hours.to_bits(), recalibrated);
-        if let Some(n) = ds.memo.lock().get(&key(state.recalibrated)) {
+        if let Some(n) = lock(&ds.memo).get(&key(state.recalibrated)) {
             return *n;
         }
         // Both arms read the same seeded device population; they differ
@@ -581,7 +587,7 @@ impl EvalEngine {
         );
         let arms = [scores[0], scores[scores.len() - 1]];
         let filled = {
-            let mut memo = ds.memo.lock();
+            let mut memo = lock(&ds.memo);
             (memo.insert(key(false), arms[0]).is_none() as u64)
                 + (memo.insert(key(true), arms[1]).is_none() as u64)
         };
@@ -1075,16 +1081,15 @@ mod tests {
             .map(|o| evaluate(&m, &rotating_strategy(&m, o), &cfg))
             .collect();
         let mut got: Vec<Option<EvalReport>> = vec![None; 8];
-        crossbeam::thread::scope(|sc| {
+        std::thread::scope(|sc| {
             for (o, slot) in got.iter_mut().enumerate() {
                 let engine = &engine;
                 let m = &m;
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     *slot = Some(engine.evaluate(&rotating_strategy(m, o)));
                 });
             }
-        })
-        .expect("evaluation worker panicked");
+        });
         for (g, e) in got.into_iter().zip(expected) {
             assert_eq!(g.unwrap(), e);
         }

@@ -7,10 +7,9 @@
 //! model expands to physical slices internally.
 
 use autohet_xbar::{CostParams, XbarShape};
-use serde::{Deserialize, Serialize};
 
 /// Global accelerator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
     /// Component cost model.
     pub cost: CostParams,
@@ -47,7 +46,7 @@ impl AccelConfig {
 }
 
 /// One occupant entry in a tile: a layer holding some of its crossbars.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileSlot {
     /// Index of the occupying layer within its model.
     pub layer_index: usize,
@@ -57,7 +56,7 @@ pub struct TileSlot {
 
 /// An allocated tile: homogeneous crossbars of one shape, shared by one or
 /// more layers (more than one only after tile sharing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tile {
     /// Identifier unique within an [`crate::Allocation`].
     pub id: usize,

@@ -20,10 +20,9 @@ use autohet_xbar::energy::{layer_energy, static_power, LayerEnergy};
 use autohet_xbar::latency::layer_latency_ns;
 use autohet_xbar::utilization::Footprint;
 use autohet_xbar::{area, CostParams, XbarShape};
-use serde::{Deserialize, Serialize};
 
 /// Per-layer slice of an evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerReport {
     /// Layer index within the model.
     pub layer_index: usize,
@@ -42,7 +41,7 @@ pub struct LayerReport {
 }
 
 /// Aggregated evaluation of one (model, strategy) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Model name.
     pub model_name: String,

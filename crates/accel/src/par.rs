@@ -1,6 +1,6 @@
 //! Deterministic fork-join helper for sweep drivers.
 //!
-//! A thin order-preserving `map` over `crossbeam::thread::scope` workers:
+//! A thin order-preserving `map` over `std::thread::scope` workers:
 //! items are split into contiguous chunks, each worker fills its chunk's
 //! output slots, and results come back in input order — so parallel sweeps
 //! return exactly what their serial loops returned.
@@ -38,12 +38,12 @@ where
     // Join each worker explicitly so a panic can be attributed to its
     // chunk (and the original payload preserved) instead of surfacing as
     // an anonymous scope error.
-    let joined: Vec<Result<(), Box<dyn std::any::Any + Send>>> = crossbeam::thread::scope(|s| {
+    let joined: Vec<Result<(), Box<dyn std::any::Any + Send>>> = std::thread::scope(|s| {
         let handles: Vec<_> = out
             .chunks_mut(chunk)
             .zip(items.chunks(chunk))
             .map(|(slot_chunk, item_chunk)| {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
                         *slot = Some(f(item));
                     }
@@ -51,8 +51,7 @@ where
             })
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
-    })
-    .expect("parallel sweep worker pool panicked");
+    });
     for (i, r) in joined.iter().enumerate() {
         if let Err(payload) = r {
             let msg = payload

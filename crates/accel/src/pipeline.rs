@@ -18,10 +18,9 @@ use autohet_dnn::Model;
 use autohet_xbar::latency::layer_latency_ns;
 use autohet_xbar::utilization::footprint;
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 
 /// Pipeline analysis of one (model, strategy) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Per-layer stage latency for one sample \[ns\].
     pub stage_ns: Vec<f64>,
@@ -83,7 +82,7 @@ pub fn pipeline_report(model: &Model, strategy: &[XbarShape], cfg: &AccelConfig)
 }
 
 /// A replication plan: per-layer crossbar-duplication factors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicationPlan {
     /// Duplication factor per layer (≥ 1).
     pub factors: Vec<u32>,

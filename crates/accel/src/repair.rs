@@ -37,10 +37,9 @@
 use crate::alloc::Allocation;
 use autohet_xbar::fault::{ComponentHealth, FaultMap};
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 
 /// What happens to a layer whose slices could not be re-homed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradationMode {
     /// Surviving crossbars of the layer re-process the lost slices
     /// serially: correctness preserved, latency multiplied by
@@ -52,7 +51,7 @@ pub enum DegradationMode {
 }
 
 /// Repair configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairPolicy {
     /// Spare logical crossbars provisioned per tile.
     pub spares_per_tile: u32,
@@ -96,7 +95,7 @@ impl RepairPolicy {
 }
 
 /// Post-repair damage summary for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerDamage {
     /// Layer index within the model.
     pub layer_index: usize,
@@ -116,7 +115,7 @@ pub struct LayerDamage {
 }
 
 /// Outcome of repairing one allocation against one fault map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RepairReport {
     /// Occupied slots that sat on dead components (displaced slices).
     pub dead_occupied: u64,
@@ -142,11 +141,6 @@ pub struct RepairReport {
 }
 
 impl RepairReport {
-    /// Total spares activated.
-    pub fn activated_spares(&self) -> u64 {
-        self.activated_per_tile.iter().sum()
-    }
-
     /// True when the fault map left the mapping untouched.
     pub fn is_clean(&self) -> bool {
         self.dead_occupied == 0 && self.adc_degraded == 0
@@ -478,7 +472,7 @@ mod tests {
         assert_eq!(rep.dead_occupied, 1);
         assert_eq!(rep.spared, 1);
         assert_eq!(rep.remapped + rep.degraded, 0);
-        assert_eq!(rep.activated_spares(), 1);
+        assert_eq!(rep.activated_per_tile.iter().sum::<u64>(), 1);
         // Spare keeps the slice in the tile: occupancy unchanged.
         assert_eq!(alloc.occupied_xbars(), occupied_before);
         assert_invariant(&alloc, &faults, &rep);

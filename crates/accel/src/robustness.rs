@@ -30,10 +30,9 @@ use autohet_xbar::variation::{VariationModel, VariedCrossbar};
 use autohet_xbar::{Adc, CostParams, Crossbar, XbarShape};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Monte-Carlo noise-evaluation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseEvalConfig {
     /// Device-variation model sampled per draw.
     pub variation: VariationModel,
@@ -61,7 +60,7 @@ impl Default for NoiseEvalConfig {
 }
 
 /// Noise statistics of one `(layer, shape)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerNoise {
     /// Mean absolute output deviation over all draws/probes/outputs,
     /// normalized by the block's ideal output scale.
@@ -88,7 +87,7 @@ impl LayerNoise {
 
 /// Whole-strategy robustness: per-layer noise statistics plus the
 /// aggregates the multi-objective search optimizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessReport {
     /// One entry per layer, in layer order.
     pub per_layer: Vec<LayerNoise>,

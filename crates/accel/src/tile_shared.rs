@@ -18,10 +18,9 @@
 use crate::alloc::{Allocation, LayerPlacement};
 use crate::hierarchy::Tile;
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 
 /// Result of tile sharing over one allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharingReport {
     /// Tiles before sharing.
     pub tiles_before: usize,

@@ -18,11 +18,10 @@ use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
 use autohet_dnn::Model;
 use autohet_xbar::geometry::{paper_hybrid_candidates, SQUARE_CANDIDATES};
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Ablation stages, in cumulative order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AblationStage {
     /// Best homogeneous square accelerator.
     Base,

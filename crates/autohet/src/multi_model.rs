@@ -12,7 +12,7 @@
 use crate::homogeneous::best_homogeneous;
 use crate::search::rl::{rl_search_vec_with_stats, RlSearchConfig};
 use autohet_accel::{AccelConfig, EvalEngine, EvalReport};
-use autohet_dnn::{Dataset, Model};
+use autohet_dnn::Model;
 use autohet_xbar::XbarShape;
 use std::sync::Arc;
 
@@ -114,21 +114,17 @@ pub fn co_search(
     }
 }
 
-/// Sanity helper for tests/examples: a deterministic pair of small models
-/// with distinct datasets.
-pub fn demo_pair() -> Vec<Model> {
-    let a = autohet_dnn::zoo::micro_cnn();
-    let b = autohet_dnn::zoo::test_cnn();
-    debug_assert_ne!(a.dataset, Dataset::ImageNet);
-    vec![a, b]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use autohet_accel::evaluate;
     use autohet_rl::DdpgConfig;
     use autohet_xbar::geometry::paper_hybrid_candidates;
+
+    /// A deterministic pair of small models.
+    fn demo_pair() -> Vec<Model> {
+        vec![autohet_dnn::zoo::micro_cnn(), autohet_dnn::zoo::test_cnn()]
+    }
 
     fn quick() -> RlSearchConfig {
         RlSearchConfig {

@@ -21,11 +21,10 @@ use autohet_accel::{EvalEngine, NoisyEvalReport};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// NSGA-II driver parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NsgaConfig {
     /// Population size (μ; also the per-generation offspring count λ).
     pub population: usize,
@@ -52,7 +51,7 @@ impl Default for NsgaConfig {
 }
 
 /// One evaluated mapping on (or near) the robustness Pareto front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustPoint {
     /// Per-layer crossbar shapes.
     pub strategy: Vec<XbarShape>,
@@ -89,7 +88,7 @@ impl RobustPoint {
 }
 
 /// Per-generation trajectory record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStat {
     /// Generation index (0 = seeded initial population).
     pub generation: usize,
@@ -104,7 +103,7 @@ pub struct GenerationStat {
 }
 
 /// Result of an NSGA-II search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustSearchOutcome {
     /// The final rank-0 front, deduplicated by strategy and sorted by
     /// ascending energy (ties: latency, noise, strategy).

@@ -16,11 +16,10 @@ use autohet_accel::EvalEngine;
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Annealer hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealingConfig {
     /// Evaluation budget (comparable to RL episodes).
     pub iterations: usize,

@@ -15,12 +15,11 @@ use crate::search::rl::{EpisodeRecord, SearchOutcome, SearchTiming};
 use autohet_accel::{EvalEngine, EvalReport};
 use autohet_rl::{DiscreteExperience, Dqn, DqnConfig};
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// DQN search hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DqnSearchConfig {
     /// Search rounds.
     pub episodes: usize,

@@ -23,12 +23,11 @@ use autohet_rl::{Ddpg, DdpgConfig, Experience, OuNoise, TrainProfile};
 use autohet_xbar::XbarShape;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Search hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RlSearchConfig {
     /// Search rounds (the paper runs 300 for VGG16, §4.5).
     pub episodes: usize,
@@ -69,7 +68,7 @@ impl Default for RlSearchConfig {
 }
 
 /// One episode's record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpisodeRecord {
     pub episode: usize,
     /// Raw RUE of the episode's configuration.
@@ -84,12 +83,11 @@ pub struct EpisodeRecord {
     /// lookups (strategy + layer; 0.0 when no lookups happened). On an
     /// engine shared across concurrent searches the delta includes every
     /// user active during the episode.
-    #[serde(default)]
     pub cache_hit_rate: f64,
 }
 
 /// Where the search time went (§4.5's decomposition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SearchTiming {
     /// Total wall-clock.
     pub total: Duration,
@@ -177,7 +175,7 @@ pub fn rl_search(
 }
 
 /// Throughput counters from a search (see [`rl_search_vec_with_stats`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VecSearchStats {
     /// Lockstep lane count the driver was configured with.
     pub lanes: usize,

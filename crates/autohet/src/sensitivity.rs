@@ -12,10 +12,9 @@ use autohet_accel::AccelConfig;
 use autohet_dnn::Model;
 use autohet_xbar::geometry::mixed_candidates;
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 
 /// One sweep point: AutoHet (full optimizations) vs Best-Homo.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Point label, e.g. `"2S3R"` or `"PEs=16"`.
     pub label: String,

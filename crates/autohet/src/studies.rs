@@ -59,11 +59,10 @@ use autohet_xbar::geometry::paper_hybrid_candidates;
 use autohet_xbar::utilization::footprint;
 use autohet_xbar::DriftModel;
 use autohet_xbar::XbarShape;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One point of the ADC-resolution sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdcPoint {
     /// ADC resolution in bits.
     pub bits: u32,
@@ -101,7 +100,7 @@ pub fn adc_resolution_sweep(model: &Model, strategy: &[XbarShape], bits: &[u32])
 }
 
 /// One rectangle-height family's score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeightFamily {
     /// Family label, e.g. `"multiples of 9"`.
     pub label: String,
@@ -150,7 +149,7 @@ pub fn rxb_height_study(model: &Model, width: u32) -> Vec<HeightFamily> {
 }
 
 /// Result of the multi-model sharing study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MultiModelSharing {
     /// Tiles with no sharing at all.
     pub tiles_unshared: usize,
@@ -189,7 +188,7 @@ pub fn multi_model_sharing_study(
 }
 
 /// One deployment configuration's serving outcome under the shared load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingStudyRow {
     /// `"<strategy>/<allocation>"`, e.g. `"autohet/tile-shared"`.
     pub label: String,
@@ -208,13 +207,11 @@ pub struct ServingStudyRow {
     /// Firing transitions on the run's alert timeline (SLO burn, queue
     /// saturation — see [`autohet_serve::alert_timeline`]), evaluated
     /// post-hoc over the per-window telemetry.
-    #[serde(default)]
     pub alerts_fired: u64,
     /// Jain's fairness index over per-tenant weighted attained service
     /// (1.0 for the single-tenant rows here; kept in the schema so
     /// multi-tenant studies line up with
     /// [`autohet_serve::ShardServingReport::fairness_index`]).
-    #[serde(default)]
     pub fairness_index: f64,
 }
 
@@ -354,7 +351,7 @@ impl Lineup {
 /// Parameters of a [`fault_campaign`] run. Everything downstream — fault
 /// maps, replica outages, request arrivals — derives from `seed`, so a
 /// campaign is a pure function of this struct and the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaignConfig {
     /// Component fault rates to sweep (include 0.0 for the healthy
     /// baseline; rate 0 also disables instance failures).
@@ -386,7 +383,7 @@ impl Default for FaultCampaignConfig {
 }
 
 /// One (deployment configuration, fault rate) cell of the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultCampaignRow {
     /// `"<strategy>/<allocation>"`, e.g. `"autohet/tile-shared"`.
     pub label: String,
@@ -434,7 +431,7 @@ impl CampaignRow for FaultCampaignRow {
 
 /// Outcome of a full campaign on one model: a [`FaultCampaignReport`] or
 /// a [`LifetimeCampaignReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport<C, R> {
     /// Model swept.
     pub model: String,
@@ -472,6 +469,20 @@ fn replica_total(report: &ShardServingReport, f: fn(&autohet_serve::ShardStats) 
     report.shard_stats.iter().map(f).sum()
 }
 
+/// The serving checks both campaigns make before any work. A
+/// non-positive request count would leave a zero serving horizon.
+fn check_serving(load: f64, requests: f64, replicas: usize) {
+    assert!(
+        load.is_finite() && load > 0.0,
+        "load must be finite and positive, got {load}"
+    );
+    assert!(
+        requests.is_finite() && requests > 0.0,
+        "requests must be finite and positive, got {requests}"
+    );
+    assert!(replicas >= 1, "need at least one replica");
+}
+
 /// Replica-failure schedule for one campaign cell: instance failures get
 /// more frequent as component faults get denser (MTBF ∝ 1/rate), and a
 /// healthy device never fails.
@@ -497,11 +508,19 @@ fn campaign_failures(seed: u64, fault_rate: f64) -> Option<FailureSpec> {
 ///
 /// Cells are evaluated with [`par_map`]; the report is bit-identical to
 /// a sequential sweep because every cell is independent and seeded.
+///
+/// Panics before any work on a bad configuration: a non-positive or
+/// non-finite load or request count, a zero replica count, an empty
+/// sweep, or a fault rate outside \[0, 1\].
 pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaignReport {
     let _span = autohet_obs::trace::span("study.fault_campaign");
-    assert!(cfg.load > 0.0, "load must be positive");
+    check_serving(cfg.load, cfg.requests, cfg.replicas);
     assert!(!cfg.fault_rates.is_empty(), "empty fault-rate sweep");
-    assert!(cfg.replicas >= 1, "need at least one replica");
+    assert!(
+        cfg.fault_rates.iter().all(|r| (0.0..=1.0).contains(r)),
+        "fault_rates must lie in [0, 1], got {:?}",
+        cfg.fault_rates
+    );
     let lineup = Lineup::compile(model, &CONFIGS, cfg.load, 6.0);
     let engines: Vec<EvalEngine> = lineup
         .members
@@ -561,7 +580,7 @@ pub fn fault_campaign(model: &Model, cfg: &FaultCampaignConfig) -> FaultCampaign
 /// drift trajectories, fault snapshots, drift errors, arrivals — derives
 /// from `seed`, so a campaign is a pure function of this struct and the
 /// model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeCampaignConfig {
     /// Drift-rate scales to sweep, as multiples of the nominal corner
     /// (include 0.0 for the drift-free baseline; scale 0 also disables
@@ -603,7 +622,7 @@ impl Default for LifetimeCampaignConfig {
 }
 
 /// One (deployment configuration, drift scale, recovery policy) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeRow {
     /// `"<strategy>/<allocation>"`, e.g. `"autohet/tile-shared"`.
     pub label: String,
@@ -727,12 +746,12 @@ fn campaign_health(seed: u64, scale: f64, policy: RecoveryPolicy) -> Option<Heal
 /// Cells are evaluated with [`par_map`]; the report is bit-identical to
 /// a sequential sweep because every cell is independent and seeded.
 ///
-/// Panics before any work on a bad configuration: a non-positive load,
-/// request count or replica count, an empty sweep, or a negative or
-/// non-finite drift scale or epoch.
+/// Panics before any work on a bad configuration: a non-positive or
+/// non-finite load or request count, a zero replica count, an empty
+/// sweep, or a negative or non-finite drift scale or epoch.
 pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> LifetimeCampaignReport {
     let _span = autohet_obs::trace::span("study.lifetime_campaign");
-    assert!(cfg.load > 0.0, "load must be positive");
+    check_serving(cfg.load, cfg.requests, cfg.replicas);
     assert!(!cfg.drift_scales.is_empty(), "empty drift-scale sweep");
     assert!(
         cfg.drift_scales.iter().all(|s| s.is_finite() && *s >= 0.0),
@@ -744,13 +763,6 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
         "epoch_hours must be finite and non-negative, got {}",
         cfg.epoch_hours
     );
-    // A non-positive request count leaves a zero serving horizon.
-    assert!(
-        cfg.requests.is_finite() && cfg.requests > 0.0,
-        "requests must be finite and positive, got {}",
-        cfg.requests
-    );
-    assert!(cfg.replicas >= 1, "need at least one replica");
     // The two corners: homogeneous/tile-based and autohet/tile-shared.
     let lineup = Lineup::compile(model, &[CONFIGS[0], CONFIGS[3]], cfg.load, 6.0);
     let wl = lineup.workload(cfg.seed, cfg.requests);
@@ -823,7 +835,7 @@ pub fn lifetime_campaign(model: &Model, cfg: &LifetimeCampaignConfig) -> Lifetim
 /// scoring, the NSGA-II trajectory, the Monte-Carlo noise draws —
 /// derives from the seeds inside, so a study is a pure function of this
 /// struct and the model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RobustnessStudyConfig {
     /// Accelerator configuration shared by every row.
     pub accel: AccelConfig,
@@ -834,7 +846,7 @@ pub struct RobustnessStudyConfig {
 }
 
 /// One scored mapping of the robustness study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessStudyRow {
     /// `"homogeneous/<rows>x<cols>"`, `"autohet/greedy"`, or
     /// `"nsga/front-<i>"`.
@@ -854,7 +866,7 @@ pub struct RobustnessStudyRow {
 }
 
 /// Outcome of a [`robustness_study`] on one model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessStudyReport {
     /// Model studied.
     pub model: String,
@@ -1243,6 +1255,46 @@ mod tests {
             ..small_lifetime()
         };
         lifetime_campaign(&zoo::micro_cnn(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "load must be finite and positive")]
+    fn lifetime_campaign_rejects_an_infinite_load() {
+        let cfg = LifetimeCampaignConfig {
+            load: f64::INFINITY,
+            ..small_lifetime()
+        };
+        lifetime_campaign(&zoo::micro_cnn(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault_rates must lie in [0, 1]")]
+    fn fault_campaign_rejects_a_nan_fault_rate() {
+        let cfg = FaultCampaignConfig {
+            fault_rates: vec![0.0, f64::NAN],
+            ..small_campaign()
+        };
+        fault_campaign(&zoo::micro_cnn(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "requests must be finite and positive")]
+    fn fault_campaign_rejects_zero_requests() {
+        let cfg = FaultCampaignConfig {
+            requests: 0.0,
+            ..small_campaign()
+        };
+        fault_campaign(&zoo::micro_cnn(), &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "load must be finite and positive")]
+    fn fault_campaign_rejects_an_infinite_load() {
+        let cfg = FaultCampaignConfig {
+            load: f64::INFINITY,
+            ..small_campaign()
+        };
+        fault_campaign(&zoo::micro_cnn(), &cfg);
     }
 
     fn small_robustness() -> RobustnessStudyConfig {

@@ -733,7 +733,7 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
 
     let ddpg = rl_search(model, &cands, &cfg, &rc.search());
     let ddpg_best = ddpg.rue_running_best();
-    let dqn_best = dqn_search(
+    let dqn = dqn_search(
         Arc::clone(&engine),
         &cands,
         &DqnSearchConfig {
@@ -744,8 +744,8 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
             },
             ..DqnSearchConfig::default()
         },
-    )
-    .rue_running_best();
+    );
+    let dqn_best = dqn.rue_running_best();
 
     let mut t = Table::new(
         format!("Convergence on {} (running best RUE)", model.name),
@@ -763,7 +763,7 @@ pub fn convergence(rc: &ReproConfig, model: &Model) -> Table {
     t.push(vec![
         "episodes-to-best".into(),
         ddpg.episodes_to_best().to_string(),
-        "-".into(),
+        dqn.episodes_to_best().to_string(),
         "-".into(),
     ]);
     t
@@ -914,6 +914,8 @@ mod tests {
         let m = zoo::micro_cnn();
         let c = convergence(&rc, &m);
         assert_eq!(c.rows.len(), 6); // 5 checkpoints + episodes-to-best
+        let to_best = &c.rows[5];
+        assert!(to_best[1].parse::<usize>().is_ok() && to_best[2].parse::<usize>().is_ok());
         let p = pareto(&rc, &m);
         assert_eq!(p.rows.len(), 5);
         assert!(p.rows.iter().any(|r| r[4] == "yes"));

@@ -11,10 +11,9 @@
 use crate::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The three evaluation datasets of the paper, as geometry descriptors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// 28×28×1 grayscale digits, 10 classes.
     Mnist,
@@ -39,14 +38,6 @@ impl Dataset {
         match self {
             Dataset::Mnist => 1,
             Dataset::Cifar10 | Dataset::ImageNet => 3,
-        }
-    }
-
-    /// Number of classification classes.
-    pub fn num_classes(self) -> usize {
-        match self {
-            Dataset::Mnist | Dataset::Cifar10 => 10,
-            Dataset::ImageNet => 1000,
         }
     }
 
@@ -83,7 +74,6 @@ mod tests {
         assert_eq!(Dataset::Cifar10.input_size(), 32);
         assert_eq!(Dataset::Cifar10.input_channels(), 3);
         assert_eq!(Dataset::ImageNet.input_size(), 224);
-        assert_eq!(Dataset::ImageNet.num_classes(), 1000);
     }
 
     #[test]

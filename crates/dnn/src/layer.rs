@@ -7,12 +7,10 @@
 //! the neuron counts (paper §3.2: "we consider the FC layer as a special
 //! kind of CONV layer by setting both ks and s to one").
 
-use serde::{Deserialize, Serialize};
-
 /// The layer families the mapper distinguishes (the paper's state feature
 /// `t` covers CONV/FC; depthwise convolutions are a beyond-paper workload
 /// extension — see DESIGN.md §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Convolutional layer (`t = 1` in the RL state vector).
     Conv,
@@ -43,7 +41,7 @@ impl LayerKind {
 /// space) are functions of this struct alone — weight *values* never matter
 /// for the architecture search, which is why the reproduction can run on
 /// synthetic weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Layer {
     /// Zero-based index of the layer within its model (state feature `k`).
     pub index: usize,

@@ -23,11 +23,6 @@ pub fn top_k(logits: &[f32], k: usize) -> Vec<usize> {
     idx
 }
 
-/// Whether `label` is among the top-`k` predictions.
-pub fn top_k_correct(logits: &Tensor, label: usize, k: usize) -> bool {
-    top_k(logits.data(), k).contains(&label)
-}
-
 /// Fraction of (logits, label) pairs whose argmax matches the label.
 pub fn accuracy(predictions: &[(Tensor, usize)]) -> f64 {
     if predictions.is_empty() {
@@ -66,16 +61,6 @@ pub fn argmax_i64(values: &[i64]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Mean absolute deviation between two integer output vectors.
-pub fn mean_abs_dev_i64(a: &[i64], b: &[i64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    if a.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = a.iter().zip(b).map(|(&x, &y)| (x - y).abs() as f64).sum();
-    sum / a.len() as f64
-}
-
 /// Largest absolute deviation between two integer output vectors.
 pub fn max_abs_dev_i64(a: &[i64], b: &[i64]) -> i64 {
     assert_eq!(a.len(), b.len());
@@ -112,14 +97,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_correct_checks_membership() {
-        let t = Tensor::from_vec(vec![4], vec![0.1, 0.9, 0.5, 0.2]);
-        assert!(top_k_correct(&t, 1, 1));
-        assert!(top_k_correct(&t, 2, 2));
-        assert!(!top_k_correct(&t, 3, 2));
-    }
-
-    #[test]
     fn accuracy_counts_argmax_hits() {
         let preds = vec![
             (Tensor::from_vec(vec![2], vec![0.9, 0.1]), 0),
@@ -139,12 +116,7 @@ mod tests {
 
     #[test]
     fn integer_deviations() {
-        assert_eq!(
-            mean_abs_dev_i64(&[1, 2, 3], &[1, 4, 0]),
-            (0.0 + 2.0 + 3.0) / 3.0
-        );
         assert_eq!(max_abs_dev_i64(&[1, 2, 3], &[1, 4, 0]), 3);
-        assert_eq!(mean_abs_dev_i64(&[], &[]), 0.0);
         assert_eq!(max_abs_dev_i64(&[], &[]), 0);
     }
 

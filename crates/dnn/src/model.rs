@@ -3,12 +3,11 @@
 
 use crate::dataset::Dataset;
 use crate::layer::{Layer, LayerKind};
-use serde::{Deserialize, Serialize};
 
 /// One step of a model's inference pipeline. Crossbars execute `Layer`
 /// stages; the tile's pooling module executes `Pool` stages (paper Fig. 1
 /// shows the pooling module beside the PEs — it consumes no crossbars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Run mappable layer `layers[i]` (conv or fc), followed by ReLU unless
     /// it is the final stage.
@@ -21,7 +20,7 @@ pub enum Stage {
 /// (convolutions and fully-connected layers; pooling only reshapes feature
 /// maps and consumes no crossbars, matching the paper's accelerator where a
 /// dedicated pooling module sits beside the PEs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Model {
     /// Human-readable name, e.g. `"VGG16"`.
     pub name: String,
@@ -44,11 +43,6 @@ impl Model {
     /// Total weight count across all layers.
     pub fn total_weights(&self) -> usize {
         self.layers.iter().map(Layer::num_weights).sum()
-    }
-
-    /// Total MACs for one inference.
-    pub fn total_macs(&self) -> usize {
-        self.layers.iter().map(Layer::macs).sum()
     }
 
     /// Largest value of each normalization-relevant feature, used to scale
@@ -85,7 +79,7 @@ impl Model {
 }
 
 /// Per-model maxima used for state normalization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FeatureMaxima {
     pub in_channels: usize,
     pub out_channels: usize,
@@ -289,13 +283,6 @@ mod tests {
     #[should_panic]
     fn conv_after_fc_is_rejected() {
         let _ = ModelBuilder::new("bad", Dataset::Mnist).fc(10).conv(4, 3);
-    }
-
-    #[test]
-    fn total_macs_sums_layers() {
-        let m = tiny();
-        let s: usize = m.layers.iter().map(Layer::macs).sum();
-        assert_eq!(m.total_macs(), s);
     }
 
     #[test]

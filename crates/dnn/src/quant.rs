@@ -7,7 +7,6 @@
 //! crossbars compute exactly on the integers, and results are rescaled.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Symmetric linear quantizer: `q = round(x / scale)` clamped to
 /// `[-qmax, qmax]`, with `scale = max_abs / qmax`.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let err = (q.dequantize(q.quantize(0.5)) - 0.5).abs();
 /// assert!(err <= q.max_error());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     /// Real value represented by one integer step.
     pub scale: f32,

@@ -5,10 +5,8 @@
 //! heavy numerical work in this repository happens inside the crossbar
 //! simulator on integer lattices; this type only has to be correct.
 
-use serde::{Deserialize, Serialize};
-
 /// Dense row-major tensor of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

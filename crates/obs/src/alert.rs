@@ -458,12 +458,6 @@ impl AlertEngine {
         self.firing().contains(&rule)
     }
 
-    /// Events recorded so far, in insertion order (annotations may be
-    /// out of time order until [`finish`](Self::finish) sorts them).
-    pub fn events(&self) -> &[AlertEvent] {
-        &self.events
-    }
-
     /// Consume the engine into the final timeline: events sorted by
     /// timestamp (stable — insertion order breaks ties, so the result is
     /// deterministic given the same observation sequence).

@@ -3,10 +3,9 @@
 //! `scripts/bench_snapshot.sh` records min-of-N criterion timings as
 //! flat `{"results": {"name": ns, ...}}` JSON. This module parses those
 //! snapshots (with a small hand-rolled JSON reader — the obs crate is
-//! deliberately dependency-free and the workspace's serde stub does not
-//! serialize), compares a current snapshot against a baseline with a
-//! noise-aware threshold, and renders a machine-checkable verdict
-//! artifact. `scripts/check.sh` runs it in warn mode on every gate;
+//! deliberately dependency-free), compares a current snapshot against a
+//! baseline with a noise-aware threshold, and renders a machine-checkable
+//! verdict artifact. `scripts/check.sh` runs it in warn mode on every gate;
 //! `--hard` upgrades regressions to a non-zero exit for release gating.
 //!
 //! ## Noise model

@@ -19,11 +19,10 @@ use crate::noise::OuNoise;
 use crate::replay::{Experience, ReplayBuffer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Agent hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdpgConfig {
     /// State vector dimension (the paper's Eq. 1 state is 10-dim; ≥ 1).
     pub state_dim: usize,
@@ -62,7 +61,7 @@ impl Default for DdpgConfig {
 }
 
 /// Diagnostics from one training step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainStats {
     /// Mean squared TD error of the critic batch.
     pub critic_loss: f64,
@@ -74,7 +73,7 @@ pub struct TrainStats {
 /// updates that ran. `steps` is a deterministic count; the durations are
 /// wall-clock timings, so they differ from run to run and must never be
 /// compared for equality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrainProfile {
     /// Updates that ran (`train_step` calls that returned `Some`).
     pub steps: u64,

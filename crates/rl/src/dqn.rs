@@ -12,10 +12,9 @@ use crate::nn::{Activation, Adam, Mlp};
 use crate::replay::ReplayBuffer;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One discrete transition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteExperience {
     pub state: Vec<f64>,
     pub next_state: Vec<f64>,
@@ -25,7 +24,7 @@ pub struct DiscreteExperience {
 }
 
 /// Agent hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DqnConfig {
     /// State dimension (≥ 1).
     pub state_dim: usize,

@@ -5,8 +5,6 @@
 //! action, RUE-style reward at episode end) lives in the `autohet` crate;
 //! the chain below is its simplest delayed-reward analogue.
 
-use serde::{Deserialize, Serialize};
-
 /// An episodic environment with continuous scalar actions in `[0, 1]`.
 pub trait Environment {
     /// Dimensionality of the state vector.
@@ -24,7 +22,7 @@ pub trait Environment {
 /// A k-step chain whose episode reward is maximized by emitting a fixed
 /// target action at every step — the simplest delayed-reward analogue of
 /// the AutoHet layer walk.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainEnv {
     /// Steps per episode.
     pub steps: usize,

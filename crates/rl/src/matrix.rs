@@ -6,7 +6,6 @@
 //! GEMM microkernel.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Transpose `src` (`rows × cols`, row-major) into `dst` (`cols × rows`),
 /// walking 8×8 tiles so both sides stay cache-resident. Pure data
@@ -33,7 +32,7 @@ pub(crate) fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f
 }
 
 /// Dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -7,10 +7,9 @@
 
 use crate::matrix::{transpose_into, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// max(0, x)
     Relu,
@@ -88,22 +87,19 @@ impl Activation {
 /// forward chain performs no staging transposes at all. A batch-major
 /// mirror (`output`) is materialized only where something reads it: the
 /// public forward API and the weight-gradient accumulation. The caches
-/// are volatile scratch (`serde(skip)`) and reuse their allocations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// are volatile scratch and reuse their allocations.
+#[derive(Debug, Clone)]
 struct Dense {
     w: Matrix,
     b: Vec<f64>,
     act: Activation,
     /// Forward output cache, feature-major `n_out × batch`. The next
     /// layer reads its input straight from here.
-    #[serde(skip)]
     out_fm: Vec<f64>,
     /// Batch-major mirror of `out_fm` (`batch × n_out`); empty after an
     /// inference-only forward (see [`Mlp::forward_batch_infer`]).
-    #[serde(skip)]
     output: Vec<f64>,
     /// `δ = grad_out ⊙ act′(output)` backward scratch, feature-major.
-    #[serde(skip)]
     delta: Vec<f64>,
     // accumulated gradients
     gw: Matrix,
@@ -218,7 +214,7 @@ fn add_batch_sums(gb: &mut [f64], delta: &[f64], batch: usize) {
 }
 
 /// Adam optimizer state (one per network).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adam {
     pub lr: f64,
     pub beta1: f64,
@@ -248,27 +244,22 @@ fn exact_reciprocal(x: f64) -> Option<f64> {
 }
 
 /// A multi-layer perceptron.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Dense>,
     /// Layer-0 input cache, batch-major (read by the weight-gradient
     /// accumulation in backward).
-    #[serde(skip)]
     x0: Vec<f64>,
     /// Layer-0 input staged feature-major for the GEMM chain (the only
     /// input transpose a forward pass makes; later layers read their
     /// predecessor's feature-major output cache in place).
-    #[serde(skip)]
     x0_fm: Vec<f64>,
     /// Batch size of the cached forward pass.
-    #[serde(skip)]
     batch: usize,
     /// Ping-pong gradient buffers for the backward chain (feature-major;
     /// `grad_a` holds the batch-major input gradient after
     /// [`Mlp::backward_input_only_batch`]).
-    #[serde(skip)]
     grad_a: Vec<f64>,
-    #[serde(skip)]
     grad_b: Vec<f64>,
 }
 
@@ -473,14 +464,6 @@ impl Mlp {
                 step(w, g, m, v);
             }
         }
-    }
-
-    /// Flat parameter count.
-    pub fn num_params(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.w.data().len() + l.b.len())
-            .sum()
     }
 
     /// Visit all parameters (weights then biases, layer by layer).
@@ -780,17 +763,5 @@ mod tests {
             assert_eq!(la.gw, lb.gw);
             assert_eq!(la.gb, lb.gb);
         }
-    }
-
-    #[test]
-    fn num_params_counts_weights_and_biases() {
-        let mut rng = SmallRng::seed_from_u64(10);
-        let net = Mlp::new(
-            &[10, 64, 64, 1],
-            Activation::Relu,
-            Activation::Sigmoid,
-            &mut rng,
-        );
-        assert_eq!(net.num_params(), 10 * 64 + 64 + 64 * 64 + 64 + 64 + 1);
     }
 }

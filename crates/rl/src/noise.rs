@@ -6,10 +6,9 @@
 //! episodes exploit the learned policy.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Ornstein–Uhlenbeck process with multiplicative decay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OuNoise {
     /// Mean-reversion rate.
     pub theta: f64,

@@ -8,12 +8,11 @@
 //! in one too.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One transition (paper Eq. 3). The action is the raw continuous actor
 /// output; `reward` is the episode reward shared by all of the episode's
 /// steps; `done` marks the final layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Experience {
     pub state: Vec<f64>,
     pub next_state: Vec<f64>,

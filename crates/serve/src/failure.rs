@@ -18,10 +18,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Failure process parameters for the replica fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailureSpec {
     /// Mean time between failures per replica \[ns\] (exponential).
     pub mtbf_ns: u64,

@@ -1,18 +1,18 @@
 //! Epoch-parallel execution of the serving engine.
 //!
 //! Between epoch barriers each shard touches only its own state — its
-//! queues and its replica table — so shards step concurrently on scoped
-//! `crossbeam` workers; every barrier (settle → steal → autoscale →
-//! swap) runs single-threaded in a fixed order, in the one epoch loop all
-//! drivers share. The schedule of decisions is therefore *identical* to
-//! [`run_sharded`](crate::run_sharded), and the report is bit-identical
-//! to both sequential drivers at any thread count.
+//! queues and its replica table — so shards step concurrently on
+//! `std::thread::scope` workers; every barrier (settle → steal →
+//! autoscale → swap) runs single-threaded in a fixed order, in the one
+//! epoch loop all drivers share. The schedule of decisions is therefore
+//! *identical* to [`run_sharded`](crate::run_sharded), and the report is
+//! bit-identical to both sequential drivers at any thread count.
 
 use crate::shard::{run_epochs, SelectMode, ShardConfig, ShardServingReport};
 use crate::workload::{TenantSpec, Workload};
 
 /// Epoch-parallel driver for the serving engine: shards step
-/// concurrently on `threads` crossbeam workers between barriers. The
+/// concurrently on `threads` scoped workers between barriers. The
 /// report is bit-identical to [`run_sharded`](crate::run_sharded)
 /// (asserted by tests and the cross-driver proptests).
 pub fn run_sharded_threaded(
@@ -24,16 +24,15 @@ pub fn run_sharded_threaded(
     let _span = autohet_obs::trace::span("serve.run_sharded_threaded");
     let chunk = cfg.shards.div_ceil(threads.max(1));
     run_epochs(tenants, wl, cfg, SelectMode::Heap, |shards, e_end| {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for group in shards.chunks_mut(chunk) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for sh in group {
                         sh.step(tenants, e_end);
                     }
                 });
             }
-        })
-        .expect("shard worker panicked");
+        });
     })
 }
 

@@ -31,7 +31,6 @@
 
 use crate::failure::{self, FailureSpec, Outage};
 use crate::shard::ShardConfig;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -57,7 +56,7 @@ use std::collections::BinaryHeap;
 /// breaker, so drift keeps eroding accuracy.
 ///
 /// All fields are integers so the spec stays `Copy + Eq`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthSpec {
     /// Per-request error probability growth: ppm per millisecond since
     /// the replica's last successful recalibration.
@@ -142,7 +141,7 @@ pub(crate) struct ReplicaHealth {
 }
 
 /// What happened in one replica-health transition (see [`HealthEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthEventKind {
     /// The error-EWMA circuit breaker tripped.
     Trip,
@@ -171,7 +170,7 @@ impl HealthEventKind {
 /// the event sequence is bit-identical across scheduler drivers. Trips
 /// carry the batch completion instant; recovery outcomes carry the
 /// instant the replica came back (or gave up).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthEvent {
     /// Simulated instant of the transition \[ns\].
     pub t_ns: u64,

@@ -3,14 +3,12 @@
 //! fairness index and nearest-rank percentiles. The report itself is
 //! [`ShardServingReport`](crate::shard::ShardServingReport).
 
-use serde::{Deserialize, Serialize};
-
 /// Number of power-of-two latency bins (covers the full `u64` range).
 const HIST_BINS: usize = 64;
 
 /// Fixed log₂-binned latency histogram: bin `i` counts latencies in
 /// `[2^i, 2^(i+1))` ns (bin 0 also absorbs 0 ns).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Per-bin request counts.
     pub bins: Vec<u64>,
@@ -61,7 +59,7 @@ impl Default for LatencyHistogram {
 /// (`completed`, `batches`, SLO) bucket by batch completion time.
 ///
 /// [`ShardConfig::epochs`]: crate::shard::ShardConfig::epochs
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowStats {
     /// Window index (0-based).
     pub index: usize,
@@ -95,7 +93,6 @@ pub struct WindowStats {
     /// Jain's fairness index over per-tenant attained service per unit
     /// weight within the window (tenants idle in the window are
     /// excluded; 1.0 when at most one tenant was active).
-    #[serde(default)]
     pub fairness_index: f64,
 }
 

@@ -69,7 +69,6 @@ use crate::replica::{HealthEvent, HealthSpec, ReplicaHealth, ReplicaTable};
 use crate::report::{jain_index, percentile, LatencyHistogram, WindowStats};
 use crate::workload::{tenant_arrivals, TenantSpec, Workload};
 use autohet_obs::alert::{AlertEngine, AlertRule, ThresholdRule};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
@@ -92,7 +91,7 @@ pub(crate) enum SelectMode {
 }
 
 /// Work-stealing policy evaluated at every epoch barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealSpec {
     /// A shard is a victim when its backlog is at least this many
     /// queued requests.
@@ -113,7 +112,7 @@ impl Default for StealSpec {
 
 /// Telemetry-driven replica autoscaling, evaluated at epoch barriers
 /// through an [`AlertEngine`] with threshold hysteresis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleSpec {
     /// Scale up when the epoch mean queue depth exceeds this.
     pub high_depth: f64,
@@ -170,7 +169,7 @@ impl AutoscaleSpec {
 /// Online strategy-swap policy: remap a tenant onto its
 /// `alt_deployment` when its epoch arrival share drifts past
 /// `share_factor ×` its long-run (rate-derived) share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapSpec {
     /// Drift threshold as a multiple of the tenant's baseline share.
     pub share_factor: f64,
@@ -205,7 +204,7 @@ impl SwapSpec {
 }
 
 /// Configuration of a serving run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
     /// Shard-local schedulers; tenants partition as `gid % shards`.
     pub shards: usize,
@@ -287,7 +286,7 @@ impl ShardConfig {
 }
 
 /// One autoscaling action on the timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleEvent {
     /// Barrier instant \[ns\].
     pub t_ns: u64,
@@ -304,7 +303,7 @@ pub struct ScaleEvent {
 }
 
 /// One whole-tenant migration between shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealEvent {
     /// Barrier instant \[ns\].
     pub t_ns: u64,
@@ -319,7 +318,7 @@ pub struct StealEvent {
 }
 
 /// One online strategy swap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapEvent {
     /// Barrier instant \[ns\].
     pub t_ns: u64,
@@ -339,7 +338,7 @@ pub struct SwapEvent {
 
 /// The autoscaler's input signals for one epoch, recorded verbatim so
 /// the post-hoc alert timeline replays *exactly* what the runtime saw.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochSignal {
     /// Barrier instant \[ns\].
     pub t_ns: u64,
@@ -348,7 +347,7 @@ pub struct EpochSignal {
 }
 
 /// Per-tenant results of a serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardTenantStats {
     pub name: String,
     /// DRR fair-share weight.
@@ -403,7 +402,7 @@ pub struct ShardTenantStats {
 }
 
 /// Per-shard summary of a serving run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     pub shard: usize,
     /// Tenants owned at the end of the run.
@@ -438,7 +437,7 @@ pub struct ShardStats {
 
 /// Results of a serving run. The three drivers (linear-scan reference,
 /// heap mode, epoch-parallel) produce bit-identical values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardServingReport {
     pub seed: u64,
     pub horizon_ns: u64,

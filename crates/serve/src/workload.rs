@@ -10,12 +10,11 @@
 use crate::deploy::Deployment;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Periodic overload phases layered onto a tenant's base rate: for the
 /// first `burst_ns` of every `period_ns`, the rate is multiplied by
 /// `factor`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstSpec {
     /// Burst cycle length \[ns\].
     pub period_ns: u64,
@@ -29,7 +28,7 @@ pub struct BurstSpec {
 /// at `start_ns` to `to_factor` at `end_ns` and stays there. Composed
 /// multiplicatively with any [`BurstSpec`]. This is the workload-mix
 /// drift that triggers online strategy swap in the serving engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampSpec {
     /// Drift onset \[ns\].
     pub start_ns: u64,
@@ -167,7 +166,7 @@ impl TenantSpec {
 }
 
 /// Global workload parameters shared by every tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
     /// Master seed; tenant streams are derived from it deterministically.
     pub seed: u64,

@@ -8,10 +8,8 @@
 //! The paper fixes 10 bits so every candidate crossbar (tallest: 576 rows)
 //! converts losslessly (§4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// An ideal uniform quantizer with saturation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Adc {
     bits: u32,
 }

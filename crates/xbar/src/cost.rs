@@ -12,10 +12,8 @@
 //!
 //! Units: energy nJ, power nW, time ns, length µm (area µm²).
 
-use serde::{Deserialize, Serialize};
-
 /// All cost-model constants plus the bit-width configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Weight precision in bits (paper: 8).
     pub weight_bits: u32,
@@ -132,11 +130,6 @@ impl CostParams {
     pub fn adc_area(&self) -> f64 {
         self.a_adc * self.adc_scale()
     }
-
-    /// Largest bitline sum a conversion can represent without clipping.
-    pub fn adc_max_level(&self) -> i64 {
-        (1_i64 << self.adc_bits) - 1
-    }
 }
 
 #[cfg(test)]
@@ -157,9 +150,10 @@ mod tests {
     fn ten_bit_adc_covers_tallest_candidate() {
         // §4.1: "We set the ADC revolution to 10-bit to support crossbars
         // of all heterogeneous sizes" — the tallest candidate is 576 rows.
-        let p = CostParams::default();
-        assert!(p.adc_max_level() >= 576);
-        assert!(p.adc_max_level() < 2 * 576 * 2); // and not absurdly larger
+        // The crossbar's conversions clamp to the ADC's largest level.
+        let max_level = crate::adc::Adc::new(CostParams::default().adc_bits).max_level();
+        assert!(max_level >= 576);
+        assert!(max_level < 2 * 576 * 2); // and not absurdly larger
     }
 
     #[test]

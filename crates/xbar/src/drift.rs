@@ -31,11 +31,10 @@
 
 use crate::fault::{FaultMap, FaultRates};
 use crate::variation::VariationModel;
-use serde::{Deserialize, Serialize};
 
 /// A seeded temporal degradation model: lognormal conductance drift plus
 /// stuck-at conversion over simulated hours.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftModel {
     /// Device population at `t = 0`.
     pub base: VariationModel,
@@ -97,14 +96,6 @@ impl DriftModel {
             adc_per_hour: self.adc_per_hour * k,
             ..self
         }
-    }
-
-    /// True when no mechanism drifts — every snapshot equals `t = 0`.
-    pub fn is_static(&self) -> bool {
-        self.nu == 0.0
-            && self.dev_growth_per_hour == 0.0
-            && self.stuck_per_hour == 0.0
-            && self.adc_per_hour == 0.0
     }
 
     fn validate_t(t_hours: f64) {
@@ -239,7 +230,6 @@ mod tests {
     #[test]
     fn static_model_never_moves() {
         let m = DriftModel::ideal();
-        assert!(m.is_static());
         assert_eq!(m.variation_at(1e6), m.base);
         assert_eq!(m.rates_at(1e6).dead_xbar, 0.0);
         assert!(m.snapshot_at(1e6, &[8; 16], 1).is_ideal());

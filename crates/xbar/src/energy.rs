@@ -17,10 +17,9 @@
 use crate::cost::CostParams;
 use crate::utilization::Footprint;
 use autohet_dnn::Layer;
-use serde::{Deserialize, Serialize};
 
 /// Dynamic activation counts for one layer's inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynamicCounts {
     /// ADC conversions: cycles × occupied crossbars × bitlines × slices.
     pub adc_conversions: u64,
@@ -70,7 +69,7 @@ pub fn static_power(allocated: u64, shape: crate::XbarShape, p: &CostParams) -> 
 }
 
 /// Itemized per-layer energy \[nJ\].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LayerEnergy {
     pub adc: f64,
     pub dac: f64,

@@ -10,11 +10,10 @@
 //! - the hybrid set AutoHet searches over: 32×32, 36×32, 72×64, 288×256,
 //!   576×512 (§3.3 / §4.1)
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An `rows × cols` crossbar shape (wordlines × bitlines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct XbarShape {
     /// Wordlines (weight-matrix rows mapped here).
     pub rows: u32,

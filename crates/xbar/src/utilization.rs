@@ -19,10 +19,9 @@
 
 use crate::geometry::XbarShape;
 use autohet_dnn::Layer;
-use serde::{Deserialize, Serialize};
 
 /// How one layer lands on an array of crossbars of a given shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Footprint {
     /// The crossbar shape this footprint was computed for.
     pub shape: XbarShape,

@@ -33,11 +33,10 @@ use crate::kernels::PackedInput;
 use rand::distributions::{Distribution, LogNormal};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Lognormal Ron/Roff device-variation parameters with operation-unit
 /// readout, per the HyperMetric RRAM corner (SNIPPETS.md §3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationModel {
     /// Nominal low-resistance (programmed-1) state, Ω.
     pub r_on: f64,
@@ -364,13 +363,6 @@ impl VariedCrossbar {
         (self.rows_used, self.cols_used)
     }
 
-    /// Size of the precomputed pattern tables, bytes (for capacity
-    /// planning: `8 · cols · ⌈rows/S_ou⌉ · 2^S_ou` — every entry is a
-    /// `u64` carrying one byte lane per plane).
-    pub fn table_bytes(&self) -> usize {
-        self.table.len() * std::mem::size_of::<u64>()
-    }
-
     /// Bit-serial MVM under this variation draw (packed fast path).
     /// Bit-identical to [`VariedCrossbar::mvm_scalar`] for every shape,
     /// seed and ADC resolution.
@@ -585,12 +577,10 @@ mod tests {
     }
 
     #[test]
-    fn table_size_matches_layout() {
+    fn used_block_matches_the_programmed_weights() {
         let w = vec![vec![1; 6]; 21];
         let xb = Crossbar::program(XbarShape::square(32), &w, 8);
         let vc = VariedCrossbar::sample(&xb, &VariationModel::hypermetric(), 0);
-        // 8 planes · 6 cols · ⌈21/4⌉ = 6 units · 16 patterns.
-        assert_eq!(vc.table_bytes(), 8 * 6 * 6 * 16);
         assert_eq!(vc.used(), (21, 6));
     }
 

@@ -143,8 +143,10 @@ grep -q '"rule":"serve.scale_up"' target/serve_smoke/shard_alerts.jsonl \
 # Benchmark smoke: build perfbench (its own workspace, building the crates
 # above by path) and run each workload for about a second. Every run ends
 # with one JSON result line; all of its correctness checks must pass.
+# `--locked` fails the build instead of rewriting perfbench/Cargo.lock, so
+# the benchmark always builds the committed dependency graph.
 for w in search_vgg16 serve_fleet lifetime_lenet5; do
-  result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  result=$(cargo run --release --quiet --offline --locked --manifest-path perfbench/Cargo.toml -- \
              --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
   grep -q '"failed": 0,' <<<"$result" \
     || { echo "perfbench smoke: $w failed a correctness check: $result" >&2; exit 1; }
