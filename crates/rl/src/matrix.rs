@@ -79,12 +79,17 @@ impl Matrix {
     }
 
     /// `y = A·x` (length `rows`): the per-sample oracle of
-    /// [`Matrix::matmul_fm`]. Each dot folds from `+0.0` in ascending `k`.
+    /// [`Matrix::matmul_fm`]. Each dot folds from `+0.0` in ascending `k`,
+    /// one fused multiply-add per step.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols);
         self.data
             .chunks_exact(self.cols)
-            .map(|row| row.iter().zip(x).fold(0.0, |acc, (a, b)| acc + a * b))
+            .map(|row| {
+                row.iter()
+                    .zip(x)
+                    .fold(0.0, |acc, (a, b)| a.mul_add(*b, acc))
+            })
             .collect()
     }
 
@@ -96,7 +101,7 @@ impl Matrix {
         for (r, &gr) in g.iter().enumerate() {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             for (yc, &a) in y.iter_mut().zip(row) {
-                *yc += a * gr;
+                *yc = a.mul_add(gr, *yc);
             }
         }
         y
@@ -110,7 +115,7 @@ impl Matrix {
         for (r, &gr) in g.iter().enumerate() {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             for (a, &xv) in row.iter_mut().zip(x) {
-                *a += gr * xv;
+                *a = gr.mul_add(xv, *a);
             }
         }
     }
@@ -126,7 +131,7 @@ impl Matrix {
     // operand strides. Every *element* of a result keeps the exact fold of
     // its per-sample oracle above — k-ascending dots, r-ascending
     // transpose sums, s-ascending gradient accumulation, each step one
-    // rounded multiply then one rounded add — so batched training is
+    // fused multiply-add, rounded once — so batched training is
     // bit-identical to a per-sample loop at any batch size (DESIGN.md §9).
 
     /// Feature-major GEMM: `yt = A·xt` where `xt` is `cols × batch` and
@@ -258,8 +263,8 @@ impl<'a> Out<'a> {
 /// The register-tiled microkernel behind every batched product. Element
 /// `(i, j)` of the result is `row_map(i)(fold)`, where `fold` starts from
 /// `+0.0` (from the element's current value when accumulating) and adds
-/// `p(i, t) · q(t, j)` for `t` ascending: one rounded multiply, then one
-/// rounded add, never a fused multiply-add.
+/// `p(i, t) · q(t, j)` for `t` ascending, one fused multiply-add per step:
+/// the product and the sum round once, together.
 ///
 /// The result is walked in [`ROWS`] × `L` tiles held in a local array
 /// while `t` ascends, so each element is loaded and stored once per call
@@ -348,7 +353,7 @@ fn tile<const R: usize, const L: usize, E, G>(
         for (i, a) in acc.iter_mut().enumerate() {
             let p = ops.p[(i0 + i) * ops.pi + t * ops.pt];
             for (a, &qv) in a.iter_mut().zip(q) {
-                *a += p * qv;
+                *a = p.mul_add(qv, *a);
             }
         }
     }
@@ -478,6 +483,51 @@ mod tests {
         m.matmul_t_fm(&[0.0], 1, &mut din);
         assert_eq!(m.matvec_t(&[0.0]), din);
         assert!(din.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
+    }
+
+    #[test]
+    fn every_step_rounds_once() {
+        // Fold (−1)(1), then (1 + 2⁻³⁰)(1 − 2⁻³⁰) = 1 − 2⁻⁶⁰. A step that
+        // rounds once keeps the exact −2⁻⁶⁰; a rounded multiply gives 1,
+        // and the add then gives 0.
+        let e = 1.0 / (1u64 << 30) as f64;
+        let (p, q) = ([-1.0, 1.0 + e], [1.0, 1.0 - e]);
+        let check = |site: &str, vs: &[f64]| {
+            assert!(
+                vs.iter().all(|v| v.to_bits() == (-e * e).to_bits()),
+                "{site}: {vs:?}"
+            );
+        };
+        // 7 × 31 results reach every tile: 4-, 2- and 1-row tiles in 16-,
+        // 8-, 4-, 2- and 1-lane blocks.
+        let (n, lanes) = (7, 31);
+        let spread = |v: [f64; 2], len: usize| -> Vec<f64> {
+            v.iter()
+                .flat_map(|&x| std::iter::repeat(x).take(len))
+                .collect()
+        };
+        let mut out = Vec::new();
+        // A·x with every row of A equal to p and every sample equal to q.
+        let mut a = Matrix::zeros(n, 2);
+        a.data_mut().copy_from_slice(&p.repeat(n));
+        check("matvec", &a.matvec(&q));
+        a.matmul_fm(&spread(q, lanes), lanes, &mut out);
+        check("matmul_fm", &out);
+        // Aᵀ·g with row t of A equal to p[t] and every sample equal to q.
+        let mut at = Matrix::zeros(2, n);
+        at.data_mut().copy_from_slice(&spread(p, n));
+        check("matvec_t", &at.matvec_t(&q));
+        at.matmul_t_fm(&spread(q, lanes), lanes, &mut out);
+        check("matmul_t_fm", &out);
+        // A += g ⊗ x over two samples: sample s is g = p[s], x = q[s].
+        let mut outer = Matrix::zeros(n, lanes);
+        for s in 0..2 {
+            outer.add_outer(&vec![p[s]; n], &vec![q[s]; lanes]);
+        }
+        check("add_outer", outer.data());
+        let mut outer = Matrix::zeros(n, lanes);
+        outer.add_outer_batch_fm(&p.repeat(n), &spread(q, lanes), 2);
+        check("add_outer_batch_fm", outer.data());
     }
 
     #[test]

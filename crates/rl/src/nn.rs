@@ -439,18 +439,24 @@ impl Mlp {
     }
 
     /// Adam's per-element update, with `unscale` applied to each gradient.
+    ///
+    /// The bias corrections fold into the step size and epsilon once per
+    /// step, the efficient form of Kingma & Ba's §2: `α_t = lr·√bc2 / bc1`
+    /// and `ε_t = ε·√bc2`, then `w −= α_t·m / (√v + ε_t)`. In exact
+    /// arithmetic that is `lr·m̂ / (√v̂ + ε)`; per parameter it costs one
+    /// division and one square root instead of three divisions and one.
     fn adam_update(&mut self, opt: &Adam, unscale: impl Fn(f64) -> f64) {
         let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
         let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        let alpha = opt.lr * bc2.sqrt() / bc1;
+        let eps = opt.eps * bc2.sqrt();
         // Streaming zips instead of indexed access: no bounds checks, and
-        // the per-element update (same op order as ever) vectorizes.
+        // the per-element update vectorizes.
         let step = |w: &mut f64, g: f64, m: &mut f64, v: &mut f64| {
             let g = unscale(g);
             *m = opt.beta1 * *m + (1.0 - opt.beta1) * g;
             *v = opt.beta2 * *v + (1.0 - opt.beta2) * g * g;
-            let mhat = *m / bc1;
-            let vhat = *v / bc2;
-            *w -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+            *w -= alpha * *m / (v.sqrt() + eps);
         };
         for l in &mut self.layers {
             let ws = l.w.data_mut().iter_mut().zip(l.gw.data());
@@ -623,7 +629,8 @@ mod tests {
         // Gradients whose quotients are subnormal (3e-310, -5e-324, 1e-320,
         // 2.5e-308), huge (±1e300), signed zeros and 24 ordinary values,
         // at power-of-two scales (the reciprocal path) and others (the
-        // division path).
+        // division path), against the plain `g / scale` and the update's
+        // expression tree: `w − (α_t·m) / (√v + ε_t)`.
         let special = [3e-310, -5e-324, 1e-320, 2.5e-308, 1e300, -1e300, -0.0, 0.0];
         let ordinary = (1..=24).map(|i| (i as f64 * 0.37).sin() * 10f64.powi(i % 5 - 2));
         let grads: Vec<f64> = special.into_iter().chain(ordinary).collect();
@@ -642,13 +649,13 @@ mod tests {
                 net.adam_step(&mut opt, scale);
                 let bc1 = 1.0 - opt.beta1.powi(t);
                 let bc2 = 1.0 - opt.beta2.powi(t);
+                let alpha_t = opt.lr * bc2.sqrt() / bc1;
+                let eps_t = opt.eps * bc2.sqrt();
                 for i in 0..w.len() {
                     let g = grads[i] / scale;
                     m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * g;
                     v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * g * g;
-                    let mhat = m[i] / bc1;
-                    let vhat = v[i] / bc2;
-                    w[i] -= opt.lr * mhat / (vhat.sqrt() + opt.eps);
+                    w[i] -= alpha_t * m[i] / (v[i].sqrt() + eps_t);
                 }
                 let l = &net.layers[0];
                 let got = |a: &Matrix, b: &[f64]| -> Vec<u64> {

@@ -313,115 +313,115 @@ fn weighted_reward_search_is_pinned() {
 }
 
 const DEFAULT_AGENT: [&str; 53] = [
-    "step 0: critic_loss 3fe02c88ebe2c16a actor_q 3fb0e6f850d43064",
-    "step 1: critic_loss 3fe09972141aaa41 actor_q 3fb2e541466bad28",
-    "step 2: critic_loss 3fdfc12902c9f3b8 actor_q 3fafa636829b28fc",
-    "step 3: critic_loss 3fdea67a5afe81f4 actor_q bf9f7f808ed5abf6",
-    "step 4: critic_loss 3fdf34706f694f0d actor_q 3f877cb3185dd596",
-    "step 5: critic_loss 3fdd8ae0316c8c95 actor_q 3fad9c07916c42dc",
-    "step 6: critic_loss 3fe3d2f4516a5697 actor_q 3fbb9ec8c744b218",
-    "step 7: critic_loss 3fe214c442bd63f2 actor_q 3fb9be103789f0ba",
-    "step 8: critic_loss 3fe18fb276ed594a actor_q 3fbb3f90cab8cfa0",
-    "step 9: critic_loss 3fe2002b25a8f365 actor_q 3fb7b1671066e85d",
+    "step 0: critic_loss 3fe02c88ebe2c16a actor_q 3fb0e6f850d43063",
+    "step 1: critic_loss 3fe09972141aaa42 actor_q 3fb2e541466bad28",
+    "step 2: critic_loss 3fdfc12902c9f3b9 actor_q 3fafa636829b28fb",
+    "step 3: critic_loss 3fdea67a5afe81f5 actor_q bf9f7f808ed5abf9",
+    "step 4: critic_loss 3fdf34706f694f0d actor_q 3f877cb3185dd593",
+    "step 5: critic_loss 3fdd8ae0316c8c94 actor_q 3fad9c07916c42dc",
+    "step 6: critic_loss 3fe3d2f4516a5697 actor_q 3fbb9ec8c744b21b",
+    "step 7: critic_loss 3fe214c442bd63f1 actor_q 3fb9be103789f0bc",
+    "step 8: critic_loss 3fe18fb276ed594a actor_q 3fbb3f90cab8cfa2",
+    "step 9: critic_loss 3fe2002b25a8f363 actor_q 3fb7b1671066e861",
     "step 10: critic_loss 3fe0a07856151011 actor_q 3fb4ba7aa160b850",
-    "step 11: critic_loss 3fe08218aa2a3405 actor_q 3fb11199c622e620",
-    "step 12: critic_loss 3fe2453044a7f46c actor_q 3fb7552aa615d927",
-    "step 13: critic_loss 3fde90a1b8ba7bbb actor_q 3fb1196cc3cdbb99",
-    "step 14: critic_loss 3fe202d5ee6ae1b4 actor_q 3fb642a04135b895",
-    "step 15: critic_loss 3fde2151f06edeb1 actor_q 3fb8e5252e101b07",
-    "step 16: critic_loss 3fe07c1ff4191c81 actor_q 3fb847dd17cc8bbe",
-    "step 17: critic_loss 3fe232fda29f8c8c actor_q 3fbc269426fb4e83",
-    "step 18: critic_loss 3fe0e322815d5e7b actor_q 3fba8fb6928518ec",
-    "step 19: critic_loss 3fe0415685395e96 actor_q 3fb589a01f62633b",
+    "step 11: critic_loss 3fe08218aa2a3406 actor_q 3fb11199c622e61f",
+    "step 12: critic_loss 3fe2453044a7f46c actor_q 3fb7552aa615d92a",
+    "step 13: critic_loss 3fde90a1b8ba7bbc actor_q 3fb1196cc3cdbb9b",
+    "step 14: critic_loss 3fe202d5ee6ae1b3 actor_q 3fb642a04135b895",
+    "step 15: critic_loss 3fde2151f06edeb1 actor_q 3fb8e5252e101b02",
+    "step 16: critic_loss 3fe07c1ff4191c80 actor_q 3fb847dd17cc8bbe",
+    "step 17: critic_loss 3fe232fda29f8c8d actor_q 3fbc269426fb4e85",
+    "step 18: critic_loss 3fe0e322815d5e7a actor_q 3fba8fb6928518f0",
+    "step 19: critic_loss 3fe0415685395e96 actor_q 3fb589a01f62633c",
     "step 20: critic_loss 3fe0f6bab7bf9c95 actor_q 3fb98a20e29150a2",
-    "step 21: critic_loss 3fe0763ea8bdf7fc actor_q 3fb452736e74098b",
+    "step 21: critic_loss 3fe0763ea8bdf7fc actor_q 3fb452736e74098e",
     "step 22: critic_loss 3fe0d28aeff07d04 actor_q 3fb50c4c14d9fd94",
-    "step 23: critic_loss 3fe01514522a02a7 actor_q 3fb78d9db3f5fb1e",
-    "step 24: critic_loss 3fe01c051dbd3a37 actor_q 3fbdbea3d00d333d",
-    "step 25: critic_loss 3fe2d4f97d14e293 actor_q 3fbbb268863a4d90",
-    "step 26: critic_loss 3fdca3850b763b8a actor_q 3fc116057e2bee4f",
-    "step 27: critic_loss 3fe12146da89a0a3 actor_q 3fbf6ee870b0c1c8",
-    "step 28: critic_loss 3fdfef7748d7fa6b actor_q 3fbc4fdb26f33fad",
-    "step 29: critic_loss 3fdcc856e136d0f3 actor_q 3fba30497aac2fe8",
+    "step 23: critic_loss 3fe01514522a02a7 actor_q 3fb78d9db3f5fb21",
+    "step 24: critic_loss 3fe01c051dbd3a38 actor_q 3fbdbea3d00d333d",
+    "step 25: critic_loss 3fe2d4f97d14e293 actor_q 3fbbb268863a4d8d",
+    "step 26: critic_loss 3fdca3850b763b8a actor_q 3fc116057e2bee51",
+    "step 27: critic_loss 3fe12146da89a0a3 actor_q 3fbf6ee870b0c1ca",
+    "step 28: critic_loss 3fdfef7748d7fa68 actor_q 3fbc4fdb26f33fac",
+    "step 29: critic_loss 3fdcc856e136d0f4 actor_q 3fba30497aac2fea",
     "step 30: critic_loss 3fe04b22fefacc51 actor_q 3fb66fd28a3b5148",
-    "step 31: critic_loss 3fe07c0d8c208ac9 actor_q 3fb17822cce2b497",
+    "step 31: critic_loss 3fe07c0d8c208ac8 actor_q 3fb17822cce2b498",
     "step 32: critic_loss 3fdcc61320f3719d actor_q 3fb159ee78b6e260",
-    "step 33: critic_loss 3fe212a9d6a9c94d actor_q 3fb8525524eedc1d",
-    "step 34: critic_loss 3fdb3623307e630e actor_q 3fa89bb1fc4543e4",
+    "step 33: critic_loss 3fe212a9d6a9c94d actor_q 3fb8525524eedc17",
+    "step 34: critic_loss 3fdb3623307e630e actor_q 3fa89bb1fc4543e2",
     "step 35: critic_loss 3fe26d52eef126ac actor_q 3fbee2042fb55e2c",
-    "step 36: critic_loss 3fdf9a1624a812cf actor_q 3fbc350e610496a0",
-    "step 37: critic_loss 3fe07347debeb18e actor_q 3fb9e4511c25084d",
-    "step 38: critic_loss 3fdd6b17aa16246e actor_q 3fba7ca23a1e4465",
-    "step 39: critic_loss 3fde020f44554e5e actor_q 3fbff7a87cac82ff",
-    "step 40: critic_loss 3fe0291e1544df27 actor_q 3fc089d96eb3fb4a",
-    "step 41: critic_loss 3fdf3c96b0f6b380 actor_q 3fc2c685b59f9e55",
-    "step 42: critic_loss 3fe37d59ba2df0a4 actor_q 3fbf2fbd4c7f88da",
-    "step 43: critic_loss 3fe015aea45a6c44 actor_q 3fb8188ed7b29dbf",
-    "step 44: critic_loss 3fe0d71f0cb53979 actor_q 3fbced5d9e938463",
-    "step 45: critic_loss 3fe0545a5db0a38a actor_q 3fb69323ac2d9fef",
-    "step 46: critic_loss 3fe31490705061f4 actor_q 3fb58b280e6d0e8b",
-    "step 47: critic_loss 3fe150d4cfb9a049 actor_q 3faf4ca2b01640ad",
-    "step 48: critic_loss 3fe046b6e47be427 actor_q 3fa5af235ede1dc8",
-    "step 49: critic_loss 3fe0cce3c7b81b19 actor_q 3fa5445d91172680",
-    "probe 0: act 3fddf056b0e23d10 q bfaf106ac34fcc4b",
-    "probe 1: act 3f8e0b25cd03e952 q 3fca668616362da5",
-    "probe 2: act 3fd7a2425ffd8dad q 3fc3070d8269ecc9",
+    "step 36: critic_loss 3fdf9a1624a812ce actor_q 3fbc350e6104969d",
+    "step 37: critic_loss 3fe07347debeb18e actor_q 3fb9e4511c25084e",
+    "step 38: critic_loss 3fdd6b17aa16246c actor_q 3fba7ca23a1e4465",
+    "step 39: critic_loss 3fde020f44554e60 actor_q 3fbff7a87cac82ff",
+    "step 40: critic_loss 3fe0291e1544df28 actor_q 3fc089d96eb3fb47",
+    "step 41: critic_loss 3fdf3c96b0f6b380 actor_q 3fc2c685b59f9e54",
+    "step 42: critic_loss 3fe37d59ba2df0a5 actor_q 3fbf2fbd4c7f88d8",
+    "step 43: critic_loss 3fe015aea45a6c45 actor_q 3fb8188ed7b29dbe",
+    "step 44: critic_loss 3fe0d71f0cb53978 actor_q 3fbced5d9e938465",
+    "step 45: critic_loss 3fe0545a5db0a388 actor_q 3fb69323ac2d9fef",
+    "step 46: critic_loss 3fe31490705061f4 actor_q 3fb58b280e6d0e8e",
+    "step 47: critic_loss 3fe150d4cfb9a049 actor_q 3faf4ca2b01640af",
+    "step 48: critic_loss 3fe046b6e47be427 actor_q 3fa5af235ede1dc7",
+    "step 49: critic_loss 3fe0cce3c7b81b19 actor_q 3fa5445d91172682",
+    "probe 0: act 3fddf056b0e23d0f q bfaf106ac34fcc4f",
+    "probe 1: act 3f8e0b25cd03e952 q 3fca668616362da3",
+    "probe 2: act 3fd7a2425ffd8dac q 3fc3070d8269ecca",
 ];
 
 const ODD_AGENT: [&str; 53] = [
-    "step 0: critic_loss 3fe513cc03d1394f actor_q 3fc821f1335493e4",
-    "step 1: critic_loss 3fe19567eecf0301 actor_q 3fc67cb279a1582f",
-    "step 2: critic_loss 3fe2306a45f928b1 actor_q 3fc5290305001f68",
-    "step 3: critic_loss 3fe5585734f03f5d actor_q 3fbeb9202d978dfd",
-    "step 4: critic_loss 3fe3c07f41684c8e actor_q 3fb94e7f4a454ef9",
+    "step 0: critic_loss 3fe513cc03d1394e actor_q 3fc821f1335493e3",
+    "step 1: critic_loss 3fe19567eecf0301 actor_q 3fc67cb279a15832",
+    "step 2: critic_loss 3fe2306a45f928b0 actor_q 3fc5290305001f68",
+    "step 3: critic_loss 3fe5585734f03f5e actor_q 3fbeb9202d978dff",
+    "step 4: critic_loss 3fe3c07f41684c8e actor_q 3fb94e7f4a454efa",
     "step 5: critic_loss 3fdf8ac097f6f9bf actor_q 3fb7ce29465ce1fa",
-    "step 6: critic_loss 3fdf4dd512ddaabf actor_q 3fb7099a40c4ab5f",
-    "step 7: critic_loss 3fe14272cf38faa1 actor_q 3fb65e6bb60ba3ca",
-    "step 8: critic_loss 3fdd223ffe01055d actor_q 3fb5532dcd6e3ecf",
-    "step 9: critic_loss 3fe32023852c288b actor_q 3fbe0f913decb4e4",
-    "step 10: critic_loss 3fe35b5614c28b72 actor_q 3fbf1267bb0cd752",
+    "step 6: critic_loss 3fdf4dd512ddaabc actor_q 3fb7099a40c4ab60",
+    "step 7: critic_loss 3fe14272cf38faa2 actor_q 3fb65e6bb60ba3cb",
+    "step 8: critic_loss 3fdd223ffe01055a actor_q 3fb5532dcd6e3ed0",
+    "step 9: critic_loss 3fe32023852c288b actor_q 3fbe0f913decb4e8",
+    "step 10: critic_loss 3fe35b5614c28b73 actor_q 3fbf1267bb0cd756",
     "step 11: critic_loss 3fe1ae5548f8f1d6 actor_q 3fc269ab9a768be4",
-    "step 12: critic_loss 3fd75b84e0e0d871 actor_q 3fc07d61eae3007a",
+    "step 12: critic_loss 3fd75b84e0e0d86f actor_q 3fc07d61eae3007a",
     "step 13: critic_loss 3fdab07020596cfd actor_q 3fc0ec15268f380d",
-    "step 14: critic_loss 3fdedc1a798fac52 actor_q 3fc40f7787a670cb",
-    "step 15: critic_loss 3fe488fc2217ef08 actor_q 3fc75b9df8212f0d",
-    "step 16: critic_loss 3fd97278b6f268ee actor_q 3fb3610964f262a6",
-    "step 17: critic_loss 3fe1b7a23f4df578 actor_q 3fc7bc2489cdd7eb",
+    "step 14: critic_loss 3fdedc1a798fac52 actor_q 3fc40f7787a670cd",
+    "step 15: critic_loss 3fe488fc2217ef08 actor_q 3fc75b9df8212f0e",
+    "step 16: critic_loss 3fd97278b6f268ed actor_q 3fb3610964f262a3",
+    "step 17: critic_loss 3fe1b7a23f4df578 actor_q 3fc7bc2489cdd7ed",
     "step 18: critic_loss 3fe24d333fe6a807 actor_q 3fc358021dcfffe1",
     "step 19: critic_loss 3fda171d0cab817a actor_q 3fccb71ff1b8b0e6",
-    "step 20: critic_loss 3fdeb77641aaff0d actor_q 3fcddddd41cbb9df",
-    "step 21: critic_loss 3fe1649561524918 actor_q 3fba9984d565b878",
-    "step 22: critic_loss 3fda295f029eaa7f actor_q 3fc4a426c2802615",
-    "step 23: critic_loss 3fde87b53f66c24a actor_q 3fc77b2b9344e96d",
+    "step 20: critic_loss 3fdeb77641aaff0a actor_q 3fcddddd41cbb9df",
+    "step 21: critic_loss 3fe1649561524918 actor_q 3fba9984d565b875",
+    "step 22: critic_loss 3fda295f029eaa7d actor_q 3fc4a426c2802614",
+    "step 23: critic_loss 3fde87b53f66c248 actor_q 3fc77b2b9344e96e",
     "step 24: critic_loss 3fd833d237d59303 actor_q 3fcc2277fe4ed4ed",
-    "step 25: critic_loss 3fd5e7bf1d21ba00 actor_q 3fc8ecf11f03e9c0",
+    "step 25: critic_loss 3fd5e7bf1d21ba01 actor_q 3fc8ecf11f03e9c0",
     "step 26: critic_loss 3fe0e4ece563ded2 actor_q 3fcbeae74c1a04f8",
-    "step 27: critic_loss 3fdb2ab550b1e3ca actor_q 3fcbd338efe264ae",
-    "step 28: critic_loss 3fde3eef00fc26ea actor_q 3fc3055fe1ae58ba",
-    "step 29: critic_loss 3fdbb6ca9c412d48 actor_q 3fc58d8f48041800",
-    "step 30: critic_loss 3fd9d6d10625844b actor_q 3fc59b4d9da9128c",
+    "step 27: critic_loss 3fdb2ab550b1e3c8 actor_q 3fcbd338efe264ad",
+    "step 28: critic_loss 3fde3eef00fc26e8 actor_q 3fc3055fe1ae58b9",
+    "step 29: critic_loss 3fdbb6ca9c412d4a actor_q 3fc58d8f480417ff",
+    "step 30: critic_loss 3fd9d6d10625844b actor_q 3fc59b4d9da91287",
     "step 31: critic_loss 3fd9ffc4ee0edd0a actor_q 3fc4d7fc626cee88",
     "step 32: critic_loss 3fdb8fd3439c2bba actor_q 3fc3dd40ca98152c",
-    "step 33: critic_loss 3fdbecf8335a67ce actor_q 3fc5640fcd4d3e3e",
-    "step 34: critic_loss 3fd40ddf96da9f34 actor_q 3fc21efa39ce9223",
-    "step 35: critic_loss 3fe08912d7ccf27d actor_q 3fb86fdd3473fed5",
-    "step 36: critic_loss 3fdb7df30ae87d20 actor_q 3fc4c60377055670",
+    "step 33: critic_loss 3fdbecf8335a67cb actor_q 3fc5640fcd4d3e3d",
+    "step 34: critic_loss 3fd40ddf96da9f34 actor_q 3fc21efa39ce9221",
+    "step 35: critic_loss 3fe08912d7ccf27e actor_q 3fb86fdd3473fed5",
+    "step 36: critic_loss 3fdb7df30ae87d1f actor_q 3fc4c60377055670",
     "step 37: critic_loss 3fe2b9d6b7fcb828 actor_q 3fb8d4c0ad3e6679",
-    "step 38: critic_loss 3fe2852911d3cef9 actor_q 3fbfd835e112558b",
+    "step 38: critic_loss 3fe2852911d3cef9 actor_q 3fbfd835e1125588",
     "step 39: critic_loss 3fd60b64879f2c0b actor_q 3fc599801030d228",
-    "step 40: critic_loss 3fe0b954f48f0742 actor_q 3fbe769cd9733e04",
-    "step 41: critic_loss 3fdfe602c9a98e11 actor_q 3fc5a259a2a1101b",
-    "step 42: critic_loss 3fdde0dd37f462fc actor_q 3fc48ae89ee32e81",
-    "step 43: critic_loss 3fdf96c6fa2a346f actor_q 3fc4b31d7e9c1267",
+    "step 40: critic_loss 3fe0b954f48f0742 actor_q 3fbe769cd9733e03",
+    "step 41: critic_loss 3fdfe602c9a98e12 actor_q 3fc5a259a2a1101a",
+    "step 42: critic_loss 3fdde0dd37f462fc actor_q 3fc48ae89ee32e7e",
+    "step 43: critic_loss 3fdf96c6fa2a346f actor_q 3fc4b31d7e9c1268",
     "step 44: critic_loss 3fe097790efe05d8 actor_q 3fc61fd1973e1721",
-    "step 45: critic_loss 3fe13a0f8ee29462 actor_q 3fc58487a7e4da4a",
-    "step 46: critic_loss 3fdf8f0abb135c47 actor_q 3fca28b650fccfda",
-    "step 47: critic_loss 3fdc2b32917901cb actor_q 3fcd3b95dcd1dd0d",
-    "step 48: critic_loss 3fe008bf6e338b03 actor_q 3fd0482b4f080deb",
+    "step 45: critic_loss 3fe13a0f8ee29462 actor_q 3fc58487a7e4da4b",
+    "step 46: critic_loss 3fdf8f0abb135c46 actor_q 3fca28b650fccfda",
+    "step 47: critic_loss 3fdc2b32917901cd actor_q 3fcd3b95dcd1dd0d",
+    "step 48: critic_loss 3fe008bf6e338b02 actor_q 3fd0482b4f080dea",
     "step 49: critic_loss 3fe3f4beb4f7a8c4 actor_q 3fccd56525e09e71",
     "probe 0: act 3feb66bab5b1c891 q 3fcaf55aeee32d93",
-    "probe 1: act 3fe100c0d1c07edf q 3fd4d64961cfdb71",
-    "probe 2: act 3fe6dafc4464a2d6 q 3f95aff4202e8442",
+    "probe 1: act 3fe100c0d1c07ee0 q 3fd4d64961cfdb70",
+    "probe 2: act 3fe6dafc4464a2d6 q 3f95aff4202e8428",
 ];
 
 const DQN_DEFAULT: [&str; 53] = [
@@ -429,111 +429,111 @@ const DQN_DEFAULT: [&str; 53] = [
     "step 1: loss 3febdf74d8367144",
     "step 2: loss 3fe7d7d2d415e2ac",
     "step 3: loss 3fe4cfbcb352fdfc",
-    "step 4: loss 3fe6b765dd1a503d",
+    "step 4: loss 3fe6b765dd1a503f",
     "step 5: loss 3fe355f76b20b7b9",
-    "step 6: loss 3fe3ec66473ad0c9",
-    "step 7: loss 3fe3d7f24341014f",
-    "step 8: loss 3fe515e3180eb787",
+    "step 6: loss 3fe3ec66473ad0c8",
+    "step 7: loss 3fe3d7f24341014e",
+    "step 8: loss 3fe515e3180eb789",
     "step 9: loss 3fe31da79fd2d914",
     "step 10: loss 3fe4689d166479b8",
-    "step 11: loss 3fe20ed37dd99a15",
+    "step 11: loss 3fe20ed37dd99a12",
     "step 12: loss 3fe07f5070c7869a",
     "step 13: loss 3fe5a503629f70d3",
     "step 14: loss 3fe362795621cfd1",
-    "step 15: loss 3fe3de6dbfac560a",
-    "step 16: loss 3fe161d5c6f42e10",
-    "step 17: loss 3fe4b4e8736cc648",
-    "step 18: loss 3fe14b6820995a56",
+    "step 15: loss 3fe3de6dbfac5609",
+    "step 16: loss 3fe161d5c6f42e0f",
+    "step 17: loss 3fe4b4e8736cc647",
+    "step 18: loss 3fe14b6820995a57",
     "step 19: loss 3fe30ece123c2056",
     "step 20: loss 3fe47013789865bc",
-    "step 21: loss 3fdce69cb3d3d94e",
-    "step 22: loss 3fe358238f86d4e6",
-    "step 23: loss 3fe19d9ecfa5981b",
+    "step 21: loss 3fdce69cb3d3d94d",
+    "step 22: loss 3fe358238f86d4e7",
+    "step 23: loss 3fe19d9ecfa59819",
     "step 24: loss 3fdaa279497f6b9a",
-    "step 25: loss 3fddacc257cf5c0c",
+    "step 25: loss 3fddacc257cf5c0d",
     "step 26: loss 3fe1fa19e793a01f",
-    "step 27: loss 3fe74fb107031211",
-    "step 28: loss 3fe6f4beccd182e3",
-    "step 29: loss 3fe188264e9a86e8",
+    "step 27: loss 3fe74fb107031212",
+    "step 28: loss 3fe6f4beccd182e4",
+    "step 29: loss 3fe188264e9a86e7",
     "step 30: loss 3fe0ba46d7f146fd",
     "step 31: loss 3fe4e043bb7326db",
     "step 32: loss 3fe12d5a0e4d4411",
     "step 33: loss 3fe101ebf8725bb5",
-    "step 34: loss 3fe23b793259cb0a",
-    "step 35: loss 3fe0d720a0aa45f1",
-    "step 36: loss 3fe30c5f23d90028",
-    "step 37: loss 3fe01680b383d8d6",
-    "step 38: loss 3fddbed380de0297",
-    "step 39: loss 3fde6b34069052ae",
+    "step 34: loss 3fe23b793259cb0b",
+    "step 35: loss 3fe0d720a0aa45f2",
+    "step 36: loss 3fe30c5f23d90025",
+    "step 37: loss 3fe01680b383d8d5",
+    "step 38: loss 3fddbed380de0299",
+    "step 39: loss 3fde6b34069052ad",
     "step 40: loss 3fe1c9b0c26468ab",
-    "step 41: loss 3fe0a492cfa62ec3",
+    "step 41: loss 3fe0a492cfa62ec4",
     "step 42: loss 3fe35762534e44ed",
-    "step 43: loss 3fe0eae746a48bf7",
+    "step 43: loss 3fe0eae746a48bf6",
     "step 44: loss 3fde8568d4e1939e",
     "step 45: loss 3fe52b414824c482",
     "step 46: loss 3fe01a5d0eec57f7",
     "step 47: loss 3fe29cd8967035df",
-    "step 48: loss 3fe1a14037378b2b",
-    "step 49: loss 3fdb2bd7619feac3",
-    "probe 0: q 3fd668394d454306 3fd811627cf04e0e 3fd17a1fc2dba0ff 3fdb47418bf8fd5a 3fcfc3bbdd52f907",
-    "probe 1: q 3fdfd770d55f5861 3fdfeb6e761d65ba 3fd7b2d7ec90d6f6 3fd2b723d90f1867 3fd6d1e2431774a1",
-    "probe 2: q 3fd6b14a310592be 3fd651c87c5468c6 3fdb769dceef77c5 3fd8c814e8455389 3fd810b2fb8d9070",
+    "step 48: loss 3fe1a14037378b2c",
+    "step 49: loss 3fdb2bd7619feac5",
+    "probe 0: q 3fd668394d454304 3fd811627cf04e0d 3fd17a1fc2dba0fe 3fdb47418bf8fd54 3fcfc3bbdd52f906",
+    "probe 1: q 3fdfd770d55f5866 3fdfeb6e761d65ba 3fd7b2d7ec90d6f6 3fd2b723d90f1865 3fd6d1e2431774a5",
+    "probe 2: q 3fd6b14a310592bc 3fd651c87c5468c4 3fdb769dceef77c5 3fd8c814e8455382 3fd810b2fb8d906f",
 ];
 
 const DQN_ODD: [&str; 53] = [
-    "step 0: loss 3fe6780d488f91f2",
-    "step 1: loss 3fd88f6ded1c7126",
-    "step 2: loss 3fe170a47e30fc22",
-    "step 3: loss 3fe6f9e8af0bf155",
-    "step 4: loss 3fe9cc0477377fe7",
+    "step 0: loss 3fe6780d488f91f1",
+    "step 1: loss 3fd88f6ded1c7127",
+    "step 2: loss 3fe170a47e30fc23",
+    "step 3: loss 3fe6f9e8af0bf153",
+    "step 4: loss 3fe9cc0477377fe8",
     "step 5: loss 3fdf9088083aa9b8",
     "step 6: loss 3fdd20512d67eec3",
-    "step 7: loss 3fe265134fac939c",
+    "step 7: loss 3fe265134fac939d",
     "step 8: loss 3fdbef27f385876d",
     "step 9: loss 3fdf855135a4c75a",
-    "step 10: loss 3fdee3286c84c900",
-    "step 11: loss 3fe3a4f5cce7c2cb",
+    "step 10: loss 3fdee3286c84c8ff",
+    "step 11: loss 3fe3a4f5cce7c2cd",
     "step 12: loss 3fe372383c2bd10d",
     "step 13: loss 3fe3178c34a7eb56",
     "step 14: loss 3fe12ae823fbd219",
-    "step 15: loss 3fd5d14646ef655d",
+    "step 15: loss 3fd5d14646ef655f",
     "step 16: loss 3fe2693b17695b08",
-    "step 17: loss 3fe0c2a0e0b44182",
-    "step 18: loss 3fe18fb22169dfb8",
+    "step 17: loss 3fe0c2a0e0b44183",
+    "step 18: loss 3fe18fb22169dfb7",
     "step 19: loss 3fe2517fc71a706a",
     "step 20: loss 3fe1836f397ae7d5",
-    "step 21: loss 3fe0f0e4b1c25841",
-    "step 22: loss 3fd81635aafe88a1",
-    "step 23: loss 3fde9c00a7131aee",
+    "step 21: loss 3fe0f0e4b1c25840",
+    "step 22: loss 3fd81635aafe88a0",
+    "step 23: loss 3fde9c00a7131aeb",
     "step 24: loss 3fe2e5f3904312e3",
     "step 25: loss 3fe01b2eceb3af4d",
     "step 26: loss 3fe022fdd2a7fe03",
-    "step 27: loss 3fe0c23e84bb5469",
-    "step 28: loss 3fdfad03f5d727d1",
+    "step 27: loss 3fe0c23e84bb5468",
+    "step 28: loss 3fdfad03f5d727cf",
     "step 29: loss 3fd918098091746e",
-    "step 30: loss 3fdae65efc4fa89a",
+    "step 30: loss 3fdae65efc4fa898",
     "step 31: loss 3fdf1f5f299530cd",
     "step 32: loss 3fe12dd0ccfae7f6",
-    "step 33: loss 3fde7f0e5b472e51",
+    "step 33: loss 3fde7f0e5b472e4f",
     "step 34: loss 3fe3bbd3e027f134",
-    "step 35: loss 3fe2f9ce63903d7e",
+    "step 35: loss 3fe2f9ce63903d7d",
     "step 36: loss 3fd904c33dc44ed3",
-    "step 37: loss 3fe0d3149d3d4063",
-    "step 38: loss 3fe239d0d649fc9a",
-    "step 39: loss 3fe13ffcc0fbc9b2",
+    "step 37: loss 3fe0d3149d3d4061",
+    "step 38: loss 3fe239d0d649fc9c",
+    "step 39: loss 3fe13ffcc0fbc9b1",
     "step 40: loss 3fdce9a2f656d78f",
     "step 41: loss 3fdd1f300dd804f9",
     "step 42: loss 3fdea1ead9d60e9d",
-    "step 43: loss 3fdb2e29639e1c36",
-    "step 44: loss 3fe451097900a9e1",
+    "step 43: loss 3fdb2e29639e1c35",
+    "step 44: loss 3fe451097900a9e0",
     "step 45: loss 3fe15469ae632464",
     "step 46: loss 3fe658f15786c780",
-    "step 47: loss 3fdddce77558560f",
-    "step 48: loss 3fdcba50095af9cf",
-    "step 49: loss 3fe50d38cd56232d",
-    "probe 0: q 3fc2bd01ba5d3fb3 3faf0d76bcfa50df bf8d1afeb218ca3e",
-    "probe 1: q 3fc6d1f089fc6560 3fd3c215c3b0e9da 3fcfd3caade50db4",
-    "probe 2: q 3fd0cf5a23c34852 3fb9d53963115dc5 bf88f9db2d23a64e",
+    "step 47: loss 3fdddce77558560b",
+    "step 48: loss 3fdcba50095af9ce",
+    "step 49: loss 3fe50d38cd56232e",
+    "probe 0: q 3fc2bd01ba5d3fb5 3faf0d76bcfa50d2 bf8d1afeb218ca4a",
+    "probe 1: q 3fc6d1f089fc6560 3fd3c215c3b0e9da 3fcfd3caade50db3",
+    "probe 2: q 3fd0cf5a23c34850 3fb9d53963115dbf bf88f9db2d23a5d7",
 ];
 
 const RL_SEARCH: [&str; 61] = [
