@@ -63,9 +63,10 @@ impl AutoHetEnv {
             weights: fm.weights as f64,
             ins: fm.in_size as f64,
         };
+        let positive = |x: f64| x.is_finite() && x > 0.0;
         assert!(
-            weights.0 > 0.0 && weights.1 > 0.0,
-            "exponents must be positive"
+            positive(weights.0) && positive(weights.1),
+            "reward_weights must be finite and positive, got {weights:?}"
         );
         let mut env = AutoHetEnv {
             candidates: candidates.to_vec(),
@@ -75,10 +76,16 @@ impl AutoHetEnv {
             weights,
         };
         // Normalize rewards by a fixed reference configuration: the middle
-        // candidate applied homogeneously.
+        // candidate applied homogeneously. An objective that overflows or
+        // underflows there would turn every reward into NaN, inf or 0.
         let mid = candidates[candidates.len() / 2];
-        let reference = env.evaluate_strategy(&vec![mid; env.num_layers()]);
-        env.reward_scale = env.raw_objective(&reference).max(f64::MIN_POSITIVE);
+        let reference = env.raw_objective(&env.evaluate_strategy(&vec![mid; env.num_layers()]));
+        assert!(
+            positive(reference),
+            "reward_weights {weights:?} give the reference objective {reference}, \
+             which must be finite and positive"
+        );
+        env.reward_scale = reference.max(f64::MIN_POSITIVE);
         env
     }
 
@@ -180,6 +187,20 @@ mod tests {
     fn env() -> AutoHetEnv {
         let engine = Arc::new(EvalEngine::new(zoo::micro_cnn(), AccelConfig::default()));
         AutoHetEnv::new(engine, &paper_hybrid_candidates(), (1.0, 1.0))
+    }
+
+    #[test]
+    #[should_panic(expected = "reward_weights must be finite and positive, got (inf, 1.0)")]
+    fn infinite_reward_weights_are_rejected() {
+        let engine = Arc::new(EvalEngine::new(zoo::lenet5(), AccelConfig::default()));
+        AutoHetEnv::new(engine, &paper_hybrid_candidates(), (f64::INFINITY, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "reward_weights (400.0, 1.0) give the reference objective inf")]
+    fn an_overflowing_reference_objective_is_rejected() {
+        let engine = Arc::new(EvalEngine::new(zoo::lenet5(), AccelConfig::default()));
+        AutoHetEnv::new(engine, &paper_hybrid_candidates(), (400.0, 1.0));
     }
 
     #[test]
