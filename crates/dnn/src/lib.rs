@@ -17,8 +17,8 @@
 //! - [`tensor`] / [`ops`]: an exact floating-point and integer reference
 //!   implementation of convolution / fully-connected / pooling, used as the
 //!   golden model when validating the analog crossbar simulator.
-//! - [`metrics`]: classification metrics (softmax, top-k, agreement) for
-//!   functional-inference studies.
+//! - [`metrics`]: integer argmax and largest deviation, the decision
+//!   metrics of the noise-robustness study.
 //! - [`quant`]: the 8-bit symmetric quantization used to program crossbars
 //!   (§4.1 quantizes weights to 8 bits).
 
