@@ -15,6 +15,11 @@ cargo test --release -q -p autohet --test prop_variation --test prop_repair_degr
   --test golden_study_rows --test prop_kernels --test golden_ddpg \
   --test prop_serve_shard --test integration_serving --test golden_serve_shard \
   --test prop_invariants --test prop_vec_search --test prop_obs
+# Each DDPG multiply-add is one `f64::mul_add`, rounded once (DESIGN.md §9):
+# a `vfmadd` in the native build, a library `fma` call in a baseline
+# x86-64 build. The pinned bits must not depend on which one runs.
+RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/x86-64 \
+  cargo test --release -q -p autohet --test golden_ddpg --test prop_kernels
 # Smoke-run the kernel and end-to-end search benches (with real criterion,
 # --test runs each closure once; the offline stub just times a short run)
 # so bench-only breakage fails the gate too.
